@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError, UnsupportedMomentError
 
@@ -114,6 +113,10 @@ def waypoint_count_pmf(k, t: float, lambda_rate: float):
     if mean == 0.0:
         out = np.where(ks == 0, 1.0, 0.0)
     else:
+        # imported here: scipy costs every CLI start about 0.3 s, and only
+        # this function needs it
+        from scipy.special import gammaln
+
         out = np.exp(ks * math.log(mean) - mean - gammaln(ks + 1))
     return float(out) if np.ndim(k) == 0 else out
 

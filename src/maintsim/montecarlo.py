@@ -8,19 +8,25 @@ exact fixes at both ends and the estimate is the straight line between
 them, which is exactly what the timer-driven interpolation protocol
 computes inside every window (waypoint occurrences are memoryless, so
 windows of a long run are identically distributed to a fresh one).  The
-count experiment runs the event-driven protocol state machines so that
-adaptive schemes are exercised as specified.  A cross-check test keeps the
-engines honest against each other.
+count experiment runs the block-batched protocol runners: each block of
+replications is stacked into padded leg matrices, the timer schemes
+localize their tick grids as arrays, and the adaptive schemes advance all
+rows in lock-step.  The scalar runners, which drive the event-driven state
+machines of ``protocols`` one replication at a time, are the reference: a
+differential test requires the batched runners to reproduce their call
+counts and estimates.  A cross-check test keeps the window engine honest
+against the protocols.
 
 Replications are independent work items: each owns an RNG stream keyed by
 (seed, stream tag, index), and aggregation is a pure function of the
-collected records, so results do not depend on execution order.
+collected records, so results depend neither on execution order nor on the
+block size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -367,10 +373,325 @@ def run_dvm(traj: Trajectory, cfg: DvmConfig, query_times, bootstrap_interval: f
 
 
 # ---------------------------------------------------------------------------
+# block-batched protocol runners (many replications each, in lock-step)
+
+# a block closes at this many replications, or earlier once its padded leg
+# matrices hold _BLOCK_LEGS entries, so a large lambda * span cannot make
+# a block hundreds of times larger than one trajectory
+_BLOCK_ROWS = 256
+_BLOCK_LEGS = 1 << 16
+
+
+@dataclass(frozen=True)
+class TrajectoryBlock:
+    """Legs of several trajectories over one span, stacked into padded
+    (rows, legs) matrices.  Start times pad with +inf so a padding leg never
+    starts at or before any time; the other fields pad with 0."""
+
+    span: float
+    start_times: np.ndarray
+    start_x: np.ndarray
+    start_y: np.ndarray
+    vel_x: np.ndarray
+    vel_y: np.ndarray
+
+    @classmethod
+    def stack(cls, trajs) -> TrajectoryBlock:
+        spans = {traj.span for traj in trajs}
+        if len(spans) != 1:
+            raise ParameterError(f"a block needs trajectories over one span, got spans {sorted(spans)}")
+        lengths = np.array([len(traj.start_times) for traj in trajs])
+        filled = np.arange(lengths.max()) < lengths[:, None]
+
+        def pad(name: str, fill: float) -> np.ndarray:
+            out = np.full(filled.shape, fill)
+            out[filled] = np.concatenate([getattr(traj, name) for traj in trajs])
+            return out
+
+        return cls(
+            span=spans.pop(),
+            start_times=pad("start_times", np.inf),
+            start_x=pad("start_x", 0.0),
+            start_y=pad("start_y", 0.0),
+            vel_x=pad("vel_x", 0.0),
+            vel_y=pad("vel_y", 0.0),
+        )
+
+    def __len__(self) -> int:
+        return len(self.start_times)
+
+    def position(self, t, rows=None):
+        """Coordinates at times ``t`` of shape (n,) or (n, k), one row of
+        ``t`` per trajectory row: all rows, or the n row indices ``rows``.
+
+        Same arithmetic as ``mobility.position_at``: the count of leg starts
+        at or before a time equals ``searchsorted(side="right")``.
+        """
+        ts = np.asarray(t, dtype=float)
+        if np.any(ts < 0.0) or np.any(ts > self.span):
+            raise ParameterError(f"time outside [0, {self.span}]")
+        if rows is None:
+            rows = np.arange(len(self))
+        flat = ts[:, None] if ts.ndim == 1 else ts
+        r = np.asarray(rows)[:, None]
+        idx = (self.start_times[r] <= flat[:, :, None]).sum(axis=2) - 1
+        dt = flat - self.start_times[r, idx]
+        x = self.start_x[r, idx] + self.vel_x[r, idx] * dt
+        y = self.start_y[r, idx] + self.vel_y[r, idx] * dt
+        return x.reshape(ts.shape), y.reshape(ts.shape)
+
+
+def _tick_counts(periods: np.ndarray, span: float) -> np.ndarray:
+    """Last tick index n of each grid {k * period : k = 0..n}, as
+    ``sfr_schedule`` computes it.  The scalar runners localize every tick,
+    so a last tick that rounds past the span fails here as it does there."""
+    if not np.all(periods > 0):
+        raise ParameterError(f"periods must be > 0, got {periods.min()}")
+    n = np.floor(span / periods * (1.0 + 1e-12))
+    if np.any(n * periods > span):
+        raise ParameterError(f"time outside [0, {span}]")
+    return n
+
+
+def run_maint_timer_block(block: TrajectoryBlock, periods, query_times):
+    """``run_maint_timer`` for every row of a block: ``periods`` (rows,),
+    ``query_times`` (rows, queries).  Returns (estimates (rows, queries, 2),
+    localization counts (rows,)).
+
+    Queries precede ticks in the scalar event order, so a query is answered
+    at the first tick k * period >= q with k >= 1, with the chord between
+    the fixes at ticks k - 1 and k.  Both ends of every window are localized
+    in one call.
+    """
+    p = np.asarray(periods, dtype=float)
+    q = np.asarray(query_times, dtype=float)
+    n = _tick_counts(p, block.span)
+    pc = p[:, None]
+    if q.size and np.any(n == 0):
+        raise ParameterError("a period schedules no tick within the span; nothing can bracket a query")
+    # q / period may round across an integer; one step either way corrects it
+    k = np.maximum(np.ceil(q / pc), 1.0)
+    k = np.where((k > 1.0) & ((k - 1.0) * pc >= q), k - 1.0, k)
+    k = np.where(k * pc < q, k + 1.0, k)
+    late = k > n[:, None]
+    if late.any():
+        row = int(np.argwhere(late)[0, 0])
+        raise ParameterError(
+            f"query at {q[row].max()} lies beyond the final localization at {n[row] * p[row]}"
+        )
+    lo = (k - 1.0) * pc
+    hi = k * pc
+    x, y = block.position(np.concatenate([lo, hi], axis=1))
+    m = q.shape[1]
+    xa, xb, ya, yb = x[:, :m], x[:, m:], y[:, :m], y[:, m:]
+    dt = hi - lo
+    s = q - lo
+    est = np.stack([xa + (xb - xa) / dt * s, ya + (yb - ya) / dt * s], axis=-1)
+    return est, n.astype(np.int64) + 1
+
+
+def run_sfr_block(block: TrajectoryBlock, periods, query_times):
+    """``run_sfr`` for every row of a block: each query gets the fix at the
+    last tick k * period <= q."""
+    p = np.asarray(periods, dtype=float)
+    q = np.asarray(query_times, dtype=float)
+    n = _tick_counts(p, block.span)
+    pc = p[:, None]
+    # q / period may round across an integer; one step either way corrects it
+    k = np.floor(q / pc)
+    k = np.where(k * pc > q, k - 1.0, k)
+    k = np.where((k + 1.0) * pc <= q, k + 1.0, k)
+    k = np.minimum(k, n[:, None])
+    x, y = block.position(k * pc)
+    return np.stack([x, y], axis=-1), n.astype(np.int64) + 1
+
+
+class _FixTrail:
+    """Fix history of a block of adaptive schedulers run in lock-step.
+
+    Every row is localized at 0, and at ``bootstrap`` if that falls before
+    the span (``booted`` holds those rows); ``add`` localizes a subset of
+    rows once more.  Rows not localized in a round get an +inf time in its
+    column, so each row's fix times stay sorted.
+    """
+
+    def __init__(self, block: TrajectoryBlock, bootstrap: np.ndarray) -> None:
+        self.block = block
+        rows = len(block)
+        self.booted = np.flatnonzero(bootstrap < block.span)
+        t0 = np.zeros(rows)
+        self.columns = [(t0, *block.position(t0))]
+        self.last = [arr.copy() for arr in self.columns[0]]
+        self.prev = [arr.copy() for arr in self.columns[0]]
+        self.add(self.booted, bootstrap[self.booted])
+
+    def add(self, rows: np.ndarray, t: np.ndarray):
+        x, y = self.block.position(t, rows)
+        column = (np.full(len(self.block), np.inf), np.zeros(len(self.block)), np.zeros(len(self.block)))
+        for prev, last, col, new in zip(self.prev, self.last, column, (t, x, y)):
+            prev[rows] = last[rows]
+            last[rows] = new
+            col[rows] = new
+        self.columns.append(column)
+        return x, y
+
+    def pair(self, rows: np.ndarray):
+        """(t, x, y) of the last two fixes of ``rows``: the earlier, then
+        the latest."""
+        return [a[rows] for a in self.prev], [a[rows] for a in self.last]
+
+    def answer(self, query_times: np.ndarray):
+        """Fix matrices (rows, fixes), localization counts, and for every
+        query the index of the latest fix at or before it."""
+        t, x, y = (np.column_stack(cols) for cols in zip(*self.columns))
+        j = (t[:, None, :] <= query_times[:, :, None]).sum(axis=2) - 1
+        return t, x, y, np.isfinite(t).sum(axis=1), j
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise.  ``np.hypot`` differs from it in the last
+    ulp for about 0.5 % of inputs, and the scalar runners use math.hypot."""
+    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
+
+
+def run_madrd_block(block: TrajectoryBlock, configs, query_times):
+    """``run_madrd`` for every row of a block, one ``MadrdConfig`` per row.
+
+    Rows advance in lock-step: each round localizes every row whose next
+    fix still falls within the span and retires the others.
+    """
+    q = np.asarray(query_times, dtype=float)
+    interval = np.array([c.base_interval for c in configs], dtype=float)
+    e_thresh = np.array([c.e_thresh for c in configs], dtype=float)
+    lo_clamp = np.array([c.min_interval for c in configs], dtype=float)
+    hi_clamp = np.array([c.clamp_max for c in configs], dtype=float)
+    trail = _FixTrail(block, interval)
+    rows = trail.booted
+    while True:
+        t = trail.last[0][rows] + interval[rows]
+        due = t <= block.span
+        rows, t = rows[due], t[due]
+        if not rows.size:
+            break
+        (pt, px, py), (lt, lx, ly) = trail.pair(rows)
+        x, y = trail.add(rows, t)
+        dx = lx + (lx - px) / (lt - pt) * (t - lt) - x
+        dy = ly + (ly - py) / (lt - pt) * (t - lt) - y
+        dist = _hypot(dx, dy)
+        e = e_thresh[rows]
+        iv = interval[rows]
+        iv = np.where(dist > e, iv / 2.0, np.where(dist < e / 2.0, iv * 2.0, iv))
+        interval[rows] = np.minimum(np.maximum(iv, lo_clamp[rows]), hi_clamp[rows])
+
+    t, x, y, calls, j = trail.answer(q)
+    r = np.broadcast_to(np.arange(len(block))[:, None], j.shape)
+    est = np.stack([x[r, j], y[r, j]], axis=-1)
+    later = j > 0  # before the second fix the sensor is taken as stationary
+    rl, jl = r[later], j[later]
+    dt = t[rl, jl] - t[rl, jl - 1]
+    age = q[later] - t[rl, jl]
+    est[later, 0] = x[rl, jl] + (x[rl, jl] - x[rl, jl - 1]) / dt * age
+    est[later, 1] = y[rl, jl] + (y[rl, jl] - y[rl, jl - 1]) / dt * age
+    return est, calls
+
+
+def run_dvm_block(block: TrajectoryBlock, configs, query_times, bootstrap_interval: float = 1.0):
+    """``run_dvm`` for every row of a block, one ``DvmConfig`` per row,
+    with the lock-step rounds of ``run_madrd_block``."""
+    q = np.asarray(query_times, dtype=float)
+    threshold = np.array([c.threshold_distance for c in configs], dtype=float)
+    lo_clamp = np.array([c.min_interval for c in configs], dtype=float)
+    hi_clamp = np.array([c.max_interval for c in configs], dtype=float)
+    trail = _FixTrail(block, np.full(len(block), float(bootstrap_interval)))
+    rows = trail.booted
+    while rows.size:
+        (pt, px, py), (lt, lx, ly) = trail.pair(rows)
+        speed = _hypot(lx - px, ly - py) / (lt - pt)
+        # a resting sensor gets threshold / 0 = inf, which the clamp turns
+        # into max_interval as dvm_next_interval does
+        with np.errstate(divide="ignore"):
+            iv = np.minimum(np.maximum(threshold[rows] / speed, lo_clamp[rows]), hi_clamp[rows])
+        t = lt + iv
+        due = t <= block.span
+        rows, t = rows[due], t[due]
+        if rows.size:
+            trail.add(rows, t)
+
+    _, x, y, calls, j = trail.answer(q)
+    r = np.arange(len(block))[:, None]
+    return np.stack([x[r, j], y[r, j]], axis=-1), calls
+
+
+# ---------------------------------------------------------------------------
 # error-vs-count experiment
 
 
-def collect_error_records(cfg: ExperimentConfig) -> list[ErrorRecord]:
+@dataclass(frozen=True, eq=False)
+class ErrorTable:
+    """Error records as columns: row i is one query evaluation of one
+    protocol in one replication.  Iterating yields ``ErrorRecord`` rows."""
+
+    protocol: np.ndarray
+    replication_index: np.ndarray
+    query_time: np.ndarray
+    sq_error: np.ndarray
+    abs_error: np.ndarray
+    localization_count: np.ndarray
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @classmethod
+    def concat(cls, tables) -> ErrorTable:
+        tables = list(tables)
+        if not tables:
+            return cls.from_records([])
+        return cls(*(np.concatenate(cols) for cols in zip(*(t.columns for t in tables))))
+
+    @classmethod
+    def from_records(cls, records) -> ErrorTable:
+        names = [f.name for f in fields(ErrorRecord)]
+        cols = list(zip(*(tuple(getattr(rec, name) for name in names) for rec in records))) or [()] * len(names)
+        dtypes = (str, np.int64, float, float, float, np.int64)
+        return cls(*(np.array(col, dtype=dt) for col, dt in zip(cols, dtypes)))
+
+    def __len__(self) -> int:
+        return len(self.sq_error)
+
+    def __iter__(self):
+        return (ErrorRecord(*row) for row in zip(*(col.tolist() for col in self.columns)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ErrorTable(*(col[index] for col in self.columns))
+        return ErrorRecord(*(col[index].item() for col in self.columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ErrorTable):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+
+
+def _replication_blocks(model: ModelParams, replications: int, block: int):
+    """Yield (replication indices, trajectories) in blocks of at most
+    ``block`` rows and about _BLOCK_LEGS padded legs."""
+    rows: list[int] = []
+    trajs: list[Trajectory] = []
+    widest = 0
+    for r in range(replications):
+        traj = generate_trajectory(model, r)
+        rows.append(r)
+        trajs.append(traj)
+        widest = max(widest, len(traj.start_times))
+        if len(rows) == block or len(rows) * widest >= _BLOCK_LEGS:
+            yield np.array(rows), trajs
+            rows, trajs, widest = [], [], 0
+    if rows:
+        yield np.array(rows), trajs
+
+
+def collect_error_records(cfg: ExperimentConfig, block: int = _BLOCK_ROWS) -> ErrorTable:
     """Run every configured protocol over fresh trajectories and record one
     error sample per query.
 
@@ -379,8 +700,12 @@ def collect_error_records(cfg: ExperimentConfig) -> list[ErrorRecord]:
     Truth comes from the trajectory; estimates only from protocol-visible
     fixes.  Sweep parameters (interpolation period, dead-reckoning base
     interval) cycle through their grids across replications to populate the
-    localization-count axis.
+    localization-count axis.  Replications run through the block-batched
+    runners ``block`` at a time; every replication keeps its own streams,
+    so the block size does not change the records.
     """
+    if block < 1:
+        raise ParameterError(f"block must be >= 1, got {block}")
     model = cfg.model
     protos = cfg.protocols
     if "MAINT" in protos:
@@ -391,62 +716,70 @@ def collect_error_records(cfg: ExperimentConfig) -> list[ErrorRecord]:
                     f"maint period {p} does not divide span {model.span}; "
                     "late queries could never be bracketed"
                 )
-    records: list[ErrorRecord] = []
-    for r in range(cfg.replications):
-        traj = generate_trajectory(model, r)
-        qrng = np.random.default_rng([model.seed, _STREAM_QUERY, r])
-        qts = qrng.uniform(0.0, model.span, cfg.queries_per_replication)
-        tx, ty = position_at(traj, qts)
+    n_q = cfg.queries_per_replication
+    maint_periods = np.array(cfg.maint_periods, dtype=float)
+    madrd_configs = [MadrdConfig(base_interval=b, e_thresh=cfg.e_thresh) for b in cfg.madrd_intervals]
+    dvm_config = DvmConfig(threshold_distance=cfg.dvm_threshold)
+    tables: list[ErrorTable] = []
+    for rows, trajs in _replication_blocks(model, cfg.replications, block):
+        legs = TrajectoryBlock.stack(trajs)
+        qts = np.array(
+            [np.random.default_rng([model.seed, _STREAM_QUERY, r]).uniform(0.0, model.span, n_q) for r in rows]
+        )
+        tx, ty = legs.position(qts)
 
-        def add(protocol: str, est: np.ndarray, calls: int) -> None:
-            ex = est[:, 0] - tx
-            ey = est[:, 1] - ty
-            sq = ex * ex + ey * ey
-            for qi in range(qts.size):
-                records.append(
-                    ErrorRecord(
-                        protocol=protocol,
-                        replication_index=r,
-                        query_time=float(qts[qi]),
-                        sq_error=float(sq[qi]),
-                        abs_error=float(math.sqrt(sq[qi])),
-                        localization_count=int(calls),
-                    )
+        def add(protocol: str, est: np.ndarray, calls: np.ndarray) -> None:
+            ex = est[..., 0] - tx
+            ey = est[..., 1] - ty
+            sq = (ex * ex + ey * ey).ravel()
+            tables.append(
+                ErrorTable(
+                    protocol=np.full(sq.size, protocol),
+                    replication_index=np.repeat(rows, n_q),
+                    query_time=qts.ravel(),
+                    sq_error=sq,
+                    abs_error=np.sqrt(sq),
+                    localization_count=np.repeat(calls, n_q),
                 )
+            )
 
         if "MAINT" in protos:
-            period = cfg.maint_periods[r % len(cfg.maint_periods)]
-            add("MAINT", *run_maint_timer(traj, period, qts))
+            add("MAINT", *run_maint_timer_block(legs, maint_periods[rows % len(maint_periods)], qts))
         if "MADRD" in protos:
-            base = cfg.madrd_intervals[r % len(cfg.madrd_intervals)]
-            mcfg = MadrdConfig(base_interval=base, e_thresh=cfg.e_thresh)
-            add("MADRD", *run_madrd(traj, mcfg, qts))
+            configs = [madrd_configs[r % len(madrd_configs)] for r in rows]
+            add("MADRD", *run_madrd_block(legs, configs, qts))
         if "SFR" in protos:
-            period = cfg.maint_periods[r % len(cfg.maint_periods)]
-            add("SFR", *run_sfr(traj, period, qts))
+            add("SFR", *run_sfr_block(legs, maint_periods[rows % len(maint_periods)], qts))
         if "DVM" in protos:
-            add("DVM", *run_dvm(traj, DvmConfig(threshold_distance=cfg.dvm_threshold), qts))
-    return records
+            add("DVM", *run_dvm_block(legs, [dvm_config] * len(rows), qts))
+    return ErrorTable.concat(tables)
 
 
 def bin_records(records) -> dict[str, list[BinnedResult]]:
-    """Group records by (protocol, localization count) and aggregate.
+    """Group records (an ``ErrorTable`` or ``ErrorRecord`` objects) by
+    (protocol, localization count) and aggregate.
 
-    Pure function of the record multiset: permuting the input changes no
-    mean beyond float-summation noise.  Empty bins simply do not appear.
+    Pure function of the record multiset: every bin sums its values in
+    sorted order, so permuting the input changes nothing.  Empty bins
+    simply do not appear.
     """
-    grouped: dict[tuple[str, int], list[ErrorRecord]] = {}
-    for rec in records:
-        grouped.setdefault((rec.protocol, rec.localization_count), []).append(rec)
+    table = records if isinstance(records, ErrorTable) else ErrorTable.from_records(records)
+    if not len(table):
+        return {}
+    names, codes = np.unique(table.protocol, return_inverse=True)
+    order = np.lexsort((table.sq_error, table.localization_count, codes))
+    codes, counts = codes[order], table.localization_count[order]
+    sq_sorted, ab_all = table.sq_error[order], table.abs_error[order]
+    cuts = np.flatnonzero((codes[1:] != codes[:-1]) | (counts[1:] != counts[:-1])) + 1
+    bounds = np.concatenate([[0], cuts, [len(table)]])
     out: dict[str, list[BinnedResult]] = {}
-    for (protocol, count) in sorted(grouped):
-        bucket = grouped[(protocol, count)]
-        sq = np.array(sorted(r.sq_error for r in bucket))
-        ab = np.array(sorted(r.abs_error for r in bucket))
-        n = len(bucket)
-        out.setdefault(protocol, []).append(
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        sq = sq_sorted[lo:hi]
+        ab = np.sort(ab_all[lo:hi])
+        n = hi - lo
+        out.setdefault(str(names[codes[lo]]), []).append(
             BinnedResult(
-                key=count,
+                key=int(counts[lo]),
                 mean_sq_error=float(sq.mean()),
                 mean_abs_error=float(ab.mean()),
                 sample_count=n,

@@ -2,9 +2,13 @@
 manifests, and byte-identical reruns."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import maintsim
 from maintsim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main, parse_grid
 from maintsim.montecarlo import MomentCheck, MomentReport
 from maintsim.output import read_csv
@@ -181,3 +185,12 @@ class TestSimulate:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         assert run(["simulate", "fig5", "--config", str(cfg)]) == EXIT_USAGE
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs every CLI start about 0.3 s; only tests and one analytic
+    # helper need it, and that helper imports it when called
+    code = "import sys, maintsim.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = os.path.dirname(os.path.dirname(maintsim.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0

@@ -1,6 +1,7 @@
 """Experiment runners: determinism, aggregation invariants, call-count
 accounting, and agreement between the event-driven protocols, the
-vectorized window engine, and the closed forms."""
+block-batched runners, the vectorized window engine, and the closed
+forms."""
 
 import math
 
@@ -11,21 +12,32 @@ from maintsim.analytic import ErrorQuery, error_avg
 from maintsim.errors import ParameterError
 from maintsim.mobility import ModelParams, generate_trajectory, position_at
 from maintsim.montecarlo import (
+    ErrorRecord,
     ExperimentConfig,
+    TrajectoryBlock,
     bin_records,
     collect_error_records,
     run_asymptotic_sweep,
+    run_dvm,
+    run_dvm_block,
     run_error_vs_count,
     run_error_vs_period,
     run_madrd,
+    run_madrd_block,
     run_maint_query_driven,
     run_maint_timer,
+    run_maint_timer_block,
     run_sfr,
+    run_sfr_block,
     sample_window_errors,
     validate_conditional_moments,
+    _BLOCK_LEGS,
+    _BLOCK_ROWS,
+    _STREAM_QUERY,
     _madrd_fix_sequence,
+    _replication_blocks,
 )
-from maintsim.protocols import EventLog, MadrdConfig, MadrdState, extrapolate_madrd
+from maintsim.protocols import DvmConfig, EventLog, MadrdConfig, MadrdState, extrapolate_madrd
 
 MODEL = ModelParams(lambda_rate=0.1, sigma=5.0, seed=77, span=100.0)
 
@@ -161,6 +173,176 @@ class TestSfrRunner:
         for t, (ex, ey) in zip(qts, est):
             fix_time = math.floor(t / 25.0) * 25.0
             assert (ex, ey) == position_at(traj, fix_time)
+
+
+def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootstrap=1.0, rtol=1e-12):
+    """Every block-batched runner against its scalar reference, row by row:
+    call counts exactly, estimates to ``rtol`` relative."""
+    block = TrajectoryBlock.stack(trajs)
+    batched = {
+        "MAINT": run_maint_timer_block(block, periods, qts),
+        "SFR": run_sfr_block(block, periods, qts),
+        "MADRD": run_madrd_block(block, madrd_cfgs, qts),
+        "DVM": run_dvm_block(block, dvm_cfgs, qts, bootstrap_interval=bootstrap),
+    }
+    for i, traj in enumerate(trajs):
+        scalar = {
+            "MAINT": run_maint_timer(traj, periods[i], qts[i]),
+            "SFR": run_sfr(traj, periods[i], qts[i]),
+            "MADRD": run_madrd(traj, madrd_cfgs[i], qts[i]),
+            "DVM": run_dvm(traj, dvm_cfgs[i], qts[i], bootstrap_interval=bootstrap),
+        }
+        for name, (est, calls) in scalar.items():
+            b_est, b_calls = batched[name]
+            assert b_calls[i] == calls, (name, i)
+            np.testing.assert_allclose(b_est[i], est, rtol=rtol, atol=0.0, err_msg=f"{name} row {i}")
+
+
+def scalar_records(cfg):
+    """The per-replication loop over the scalar runners: (protocol,
+    replication, query time, squared error, calls) rows."""
+    rows = []
+    for r in range(cfg.replications):
+        traj = generate_trajectory(cfg.model, r)
+        qrng = np.random.default_rng([cfg.model.seed, _STREAM_QUERY, r])
+        qts = qrng.uniform(0.0, cfg.model.span, cfg.queries_per_replication)
+        tx, ty = position_at(traj, qts)
+        period = cfg.maint_periods[r % len(cfg.maint_periods)]
+        runs = {
+            "MAINT": run_maint_timer(traj, period, qts),
+            "MADRD": run_madrd(traj, MadrdConfig(cfg.madrd_intervals[r % len(cfg.madrd_intervals)], cfg.e_thresh), qts),
+            "SFR": run_sfr(traj, period, qts),
+            "DVM": run_dvm(traj, DvmConfig(threshold_distance=cfg.dvm_threshold), qts),
+        }
+        for name in cfg.protocols:
+            est, calls = runs[name]
+            sq = (est[:, 0] - tx) ** 2 + (est[:, 1] - ty) ** 2
+            rows += [(name, r, float(q), float(e), calls) for q, e in zip(qts, sq)]
+    return rows
+
+
+ALL_PROTOCOLS = ("MAINT", "MADRD", "SFR", "DVM")
+PERIODS = (2.0, 4.0, 5.0, 10.0, 20.0, 25.0, 50.0)
+BASES = (2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 35.0, 50.0)
+
+
+class TestBlockRunners:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_queries", [1, 5])
+    def test_random_trajectories_match_scalar_runners(self, seed, n_queries):
+        model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=seed, span=100.0)
+        trajs = [generate_trajectory(model, r) for r in range(50)]
+        qts = np.random.default_rng([seed, n_queries]).uniform(0.0, 100.0, (50, n_queries))
+        periods = np.array([PERIODS[r % len(PERIODS)] for r in range(50)])
+        madrd = [MadrdConfig(base_interval=BASES[r % len(BASES)]) for r in range(50)]
+        assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * 50)
+
+    def test_queries_at_zero_at_a_tick_and_at_the_span(self):
+        # the last period equals the span: one tick, two MAINT calls
+        periods = np.array([4.0, 5.0, 10.0, 25.0, 50.0, 100.0])
+        trajs = [generate_trajectory(MODEL, r) for r in range(len(periods))]
+        qts = np.column_stack([np.zeros(len(periods)), periods, np.full(len(periods), 100.0)])
+        madrd = [MadrdConfig(base_interval=p) for p in periods]
+        assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * len(periods))
+        _, calls = run_maint_timer_block(TrajectoryBlock.stack(trajs), periods, qts)
+        assert calls[-1] == 2
+
+    def test_queries_on_ticks_that_round(self):
+        # q / period rounds across an integer for many ticks m * period of
+        # these periods.  A query on a tick may take either adjacent window
+        # within rounding, and only some trajectories show which one it
+        # took, so 40 trajectories take queries on the ticks and the
+        # estimates must be exactly the scalar runner's; six more take
+        # queries one ulp either side of the ticks.
+        periods = np.concatenate([np.full(40, 0.3), np.tile([0.1, 0.3, 0.7], 2)])
+        ticks = np.arange(1, 141) * periods[:, None]
+        qts = np.vstack([ticks[:40], np.nextafter(ticks[40:43], np.inf), np.nextafter(ticks[43:], -np.inf)])
+        trajs = [generate_trajectory(MODEL, r) for r in range(len(periods))]
+        madrd = [MadrdConfig(base_interval=5.0)] * len(periods)
+        assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * len(periods), rtol=0.0)
+
+    def test_madrd_base_at_or_beyond_span_localizes_once(self):
+        bases = (100.0, 150.0, 10.0)
+        trajs = [generate_trajectory(MODEL, r) for r in range(3)]
+        qts = np.array([[10.0, 90.0]] * 3)
+        madrd = [MadrdConfig(base_interval=b) for b in bases]
+        assert_blocks_match_scalar(trajs, qts, np.full(3, 20.0), madrd, [DvmConfig()] * 3)
+        _, calls = run_madrd_block(TrajectoryBlock.stack(trajs), madrd, qts)
+        assert calls[0] == calls[1] == 1 < calls[2]
+
+    @pytest.mark.parametrize("bootstrap", [100.0, 250.0])
+    def test_dvm_bootstrap_at_or_beyond_span(self, bootstrap):
+        trajs = [generate_trajectory(MODEL, r) for r in range(4)]
+        qts = np.array([[0.0, 40.0, 100.0]] * 4)
+        madrd = [MadrdConfig(base_interval=10.0)] * 4
+        assert_blocks_match_scalar(trajs, qts, np.full(4, 25.0), madrd, [DvmConfig()] * 4, bootstrap=bootstrap)
+        _, calls = run_dvm_block(TrajectoryBlock.stack(trajs), [DvmConfig()] * 4, qts, bootstrap_interval=bootstrap)
+        assert (calls == 1).all()
+
+    def test_interval_clamps(self):
+        # fast sensors halve MADRD down to min_interval, slow ones double it
+        # up to max_interval; DVM intervals hit both of its clamps
+        models = [ModelParams(lambda_rate=0.1, sigma=s, seed=8, span=100.0) for s in (40.0, 0.2)]
+        trajs = [generate_trajectory(m, r) for m in models for r in range(10)]
+        qts = np.random.default_rng(3).uniform(0.0, 100.0, (20, 4))
+        madrd = [MadrdConfig(base_interval=5.0, min_interval=0.5, max_interval=12.0)] * 20
+        dvm = [DvmConfig(min_interval=0.5, max_interval=3.0)] * 20
+        assert_blocks_match_scalar(trajs, qts, np.full(20, 10.0), madrd, dvm)
+        gaps = np.concatenate([np.diff([f.time for f in _madrd_fix_sequence(t, madrd[0])[0]]) for t in trajs])
+        assert np.isclose(gaps, 0.5).any() and np.isclose(gaps, 12.0).any()
+
+    def test_near_stationary_sensor(self):
+        model = ModelParams(lambda_rate=0.1, sigma=1e-8, seed=4, span=100.0)
+        trajs = [generate_trajectory(model, r) for r in range(16)]
+        qts = np.random.default_rng(4).uniform(0.0, 100.0, (16, 3))
+        periods = np.array([PERIODS[r % len(PERIODS)] for r in range(16)])
+        madrd = [MadrdConfig(base_interval=BASES[r % len(BASES)]) for r in range(16)]
+        assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * 16)
+
+    def test_rejects_query_past_last_tick(self):
+        block = TrajectoryBlock.stack([generate_trajectory(MODEL, 1)])
+        with pytest.raises(ParameterError):
+            run_maint_timer_block(block, np.array([30.0]), np.array([[95.0]]))  # last tick at 90
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_records_match_scalar_loop(self, seed):
+        model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=seed, span=100.0)
+        cfg = ExperimentConfig(model=model, protocols=ALL_PROTOCOLS, replications=40, queries_per_replication=2)
+        table = collect_error_records(cfg, block=7)
+        expected = sorted(scalar_records(cfg))
+        got = sorted((r.protocol, r.replication_index, r.query_time, r.sq_error, r.localization_count) for r in table)
+        assert len(got) == len(expected) == 4 * 40 * 2
+        for g, e in zip(got, expected):
+            assert g[:3] == e[:3] and g[4] == e[4]
+            assert g[3] == pytest.approx(e[3], rel=1e-12, abs=0.0)
+
+    def test_block_size_does_not_change_bins(self):
+        # 300 replications make two default blocks; DVM, the slowest runner
+        # at one row per block, is covered by test_records_match_scalar_loop
+        cfg = ExperimentConfig(
+            model=MODEL, protocols=("MAINT", "MADRD", "SFR"), replications=300, queries_per_replication=2
+        )
+        default = bin_records(collect_error_records(cfg))
+        assert bin_records(collect_error_records(cfg, block=1)) == default
+        assert bin_records(collect_error_records(cfg, block=7)) == default
+
+    def test_blocks_cap_padded_legs(self):
+        # about 1000 legs per trajectory: a block closes long before 256 rows
+        model = ModelParams(lambda_rate=10.0, sigma=5.0, seed=1, span=100.0)
+        blocks = list(_replication_blocks(model, 150, _BLOCK_ROWS))
+        assert [r for rows, _ in blocks for r in rows] == list(range(150))
+        assert len(blocks) > 1
+        for rows, trajs in blocks:
+            widest = max(len(t.start_times) for t in trajs)
+            assert (len(rows) - 1) * widest < _BLOCK_LEGS
+
+    def test_table_and_record_list_bin_alike(self):
+        cfg = ExperimentConfig(model=MODEL, protocols=ALL_PROTOCOLS, replications=30)
+        table = collect_error_records(cfg)
+        records = list(table)
+        assert all(isinstance(r, ErrorRecord) for r in records)
+        assert len(table) == len(records) == 4 * 30
+        assert bin_records(records) == bin_records(table)
 
 
 class TestPeriodSweep:
@@ -306,7 +488,7 @@ class TestWindowEngine:
 
     def test_batching_does_not_change_results(self):
         a = sample_window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500, 2, batch=500)
-        b = sample_window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500, 2, batch=500)
+        b = sample_window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500, 2, batch=4096)
         assert np.array_equal(a, b)
 
     def test_long_window_rows_extend(self):
