@@ -2,7 +2,7 @@
 error analysis, tracking protocols (MAINT, MADRD, SFR, DVM) and the Monte
 Carlo experiments that compare them."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     BracketError,
@@ -11,12 +11,11 @@ from .errors import (
     StaleQueryError,
     UnsupportedMomentError,
 )
-from .mobility import Leg, ModelParams, Trajectory, generate_trajectory, position_at, waypoint_count
+from .mobility import ModelParams, Trajectory, generate_trajectory, position_at, waypoint_count
 
 __all__ = [
     "BracketError",
     "DegeneratePairError",
-    "Leg",
     "ModelParams",
     "ParameterError",
     "StaleQueryError",

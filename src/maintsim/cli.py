@@ -283,7 +283,7 @@ def cmd_simulate(args) -> int:
             seed=settings["seed"],
         )
         rows = list(report.rows())
-        header = ["check", "mc_mean", "std_error", "theory", "z", "samples", "skipped"]
+        header = ["check", "mc_mean", "std_error", "theory", "z", "samples"]
         if not report.passed:
             status = EXIT_VALIDATION
 

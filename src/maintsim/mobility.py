@@ -8,11 +8,16 @@ occurrences therefore form a Poisson process with rate ``lambda_rate``.
 
 Trajectories are immutable after generation and safe to share between
 replication workers.
+
+``TrajectoryBlock`` holds many paths of the same model as padded
+(rows, legs) matrices and evaluates all rows at once.  It is built either by
+stacking generated trajectories (the count experiment) or by drawing
+independent windows over [0, horizon] straight from a caller's generator
+(the window engine of ``montecarlo``).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -47,16 +52,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class Leg:
-    """One straight segment of a trajectory."""
-
-    start_time: float
-    start_pos: tuple[float, float]
-    velocity: tuple[float, float]
-    duration: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Piecewise-linear path; legs tile [0, span] with the last one allowed
     to overshoot the horizon (its full drawn duration is kept)."""
@@ -73,18 +68,6 @@ class Trajectory:
     def waypoint_times(self) -> np.ndarray:
         """Times of direction changes after the start (may exceed span)."""
         return self.start_times[1:]
-
-    @property
-    def legs(self) -> list[Leg]:
-        return [
-            Leg(
-                start_time=float(self.start_times[i]),
-                start_pos=(float(self.start_x[i]), float(self.start_y[i])),
-                velocity=(float(self.vel_x[i]), float(self.vel_y[i])),
-                duration=float(self.durations[i]),
-            )
-            for i in range(len(self.start_times))
-        ]
 
 
 def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Trajectory:
@@ -160,20 +143,108 @@ def waypoint_count(traj: Trajectory, t) -> int:
     return n
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Dump legs as CSV: leg_index, start_time, start_x, start_y, u, v, duration."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["leg_index", "start_time", "start_x", "start_y", "u", "v", "duration"])
-        for i in range(len(traj.start_times)):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(traj.start_times[i])),
-                    repr(float(traj.start_x[i])),
-                    repr(float(traj.start_y[i])),
-                    repr(float(traj.vel_x[i])),
-                    repr(float(traj.vel_y[i])),
-                    repr(float(traj.durations[i])),
-                ]
-            )
+
+@dataclass(frozen=True)
+class TrajectoryBlock:
+    """Legs of several paths over one span, stacked into padded (rows, legs)
+    matrices.  Padding legs never move a row: ``stack`` pads start times
+    with +inf, so a padding leg never starts at or before any time, and
+    ``windows`` pads a row with zero-duration legs after its last one."""
+
+    span: float
+    start_times: np.ndarray
+    start_x: np.ndarray
+    start_y: np.ndarray
+    vel_x: np.ndarray
+    vel_y: np.ndarray
+
+    @classmethod
+    def stack(cls, trajs) -> TrajectoryBlock:
+        spans = {traj.span for traj in trajs}
+        if len(spans) != 1:
+            raise ParameterError(f"a block needs trajectories over one span, got spans {sorted(spans)}")
+        lengths = np.array([len(traj.start_times) for traj in trajs])
+        filled = np.arange(lengths.max()) < lengths[:, None]
+
+        def pad(name: str, fill: float) -> np.ndarray:
+            out = np.full(filled.shape, fill)
+            out[filled] = np.concatenate([getattr(traj, name) for traj in trajs])
+            return out
+
+        return cls(
+            span=spans.pop(),
+            start_times=pad("start_times", np.inf),
+            start_x=pad("start_x", 0.0),
+            start_y=pad("start_y", 0.0),
+            vel_x=pad("vel_x", 0.0),
+            vel_y=pad("vel_y", 0.0),
+        )
+
+    @classmethod
+    def windows(
+        cls, rng: np.random.Generator, lambda_rate: float, sigma: float, horizon: float, rows: int
+    ) -> TrajectoryBlock:
+        """``rows`` independent paths of the model covering [0, horizon],
+        all starting at the origin.
+
+        Draws from ``rng`` in a fixed order: the leg durations, further
+        rounds of durations for the rows whose legs still fall short of the
+        horizon (the other rows get zero-duration legs in each round), then
+        the x and the y velocity components of every leg.
+        """
+        expected = lambda_rate * horizon
+        cols = max(8, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
+        gaps = rng.standard_exponential((rows, cols), method="inv") / lambda_rate
+        total = gaps.sum(axis=1)
+        while True:
+            short = total < horizon
+            if not short.any():
+                break
+            pad = np.zeros((rows, cols))
+            pad[short] = rng.standard_exponential((int(short.sum()), cols), method="inv") / lambda_rate
+            gaps = np.hstack([gaps, pad])
+            total += pad.sum(axis=1)
+        u = sigma * rng.standard_normal(gaps.shape)
+        v = sigma * rng.standard_normal(gaps.shape)
+
+        def leg_starts(steps: np.ndarray) -> np.ndarray:
+            # summed straight into the result, with no second full-size
+            # temporary: these matrices set the sweeps' peak memory
+            out = np.zeros_like(steps)
+            np.cumsum(steps[:, :-1], axis=1, out=out[:, 1:])
+            return out
+
+        return cls(
+            span=horizon,
+            start_times=leg_starts(gaps),
+            start_x=leg_starts(u * gaps),
+            start_y=leg_starts(v * gaps),
+            vel_x=u,
+            vel_y=v,
+        )
+
+    def __len__(self) -> int:
+        return len(self.start_times)
+
+    def position(self, t, rows=None):
+        """Coordinates at times ``t`` of shape (n,) or (n, k), one row of
+        ``t`` per trajectory row: all rows, or the n row indices ``rows``.
+
+        Same arithmetic as ``position_at``: the count of leg starts at or
+        before a time equals ``searchsorted(side="right")``.
+        """
+        ts = np.asarray(t, dtype=float)
+        if np.any(ts < 0.0) or np.any(ts > self.span):
+            raise ParameterError(f"time outside [0, {self.span}]")
+        flat = ts[:, None] if ts.ndim == 1 else ts
+        if rows is None:
+            r = np.arange(len(self))[:, None]
+            starts = self.start_times[:, None, :]
+        else:
+            r = np.asarray(rows)[:, None]
+            starts = self.start_times[r]
+        idx = (starts <= flat[:, :, None]).sum(axis=2) - 1
+        dt = flat - self.start_times[r, idx]
+        x = self.start_x[r, idx] + self.vel_x[r, idx] * dt
+        y = self.start_y[r, idx] + self.vel_y[r, idx] * dt
+        return x.reshape(ts.shape), y.reshape(ts.shape)

@@ -2,25 +2,26 @@
 closed-form error over the localization period, the constant-ratio sweep,
 and Monte Carlo validation of the conditional-moment formulas.
 
-Two simulation engines coexist.  The period sweeps use a vectorized
-window engine: each replication is one localization window [0, T] with
-exact fixes at both ends and the estimate is the straight line between
-them, which is exactly what the timer-driven interpolation protocol
-computes inside every window (waypoint occurrences are memoryless, so
-windows of a long run are identically distributed to a fresh one).  The
-count experiment runs the block-batched protocol runners: each block of
-replications is stacked into padded leg matrices, the timer schemes
-localize their tick grids as arrays, and the adaptive schemes advance all
-rows in lock-step.  The scalar runners, which drive the event-driven state
-machines of ``protocols`` one replication at a time, are the reference: a
-differential test requires the batched runners to reproduce their call
-counts and estimates.  A cross-check test keeps the window engine honest
-against the protocols.
+Both engines evaluate paths as ``mobility.TrajectoryBlock`` leg matrices.
+The period sweeps use the window engine: each replication is one
+localization window [0, T] with exact fixes at both ends and the estimate
+is the straight line between them, which is exactly what the timer-driven
+interpolation protocol computes inside every window (waypoint occurrences
+are memoryless, so windows of a long run are identically distributed to a
+fresh one).  Windows are drawn straight into a block, a fixed batch of
+rows at a time.  The count experiment runs the block-batched protocol
+runners: each block of replications stacks its generated trajectories, the
+timer schemes localize their tick grids as arrays, and the adaptive schemes
+advance all rows in lock-step.  The scalar runners, which drive the
+event-driven state machines of ``protocols`` one replication at a time, are
+the reference: a differential test requires the batched runners to
+reproduce their call counts and estimates.  A cross-check test keeps the
+window engine honest against the protocols.
 
 Replications are independent work items: each owns an RNG stream keyed by
 (seed, stream tag, index), and aggregation is a pure function of the
-collected records, so results depend neither on execution order nor on the
-block size.
+collected records, so count-experiment results depend neither on
+execution order nor on the block size.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .analytic import (
     position_second_moment_given_count,
 )
 from .errors import ParameterError
-from .mobility import ModelParams, Trajectory, generate_trajectory, position_at
+from .mobility import ModelParams, Trajectory, TrajectoryBlock, generate_trajectory, position_at
 from .protocols import (
     DvmConfig,
     DvmState,
@@ -147,34 +148,10 @@ class AsymptotePoint:
 # vectorized window engine
 
 
-def _window_legs(rng: np.random.Generator, lam: float, horizon: float, rows: int):
-    """Leg matrices for ``rows`` independent windows covering [0, horizon].
-
-    Rows whose drawn legs fall short are padded with further draws; padding
-    other rows with zero-duration legs keeps the matrices rectangular and
-    contributes nothing to positions.
-    """
-    expected = lam * horizon
-    cols = max(8, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
-    gaps = rng.standard_exponential((rows, cols), method="inv") / lam
-    total = gaps.sum(axis=1)
-    while True:
-        short = total < horizon
-        if not short.any():
-            break
-        pad = np.zeros((rows, cols))
-        pad[short] = rng.standard_exponential((int(short.sum()), cols), method="inv") / lam
-        gaps = np.hstack([gaps, pad])
-        total += pad.sum(axis=1)
-    starts = np.hstack([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)[:, :-1]])
-    return gaps, starts
-
-
-def _positions(gaps: np.ndarray, starts: np.ndarray, vel: np.ndarray, s) -> np.ndarray:
-    """Coordinate at time(s) ``s`` (scalar or per-row vector) for every row."""
-    diff = (s - starts) if np.ndim(s) == 0 else (np.asarray(s)[:, None] - starts)
-    seg = np.clip(diff, 0.0, gaps)
-    return (vel * seg).sum(axis=1)
+# windows are drawn this many at a time; the batch size is part of the
+# stream layout, because each batch draws all its leg durations before its
+# velocities and queries
+_WINDOW_BATCH = 4096
 
 
 def sample_window_errors(
@@ -184,7 +161,6 @@ def sample_window_errors(
     T: float,
     n_windows: int,
     n_queries: int,
-    batch: int = 4096,
 ) -> np.ndarray:
     """Squared interpolation errors, shape (n_windows, n_queries).
 
@@ -194,21 +170,17 @@ def sample_window_errors(
     independent units for standard errors.
     """
     out = np.empty((n_windows, n_queries))
-    done = 0
-    while done < n_windows:
-        m = min(batch, n_windows - done)
-        gaps, starts = _window_legs(rng, lambda_rate, T, m)
-        u = sigma * rng.standard_normal(gaps.shape)
-        v = sigma * rng.standard_normal(gaps.shape)
-        x_end = _positions(gaps, starts, u, T)
-        y_end = _positions(gaps, starts, v, T)
+    for done in range(0, n_windows, _WINDOW_BATCH):
+        m = min(_WINDOW_BATCH, n_windows - done)
+        block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
+        x_end, y_end = block.position(np.full(m, T))
         for qi in range(n_queries):
             tq = rng.uniform(0.0, T, m)
             frac = tq / T
-            ex = _positions(gaps, starts, u, tq) - x_end * frac
-            ey = _positions(gaps, starts, v, tq) - y_end * frac
+            x, y = block.position(tq)
+            ex = x - x_end * frac
+            ey = y - y_end * frac
             out[done : done + m, qi] = ex * ex + ey * ey
-        done += m
     return out
 
 
@@ -219,23 +191,17 @@ def sample_window_positions(
     horizon: float,
     n_windows: int,
     eval_times,
-    batch: int = 4096,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates at fixed times for independent windows; shapes
     (n_windows, len(eval_times)).  Used by the moment-validation oracles."""
     times = [float(t) for t in eval_times]
     xs = np.empty((n_windows, len(times)))
     ys = np.empty((n_windows, len(times)))
-    done = 0
-    while done < n_windows:
-        m = min(batch, n_windows - done)
-        gaps, starts = _window_legs(rng, lambda_rate, horizon, m)
-        u = sigma * rng.standard_normal(gaps.shape)
-        v = sigma * rng.standard_normal(gaps.shape)
+    for done in range(0, n_windows, _WINDOW_BATCH):
+        m = min(_WINDOW_BATCH, n_windows - done)
+        block = TrajectoryBlock.windows(rng, lambda_rate, sigma, horizon, m)
         for j, t in enumerate(times):
-            xs[done : done + m, j] = _positions(gaps, starts, u, t)
-            ys[done : done + m, j] = _positions(gaps, starts, v, t)
-        done += m
+            xs[done : done + m, j], ys[done : done + m, j] = block.position(np.full(m, t))
     return xs, ys
 
 
@@ -280,20 +246,6 @@ def run_maint_timer(traj: Trajectory, period: float, query_times, noise=None, lo
                 est[resp.requester] = interpolate(resp.fix_a, resp.fix_b, qts[resp.requester])
                 if log is not None:
                     log.record(when, "response", resp.requester, *est[resp.requester])
-    return est, state.calls
-
-
-def run_maint_query_driven(traj: Trajectory, period: float, query_times, immediate: bool = False):
-    """On-demand variant: a query fires localization when it arrives at or
-    past last fix + period (or always, in immediate mode).  Queries still
-    buffered when the span ends stay unanswered (NaN estimates)."""
-    qts = np.asarray(query_times, dtype=float)
-    state = maint_init(traj, period, mode="query", immediate_mode=immediate)
-    est = np.full((qts.size, 2), np.nan)
-    for i in np.argsort(qts, kind="stable"):
-        t = float(qts[i])
-        for resp in maint_on_query(state, Query(time=t, requester=int(i)), traj, clock=t):
-            est[resp.requester] = interpolate(resp.fix_a, resp.fix_b, qts[resp.requester])
     return est, state.calls
 
 
@@ -380,65 +332,6 @@ def run_dvm(traj: Trajectory, cfg: DvmConfig, query_times, bootstrap_interval: f
 # a block hundreds of times larger than one trajectory
 _BLOCK_ROWS = 256
 _BLOCK_LEGS = 1 << 16
-
-
-@dataclass(frozen=True)
-class TrajectoryBlock:
-    """Legs of several trajectories over one span, stacked into padded
-    (rows, legs) matrices.  Start times pad with +inf so a padding leg never
-    starts at or before any time; the other fields pad with 0."""
-
-    span: float
-    start_times: np.ndarray
-    start_x: np.ndarray
-    start_y: np.ndarray
-    vel_x: np.ndarray
-    vel_y: np.ndarray
-
-    @classmethod
-    def stack(cls, trajs) -> TrajectoryBlock:
-        spans = {traj.span for traj in trajs}
-        if len(spans) != 1:
-            raise ParameterError(f"a block needs trajectories over one span, got spans {sorted(spans)}")
-        lengths = np.array([len(traj.start_times) for traj in trajs])
-        filled = np.arange(lengths.max()) < lengths[:, None]
-
-        def pad(name: str, fill: float) -> np.ndarray:
-            out = np.full(filled.shape, fill)
-            out[filled] = np.concatenate([getattr(traj, name) for traj in trajs])
-            return out
-
-        return cls(
-            span=spans.pop(),
-            start_times=pad("start_times", np.inf),
-            start_x=pad("start_x", 0.0),
-            start_y=pad("start_y", 0.0),
-            vel_x=pad("vel_x", 0.0),
-            vel_y=pad("vel_y", 0.0),
-        )
-
-    def __len__(self) -> int:
-        return len(self.start_times)
-
-    def position(self, t, rows=None):
-        """Coordinates at times ``t`` of shape (n,) or (n, k), one row of
-        ``t`` per trajectory row: all rows, or the n row indices ``rows``.
-
-        Same arithmetic as ``mobility.position_at``: the count of leg starts
-        at or before a time equals ``searchsorted(side="right")``.
-        """
-        ts = np.asarray(t, dtype=float)
-        if np.any(ts < 0.0) or np.any(ts > self.span):
-            raise ParameterError(f"time outside [0, {self.span}]")
-        if rows is None:
-            rows = np.arange(len(self))
-        flat = ts[:, None] if ts.ndim == 1 else ts
-        r = np.asarray(rows)[:, None]
-        idx = (self.start_times[r] <= flat[:, :, None]).sum(axis=2) - 1
-        dt = flat - self.start_times[r, idx]
-        x = self.start_x[r, idx] + self.vel_x[r, idx] * dt
-        y = self.start_y[r, idx] + self.vel_y[r, idx] * dt
-        return x.reshape(ts.shape), y.reshape(ts.shape)
 
 
 def _tick_counts(periods: np.ndarray, span: float) -> np.ndarray:
@@ -867,7 +760,6 @@ class MomentCheck:
     theory: float
     z: float
     samples: int
-    skipped: bool = False
 
 
 @dataclass
@@ -876,16 +768,15 @@ class MomentReport:
 
     @property
     def max_abs_z(self) -> float:
-        zs = [abs(c.z) for c in self.checks if not c.skipped]
-        return max(zs) if zs else 0.0
+        return max((abs(c.z) for c in self.checks), default=0.0)
 
     @property
     def passed(self) -> bool:
-        return all(abs(c.z) < 4.0 for c in self.checks if not c.skipped)
+        return all(abs(c.z) < 4.0 for c in self.checks)
 
     def rows(self):
         for c in self.checks:
-            yield (c.name, c.mc_mean, c.std_error, c.theory, c.z, c.samples, c.skipped)
+            yield (c.name, c.mc_mean, c.std_error, c.theory, c.z, c.samples)
 
 
 def _z_check(name: str, sample: np.ndarray, theory: float) -> MomentCheck:
@@ -908,10 +799,9 @@ def validate_conditional_moments(
     """Monte Carlo z-scores for every conditional-moment formula.
 
     Conditioned quantities are sampled by construction (given n waypoints in
-    (0, tau), their times are sorted uniforms), so no rejection is needed
-    and nothing is skipped.  The unconditional second moment and the
-    cross moment come from direct window simulation.  Passing means every
-    |z| < 4.
+    (0, tau), their times are sorted uniforms), so no rejection is needed.
+    The unconditional second moment and the cross moment come from direct
+    window simulation.  Passing means every |z| < 4.
     """
     if samples < 10_000:
         raise ParameterError(f"samples must be >= 10000, got {samples}")

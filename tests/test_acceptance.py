@@ -153,7 +153,7 @@ def test_criterion_4_moment_formulas_validated_by_monte_carlo():
     if any(c.samples < 100_000 for c in checks):
         violations.append("check below 1e5 samples")
     for c in checks:
-        if not c.skipped and abs(c.z) >= 4.0:
+        if abs(c.z) >= 4.0:
             violations.append(f"{c.name}: |z|={abs(c.z):.2f} (mc {c.mc_mean:.4g} vs {c.theory:.4g})")
 
     worst_density_gap = 0.0
@@ -173,7 +173,7 @@ def test_criterion_4_moment_formulas_validated_by_monte_carlo():
         violations.append(f"density normalization off by {worst_density_gap:.2e}")
     elapsed = time.perf_counter() - started
 
-    worst_z = max(abs(c.z) for c in checks if not c.skipped)
+    worst_z = max(abs(c.z) for c in checks)
     _report(4, "moment formulas pass Monte Carlo z-tests and densities normalize", not violations,
             f"{len(checks)} checks, max |z| {worst_z:.2f}, "
             f"worst density gap {worst_density_gap:.1e}, {elapsed:.1f}s")

@@ -2,7 +2,6 @@
 waypoint counts, exponential leg durations, and exact piecewise-linear
 evaluation."""
 
-import csv
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from maintsim.mobility import (
     Trajectory,
     generate_trajectory,
     position_at,
-    trajectory_to_csv,
     waypoint_count,
 )
 
@@ -208,17 +206,3 @@ class TestWaypointCount:
         with pytest.raises(ParameterError):
             waypoint_count(traj, traj.span * 1.01)
 
-
-class TestCsvDump:
-    def test_roundtrip(self, tmp_path):
-        traj = generate_trajectory(PARAMS, 8)
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == len(traj.start_times)
-        assert list(rows[0]) == ["leg_index", "start_time", "start_x", "start_y", "u", "v", "duration"]
-        for i, row in enumerate(rows):
-            assert float(row["start_time"]) == traj.start_times[i]
-            assert float(row["u"]) == traj.vel_x[i]
-            assert float(row["duration"]) == traj.durations[i]

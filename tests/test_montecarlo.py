@@ -10,11 +10,10 @@ import pytest
 
 from maintsim.analytic import ErrorQuery, error_avg
 from maintsim.errors import ParameterError
-from maintsim.mobility import ModelParams, generate_trajectory, position_at
+from maintsim.mobility import ModelParams, TrajectoryBlock, generate_trajectory, position_at
 from maintsim.montecarlo import (
     ErrorRecord,
     ExperimentConfig,
-    TrajectoryBlock,
     bin_records,
     collect_error_records,
     run_asymptotic_sweep,
@@ -24,16 +23,17 @@ from maintsim.montecarlo import (
     run_error_vs_period,
     run_madrd,
     run_madrd_block,
-    run_maint_query_driven,
     run_maint_timer,
     run_maint_timer_block,
     run_sfr,
     run_sfr_block,
     sample_window_errors,
+    sample_window_positions,
     validate_conditional_moments,
     _BLOCK_LEGS,
     _BLOCK_ROWS,
     _STREAM_QUERY,
+    _WINDOW_BATCH,
     _madrd_fix_sequence,
     _replication_blocks,
 )
@@ -104,23 +104,6 @@ class TestMaintTimerRunner:
         theory = error_avg(ErrorQuery(MODEL.sigma, MODEL.lambda_rate, T))
         se = sq.std(ddof=1) / math.sqrt(sq.size)  # correlated within replication: inflate
         assert abs(sq.mean() - theory) < 5.0 * se
-
-
-class TestMaintQueryDrivenRunner:
-    def test_fires_on_late_query_and_leaves_tail_unanswered(self):
-        traj = generate_trajectory(MODEL, 4)
-        # 3.0 buffers; 12.0 crosses last fix + period and fires (answering
-        # both); 17.0 buffers again and nothing ever flushes it
-        est, calls = run_maint_query_driven(traj, 10.0, [3.0, 12.0, 17.0])
-        assert calls == 2
-        assert np.isfinite(est[0]).all() and np.isfinite(est[1]).all()
-        assert np.isnan(est[2]).all()
-
-    def test_immediate_mode_answers_all(self):
-        traj = generate_trajectory(MODEL, 4)
-        est, calls = run_maint_query_driven(traj, 1000.0, [3.0, 12.0, 95.0], immediate=True)
-        assert calls == 4
-        assert np.isfinite(est).all()
 
 
 class TestMadrdRunner:
@@ -480,19 +463,111 @@ class TestErrorVsCount:
         assert {r.protocol for r in records} == {"MAINT", "MADRD", "SFR", "DVM"}
 
 
+def _oracle_window_legs(rng, lam, sigma, horizon, rows):
+    """The window draws written out plainly: rounds of leg durations until
+    every row covers the horizon (rows already covered get zero-duration
+    legs), then the x and the y velocity components of every leg."""
+    expected = lam * horizon
+    cols = max(8, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
+    gaps = rng.standard_exponential((rows, cols), method="inv") / lam
+    total = gaps.sum(axis=1)
+    while (total < horizon).any():
+        short = total < horizon
+        pad = np.zeros((rows, cols))
+        pad[short] = rng.standard_exponential((int(short.sum()), cols), method="inv") / lam
+        gaps = np.hstack([gaps, pad])
+        total += pad.sum(axis=1)
+    u = sigma * rng.standard_normal(gaps.shape)
+    v = sigma * rng.standard_normal(gaps.shape)
+    starts = np.hstack([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)[:, :-1]])
+    return gaps, starts, u, v
+
+
+def _oracle_coordinate(gaps, starts, vel, t):
+    """One coordinate at per-row times ``t``: each leg's velocity times the
+    part of the leg that lies before ``t``."""
+    return (vel * np.clip(np.asarray(t)[:, None] - starts, 0.0, gaps)).sum(axis=1)
+
+
+class _ShortLegs:
+    """A generator whose leg durations are scaled by ``shrink``, so that
+    windows need extension rounds; every other draw passes through."""
+
+    def __init__(self, seed, shrink):
+        self._rng = np.random.default_rng(seed)
+        self._shrink = shrink
+
+    def standard_exponential(self, size, method):
+        return self._shrink * self._rng.standard_exponential(size, method=method)
+
+    def standard_normal(self, size):
+        return self._rng.standard_normal(size)
+
+
 class TestWindowEngine:
     def test_reproducible_given_generator_state(self):
         a = sample_window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500, 2)
         b = sample_window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500, 2)
         assert np.array_equal(a, b)
 
-    def test_batching_does_not_change_results(self):
-        a = sample_window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500, 2, batch=500)
-        b = sample_window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500, 2, batch=4096)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("lam,T", [(0.1, 20.0), (4.0, 200.0)])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_block_matches_clip_and_sum_oracle(self, lam, T, extended):
+        rows = 64
+        # scaled so that two rounds of durations cover the horizon in about
+        # half the rows: some rows take a third round, the others get
+        # zero-duration legs in it
+        cols = max(8, int(lam * T + 10.0 * math.sqrt(lam * T + 1.0) + 8))
+        shrink = 0.5 * lam * T / cols if extended else 1.0
+        block = TrajectoryBlock.windows(_ShortLegs(5, shrink), lam, 5.0, T, rows)
+        gaps, starts, u, v = _oracle_window_legs(_ShortLegs(5, shrink), lam, 5.0, T, rows)
+        assert block.start_times.shape == gaps.shape
+        if extended:
+            zero_legs = (gaps == 0.0).any(axis=1)
+            assert gaps.shape[1] >= 3 * cols and zero_legs.any() and not zero_legs.all()
+        else:
+            assert gaps.shape[1] == cols
+        ts = np.random.default_rng(6).uniform(0.0, T, (rows, 8))
+        ts[:, 0] = 0.0
+        ts[:, 1] = T
+        x, y = block.position(ts)
+        for vel, got in ((u, x), (v, y)):
+            # the largest distance a row can cover sets the rounding scale
+            reach = np.abs(vel * gaps).sum(axis=1)
+            for j in range(ts.shape[1]):
+                want = _oracle_coordinate(gaps, starts, vel, ts[:, j])
+                assert np.all(np.abs(got[:, j] - want) <= 1e-12 * reach)
+        assert np.all(x[:, 0] == 0.0) and np.all(y[:, 0] == 0.0)
+
+    def test_errors_follow_the_stream_contract(self):
+        # two batches: the second draws after all of the first, queries included
+        lam, sigma, T, n_q = 0.1, 5.0, 20.0, 3
+        got = sample_window_errors(np.random.default_rng(8), lam, sigma, T, _WINDOW_BATCH + 7, n_q)
+        rng = np.random.default_rng(8)
+        want = []
+        for m in (_WINDOW_BATCH, 7):
+            gaps, starts, u, v = _oracle_window_legs(rng, lam, sigma, T, m)
+            x_end = _oracle_coordinate(gaps, starts, u, np.full(m, T))
+            y_end = _oracle_coordinate(gaps, starts, v, np.full(m, T))
+            cols = []
+            for _ in range(n_q):
+                tq = rng.uniform(0.0, T, m)
+                ex = _oracle_coordinate(gaps, starts, u, tq) - x_end * (tq / T)
+                ey = _oracle_coordinate(gaps, starts, v, tq) - y_end * (tq / T)
+                cols.append(ex * ex + ey * ey)
+            want.append(np.column_stack(cols))
+        np.testing.assert_allclose(got, np.vstack(want), rtol=1e-9)
+
+    def test_positions_follow_the_stream_contract(self):
+        lam, sigma, horizon, times = 0.5, 2.0, 8.0, (3.0, 8.0)
+        xs, ys = sample_window_positions(np.random.default_rng(4), lam, sigma, horizon, 300, times)
+        gaps, starts, u, v = _oracle_window_legs(np.random.default_rng(4), lam, sigma, horizon, 300)
+        for j, t in enumerate(times):
+            np.testing.assert_allclose(xs[:, j], _oracle_coordinate(gaps, starts, u, np.full(300, t)), rtol=1e-9)
+            np.testing.assert_allclose(ys[:, j], _oracle_coordinate(gaps, starts, v, np.full(300, t)), rtol=1e-9)
 
     def test_long_window_rows_extend(self):
-        # lambda * T large enough to force the leg-matrix extension path
+        # lambda * T = 800, the longest windows the constant-ratio sweep draws
         sq = sample_window_errors(np.random.default_rng(1), 4.0, 10.0, 200.0, 64, 1)
         assert np.isfinite(sq).all()
 
@@ -509,7 +584,7 @@ class TestMomentValidation:
         report = validate_conditional_moments(samples=10_000, n_max=2, seed=6)
         rows = list(report.rows())
         assert len(rows) == len(report.checks)
-        assert all(len(r) == 7 for r in rows)
+        assert all(len(r) == 6 for r in rows)
 
     def test_rejects_small_samples(self):
         with pytest.raises(ParameterError):
