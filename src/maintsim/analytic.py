@@ -1,11 +1,18 @@
 """Closed-form moments and expected-error curves for the mobility model.
 
 Everything here is a pure function of its arguments.  The interpolation
-error formulas are evaluated in a numerically stable form: the recurring
-bracket ``exp(-x) - 1 + x`` and the averaged-error bracket both cancel
+error kernels ``error_at`` and ``error_avg`` take scalars or arrays (a
+scalar call gives a float) and evaluate element by element exactly as a
+scalar evaluation would, bit for bit.  The recurring bracket
+``exp(-x) - 1 + x`` and the averaged-error bracket both cancel
 catastrophically for small ``x`` if evaluated term by term, so they switch
-to series below a threshold (period sweeps reach lambda*T ~ 40 on one end
-and lambda*T << 1 on the other).
+to series below a threshold (period sweeps reach lambda*T ~ 800 on one end
+and lambda*T << 1 on the other).  That makes each bracket accurate on its
+own, but not the combination ``error_at`` forms from them: its three terms
+cancel when lambda*T << 1.  Against a 130-digit reference over 199 points
+of a window, the relative error reaches 1.1e-10 at lambda*T = 1e-5 and
+1.1e-6 at lambda*T = 1e-9 (medians 3e-11 and 3e-7); ``error_avg`` stays
+within 3e-15 from lambda*T = 1e-9 to 800.
 """
 
 from __future__ import annotations
@@ -34,66 +41,65 @@ class ConditionalMomentQuery:
             raise ParameterError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
-@dataclass(frozen=True)
-class ErrorQuery:
-    """Parameters of an expected-error evaluation; ``t`` is present for the
-    pointwise error and absent for the window-averaged error."""
-
-    sigma: float
-    lambda_rate: float
-    T: float
-    t: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-        if not self.lambda_rate > 0:
-            raise ParameterError(f"lambda_rate must be > 0, got {self.lambda_rate}")
-        if not self.T > 0:
-            raise ParameterError(f"T must be > 0, got {self.T}")
-        if self.t is not None and not (0.0 <= self.t <= self.T):
-            raise ParameterError(f"t must lie in [0, {self.T}], got {self.t}")
-
-
 # ---------------------------------------------------------------------------
-# stable scalar kernels
+# elementwise kernels
 
 
-def _exp_gap(x: float) -> float:
-    """exp(-x) - 1 + x for x >= 0, accurate down to x = 0."""
-    if x < 1e-2:
-        # Maclaurin tail; next term is x^7/5040, relatively ~4e-14 at x=0.01
-        return x * x * (0.5 + x * (-1.0 / 6 + x * (1.0 / 24 + x * (-1.0 / 120 + x / 720))))
-    return math.expm1(-x) + x
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) applied to every element of ``x``.
+
+    numpy's SIMD ``expm1``/``exp`` differ from libm in the last ulp for a few
+    percent of inputs, and the brackets below amplify that by their
+    cancellation, so the kernels call libm element by element: the same bits
+    as a scalar evaluation, at about 0.1 us per element.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _one_minus_exp(x: float) -> float:
-    """1 - exp(-x)."""
-    return -math.expm1(-x)
+def _exp_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 - exp(-x) and exp(-x) - 1 + x for x >= 0, the second accurate
+    down to x = 0."""
+    x = np.asarray(x)
+    rise = -_libm(math.expm1, -x)
+    gap = np.subtract(x, rise, out=np.empty_like(x))
+    small = x < 1e-2
+    xs = x[small]
+    # Maclaurin tail; next term is x^7/5040, relatively ~4e-14 at x=0.01
+    gap[small] = xs * xs * (0.5 + xs * (-1.0 / 6 + xs * (1.0 / 24 + xs * (-1.0 / 120 + xs / 720))))
+    return rise, gap
 
 
-def _avg_bracket(x: float) -> float:
+def _avg_bracket(x: np.ndarray) -> np.ndarray:
     """x - 5 + 12/x - 12/x^2 + (12/x^2) e^-x - e^-x, stable for small x.
 
     Below x = 1 the direct form loses all significance (the result scales as
     x^3/15 while individual terms scale as 1/x^2), so use the power series
-    sum_{k>=3} (-1)^k x^k (12 - (k+1)(k+2)) / (k+2)!.
+    sum_{k>=3} (-1)^k x^k (12 - (k+1)(k+2)) / (k+2)!.  Each element stops
+    adding terms at its own cutoff, so it sums the same terms in the same
+    order whatever the other elements are.
     """
-    if x < 1.0:
-        total = 0.0
-        x_pow = x * x * x
-        fact = 120.0  # (3+2)!
-        sign = -1.0
-        for k in range(3, 40):
-            term = sign * x_pow * (12.0 - (k + 1) * (k + 2)) / fact
-            total += term
-            if abs(term) <= 1e-18 * abs(total):
-                break
-            x_pow *= x
-            fact *= k + 3
-            sign = -sign
-        return total
-    return x - 5.0 + 12.0 / x + (12.0 / (x * x)) * math.expm1(-x) - math.exp(-x)
+    x = np.asarray(x)
+    out = np.empty_like(x)
+    small = x < 1.0
+    xs = x[small]
+    total = np.zeros_like(xs)
+    active = np.ones(xs.shape, dtype=bool)
+    x_pow = xs * xs * xs
+    fact = 120.0  # (3+2)!
+    sign = -1.0
+    for k in range(3, 40):
+        term = sign * x_pow * (12.0 - (k + 1) * (k + 2)) / fact
+        np.add(total, term, out=total, where=active)
+        active &= ~(np.abs(term) <= 1e-18 * np.abs(total))
+        if not active.any():
+            break
+        x_pow *= xs
+        fact *= k + 3
+        sign = -sign
+    out[small] = total
+    xl = x[~small]
+    out[~small] = xl - 5.0 + 12.0 / xl + (12.0 / (xl * xl)) * _libm(math.expm1, -xl) - _libm(math.exp, -xl)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +235,7 @@ def position_second_moment(t: float, lambda_rate: float, sigma: float) -> float:
         raise ParameterError(f"t must be >= 0, got {t}")
     if not lambda_rate > 0 or not sigma > 0:
         raise ParameterError("lambda_rate and sigma must be > 0")
-    return 2.0 * sigma**2 / lambda_rate**2 * _exp_gap(lambda_rate * t)
+    return 2.0 * sigma**2 / lambda_rate**2 * float(_exp_terms(lambda_rate * t)[1])
 
 
 def displacement_cross_moment(t: float, T: float, lambda_rate: float, sigma: float) -> float:
@@ -244,51 +250,96 @@ def displacement_cross_moment(t: float, T: float, lambda_rate: float, sigma: flo
         raise ParameterError(f"t must lie in [0, {T}], got {t}")
     if not lambda_rate > 0 or not sigma > 0:
         raise ParameterError("lambda_rate and sigma must be > 0")
-    a = lambda_rate * t
-    b = lambda_rate * (T - t)
-    return sigma**2 / lambda_rate**2 * _one_minus_exp(a) * _one_minus_exp(b)
+    a, b = _exp_terms(np.array([lambda_rate * t, lambda_rate * (T - t)]))[0].tolist()
+    return sigma**2 / lambda_rate**2 * a * b
 
 
 # ---------------------------------------------------------------------------
 # interpolation error
 
 
-def error_at(q: ErrorQuery) -> float:
+def _positive(name: str, value) -> np.ndarray:
+    """``value`` as a float array, every element finite and > 0."""
+    arr = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr > 0))
+    if bad.any():
+        raise ParameterError(f"{name} must be finite and > 0, got {arr[bad].flat[0]}")
+    return arr
+
+
+def _square(name: str, value: float, allow_zero: bool = False) -> float:
+    """``value**2`` for a finite ``value`` > 0 (>= 0 with ``allow_zero``)."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
+        raise ParameterError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {value}")
+    try:
+        return value**2
+    except OverflowError:
+        raise ParameterError(f"{name}**2 overflows, got {name} = {value}") from None
+
+
+def _finite(value: np.ndarray, what: str):
+    """A float for a 0-d result, the array otherwise; non-finite values are
+    reported as a parameter error instead of being written out."""
+    if not np.all(np.isfinite(value)):
+        raise ParameterError(f"{what} is not finite for these parameters")
+    return float(value) if value.ndim == 0 else value
+
+
+def error_at(sigma: float, lambda_rate, T, t):
     """Expected squared interpolation error at time t inside a window [0, T]
     with exact fixes at both ends.
 
-    Zero at both endpoints and symmetric about T/2; the two arguments are
-    canonicalized so t and T-t produce bit-identical results.
+    ``lambda_rate``, ``T`` and ``t`` broadcast against each other: scalars
+    give a float, arrays give an array.  Zero at both endpoints and
+    symmetric about T/2; the two arguments are canonicalized so t and T-t
+    produce bit-identical results.
     """
-    if q.t is None:
-        raise ParameterError("error_at needs an ErrorQuery with t set")
-    u = min(q.t, q.T - q.t)
-    w = max(q.t, q.T - q.t)
-    lam = q.lambda_rate
-    a = lam * u
-    b = lam * w
-    bracket = u * u * _exp_gap(b) + w * w * _exp_gap(a) - u * w * _one_minus_exp(a) * _one_minus_exp(b)
-    return 4.0 * q.sigma**2 / (lam * lam * q.T * q.T) * bracket
+    s2 = _square("sigma", sigma)
+    lam = _positive("lambda_rate", lambda_rate)
+    T = _positive("T", T)
+    t = np.asarray(t, dtype=float)
+    outside = ~((t >= 0.0) & (t <= T))
+    if outside.any():
+        t_bad, T_bad = (np.broadcast_to(v, outside.shape)[outside].flat[0] for v in (t, T))
+        raise ParameterError(f"t must lie in [0, {T_bad}], got {t_bad}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = lam * lam * T * T
+        if np.any(scale == 0.0):
+            raise ParameterError("lambda_rate**2 * T**2 underflows to 0")
+        u = np.minimum(t, T - t)
+        w = np.maximum(t, T - t)
+        rise_u, gap_u = _exp_terms(lam * u)
+        rise_w, gap_w = _exp_terms(lam * w)
+        bracket = u * u * gap_w + w * w * gap_u - u * w * rise_u * rise_w
+        return _finite(4.0 * s2 / scale * bracket, "error_at")
 
 
-def error_avg(q: ErrorQuery) -> float:
+def error_avg(sigma: float, lambda_rate, T):
     """Window-averaged expected squared interpolation error,
     (1/T) integral of the pointwise error over [0, T], in closed form:
 
     (2 sigma^2 / 3 lambda^2) [lambda T - 5 + 12/(lambda T) - 12/(lambda T)^2
                               + 12 e^-lambda T/(lambda T)^2 - e^-lambda T]
+
+    ``lambda_rate`` and ``T`` broadcast: scalars give a float, arrays an array.
     """
-    if q.t is not None:
-        raise ParameterError("error_avg takes an ErrorQuery without t")
-    lam = q.lambda_rate
-    return 2.0 * q.sigma**2 / (3.0 * lam * lam) * _avg_bracket(lam * q.T)
+    s2 = _square("sigma", sigma)
+    lam = _positive("lambda_rate", lambda_rate)
+    T = _positive("T", T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 3.0 * lam * lam
+        if np.any(scale == 0.0):
+            raise ParameterError("lambda_rate**2 underflows to 0")
+        return _finite(2.0 * s2 / scale * _avg_bracket(lam * T), "error_avg")
 
 
 def error_asymptote(sigma: float, C: float) -> float:
     """Limit of the averaged error when T grows with T/lambda held at C:
     2 sigma^2 C / 3."""
-    if not C > 0:
-        raise ParameterError(f"C must be > 0, got {C}")
-    if sigma < 0:
-        raise ParameterError(f"sigma must be >= 0, got {sigma}")
-    return 2.0 * sigma**2 * C / 3.0
+    if not (math.isfinite(C) and C > 0):
+        raise ParameterError(f"C must be finite and > 0, got {C}")
+    limit = 2.0 * _square("sigma", sigma, allow_zero=True) * C / 3.0
+    if not math.isfinite(limit):
+        raise ParameterError("error_asymptote is not finite for these parameters")
+    return limit

@@ -13,11 +13,14 @@ command reproduces its files byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .analytic import ErrorQuery, error_asymptote, error_at, error_avg
+from .analytic import error_asymptote, error_at, error_avg
 from .errors import ParameterError
 from .mobility import ModelParams
 from .montecarlo import (
@@ -52,6 +55,9 @@ def parse_grid(spec: str) -> list[float]:
         if ":" in spec:
             start_s, stop_s, step_s = spec.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
+            if not all(map(math.isfinite, (start, stop, step))):
+                # the loop below would never reach a non-finite stop
+                raise ParameterError(f"grid {spec!r} needs finite start, stop and step")
             if step <= 0 or stop < start:
                 raise ValueError
             values = []
@@ -66,6 +72,8 @@ def parse_grid(spec: str) -> list[float]:
         if "," in spec:
             return [float(v) for v in spec.split(",") if v]
         return [float(spec)]
+    except ParameterError:
+        raise
     except ValueError:
         raise _UsageError(f"bad grid {spec!r}; expected start:stop:step, a,b,c or a number") from None
 
@@ -135,12 +143,11 @@ def cmd_theory(args) -> int:
     if args.mode == "error_avg":
         if args.lambda_rate is None or args.T is None:
             raise _UsageError("error_avg mode needs --lambda and --T")
-        grid = parse_grid(args.T)
+        T_grid = parse_grid(args.T)
         meta["lambda"] = args.lambda_rate
-        rows = [
-            (T, args.lambda_rate, args.sigma, error_avg(ErrorQuery(args.sigma, args.lambda_rate, T)))
-            for T in grid
-        ]
+        n = len(T_grid)
+        errors = error_avg(args.sigma, args.lambda_rate, np.array(T_grid))
+        columns = (T_grid, [args.lambda_rate] * n, [args.sigma] * n, errors.tolist())
         header = ["T", "lambda", "sigma", "error_avg"]
     elif args.mode == "error_t":
         if args.lambda_rate is None or args.T is None or args.t_grid is None:
@@ -151,23 +158,23 @@ def cmd_theory(args) -> int:
         T = T_vals[0]
         meta["lambda"] = args.lambda_rate
         meta["T"] = T
-        rows = [
-            (t, error_at(ErrorQuery(args.sigma, args.lambda_rate, T, t=t)))
-            for t in parse_grid(args.t_grid)
-        ]
+        t_grid = parse_grid(args.t_grid)
+        columns = (t_grid, error_at(args.sigma, args.lambda_rate, T, np.array(t_grid)).tolist())
         header = ["t", "error_t"]
     else:  # asymptote
         if args.ratio_C is None or args.T is None:
             raise _UsageError("asymptote mode needs --C and --T")
         limit = error_asymptote(args.sigma, args.ratio_C)
         meta["C"] = args.ratio_C
-        rows = []
-        for T in parse_grid(args.T):
-            lam = T / args.ratio_C
-            rows.append((T, lam, args.sigma, error_avg(ErrorQuery(args.sigma, lam, T)), limit))
+        T_grid = parse_grid(args.T)
+        n = len(T_grid)
+        T_array = np.array(T_grid)
+        lam = T_array / args.ratio_C
+        errors = error_avg(args.sigma, lam, T_array)
+        columns = (T_grid, lam.tolist(), [args.sigma] * n, errors.tolist(), [limit] * n)
         header = ["T", "lambda", "sigma", "error_avg", "asymptote"]
 
-    count = write_csv(out, header, rows, meta)
+    count = write_csv(out, header, zip(*columns), meta)
     print(f"wrote {count} rows -> {out}")
     return EXIT_OK
 

@@ -41,12 +41,10 @@ class ModelParams:
     span: float
 
     def __post_init__(self) -> None:
-        if not self.lambda_rate > 0:
-            raise ParameterError(f"lambda_rate must be > 0, got {self.lambda_rate}")
-        if not self.sigma > 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-        if not self.span > 0:
-            raise ParameterError(f"span must be > 0, got {self.span}")
+        for name in ("lambda_rate", "sigma", "span"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{name} must be finite and > 0, got {value}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analytic import (
-    ErrorQuery,
     cond_interarrival_moment,
     cond_position_second_moment,
     cond_waypoint_time_moment,
@@ -96,8 +95,11 @@ class ExperimentConfig:
         unknown = [p for p in self.protocols if p not in KNOWN_PROTOCOLS]
         if unknown:
             raise ParameterError(f"unknown protocols: {unknown}; known: {KNOWN_PROTOCOLS}")
-        if self.ratio_C is not None and not self.ratio_C > 0:
-            raise ParameterError(f"ratio_C must be > 0, got {self.ratio_C}")
+        if self.ratio_C is not None and not (math.isfinite(self.ratio_C) and self.ratio_C > 0):
+            raise ParameterError(f"ratio_C must be finite and > 0, got {self.ratio_C}")
+        bad_T = [T for T in self.T_values if not (math.isfinite(T) and T > 0)]
+        if bad_T:
+            raise ParameterError(f"every T must be finite and > 0, got {bad_T[0]}")
 
 
 @dataclass(frozen=True)
@@ -710,7 +712,7 @@ def run_error_vs_period(cfg: ExperimentConfig) -> list[PeriodPoint]:
         )
         window_means = sq.mean(axis=1)
         se = float(window_means.std(ddof=1) / math.sqrt(len(window_means))) if len(window_means) > 1 else 0.0
-        theory = error_avg(ErrorQuery(sigma=model.sigma, lambda_rate=model.lambda_rate, T=float(T)))
+        theory = error_avg(model.sigma, model.lambda_rate, float(T))
         points.append(
             PeriodPoint(T=float(T), mean_sq_error=float(sq.mean()), std_error=se, samples=sq.size, theory=theory)
         )
@@ -733,7 +735,7 @@ def run_asymptotic_sweep(cfg: ExperimentConfig) -> list[AsymptotePoint]:
         sq = sample_window_errors(rng, lam, model.sigma, float(T), cfg.replications, cfg.queries_per_replication)
         window_means = sq.mean(axis=1)
         se = float(window_means.std(ddof=1) / math.sqrt(len(window_means))) if len(window_means) > 1 else 0.0
-        theory = error_avg(ErrorQuery(sigma=model.sigma, lambda_rate=lam, T=float(T)))
+        theory = error_avg(model.sigma, lam, float(T))
         points.append(
             AsymptotePoint(
                 T=float(T),

@@ -11,30 +11,54 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import islice
+
+import numpy as np
+
+# rows formatted and written per fh.write; bounds the memory a long grid needs
+_CHUNK_ROWS = 4096
+
+# a column holding one of these types only is formatted by one C-level map
+_PLAIN = {float: float.__repr__, int: int.__repr__, str: str}
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
+    if isinstance(value, np.generic):  # np.float64 would repr as "np.float64(...)"
+        value = value.item()
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
-        return ",".join(_fmt(v) for v in value)
+        return ",".join(map(_fmt, value))
     return str(value)
+
+
+def _format_column(values: tuple) -> list[str]:
+    kinds = set(map(type, values))
+    plain = _PLAIN.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(plain or _fmt, values))
 
 
 def write_csv(path, header: list[str], rows, metadata: dict | None = None) -> int:
     """Write metadata comments, a header row, and data rows; returns the
-    number of data rows."""
+    number of data rows.
+
+    Every row holds one value per header column.  Rows are formatted a
+    chunk of ``_CHUNK_ROWS`` at a time, column by column, so memory stays
+    flat however many rows an iterator yields.
+    """
     count = 0
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         if metadata:
             for key in sorted(metadata):
                 fh.write(f"# {key}={_fmt(metadata[key])}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-            count += 1
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            if set(map(len, chunk)) != {len(header)}:
+                raise ValueError(f"every row must hold {len(header)} values, one per header column")
+            columns = [_format_column(col) for col in zip(*chunk)]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            count += len(chunk)
     return count
 
 

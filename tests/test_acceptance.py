@@ -22,7 +22,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from maintsim.analytic import (
-    ErrorQuery,
     error_asymptote,
     error_at,
     error_avg,
@@ -57,7 +56,7 @@ def test_criterion_1_period_sweep_matches_theory():
     points = run_error_vs_period(cfg)
     elapsed = time.perf_counter() - started
 
-    reference = error_avg(ErrorQuery(5.0, 0.1, 100.0))
+    reference = error_avg(5.0, 0.1, 100.0)
     violations = []
     if not math.isclose(reference, 10133.26674676968, rel_tol=1e-9):
         violations.append(f"reference point drifted: {reference}")
@@ -186,12 +185,12 @@ def test_criterion_5_structural_invariants(tmp_path):
 
     # 5a: endpoint zeros and exact reflection symmetry
     for T in (10.0, 100.0, 200.0):
-        q0 = error_at(ErrorQuery(5.0, 0.1, T, t=0.0))
-        qT = error_at(ErrorQuery(5.0, 0.1, T, t=T))
+        q0 = error_at(5.0, 0.1, T, 0.0)
+        qT = error_at(5.0, 0.1, T, T)
         if q0 != 0.0 or qT != 0.0:
             violations.append(f"T={T}: endpoints {q0}, {qT} not exactly zero")
     for t in (10.0, 20.0, 30.0, 40.0):
-        if error_at(ErrorQuery(5.0, 0.1, 100.0, t=t)) != error_at(ErrorQuery(5.0, 0.1, 100.0, t=100.0 - t)):
+        if error_at(5.0, 0.1, 100.0, t) != error_at(5.0, 0.1, 100.0, 100.0 - t):
             violations.append(f"symmetry broken at t={t}")
 
     # 5b: quadrature identity on the full parameter grid
@@ -199,9 +198,9 @@ def test_criterion_5_structural_invariants(tmp_path):
     for sigma in (1.0, 5.0, 10.0):
         for lam in (0.05, 0.1, 0.5):
             for T in (10.0, 50.0, 100.0, 200.0):
-                closed = error_avg(ErrorQuery(sigma, lam, T))
+                closed = error_avg(sigma, lam, T)
                 integral, _ = quad(
-                    lambda t: error_at(ErrorQuery(sigma, lam, T, t=t)), 0.0, T,
+                    lambda t: error_at(sigma, lam, T, t), 0.0, T,
                     epsabs=1e-13 * closed * T, epsrel=1e-11, limit=400,
                 )
                 worst_quad = max(worst_quad, abs(integral / T - closed) / closed)

@@ -8,6 +8,7 @@ error, and series expansions for limits.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from maintsim.analytic import (
+    _libm,
     ConditionalMomentQuery,
-    ErrorQuery,
     cond_interarrival_moment,
     cond_position_second_moment,
     cond_waypoint_time_moment,
@@ -198,20 +199,18 @@ class TestDisplacementCrossMoment:
 
 class TestErrorAt:
     def test_endpoints_exactly_zero(self):
-        q0 = ErrorQuery(5.0, 0.1, 100.0, t=0.0)
-        qT = ErrorQuery(5.0, 0.1, 100.0, t=100.0)
-        assert error_at(q0) == 0.0
-        assert error_at(qT) == 0.0
+        assert error_at(5.0, 0.1, 100.0, 0.0) == 0.0
+        assert error_at(5.0, 0.1, 100.0, 100.0) == 0.0
 
     def test_frozen_midpoint_value(self):
         # bracket evaluated term by term; agrees with the protocol-level
         # Monte Carlo oracle below
-        assert error_at(ErrorQuery(5.0, 0.1, 100.0, t=50.0)) == pytest.approx(17567.26597016644, rel=1e-10)
+        assert error_at(5.0, 0.1, 100.0, 50.0) == pytest.approx(17567.26597016644, rel=1e-10)
 
     def test_symmetry_is_exact_on_clean_grid(self):
         for t in (10.0, 20.0, 30.0, 40.0):
-            left = error_at(ErrorQuery(5.0, 0.1, 100.0, t=t))
-            right = error_at(ErrorQuery(5.0, 0.1, 100.0, t=100.0 - t))
+            left = error_at(5.0, 0.1, 100.0, t)
+            right = error_at(5.0, 0.1, 100.0, 100.0 - t)
             assert left == right
 
     def test_protocol_simulation_oracle(self):
@@ -232,20 +231,20 @@ class TestErrorAt:
     @settings(max_examples=200)
     def test_nonnegative_and_symmetric(self, lam, T, frac, sigma):
         t = frac * T
-        v = error_at(ErrorQuery(sigma, lam, T, t=t))
+        v = error_at(sigma, lam, T, t)
         assert v >= 0.0
-        mirrored = error_at(ErrorQuery(sigma, lam, T, t=T - t))
+        mirrored = error_at(sigma, lam, T, T - t)
         assert v == pytest.approx(mirrored, rel=1e-9, abs=1e-12 * sigma**2 * T * T)
 
     def test_requires_t(self):
-        with pytest.raises(ParameterError):
-            error_at(ErrorQuery(5.0, 0.1, 100.0))
+        with pytest.raises(TypeError):
+            error_at(5.0, 0.1, 100.0)
 
 
 class TestErrorAvg:
     def test_frozen_reference_point(self):
         # quadrature of the pointwise curve reproduces this to 1e-8
-        assert error_avg(ErrorQuery(5.0, 0.1, 100.0)) == pytest.approx(10133.26674676968, rel=1e-12)
+        assert error_avg(5.0, 0.1, 100.0) == pytest.approx(10133.26674676968, rel=1e-12)
 
     GRID_SIGMA = (1.0, 5.0, 10.0)
     GRID_LAMBDA = (0.05, 0.1, 0.5)
@@ -255,9 +254,9 @@ class TestErrorAvg:
     @pytest.mark.parametrize("lam", GRID_LAMBDA)
     @pytest.mark.parametrize("T", GRID_T)
     def test_quadrature_identity(self, sigma, lam, T):
-        closed = error_avg(ErrorQuery(sigma, lam, T))
+        closed = error_avg(sigma, lam, T)
         integral, est_err = quad(
-            lambda t: error_at(ErrorQuery(sigma, lam, T, t=t)),
+            lambda t: error_at(sigma, lam, T, t),
             0.0,
             T,
             epsabs=1e-13 * closed * T,
@@ -268,25 +267,25 @@ class TestErrorAvg:
         assert integral / T == pytest.approx(closed, rel=1e-6)
 
     def test_vanishes_with_the_period(self):
-        q = ErrorQuery(5.0, 0.1, 1e-3)
-        value = error_avg(q)
-        assert 0.0 < value < 1e-4 * q.sigma**2
+        sigma = 5.0
+        value = error_avg(sigma, 0.1, 1e-3)
+        assert 0.0 < value < 1e-4 * sigma**2
         # leading term of the series: 2 sigma^2 lambda T^3 / 45
         assert value == pytest.approx(2 * 25.0 * 0.1 * 1e-9 / 45.0, rel=1e-4)
 
     def test_series_and_direct_branches_agree(self):
         lam = 1.0
-        below = error_avg(ErrorQuery(5.0, lam, 0.9999999))
-        above = error_avg(ErrorQuery(5.0, lam, 1.0000001))
+        below = error_avg(5.0, lam, 0.9999999)
+        above = error_avg(5.0, lam, 1.0000001)
         assert below == pytest.approx(above, rel=1e-6)
 
     def test_constant_ratio_value(self):
         # lambda tied to T: T=200, C=50
-        assert error_avg(ErrorQuery(10.0, 4.0, 200.0)) == pytest.approx(3312.5624218750004, rel=1e-12)
+        assert error_avg(10.0, 4.0, 200.0) == pytest.approx(3312.5624218750004, rel=1e-12)
 
     def test_rejects_pointwise_query(self):
-        with pytest.raises(ParameterError):
-            error_avg(ErrorQuery(5.0, 0.1, 100.0, t=3.0))
+        with pytest.raises(TypeError):
+            error_avg(5.0, 0.1, 100.0, 3.0)
 
 
 class TestErrorAsymptote:
@@ -298,14 +297,209 @@ class TestErrorAsymptote:
 
     def test_constant_ratio_convergence(self):
         limit = error_asymptote(10.0, 50.0)
-        gap_200 = abs(error_avg(ErrorQuery(10.0, 200.0 / 50.0, 200.0)) - limit) / limit
-        gap_400 = abs(error_avg(ErrorQuery(10.0, 400.0 / 50.0, 400.0)) - limit) / limit
+        gap_200 = abs(error_avg(10.0, 200.0 / 50.0, 200.0) - limit) / limit
+        gap_400 = abs(error_avg(10.0, 400.0 / 50.0, 400.0) - limit) / limit
         assert gap_200 < 0.01
         assert gap_400 < gap_200
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ParameterError):
             error_asymptote(10.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# array kernels against the scalar reference
+#
+# The oracle below is the scalar, pure-``math`` evaluation the array kernels
+# replaced, kept verbatim.  Outputs are byte-deterministic, so the kernels
+# must agree with it bit for bit, not to a tolerance.
+
+
+def _exp_gap_ref(x):
+    if x < 1e-2:
+        return x * x * (0.5 + x * (-1.0 / 6 + x * (1.0 / 24 + x * (-1.0 / 120 + x / 720))))
+    return math.expm1(-x) + x
+
+
+def _one_minus_exp_ref(x):
+    return -math.expm1(-x)
+
+
+def _avg_bracket_ref(x):
+    if x < 1.0:
+        total = 0.0
+        x_pow = x * x * x
+        fact = 120.0
+        sign = -1.0
+        for k in range(3, 40):
+            term = sign * x_pow * (12.0 - (k + 1) * (k + 2)) / fact
+            total += term
+            if abs(term) <= 1e-18 * abs(total):
+                break
+            x_pow *= x
+            fact *= k + 3
+            sign = -sign
+        return total
+    return x - 5.0 + 12.0 / x + (12.0 / (x * x)) * math.expm1(-x) - math.exp(-x)
+
+
+def _error_at_ref(sigma, lam, T, t):
+    u = min(t, T - t)
+    w = max(t, T - t)
+    a = lam * u
+    b = lam * w
+    bracket = u * u * _exp_gap_ref(b) + w * w * _exp_gap_ref(a) - u * w * _one_minus_exp_ref(a) * _one_minus_exp_ref(b)
+    return 4.0 * sigma**2 / (lam * lam * T * T) * bracket
+
+
+def _error_avg_ref(sigma, lam, T):
+    return 2.0 * sigma**2 / (3.0 * lam * lam) * _avg_bracket_ref(lam * T)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _ulps(x):
+    """x and its neighbours one ulp below and above."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+class TestArrayKernels:
+    # lambda*T from 1e-3 to 800, the range the sweeps and fig6 reach
+    LAMBDA_T = np.geomspace(1e-3, 800.0, 41)
+
+    def _t_grid(self, lam, T):
+        # both ends, the midpoint, a coarse sweep and the Maclaurin switch at
+        # lambda*t = 1e-2 with one ulp either side (t <= T only)
+        switch = [v for v in _ulps(1e-2 / lam) if v <= T]
+        return np.array([0.0, T / 2, T, *np.linspace(0.0, T, 37), *switch])
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 3.7])
+    def test_error_at_matches_scalar_oracle(self, lam):
+        for x in self.LAMBDA_T:
+            T = float(x) / lam
+            t = self._t_grid(lam, T)
+            got = error_at(4.2, lam, T, t)
+            want = [_error_at_ref(4.2, lam, T, float(v)) for v in t]
+            assert _bits(got) == _bits(want), (lam, T)
+
+    def test_error_at_straddles_the_series_switch(self):
+        # lambda = 1: the bracket arguments are u and w themselves
+        for u in _ulps(1e-2):
+            for T in (2.5e-2, 1.0, 50.0):
+                got = error_at(3.0, 1.0, T, np.array([u, T - u]))
+                want = [_error_at_ref(3.0, 1.0, T, u), _error_at_ref(3.0, 1.0, T, T - u)]
+                assert _bits(got) == _bits(want), (u, T)
+
+    def test_error_at_scalar_arguments_give_float(self):
+        value = error_at(5.0, 0.1, 100.0, 37.5)
+        assert type(value) is float
+        assert value == _error_at_ref(5.0, 0.1, 100.0, 37.5)
+
+    def test_error_at_broadcasts_T(self):
+        T = np.array([10.0, 20.0, 80.0])
+        got = error_at(2.0, 0.3, T, T / 3)
+        assert _bits(got) == _bits([_error_at_ref(2.0, 0.3, float(v), float(v) / 3) for v in T])
+
+    def test_error_avg_matches_scalar_oracle(self):
+        # dense on both sides of the series switch at lambda*T = 1
+        near_one = [v for x in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0) for v in _ulps(x)]
+        for lam in (0.05, 1.0, 6.0):
+            T = np.array([*(self.LAMBDA_T / lam), *(np.array(near_one) / lam)])
+            got = error_avg(7.5, lam, T)
+            want = [_error_avg_ref(7.5, lam, float(v)) for v in T]
+            assert _bits(got) == _bits(want), lam
+
+    def test_error_avg_series_boundary_bits(self):
+        # lambda = 1 puts the bracket argument exactly on and beside x = 1
+        for x in _ulps(1.0):
+            assert _bits(error_avg(5.0, 1.0, np.array([x]))) == _bits([_error_avg_ref(5.0, 1.0, x)])
+
+    def test_error_avg_per_element_cutoff(self):
+        # elements that stop adding series terms at different k, evaluated
+        # together and one at a time, give the same bits
+        T = np.array([1e-3, 0.3, 0.999, 0.05, 0.7])
+        together = error_avg(5.0, 1.0, T)
+        alone = [error_avg(5.0, 1.0, float(v)) for v in T]
+        assert _bits(together) == _bits(alone) == _bits([_error_avg_ref(5.0, 1.0, float(v)) for v in T])
+
+    def test_error_avg_varying_lambda(self):
+        # the asymptote sweep ties lambda to T
+        T = np.arange(20.0, 401.0, 20.0)
+        lam = T / 50.0
+        got = error_avg(10.0, lam, T)
+        assert _bits(got) == _bits([_error_avg_ref(10.0, float(a), float(b)) for a, b in zip(lam, T)])
+
+    def test_moments_keep_their_scalar_values(self):
+        assert position_second_moment(10.0, 0.1, 5.0) == 2.0 * 25.0 / 0.1**2 * _exp_gap_ref(1.0)
+        assert position_second_moment(0.05, 0.1, 5.0) == 2.0 * 25.0 / 0.1**2 * _exp_gap_ref(0.1 * 0.05)
+        a, b = 0.1 * 3.0, 0.1 * (10.0 - 3.0)
+        expected = 25.0 / 0.1**2 * _one_minus_exp_ref(a) * _one_minus_exp_ref(b)
+        assert displacement_cross_moment(3.0, 10.0, 0.1, 5.0) == expected
+
+    def test_libm_mapping_matches_math(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([-rng.exponential(20.0, 5000), -rng.uniform(0.0, 1e-2, 500), [0.0, -0.0, -800.0]])
+        for fn in (math.expm1, math.exp):
+            got = _libm(fn, x)
+            assert got.shape == x.shape
+            assert _bits(got) == _bits([fn(v) for v in x.tolist()])
+        grid = x[:12].reshape(3, 4)
+        assert _bits(_libm(math.expm1, grid)) == _bits([math.expm1(v) for v in grid.ravel().tolist()])
+
+
+class TestErrorArguments:
+    BAD = [math.inf, -math.inf, math.nan, 0.0, -1.0]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_rejects_bad_sigma_lambda_T(self, bad):
+        for args in ((bad, 0.1, 100.0), (5.0, bad, 100.0), (5.0, 0.1, bad)):
+            with pytest.raises(ParameterError):
+                error_at(*args, 1.0)
+            with pytest.raises(ParameterError):
+                error_avg(*args)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1e-9, 100.0 + 1e-9])
+    def test_rejects_t_outside_window(self, bad):
+        with pytest.raises(ParameterError):
+            error_at(5.0, 0.1, 100.0, bad)
+        with pytest.raises(ParameterError):
+            error_at(5.0, 0.1, 100.0, np.array([0.0, 50.0, bad]))
+
+    def test_rejects_bad_element_in_T_grid(self):
+        with pytest.raises(ParameterError):
+            error_avg(5.0, 0.1, np.array([10.0, math.inf]))
+        with pytest.raises(ParameterError):
+            error_avg(5.0, np.array([0.1, math.nan]), 10.0)
+
+    def test_rejects_underflowing_scale(self):
+        with pytest.raises(ParameterError, match="underflows"):
+            error_at(5.0, 1e-300, 100.0, 50.0)
+        with pytest.raises(ParameterError, match="underflows"):
+            error_avg(5.0, 1e-300, 100.0)
+
+    def test_rejects_overflow(self):
+        with pytest.raises(ParameterError, match="overflows"):
+            error_avg(1e200, 0.1, 100.0)
+        with pytest.raises(ParameterError, match="not finite"):
+            error_at(5.0, 0.1, 1e200, 5e199)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -2.0])
+    def test_asymptote_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError):
+            error_asymptote(10.0, bad)
+        if bad != 0.0:
+            with pytest.raises(ParameterError):
+                error_asymptote(bad, 50.0)
+
+    def test_no_runtime_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            error_at(5.0, 0.1, 100.0, np.linspace(0.0, 100.0, 101))
+            error_avg(5.0, np.array([1e-3, 1e3]), np.array([1e-3, 1e3]))
+            with pytest.raises(ParameterError):
+                error_at(5.0, 0.1, 1e200, 5e199)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -185,6 +186,64 @@ class TestSimulate:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         assert run(["simulate", "fig5", "--config", str(cfg)]) == EXIT_USAGE
+
+
+BAD_FLAGS = [
+    ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "inf", "--T", "100", "--t", "0:100:50"],
+    ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "inf", "--t", "0:100:50"],
+    ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "1e-300", "--T", "100", "--t", "0:100:50"],
+    ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "nan"],
+    ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0,inf"],
+    ["theory", "--mode", "error_avg", "--sigma", "5", "--lambda", "1e-300", "--T", "100"],
+    ["theory", "--mode", "error_avg", "--sigma", "nan", "--lambda", "0.1", "--T", "100"],
+    ["theory", "--mode", "error_avg", "--sigma", "inf", "--lambda", "0.1", "--T", "100"],
+    ["theory", "--mode", "error_avg", "--sigma", "1e200", "--lambda", "0.1", "--T", "100"],
+    ["theory", "--mode", "error_avg", "--sigma", "5", "--lambda", "nan", "--T", "100"],
+    ["theory", "--mode", "error_avg", "--sigma", "5", "--lambda", "0.1", "--T", "10,inf"],
+    ["theory", "--mode", "asymptote", "--sigma", "10", "--C", "inf", "--T", "100"],
+    ["theory", "--mode", "asymptote", "--sigma", "10", "--C", "nan", "--T", "100"],
+    ["simulate", "fig4", "--lambda", "inf", "--replications", "5"],
+    ["simulate", "fig4", "--sigma", "inf", "--replications", "5"],
+    ["simulate", "fig4", "--span", "inf", "--replications", "5"],
+    ["simulate", "fig5", "--T", "20,inf", "--replications", "5"],
+    ["simulate", "fig5", "--lambda", "1e-300", "--T", "20", "--replications", "5"],
+    ["simulate", "fig6", "--C", "inf", "--T", "20", "--replications", "5"],
+    ["simulate", "moments", "--sigma", "nan", "--samples", "10000"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS, ids=lambda argv: " ".join(argv[:2] + argv[-4:]))
+def test_bad_values_exit_two_without_traceback(tmp_path, capsys, argv):
+    out = tmp_path / "bad.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "invalid parameters" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:0.5"])
+def test_non_finite_grid_range_exits_two(tmp_path, spec):
+    # a range that never reaches its stop would append forever; run it in a
+    # child with a 1 GiB address-space cap so a regression fails instead of
+    # exhausting memory
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100",
+            f"--t={spec}", "--out", str(tmp_path / "g.csv")]
+    src = os.path.dirname(os.path.dirname(maintsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maintsim.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert "finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from maintsim.analytic import ErrorQuery, error_avg
+from maintsim.analytic import error_avg
 from maintsim.errors import ParameterError
 from maintsim.mobility import ModelParams, TrajectoryBlock, generate_trajectory, position_at
 from maintsim.montecarlo import (
@@ -101,7 +101,7 @@ class TestMaintTimerRunner:
             tx, ty = position_at(traj, qts)
             sq.extend(((est[:, 0] - tx) ** 2 + (est[:, 1] - ty) ** 2).tolist())
         sq = np.array(sq)
-        theory = error_avg(ErrorQuery(MODEL.sigma, MODEL.lambda_rate, T))
+        theory = error_avg(MODEL.sigma, MODEL.lambda_rate, T)
         se = sq.std(ddof=1) / math.sqrt(sq.size)  # correlated within replication: inflate
         assert abs(sq.mean() - theory) < 5.0 * se
 
@@ -341,7 +341,7 @@ class TestPeriodSweep:
     def test_theory_column_is_the_closed_form(self):
         cfg = ExperimentConfig(model=MODEL, T_values=(35.0,), replications=100)
         (point,) = run_error_vs_period(cfg)
-        assert point.theory == error_avg(ErrorQuery(MODEL.sigma, MODEL.lambda_rate, 35.0))
+        assert point.theory == error_avg(MODEL.sigma, MODEL.lambda_rate, 35.0)
 
     def test_small_period_shrinks_error(self):
         cfg = ExperimentConfig(model=MODEL, T_values=(1.0, 100.0), replications=2000, queries_per_replication=2)
