@@ -39,6 +39,10 @@ EXIT_IO = 3
 
 EXPERIMENTS = ("fig4", "fig5", "fig6", "moments")
 
+# largest start:stop:step grid; a typo such as 0:100:1e-12 would otherwise
+# ask for 1e14 points
+_MAX_GRID_POINTS = 10_000_000
+
 
 class _UsageError(Exception):
     pass
@@ -60,6 +64,9 @@ def parse_grid(spec: str) -> list[float]:
                 raise ParameterError(f"grid {spec!r} needs finite start, stop and step")
             if step <= 0 or stop < start:
                 raise ValueError
+            points = (stop - start) / step + 1.0
+            if not points <= _MAX_GRID_POINTS:  # also an overflow to inf
+                raise ParameterError(f"grid {spec!r} has {points:.3g} points; at most {_MAX_GRID_POINTS} are allowed")
             values = []
             k = 0
             while True:

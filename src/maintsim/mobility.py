@@ -10,10 +10,17 @@ Trajectories are immutable after generation and safe to share between
 replication workers.
 
 ``TrajectoryBlock`` holds many paths of the same model as padded
-(rows, legs) matrices and evaluates all rows at once.  It is built either by
-stacking generated trajectories (the count experiment) or by drawing
-independent windows over [0, horizon] straight from a caller's generator
-(the window engine of ``montecarlo``).
+(rows, legs) matrices and evaluates all rows at once.  ``windows`` draws
+independent paths over [0, horizon] straight from a caller's generator; the
+window engine of ``montecarlo`` and the count experiment both use it.
+
+Replications of a model are drawn in chunks: replication r is row
+r mod R of chunk r // R, where R = ``chunk_rows(params)``, and chunk c draws
+its R paths with ``windows`` from ``default_rng([seed, c])``
+(``replication_chunk``).  ``generate_trajectory`` returns one such row as a
+``Trajectory``, the form the event-driven protocols work on.  The chunk
+size is part of the stream layout: a path depends on its seed and index
+only, not on how many replications a run asks for.
 """
 
 from __future__ import annotations
@@ -68,48 +75,65 @@ class Trajectory:
         return self.start_times[1:]
 
 
-def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Trajectory:
-    """Draw a trajectory covering [0, params.span].
+# replication chunks: at most this many rows, fewer once a row's columns
+# times the rows would exceed _BLOCK_LEGS, so that a large lambda * span
+# cannot make a chunk hundreds of times larger than one path.  Both are part
+# of the stream layout.
+_CHUNK_ROWS = 256
+_BLOCK_LEGS = 1 << 16
 
-    Deterministic given ``(params.seed, replication_index)``: each pair keys
-    an independent RNG stream.  Legs are drawn until their cumulative
-    duration reaches the span; the overshooting final leg is kept so the
-    path can be evaluated up to the horizon without edge bias.
+
+def _window_cols(lambda_rate: float, horizon: float) -> int:
+    """Legs drawn per row in the first round of ``TrajectoryBlock.windows``."""
+    expected = lambda_rate * horizon
+    return max(8, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
+
+
+def chunk_rows(params: ModelParams) -> int:
+    """R, the number of replications per chunk of the model's streams."""
+    return min(_CHUNK_ROWS, max(1, _BLOCK_LEGS // _window_cols(params.lambda_rate, params.span)))
+
+
+def _chunk_stream(params: ModelParams, chunk: int) -> np.random.Generator:
+    # two-element keys, so they never collide with the (seed, tag, index)
+    # keys of the period sweeps in ``montecarlo``
+    return np.random.default_rng([params.seed, chunk])
+
+
+def replication_chunk(params: ModelParams, chunk: int) -> tuple[TrajectoryBlock, np.random.Generator]:
+    """Paths of replications chunk * R to chunk * R + R - 1 over
+    [0, params.span], and the chunk's generator after those draws.  The
+    caller draws whatever else the chunk needs (the count experiment's query
+    times) from the generator next."""
+    rng = _chunk_stream(params, chunk)
+    return TrajectoryBlock.windows(rng, params.lambda_rate, params.sigma, params.span, chunk_rows(params)), rng
+
+
+def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Trajectory:
+    """Path of one replication: row r mod R of chunk r // R.
+
+    Deterministic given ``(params.seed, replication_index)``.  It draws the
+    whole chunk and keeps the row's legs up to the one that overshoots the
+    span, whose full drawn duration is kept, so the path can be evaluated up
+    to the horizon without edge bias.  Its legs are bit for bit those of the
+    chunk row.
     """
     if int(replication_index) != replication_index or replication_index < 0:
         raise ParameterError(f"replication_index must be a non-negative integer, got {replication_index}")
-    rng = np.random.default_rng([params.seed, replication_index])
-    lam = params.lambda_rate
-
-    expected = lam * params.span
-    block = max(16, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
-    gaps = rng.standard_exponential(block, method="inv") / lam
-    total = gaps.sum()
-    while total < params.span:
-        more = rng.standard_exponential(block, method="inv") / lam
-        gaps = np.concatenate([gaps, more])
-        total = gaps.sum()
-
-    ends = np.cumsum(gaps)
-    n_legs = int(np.searchsorted(ends, params.span, side="left")) + 1
-    gaps = gaps[:n_legs]
-    ends = ends[:n_legs]
-
-    us = params.sigma * rng.standard_normal(n_legs)
-    vs = params.sigma * rng.standard_normal(n_legs)
-
-    start_times = np.concatenate([[0.0], ends[:-1]])
-    xs = np.concatenate([[0.0], np.cumsum(us[:-1] * gaps[:-1])])
-    ys = np.concatenate([[0.0], np.cumsum(vs[:-1] * gaps[:-1])])
-
+    rows = chunk_rows(params)
+    chunk, row = divmod(int(replication_index), rows)
+    draws = _window_legs(_chunk_stream(params, chunk), params.lambda_rate, params.sigma, params.span, rows)
+    gaps, u, v = (a[[row]] for a in draws)
+    path = TrajectoryBlock._from_legs(params.span, gaps, u, v)
+    n_legs = path.start_times.shape[1]
     return Trajectory(
         span=params.span,
-        start_times=start_times,
-        start_x=xs,
-        start_y=ys,
-        vel_x=us,
-        vel_y=vs,
-        durations=gaps,
+        start_times=path.start_times[0],
+        start_x=path.start_x[0],
+        start_y=path.start_y[0],
+        vel_x=path.vel_x[0],
+        vel_y=path.vel_y[0],
+        durations=gaps[0, :n_legs],
     )
 
 
@@ -140,6 +164,32 @@ def waypoint_count(traj: Trajectory, t) -> int:
         return int(n)
     return n
 
+
+def _window_legs(rng: np.random.Generator, lambda_rate: float, sigma: float, horizon: float, rows: int):
+    """Leg durations and x and y velocity components, each (rows, legs), in
+    the draw order that ``TrajectoryBlock.windows`` documents."""
+    cols = _window_cols(lambda_rate, horizon)
+    gaps = rng.standard_exponential((rows, cols), method="inv") / lambda_rate
+    total = gaps.sum(axis=1)
+    while True:
+        short = total < horizon
+        if not short.any():
+            break
+        pad = np.zeros((rows, cols))
+        pad[short] = rng.standard_exponential((int(short.sum()), cols), method="inv") / lambda_rate
+        gaps = np.hstack([gaps, pad])
+        total += pad.sum(axis=1)
+    u = sigma * rng.standard_normal(gaps.shape)
+    v = sigma * rng.standard_normal(gaps.shape)
+    return gaps, u, v
+
+
+def _leg_starts(steps: np.ndarray) -> np.ndarray:
+    # summed straight into the result, with no second full-size temporary:
+    # these matrices set the sweeps' peak memory
+    out = np.zeros_like(steps)
+    np.cumsum(steps[:, :-1], axis=1, out=out[:, 1:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,41 +238,36 @@ class TrajectoryBlock:
         Draws from ``rng`` in a fixed order: the leg durations, further
         rounds of durations for the rows whose legs still fall short of the
         horizon (the other rows get zero-duration legs in each round), then
-        the x and the y velocity components of every leg.
+        the x and the y velocity components of every leg.  After all draws
+        it drops the columns past the last leg that starts by the horizon in
+        any row; they never move a row within [0, horizon].
         """
-        expected = lambda_rate * horizon
-        cols = max(8, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
-        gaps = rng.standard_exponential((rows, cols), method="inv") / lambda_rate
-        total = gaps.sum(axis=1)
-        while True:
-            short = total < horizon
-            if not short.any():
-                break
-            pad = np.zeros((rows, cols))
-            pad[short] = rng.standard_exponential((int(short.sum()), cols), method="inv") / lambda_rate
-            gaps = np.hstack([gaps, pad])
-            total += pad.sum(axis=1)
-        u = sigma * rng.standard_normal(gaps.shape)
-        v = sigma * rng.standard_normal(gaps.shape)
+        return cls._from_legs(horizon, *_window_legs(rng, lambda_rate, sigma, horizon, rows))
 
-        def leg_starts(steps: np.ndarray) -> np.ndarray:
-            # summed straight into the result, with no second full-size
-            # temporary: these matrices set the sweeps' peak memory
-            out = np.zeros_like(steps)
-            np.cumsum(steps[:, :-1], axis=1, out=out[:, 1:])
-            return out
-
+    @classmethod
+    def _from_legs(cls, horizon: float, gaps: np.ndarray, u: np.ndarray, v: np.ndarray) -> TrajectoryBlock:
+        start_times = _leg_starts(gaps)
+        # a column that starts past the horizon in every row moves no row
+        # within [0, horizon]; rows are sorted, so those columns come last
+        keep = int(np.count_nonzero(start_times.min(axis=0) <= horizon))
+        gaps, u, v = gaps[:, :keep], u[:, :keep], v[:, :keep]
         return cls(
             span=horizon,
-            start_times=leg_starts(gaps),
-            start_x=leg_starts(u * gaps),
-            start_y=leg_starts(v * gaps),
+            start_times=start_times[:, :keep],
+            start_x=_leg_starts(u * gaps),
+            start_y=_leg_starts(v * gaps),
             vel_x=u,
             vel_y=v,
         )
 
     def __len__(self) -> int:
         return len(self.start_times)
+
+    def __getitem__(self, rows: slice) -> TrajectoryBlock:
+        """The block of the rows ``rows`` selects, as views."""
+        return TrajectoryBlock(
+            self.span, self.start_times[rows], self.start_x[rows], self.start_y[rows], self.vel_x[rows], self.vel_y[rows]
+        )
 
     def position(self, t, rows=None):
         """Coordinates at times ``t`` of shape (n,) or (n, k), one row of

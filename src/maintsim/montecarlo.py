@@ -10,7 +10,7 @@ interpolation protocol computes inside every window (waypoint occurrences
 are memoryless, so windows of a long run are identically distributed to a
 fresh one).  Windows are drawn straight into a block, a fixed batch of
 rows at a time.  The count experiment runs the block-batched protocol
-runners: each block of replications stacks its generated trajectories, the
+runners on chunks of replications (``mobility.replication_chunk``): the
 timer schemes localize their tick grids as arrays, and the adaptive schemes
 advance all rows in lock-step.  The scalar runners, which drive the
 event-driven state machines of ``protocols`` one replication at a time, are
@@ -18,10 +18,13 @@ the reference: a differential test requires the batched runners to
 reproduce their call counts and estimates.  A cross-check test keeps the
 window engine honest against the protocols.
 
-Replications are independent work items: each owns an RNG stream keyed by
-(seed, stream tag, index), and aggregation is a pure function of the
-collected records, so count-experiment results depend neither on
-execution order nor on the block size.
+The count experiment draws replications a chunk at a time: chunk c draws
+the paths of its R replications and then their query times, an (R, queries)
+matrix, from one stream keyed by (seed, c).  R depends only on the model,
+and the last chunk is drawn in full and then cut, so a replication's path
+and queries depend neither on the number of replications nor on the block
+size the runners are evaluated in, and aggregation is a pure function of
+the collected records.
 """
 
 from __future__ import annotations
@@ -43,7 +46,15 @@ from .analytic import (
     position_second_moment_given_count,
 )
 from .errors import ParameterError
-from .mobility import ModelParams, Trajectory, TrajectoryBlock, generate_trajectory, position_at
+from .mobility import (
+    _CHUNK_ROWS,
+    ModelParams,
+    Trajectory,
+    TrajectoryBlock,
+    chunk_rows,
+    position_at,
+    replication_chunk,
+)
 from .protocols import (
     DvmConfig,
     DvmState,
@@ -61,9 +72,10 @@ from .protocols import (
     sfr_schedule,
 )
 
-# stream tags: montecarlo streams are (seed, tag, index); trajectory streams
-# are (seed, replication) so the key lengths never collide
-_STREAM_QUERY = 101
+# stream tags: the period sweeps draw from (seed, tag, index) and the moment
+# check from (seed, tag).  The count experiment's chunks are (seed, chunk),
+# so they never share a key with a sweep; the moment check's key equals chunk
+# 104's, but no experiment draws from both.
 _STREAM_PERIOD = 102
 _STREAM_ASYMPTOTE = 103
 _STREAM_MOMENTS = 104
@@ -329,12 +341,6 @@ def run_dvm(traj: Trajectory, cfg: DvmConfig, query_times, bootstrap_interval: f
 # ---------------------------------------------------------------------------
 # block-batched protocol runners (many replications each, in lock-step)
 
-# a block closes at this many replications, or earlier once its padded leg
-# matrices hold _BLOCK_LEGS entries, so a large lambda * span cannot make
-# a block hundreds of times larger than one trajectory
-_BLOCK_ROWS = 256
-_BLOCK_LEGS = 1 << 16
-
 
 def _tick_counts(periods: np.ndarray, span: float) -> np.ndarray:
     """Last tick index n of each grid {k * period : k = 0..n}, as
@@ -568,41 +574,32 @@ class ErrorTable:
         return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
 
 
-def _replication_blocks(model: ModelParams, replications: int, block: int):
-    """Yield (replication indices, trajectories) in blocks of at most
-    ``block`` rows and about _BLOCK_LEGS padded legs."""
-    rows: list[int] = []
-    trajs: list[Trajectory] = []
-    widest = 0
-    for r in range(replications):
-        traj = generate_trajectory(model, r)
-        rows.append(r)
-        trajs.append(traj)
-        widest = max(widest, len(traj.start_times))
-        if len(rows) == block or len(rows) * widest >= _BLOCK_LEGS:
-            yield np.array(rows), trajs
-            rows, trajs, widest = [], [], 0
-    if rows:
-        yield np.array(rows), trajs
-
-
-def collect_error_records(cfg: ExperimentConfig, block: int = _BLOCK_ROWS) -> ErrorTable:
+def collect_error_records(cfg: ExperimentConfig, block: int = _CHUNK_ROWS) -> ErrorTable:
     """Run every configured protocol over fresh trajectories and record one
     error sample per query.
 
-    Per replication: generate the trajectory, draw query times uniformly on
-    [0, span], and give every protocol the same trajectory and queries.
-    Truth comes from the trajectory; estimates only from protocol-visible
-    fixes.  Sweep parameters (interpolation period, dead-reckoning base
-    interval) cycle through their grids across replications to populate the
-    localization-count axis.  Replications run through the block-batched
-    runners ``block`` at a time; every replication keeps its own streams,
-    so the block size does not change the records.
+    Per replication: take its path, draw query times uniformly on
+    [0, span], and give every protocol the same path and queries.  Truth
+    comes from the path; estimates only from protocol-visible fixes.  Sweep
+    parameters (interpolation period, dead-reckoning base interval) cycle
+    through their grids across replications to populate the
+    localization-count axis.
+
+    Replications are drawn a chunk at a time (see the module docstring) and
+    run through the block-batched runners in row slices of at most
+    ``block`` rows; the chunk size already keeps a chunk's first round of
+    legs within ``mobility._BLOCK_LEGS`` entries unless it holds a single
+    row.  Records come in replication
+    order, then protocol order (MAINT, MADRD, SFR, DVM), then query order,
+    so neither the block size nor the number of replications changes the
+    records of a replication or their place in the table.
     """
     if block < 1:
         raise ParameterError(f"block must be >= 1, got {block}")
     model = cfg.model
-    protos = cfg.protocols
+    protos = [p for p in KNOWN_PROTOCOLS if p in cfg.protocols]
+    if not protos:
+        return ErrorTable.concat([])
     if "MAINT" in protos:
         for p in cfg.maint_periods:
             n = math.floor(model.span / p * (1.0 + 1e-12))
@@ -615,38 +612,43 @@ def collect_error_records(cfg: ExperimentConfig, block: int = _BLOCK_ROWS) -> Er
     maint_periods = np.array(cfg.maint_periods, dtype=float)
     madrd_configs = [MadrdConfig(base_interval=b, e_thresh=cfg.e_thresh) for b in cfg.madrd_intervals]
     dvm_config = DvmConfig(threshold_distance=cfg.dvm_threshold)
+    protocol_column = np.repeat(np.array(protos), n_q)
+    rows_per_chunk = chunk_rows(model)
     tables: list[ErrorTable] = []
-    for rows, trajs in _replication_blocks(model, cfg.replications, block):
-        legs = TrajectoryBlock.stack(trajs)
-        qts = np.array(
-            [np.random.default_rng([model.seed, _STREAM_QUERY, r]).uniform(0.0, model.span, n_q) for r in rows]
-        )
-        tx, ty = legs.position(qts)
-
-        def add(protocol: str, est: np.ndarray, calls: np.ndarray) -> None:
-            ex = est[..., 0] - tx
-            ey = est[..., 1] - ty
+    for first in range(0, cfg.replications, rows_per_chunk):
+        paths, rng = replication_chunk(model, first // rows_per_chunk)
+        queries = rng.uniform(0.0, model.span, (rows_per_chunk, n_q))
+        used = min(rows_per_chunk, cfg.replications - first)
+        for lo in range(0, used, block):
+            part = slice(lo, min(used, lo + block))
+            legs, qts = paths[part], queries[part]
+            rows = np.arange(first + part.start, first + part.stop)
+            periods = maint_periods[rows % len(maint_periods)]
+            runs = []
+            if "MAINT" in protos:
+                runs.append(run_maint_timer_block(legs, periods, qts))
+            if "MADRD" in protos:
+                runs.append(run_madrd_block(legs, [madrd_configs[r % len(madrd_configs)] for r in rows], qts))
+            if "SFR" in protos:
+                runs.append(run_sfr_block(legs, periods, qts))
+            if "DVM" in protos:
+                runs.append(run_dvm_block(legs, [dvm_config] * len(rows), qts))
+            tx, ty = legs.position(qts)
+            est = np.stack([e for e, _ in runs], axis=1)  # (rows, protocols, queries, 2)
+            ex = est[..., 0] - tx[:, None, :]
+            ey = est[..., 1] - ty[:, None, :]
             sq = (ex * ex + ey * ey).ravel()
+            calls = np.stack([c for _, c in runs], axis=1)
             tables.append(
                 ErrorTable(
-                    protocol=np.full(sq.size, protocol),
-                    replication_index=np.repeat(rows, n_q),
-                    query_time=qts.ravel(),
+                    protocol=np.tile(protocol_column, len(rows)),
+                    replication_index=np.repeat(rows, len(protocol_column)),
+                    query_time=np.repeat(qts, len(protos), axis=0).ravel(),
                     sq_error=sq,
                     abs_error=np.sqrt(sq),
-                    localization_count=np.repeat(calls, n_q),
+                    localization_count=np.repeat(calls.ravel(), n_q),
                 )
             )
-
-        if "MAINT" in protos:
-            add("MAINT", *run_maint_timer_block(legs, maint_periods[rows % len(maint_periods)], qts))
-        if "MADRD" in protos:
-            configs = [madrd_configs[r % len(madrd_configs)] for r in rows]
-            add("MADRD", *run_madrd_block(legs, configs, qts))
-        if "SFR" in protos:
-            add("SFR", *run_sfr_block(legs, maint_periods[rows % len(maint_periods)], qts))
-        if "DVM" in protos:
-            add("DVM", *run_dvm_block(legs, [dvm_config] * len(rows), qts))
     return ErrorTable.concat(tables)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import maintsim
 from maintsim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main, parse_grid
+from maintsim.errors import ParameterError
 from maintsim.montecarlo import MomentCheck, MomentReport
 from maintsim.output import read_csv
 
@@ -224,26 +225,50 @@ def test_bad_values_exit_two_without_traceback(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:0.5"])
-def test_non_finite_grid_range_exits_two(tmp_path, spec):
-    # a range that never reaches its stop would append forever; run it in a
-    # child with a 1 GiB address-space cap so a regression fails instead of
-    # exhausting memory
+def run_capped_child(argv):
+    """The CLI in a child with a 1 GiB address-space cap, so that a grid
+    that asks for too much memory fails instead of exhausting it."""
     import resource
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    argv = ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100",
-            f"--t={spec}", "--out", str(tmp_path / "g.csv")]
     src = os.path.dirname(os.path.dirname(maintsim.__file__))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "maintsim.cli", *argv],
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=cap, capture_output=True, text=True, timeout=60,
     )
+
+
+@pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:0.5"])
+def test_non_finite_grid_range_exits_two(tmp_path, spec):
+    # a range that never reaches its stop would append forever
+    argv = ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100",
+            f"--t={spec}", "--out", str(tmp_path / "g.csv")]
+    proc = run_capped_child(argv)
     assert proc.returncode == EXIT_VALIDATION
     assert "finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spec", ["0:100:1e-12", "0:1e7:1", "-1e308:1e308:1", "0:1:5e-324"])
+def test_oversized_grid_range_exits_two(tmp_path, spec):
+    argv = ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100",
+            f"--t={spec}", "--out", str(tmp_path / "g.csv")]
+    proc = run_capped_child(argv)
+    assert proc.returncode == EXIT_VALIDATION
+    assert "at most 10000000" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_grid_cap_is_inclusive(monkeypatch):
+    import maintsim.cli as cli
+
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
+    assert parse_grid("0:4:1") == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert parse_grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
+    with pytest.raises(ParameterError):
+        parse_grid("0:5:1")
 
 
 def test_cli_import_leaves_scipy_unloaded():

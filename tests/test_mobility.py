@@ -12,10 +12,16 @@ from hypothesis import strategies as st
 from maintsim.analytic import position_second_moment, waypoint_count_pmf
 from maintsim.errors import ParameterError
 from maintsim.mobility import (
+    _BLOCK_LEGS,
+    _CHUNK_ROWS,
     ModelParams,
     Trajectory,
+    TrajectoryBlock,
+    _window_cols,
+    chunk_rows,
     generate_trajectory,
     position_at,
+    replication_chunk,
     waypoint_count,
 )
 
@@ -25,23 +31,18 @@ N_REPS = 100_000
 
 @pytest.fixture(scope="module")
 def ensemble_stats():
-    """One pass over 1e5 replications; tests share the collected statistics."""
-    counts_span = np.empty(N_REPS, dtype=np.int64)
-    counts_10 = np.empty(N_REPS, dtype=np.int64)
-    x_at_10 = np.empty(N_REPS)
-    first_durations = np.empty(N_REPS)
-    for r in range(N_REPS):
-        traj = generate_trajectory(PARAMS, r)
-        counts_span[r] = waypoint_count(traj, PARAMS.span)
-        counts_10[r] = waypoint_count(traj, 10.0)
-        x_at_10[r] = position_at(traj, 10.0)[0]
-        first_durations[r] = traj.durations[0]
-    return {
-        "counts_span": counts_span,
-        "counts_10": counts_10,
-        "x_at_10": x_at_10,
-        "first_durations": first_durations,
-    }
+    """One pass over the first 1e5 replications, drawn a chunk at a time;
+    tests share the collected statistics."""
+    stats = {"counts_span": [], "counts_10": [], "x_at_10": [], "first_durations": []}
+    for c in range(-(-N_REPS // chunk_rows(PARAMS))):
+        block, _ = replication_chunk(PARAMS, c)
+        waypoints = block.start_times[:, 1:]  # leg starts after the first
+        stats["counts_span"].append((waypoints <= PARAMS.span).sum(axis=1))
+        stats["counts_10"].append((waypoints <= 10.0).sum(axis=1))
+        stats["x_at_10"].append(block.position(np.full(len(block), 10.0))[0])
+        # the second leg starts at the first leg's drawn duration, exactly
+        stats["first_durations"].append(waypoints[:, 0].copy())
+    return {name: np.concatenate(parts)[:N_REPS] for name, parts in stats.items()}
 
 
 def manual_trajectory(legs, span):
@@ -130,6 +131,41 @@ class TestGeneration:
             ModelParams(lambda_rate=0.1, sigma=5.0, seed=-2, span=100.0)
         with pytest.raises(ParameterError):
             generate_trajectory(PARAMS, -1)
+
+
+class TestChunkStreams:
+    @pytest.mark.parametrize("r", [0, 1, 255, 256, 300, 1000])
+    def test_trajectory_is_its_chunk_row(self, r):
+        rows = chunk_rows(PARAMS)
+        block, _ = replication_chunk(PARAMS, r // rows)
+        traj = generate_trajectory(PARAMS, r)
+        n = len(traj.start_times)
+        row = r % rows
+        for name in ("start_times", "start_x", "start_y", "vel_x", "vel_y"):
+            assert np.array_equal(getattr(traj, name), getattr(block, name)[row, :n]), name
+        # the row's legs stop at the one that overshoots the span
+        assert traj.start_times[-1] <= PARAMS.span < traj.start_times[-1] + traj.durations[-1]
+        assert np.all(block.start_times[row, n:] > PARAMS.span)
+
+    def test_chunk_stream_is_keyed_by_seed_and_chunk(self):
+        rows = chunk_rows(PARAMS)
+        rng = np.random.default_rng([PARAMS.seed, 2])
+        block = TrajectoryBlock.windows(rng, PARAMS.lambda_rate, PARAMS.sigma, PARAMS.span, rows)
+        again, chunk_rng = replication_chunk(PARAMS, 2)
+        assert np.array_equal(block.start_x, again.start_x)
+        # the chunk's generator continues where the paths left off
+        assert chunk_rng.uniform() == rng.uniform()
+
+    @pytest.mark.parametrize("lam,span", [(0.1, 100.0), (2.0, 100.0), (10.0, 100.0), (1e4, 1e3), (1e6, 1e3)])
+    def test_chunk_rows_cap_the_chunk_legs(self, lam, span):
+        # arithmetic only: the largest of these would draw 1e9 legs per row
+        params = ModelParams(lambda_rate=lam, sigma=5.0, seed=0, span=span)
+        rows, cols = chunk_rows(params), _window_cols(lam, span)
+        assert 1 <= rows <= _CHUNK_ROWS
+        assert rows * cols <= _BLOCK_LEGS or rows == 1
+        assert rows == _CHUNK_ROWS or (rows + 1) * cols > _BLOCK_LEGS
+        if lam * span >= 1000:
+            assert rows < _CHUNK_ROWS
 
 
 class TestPositionAt:

@@ -10,9 +10,20 @@ import pytest
 
 from maintsim.analytic import error_avg
 from maintsim.errors import ParameterError
-from maintsim.mobility import ModelParams, TrajectoryBlock, generate_trajectory, position_at
+from maintsim.mobility import (
+    _BLOCK_LEGS,
+    ModelParams,
+    _leg_starts,
+    Trajectory,
+    TrajectoryBlock,
+    chunk_rows,
+    generate_trajectory,
+    position_at,
+    replication_chunk,
+)
 from maintsim.montecarlo import (
     ErrorRecord,
+    ErrorTable,
     ExperimentConfig,
     bin_records,
     collect_error_records,
@@ -30,12 +41,8 @@ from maintsim.montecarlo import (
     sample_window_errors,
     sample_window_positions,
     validate_conditional_moments,
-    _BLOCK_LEGS,
-    _BLOCK_ROWS,
-    _STREAM_QUERY,
     _WINDOW_BATCH,
     _madrd_fix_sequence,
-    _replication_blocks,
 )
 from maintsim.protocols import DvmConfig, EventLog, MadrdConfig, MadrdState, extrapolate_madrd
 
@@ -158,10 +165,11 @@ class TestSfrRunner:
             assert (ex, ey) == position_at(traj, fix_time)
 
 
-def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootstrap=1.0, rtol=1e-12):
+def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootstrap=1.0, rtol=1e-12, block=None):
     """Every block-batched runner against its scalar reference, row by row:
-    call counts exactly, estimates to ``rtol`` relative."""
-    block = TrajectoryBlock.stack(trajs)
+    call counts exactly, estimates to ``rtol`` relative.  The runners take
+    ``block``, or the trajectories stacked."""
+    block = TrajectoryBlock.stack(trajs) if block is None else block
     batched = {
         "MAINT": run_maint_timer_block(block, periods, qts),
         "SFR": run_sfr_block(block, periods, qts),
@@ -185,10 +193,12 @@ def scalar_records(cfg):
     """The per-replication loop over the scalar runners: (protocol,
     replication, query time, squared error, calls) rows."""
     rows = []
+    per_chunk = chunk_rows(cfg.model)
     for r in range(cfg.replications):
         traj = generate_trajectory(cfg.model, r)
-        qrng = np.random.default_rng([cfg.model.seed, _STREAM_QUERY, r])
-        qts = qrng.uniform(0.0, cfg.model.span, cfg.queries_per_replication)
+        # the chunk's query times are drawn after its paths, one row each
+        _, qrng = replication_chunk(cfg.model, r // per_chunk)
+        qts = qrng.uniform(0.0, cfg.model.span, (per_chunk, cfg.queries_per_replication))[r % per_chunk]
         tx, ty = position_at(traj, qts)
         period = cfg.maint_periods[r % len(cfg.maint_periods)]
         runs = {
@@ -299,25 +309,49 @@ class TestBlockRunners:
             assert g[:3] == e[:3] and g[4] == e[4]
             assert g[3] == pytest.approx(e[3], rel=1e-12, abs=0.0)
 
+    def test_chunk_rows_match_scalar_runners(self):
+        # the runners on a chunk's own leg matrices, as the count experiment
+        # feeds them, against the scalar runners on generate_trajectory
+        model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=3, span=100.0)
+        paths, rng = replication_chunk(model, 1)
+        first = chunk_rows(model)
+        trajs = [generate_trajectory(model, first + r) for r in range(60)]
+        qts = rng.uniform(0.0, model.span, (len(paths), 3))[:60]
+        periods = np.array([PERIODS[r % len(PERIODS)] for r in range(60)])
+        madrd = [MadrdConfig(base_interval=BASES[r % len(BASES)]) for r in range(60)]
+        assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * 60, rtol=0.0, block=paths[:60])
+
     def test_block_size_does_not_change_bins(self):
-        # 300 replications make two default blocks; DVM, the slowest runner
-        # at one row per block, is covered by test_records_match_scalar_loop
+        # 300 replications make two chunks; DVM, the slowest runner at one
+        # row per block, is covered by test_records_match_scalar_loop
         cfg = ExperimentConfig(
             model=MODEL, protocols=("MAINT", "MADRD", "SFR"), replications=300, queries_per_replication=2
         )
-        default = bin_records(collect_error_records(cfg))
-        assert bin_records(collect_error_records(cfg, block=1)) == default
-        assert bin_records(collect_error_records(cfg, block=7)) == default
+        default = collect_error_records(cfg)
+        assert collect_error_records(cfg, block=1) == default
+        assert collect_error_records(cfg, block=7) == default
+
+    def test_replication_count_does_not_change_earlier_records(self):
+        # the last chunk is drawn in full and cut, so a longer run repeats a
+        # shorter one's records as its prefix
+        cfg = ExperimentConfig(model=MODEL, replications=1000, queries_per_replication=2)
+        short = ExperimentConfig(model=MODEL, replications=300, queries_per_replication=2)
+        small = collect_error_records(short)
+        big = collect_error_records(cfg)
+        assert big[: len(small)] == small
+        assert np.array_equal(np.unique(small.replication_index), np.arange(300))
 
     def test_blocks_cap_padded_legs(self):
-        # about 1000 legs per trajectory: a block closes long before 256 rows
+        # about 1000 legs per trajectory: a chunk holds far fewer than 256
+        # rows, and every evaluated block stays under the leg cap
         model = ModelParams(lambda_rate=10.0, sigma=5.0, seed=1, span=100.0)
-        blocks = list(_replication_blocks(model, 150, _BLOCK_ROWS))
-        assert [r for rows, _ in blocks for r in rows] == list(range(150))
-        assert len(blocks) > 1
-        for rows, trajs in blocks:
-            widest = max(len(t.start_times) for t in trajs)
-            assert (len(rows) - 1) * widest < _BLOCK_LEGS
+        rows = chunk_rows(model)
+        paths, _ = replication_chunk(model, 0)
+        assert 1 < rows < 256 and len(paths) == rows
+        assert paths.start_times.size <= _BLOCK_LEGS
+        cfg = ExperimentConfig(model=model, replications=rows + 5)
+        table = collect_error_records(cfg)
+        assert np.array_equal(np.unique(table.replication_index), np.arange(rows + 5))
 
     def test_table_and_record_list_bin_alike(self):
         cfg = ExperimentConfig(model=MODEL, protocols=ALL_PROTOCOLS, replications=30)
@@ -463,6 +497,90 @@ class TestErrorVsCount:
         assert {r.protocol for r in records} == {"MAINT", "MADRD", "SFR", "DVM"}
 
 
+def _old_generate_trajectory(params, replication_index):
+    """Version 0.2 trajectory streams, verbatim: one generator per
+    replication, keyed by (seed, replication)."""
+    rng = np.random.default_rng([params.seed, replication_index])
+    lam = params.lambda_rate
+
+    expected = lam * params.span
+    block = max(16, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
+    gaps = rng.standard_exponential(block, method="inv") / lam
+    total = gaps.sum()
+    while total < params.span:
+        more = rng.standard_exponential(block, method="inv") / lam
+        gaps = np.concatenate([gaps, more])
+        total = gaps.sum()
+
+    ends = np.cumsum(gaps)
+    n_legs = int(np.searchsorted(ends, params.span, side="left")) + 1
+    gaps = gaps[:n_legs]
+    ends = ends[:n_legs]
+
+    us = params.sigma * rng.standard_normal(n_legs)
+    vs = params.sigma * rng.standard_normal(n_legs)
+
+    start_times = np.concatenate([[0.0], ends[:-1]])
+    xs = np.concatenate([[0.0], np.cumsum(us[:-1] * gaps[:-1])])
+    ys = np.concatenate([[0.0], np.cumsum(vs[:-1] * gaps[:-1])])
+    return Trajectory(
+        span=params.span, start_times=start_times, start_x=xs, start_y=ys, vel_x=us, vel_y=vs, durations=gaps
+    )
+
+
+def _old_layout_records(cfg):
+    """MAINT and MADRD records under the version 0.2 stream layout: each
+    replication's own trajectory stream and a query stream keyed by
+    (seed, 101, replication), run through today's block runners."""
+    model, n_q = cfg.model, cfg.queries_per_replication
+    madrd = [MadrdConfig(base_interval=b, e_thresh=cfg.e_thresh) for b in cfg.madrd_intervals]
+    tables = []
+    for first in range(0, cfg.replications, 256):
+        rows = np.arange(first, min(cfg.replications, first + 256))
+        legs = TrajectoryBlock.stack([_old_generate_trajectory(model, int(r)) for r in rows])
+        qts = np.array([np.random.default_rng([model.seed, 101, r]).uniform(0.0, model.span, n_q) for r in rows])
+        tx, ty = legs.position(qts)
+        periods = np.array(cfg.maint_periods)[rows % len(cfg.maint_periods)]
+        runs = {
+            "MAINT": run_maint_timer_block(legs, periods, qts),
+            "MADRD": run_madrd_block(legs, [madrd[r % len(madrd)] for r in rows], qts),
+        }
+        for name, (est, calls) in runs.items():
+            sq = ((est[..., 0] - tx) ** 2 + (est[..., 1] - ty) ** 2).ravel()
+            tables.append(
+                ErrorTable(
+                    protocol=np.full(sq.size, name),
+                    replication_index=np.repeat(rows, n_q),
+                    query_time=qts.ravel(),
+                    sq_error=sq,
+                    abs_error=np.sqrt(sq),
+                    localization_count=np.repeat(calls, n_q),
+                )
+            )
+    return ErrorTable.concat(tables)
+
+
+class TestStreamLayout:
+    def test_fig4_bins_agree_with_the_old_layout(self):
+        # a new stream layout changes the samples, not the distribution: every
+        # bin with 30 samples on both sides agrees within |z| < 4
+        cfg = ExperimentConfig(model=ModelParams(lambda_rate=0.1, sigma=5.0, seed=0, span=100.0), replications=20000)
+        new = bin_records(collect_error_records(cfg))
+        old = bin_records(_old_layout_records(cfg))
+        compared = 0
+        for proto in ("MAINT", "MADRD"):
+            olds = {b.key: b for b in old[proto]}
+            for b in new[proto]:
+                a = olds.get(b.key)
+                if a is None or min(a.sample_count, b.sample_count) < 30:
+                    continue
+                compared += 1
+                for mean, se in (("mean_sq_error", "standard_error"), ("mean_abs_error", "standard_error_abs")):
+                    z = (getattr(b, mean) - getattr(a, mean)) / math.hypot(getattr(a, se), getattr(b, se))
+                    assert abs(z) < 4.0, (proto, b.key, mean, z)
+        assert compared >= 30
+
+
 def _oracle_window_legs(rng, lam, sigma, horizon, rows):
     """The window draws written out plainly: rounds of leg durations until
     every row covers the horizon (rows already covered get zero-duration
@@ -521,7 +639,8 @@ class TestWindowEngine:
         shrink = 0.5 * lam * T / cols if extended else 1.0
         block = TrajectoryBlock.windows(_ShortLegs(5, shrink), lam, 5.0, T, rows)
         gaps, starts, u, v = _oracle_window_legs(_ShortLegs(5, shrink), lam, 5.0, T, rows)
-        assert block.start_times.shape == gaps.shape
+        # the block keeps the columns up to the last leg that starts by T
+        assert block.start_times.shape == (rows, (starts <= T).sum(axis=1).max())
         if extended:
             zero_legs = (gaps == 0.0).any(axis=1)
             assert gaps.shape[1] >= 3 * cols and zero_legs.any() and not zero_legs.all()
@@ -538,6 +657,44 @@ class TestWindowEngine:
                 want = _oracle_coordinate(gaps, starts, vel, ts[:, j])
                 assert np.all(np.abs(got[:, j] - want) <= 1e-12 * reach)
         assert np.all(x[:, 0] == 0.0) and np.all(y[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("lam,T", [(0.1, 100.0), (0.1, 10.0), (4.0, 200.0)])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_trimmed_columns_change_no_position(self, lam, T, extended):
+        # the same draws without the trim: every position must be bit-identical
+        rows = 256
+        cols = max(8, int(lam * T + 10.0 * math.sqrt(lam * T + 1.0) + 8))
+        shrink = 0.5 * lam * T / cols if extended else 1.0
+        block = TrajectoryBlock.windows(_ShortLegs(7, shrink), lam, 5.0, T, rows)
+        gaps, starts, u, v = _oracle_window_legs(_ShortLegs(7, shrink), lam, 5.0, T, rows)
+        untrimmed = TrajectoryBlock(T, starts, _leg_starts(u * gaps), _leg_starts(v * gaps), u, v)
+        assert np.array_equal(untrimmed.start_times, starts)
+        assert block.start_times.shape[1] < gaps.shape[1]
+        if extended:
+            assert gaps.shape[1] >= 2 * cols
+        ts = np.random.default_rng(8).uniform(0.0, T, (rows, 12))
+        ts[:, 0] = 0.0
+        ts[:, 1] = T
+        ts[:, 2] = np.nextafter(T, 0.0)
+        # leg starts inside the window, where the leg index changes
+        inside = np.where(starts <= T, starts, 0.0)
+        ts[:, 3] = inside.max(axis=1)
+        for got, want in zip(block.position(ts), untrimmed.position(ts)):
+            assert np.array_equal(got, want)
+        for j in range(ts.shape[1]):
+            for got, want in zip(block.position(ts[:, j]), untrimmed.position(ts[:, j])):
+                assert np.array_equal(got, want)
+
+    def test_leg_starting_at_the_horizon_is_kept(self):
+        # durations of exactly 0.25: the fifth leg starts on the horizon,
+        # and position counts the legs that start at or before a time
+        class QuarterLegs(_ShortLegs):
+            def standard_exponential(self, size, method):
+                return np.full(size, 0.25)
+
+        block = TrajectoryBlock.windows(QuarterLegs(3, 1.0), 1.0, 5.0, 1.0, 4)
+        assert block.start_times.shape == (4, 5)
+        assert np.array_equal(block.start_times[0], [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_errors_follow_the_stream_contract(self):
         # two batches: the second draws after all of the first, queries included
