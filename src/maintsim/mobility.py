@@ -12,7 +12,11 @@ replication workers.
 ``TrajectoryBlock`` holds many paths of the same model as padded
 (rows, legs) matrices and evaluates all rows at once.  ``windows`` draws
 independent paths over [0, horizon] straight from a caller's generator; the
-window engine of ``montecarlo`` and the count experiment both use it.
+window engine of ``montecarlo`` and the count experiment both use it.  It
+draws only what the window reaches: durations in rounds sized at the
+expected leg count plus about three standard deviations, extra rounds for
+the rows still short of the horizon, and velocities only for the legs that
+start by the horizon.
 
 Replications of a model are drawn in chunks: replication r is row
 r mod R of chunk r // R, where R = ``chunk_rows(params)``, and chunk c draws
@@ -75,18 +79,21 @@ class Trajectory:
         return self.start_times[1:]
 
 
-# replication chunks: at most this many rows, fewer once a row's columns
-# times the rows would exceed _BLOCK_LEGS, so that a large lambda * span
-# cannot make a chunk hundreds of times larger than one path.  Both are part
-# of the stream layout.
+# replication chunks: at most this many rows, fewer once a row's first-round
+# columns times the rows would exceed _BLOCK_LEGS, so that a large
+# lambda * span cannot make a chunk hundreds of times larger than one path
+# (a chunk whose rows take a second round may keep a few more legs).  Both
+# are part of the stream layout.
 _CHUNK_ROWS = 256
 _BLOCK_LEGS = 1 << 16
 
 
 def _window_cols(lambda_rate: float, horizon: float) -> int:
-    """Legs drawn per row in the first round of ``TrajectoryBlock.windows``."""
+    """Legs drawn per row in each round of durations of
+    ``TrajectoryBlock.windows``: the expected count plus about three
+    standard deviations, so a few rows in a thousand need a second round."""
     expected = lambda_rate * horizon
-    return max(8, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
+    return max(2, int(expected + 3.0 * math.sqrt(expected) + 2))
 
 
 def chunk_rows(params: ModelParams) -> int:
@@ -122,10 +129,10 @@ def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Traj
         raise ParameterError(f"replication_index must be a non-negative integer, got {replication_index}")
     rows = chunk_rows(params)
     chunk, row = divmod(int(replication_index), rows)
-    draws = _window_legs(_chunk_stream(params, chunk), params.lambda_rate, params.sigma, params.span, rows)
-    gaps, u, v = (a[[row]] for a in draws)
-    path = TrajectoryBlock._from_legs(params.span, gaps, u, v)
-    n_legs = path.start_times.shape[1]
+    gaps, starts, u, v = _window_legs(_chunk_stream(params, chunk), params.lambda_rate, params.sigma, params.span, rows)
+    n_legs = int(np.count_nonzero(starts[row] <= params.span))
+    gaps, starts, u, v = (a[[row], :n_legs] for a in (gaps, starts, u, v))
+    path = TrajectoryBlock._from_legs(params.span, gaps, starts, u, v)
     return Trajectory(
         span=params.span,
         start_times=path.start_times[0],
@@ -133,7 +140,7 @@ def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Traj
         start_y=path.start_y[0],
         vel_x=path.vel_x[0],
         vel_y=path.vel_y[0],
-        durations=gaps[0, :n_legs],
+        durations=gaps[0],
     )
 
 
@@ -166,22 +173,33 @@ def waypoint_count(traj: Trajectory, t) -> int:
 
 
 def _window_legs(rng: np.random.Generator, lambda_rate: float, sigma: float, horizon: float, rows: int):
-    """Leg durations and x and y velocity components, each (rows, legs), in
-    the draw order that ``TrajectoryBlock.windows`` documents."""
+    """Leg durations, start times and x and y velocity components, each
+    (rows, legs), in the draw order that ``TrajectoryBlock.windows``
+    documents, cut to the columns that start by the horizon in some row."""
     cols = _window_cols(lambda_rate, horizon)
-    gaps = rng.standard_exponential((rows, cols), method="inv") / lambda_rate
+    gaps = rng.standard_exponential((rows, cols)) / lambda_rate
     total = gaps.sum(axis=1)
     while True:
         short = total < horizon
         if not short.any():
             break
         pad = np.zeros((rows, cols))
-        pad[short] = rng.standard_exponential((int(short.sum()), cols), method="inv") / lambda_rate
+        pad[short] = rng.standard_exponential((int(short.sum()), cols)) / lambda_rate
         gaps = np.hstack([gaps, pad])
         total += pad.sum(axis=1)
-    u = sigma * rng.standard_normal(gaps.shape)
-    v = sigma * rng.standard_normal(gaps.shape)
-    return gaps, u, v
+    starts = _leg_starts(gaps)
+    # rows are sorted, so the columns that start past the horizon in every
+    # row come last; copied, so that an extended batch's wide matrices are
+    # freed before the velocities are drawn (they set the sweeps' peak memory)
+    keep = int(np.count_nonzero(starts.min(axis=0) <= horizon))
+    gaps, starts = gaps[:, :keep].copy(), starts[:, :keep].copy()
+    live = starts <= horizon
+    n_live = int(np.count_nonzero(live))
+    u = np.zeros(live.shape)
+    u[live] = sigma * rng.standard_normal(n_live)
+    v = np.zeros(live.shape)
+    v[live] = sigma * rng.standard_normal(n_live)
+    return gaps, starts, u, v
 
 
 def _leg_starts(steps: np.ndarray) -> np.ndarray:
@@ -195,9 +213,8 @@ def _leg_starts(steps: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TrajectoryBlock:
     """Legs of several paths over one span, stacked into padded (rows, legs)
-    matrices.  Padding legs never move a row: ``stack`` pads start times
-    with +inf, so a padding leg never starts at or before any time, and
-    ``windows`` pads a row with zero-duration legs after its last one."""
+    matrices.  Padding legs never move a row within the span: they start
+    after the row's last leg that starts by the span."""
 
     span: float
     start_times: np.ndarray
@@ -207,53 +224,32 @@ class TrajectoryBlock:
     vel_y: np.ndarray
 
     @classmethod
-    def stack(cls, trajs) -> TrajectoryBlock:
-        spans = {traj.span for traj in trajs}
-        if len(spans) != 1:
-            raise ParameterError(f"a block needs trajectories over one span, got spans {sorted(spans)}")
-        lengths = np.array([len(traj.start_times) for traj in trajs])
-        filled = np.arange(lengths.max()) < lengths[:, None]
-
-        def pad(name: str, fill: float) -> np.ndarray:
-            out = np.full(filled.shape, fill)
-            out[filled] = np.concatenate([getattr(traj, name) for traj in trajs])
-            return out
-
-        return cls(
-            span=spans.pop(),
-            start_times=pad("start_times", np.inf),
-            start_x=pad("start_x", 0.0),
-            start_y=pad("start_y", 0.0),
-            vel_x=pad("vel_x", 0.0),
-            vel_y=pad("vel_y", 0.0),
-        )
-
-    @classmethod
     def windows(
         cls, rng: np.random.Generator, lambda_rate: float, sigma: float, horizon: float, rows: int
     ) -> TrajectoryBlock:
         """``rows`` independent paths of the model covering [0, horizon],
         all starting at the origin.
 
-        Draws from ``rng`` in a fixed order: the leg durations, further
-        rounds of durations for the rows whose legs still fall short of the
-        horizon (the other rows get zero-duration legs in each round), then
-        the x and the y velocity components of every leg.  After all draws
-        it drops the columns past the last leg that starts by the horizon in
-        any row; they never move a row within [0, horizon].
+        Draws from ``rng`` in a fixed order.  First a round of leg
+        durations, ``_window_cols`` per row: the expected count plus about
+        three standard deviations.  Then further rounds of the same width
+        for the rows whose legs still fall short of the horizon; the other
+        rows get zero-duration legs in each round.  The columns past the
+        last leg that starts by the horizon in any row are then dropped.
+        Last come the x, then the y velocity components of the live legs,
+        those that start by the horizon, each as one flat vector in
+        row-major order; the legs after a row's last live leg get velocity
+        0.  Only live legs move a row within [0, horizon].
         """
         return cls._from_legs(horizon, *_window_legs(rng, lambda_rate, sigma, horizon, rows))
 
     @classmethod
-    def _from_legs(cls, horizon: float, gaps: np.ndarray, u: np.ndarray, v: np.ndarray) -> TrajectoryBlock:
-        start_times = _leg_starts(gaps)
-        # a column that starts past the horizon in every row moves no row
-        # within [0, horizon]; rows are sorted, so those columns come last
-        keep = int(np.count_nonzero(start_times.min(axis=0) <= horizon))
-        gaps, u, v = gaps[:, :keep], u[:, :keep], v[:, :keep]
+    def _from_legs(
+        cls, horizon: float, gaps: np.ndarray, starts: np.ndarray, u: np.ndarray, v: np.ndarray
+    ) -> TrajectoryBlock:
         return cls(
             span=horizon,
-            start_times=start_times[:, :keep],
+            start_times=starts,
             start_x=_leg_starts(u * gaps),
             start_y=_leg_starts(v * gaps),
             vel_x=u,

@@ -9,7 +9,9 @@ is the straight line between them, which is exactly what the timer-driven
 interpolation protocol computes inside every window (waypoint occurrences
 are memoryless, so windows of a long run are identically distributed to a
 fresh one).  Windows are drawn straight into a block, a fixed batch of
-rows at a time.  The count experiment runs the block-batched protocol
+rows at a time: each batch draws its leg durations, in extra rounds for the
+rows still short of T, then velocities for the legs that start by T only,
+then its query times.  The count experiment runs the block-batched protocol
 runners on chunks of replications (``mobility.replication_chunk``): the
 timer schemes localize their tick grids as arrays, and the adaptive schemes
 advance all rows in lock-step.  The scalar runners, which drive the
@@ -164,7 +166,8 @@ class AsymptotePoint:
 
 # windows are drawn this many at a time; the batch size is part of the
 # stream layout, because each batch draws all its leg durations before its
-# velocities and queries
+# velocities and queries, and whether a batch needs a second round of
+# durations depends on all its rows
 _WINDOW_BATCH = 4096
 
 

@@ -14,6 +14,8 @@ from maintsim.mobility import (
     _BLOCK_LEGS,
     ModelParams,
     _leg_starts,
+    _window_cols,
+    _window_legs,
     Trajectory,
     TrajectoryBlock,
     chunk_rows,
@@ -165,11 +167,28 @@ class TestSfrRunner:
             assert (ex, ey) == position_at(traj, fix_time)
 
 
+def stack_block(trajs):
+    """Trajectories over one span as one block, padded with legs that start
+    at +inf and so never start at or before any time."""
+    lengths = np.array([len(traj.start_times) for traj in trajs])
+    filled = np.arange(lengths.max()) < lengths[:, None]
+
+    def pad(name, fill):
+        out = np.full(filled.shape, fill)
+        out[filled] = np.concatenate([getattr(traj, name) for traj in trajs])
+        return out
+
+    (span,) = {traj.span for traj in trajs}
+    return TrajectoryBlock(
+        span, pad("start_times", np.inf), pad("start_x", 0.0), pad("start_y", 0.0), pad("vel_x", 0.0), pad("vel_y", 0.0)
+    )
+
+
 def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootstrap=1.0, rtol=1e-12, block=None):
     """Every block-batched runner against its scalar reference, row by row:
     call counts exactly, estimates to ``rtol`` relative.  The runners take
     ``block``, or the trajectories stacked."""
-    block = TrajectoryBlock.stack(trajs) if block is None else block
+    block = stack_block(trajs) if block is None else block
     batched = {
         "MAINT": run_maint_timer_block(block, periods, qts),
         "SFR": run_sfr_block(block, periods, qts),
@@ -237,7 +256,7 @@ class TestBlockRunners:
         qts = np.column_stack([np.zeros(len(periods)), periods, np.full(len(periods), 100.0)])
         madrd = [MadrdConfig(base_interval=p) for p in periods]
         assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * len(periods))
-        _, calls = run_maint_timer_block(TrajectoryBlock.stack(trajs), periods, qts)
+        _, calls = run_maint_timer_block(stack_block(trajs), periods, qts)
         assert calls[-1] == 2
 
     def test_queries_on_ticks_that_round(self):
@@ -260,7 +279,7 @@ class TestBlockRunners:
         qts = np.array([[10.0, 90.0]] * 3)
         madrd = [MadrdConfig(base_interval=b) for b in bases]
         assert_blocks_match_scalar(trajs, qts, np.full(3, 20.0), madrd, [DvmConfig()] * 3)
-        _, calls = run_madrd_block(TrajectoryBlock.stack(trajs), madrd, qts)
+        _, calls = run_madrd_block(stack_block(trajs), madrd, qts)
         assert calls[0] == calls[1] == 1 < calls[2]
 
     @pytest.mark.parametrize("bootstrap", [100.0, 250.0])
@@ -269,7 +288,7 @@ class TestBlockRunners:
         qts = np.array([[0.0, 40.0, 100.0]] * 4)
         madrd = [MadrdConfig(base_interval=10.0)] * 4
         assert_blocks_match_scalar(trajs, qts, np.full(4, 25.0), madrd, [DvmConfig()] * 4, bootstrap=bootstrap)
-        _, calls = run_dvm_block(TrajectoryBlock.stack(trajs), [DvmConfig()] * 4, qts, bootstrap_interval=bootstrap)
+        _, calls = run_dvm_block(stack_block(trajs), [DvmConfig()] * 4, qts, bootstrap_interval=bootstrap)
         assert (calls == 1).all()
 
     def test_interval_clamps(self):
@@ -293,7 +312,7 @@ class TestBlockRunners:
         assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * 16)
 
     def test_rejects_query_past_last_tick(self):
-        block = TrajectoryBlock.stack([generate_trajectory(MODEL, 1)])
+        block = stack_block([generate_trajectory(MODEL, 1)])
         with pytest.raises(ParameterError):
             run_maint_timer_block(block, np.array([30.0]), np.array([[95.0]]))  # last tick at 90
 
@@ -537,7 +556,7 @@ def _old_layout_records(cfg):
     tables = []
     for first in range(0, cfg.replications, 256):
         rows = np.arange(first, min(cfg.replications, first + 256))
-        legs = TrajectoryBlock.stack([_old_generate_trajectory(model, int(r)) for r in rows])
+        legs = stack_block([_old_generate_trajectory(model, int(r)) for r in rows])
         qts = np.array([np.random.default_rng([model.seed, 101, r]).uniform(0.0, model.span, n_q) for r in rows])
         tx, ty = legs.position(qts)
         periods = np.array(cfg.maint_periods)[rows % len(cfg.maint_periods)]
@@ -582,22 +601,27 @@ class TestStreamLayout:
 
 
 def _oracle_window_legs(rng, lam, sigma, horizon, rows):
-    """The window draws written out plainly: rounds of leg durations until
-    every row covers the horizon (rows already covered get zero-duration
-    legs), then the x and the y velocity components of every leg."""
+    """The window draws written out plainly: rounds of leg durations, the
+    expected count plus three standard deviations per row, until every row
+    covers the horizon (rows already covered get zero-duration legs), then
+    the x and the y velocity components of the legs that start by the
+    horizon, row by row; the other legs stand still."""
     expected = lam * horizon
-    cols = max(8, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
-    gaps = rng.standard_exponential((rows, cols), method="inv") / lam
+    cols = max(2, int(expected + 3.0 * math.sqrt(expected) + 2))
+    gaps = rng.standard_exponential((rows, cols)) / lam
     total = gaps.sum(axis=1)
     while (total < horizon).any():
         short = total < horizon
         pad = np.zeros((rows, cols))
-        pad[short] = rng.standard_exponential((int(short.sum()), cols), method="inv") / lam
+        pad[short] = rng.standard_exponential((int(short.sum()), cols)) / lam
         gaps = np.hstack([gaps, pad])
         total += pad.sum(axis=1)
-    u = sigma * rng.standard_normal(gaps.shape)
-    v = sigma * rng.standard_normal(gaps.shape)
     starts = np.hstack([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)[:, :-1]])
+    live_rows, live_cols = np.nonzero(starts <= horizon)
+    u = np.zeros(gaps.shape)
+    u[live_rows, live_cols] = sigma * rng.standard_normal(len(live_rows))
+    v = np.zeros(gaps.shape)
+    v[live_rows, live_cols] = sigma * rng.standard_normal(len(live_rows))
     return gaps, starts, u, v
 
 
@@ -615,11 +639,32 @@ class _ShortLegs:
         self._rng = np.random.default_rng(seed)
         self._shrink = shrink
 
-    def standard_exponential(self, size, method):
-        return self._shrink * self._rng.standard_exponential(size, method=method)
+    def standard_exponential(self, size):
+        return self._shrink * self._rng.standard_exponential(size)
 
     def standard_normal(self, size):
         return self._rng.standard_normal(size)
+
+
+class _Counting:
+    """Passes every draw through to ``rng`` and records the shape of each
+    round of durations and the number of normals drawn."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.exponential_sizes = []
+        self.normals = 0
+
+    def standard_exponential(self, size):
+        self.exponential_sizes.append(size)
+        return self._rng.standard_exponential(size)
+
+    def standard_normal(self, size):
+        self.normals += int(np.prod(size))
+        return self._rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 class TestWindowEngine:
@@ -635,7 +680,7 @@ class TestWindowEngine:
         # scaled so that two rounds of durations cover the horizon in about
         # half the rows: some rows take a third round, the others get
         # zero-duration legs in it
-        cols = max(8, int(lam * T + 10.0 * math.sqrt(lam * T + 1.0) + 8))
+        cols = _window_cols(lam, T)
         shrink = 0.5 * lam * T / cols if extended else 1.0
         block = TrajectoryBlock.windows(_ShortLegs(5, shrink), lam, 5.0, T, rows)
         gaps, starts, u, v = _oracle_window_legs(_ShortLegs(5, shrink), lam, 5.0, T, rows)
@@ -663,7 +708,7 @@ class TestWindowEngine:
     def test_trimmed_columns_change_no_position(self, lam, T, extended):
         # the same draws without the trim: every position must be bit-identical
         rows = 256
-        cols = max(8, int(lam * T + 10.0 * math.sqrt(lam * T + 1.0) + 8))
+        cols = _window_cols(lam, T)
         shrink = 0.5 * lam * T / cols if extended else 1.0
         block = TrajectoryBlock.windows(_ShortLegs(7, shrink), lam, 5.0, T, rows)
         gaps, starts, u, v = _oracle_window_legs(_ShortLegs(7, shrink), lam, 5.0, T, rows)
@@ -687,14 +732,16 @@ class TestWindowEngine:
 
     def test_leg_starting_at_the_horizon_is_kept(self):
         # durations of exactly 0.25: the fifth leg starts on the horizon,
-        # and position counts the legs that start at or before a time
+        # and position counts the legs that start at or before a time, so
+        # it is live and gets velocities
         class QuarterLegs(_ShortLegs):
-            def standard_exponential(self, size, method):
+            def standard_exponential(self, size):
                 return np.full(size, 0.25)
 
         block = TrajectoryBlock.windows(QuarterLegs(3, 1.0), 1.0, 5.0, 1.0, 4)
         assert block.start_times.shape == (4, 5)
         assert np.array_equal(block.start_times[0], [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.all(block.vel_x[:, 4] != 0.0) and np.all(block.vel_y[:, 4] != 0.0)
 
     def test_errors_follow_the_stream_contract(self):
         # two batches: the second draws after all of the first, queries included
@@ -724,9 +771,56 @@ class TestWindowEngine:
             np.testing.assert_allclose(ys[:, j], _oracle_coordinate(gaps, starts, v, np.full(300, t)), rtol=1e-9)
 
     def test_long_window_rows_extend(self):
-        # lambda * T = 800, the longest windows the constant-ratio sweep draws
-        sq = sample_window_errors(np.random.default_rng(1), 4.0, 10.0, 200.0, 64, 1)
+        # lambda * T = 800, the longest windows the constant-ratio sweep
+        # draws; a row falls short of T after its first round with
+        # probability about 1.5e-3, so one full batch of real draws takes a
+        # second round (with probability 0.997 before the seed is fixed)
+        rng = _Counting(np.random.default_rng(1))
+        sq = sample_window_errors(rng, 4.0, 10.0, 200.0, _WINDOW_BATCH, 1)
         assert np.isfinite(sq).all()
+        cols = _window_cols(4.0, 200.0)
+        first, *extra = rng.exponential_sizes
+        assert first == (_WINDOW_BATCH, cols)
+        assert extra and all(0 < n < _WINDOW_BATCH and width == cols for n, width in extra)
+
+    @pytest.mark.parametrize("expected", [1e-3, 0.1, 1.0, 10.0, 800.0])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_rows_reach_the_horizon(self, expected, extended):
+        lam, rows = 4.0, 256
+        T = expected / lam
+        shrink = 0.5 * expected / _window_cols(lam, T) if extended else 1.0
+        rng = _Counting(_ShortLegs(11, shrink))
+        gaps, starts, u, v = _window_legs(rng, lam, 5.0, T, rows)
+        assert np.all(gaps.sum(axis=1) >= T)
+        # every row's last kept leg ends at or past T, and the kept columns
+        # are those that start by T in some row
+        assert np.all(starts[:, -1] + gaps[:, -1] >= T)
+        assert starts[:, -1].min() <= T
+        if extended:
+            assert len(rng.exponential_sizes) >= 2
+
+    @pytest.mark.parametrize("lam,T", [(0.1, 10.0), (0.1, 20.0), (4.0, 200.0)])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_velocities_only_for_live_legs(self, lam, T, extended):
+        shrink = 0.5 * lam * T / _window_cols(lam, T) if extended else 1.0
+        rng = _Counting(_ShortLegs(12, shrink))
+        block = TrajectoryBlock.windows(rng, lam, 5.0, T, 512)
+        live = block.start_times <= T
+        assert rng.normals == 2 * np.count_nonzero(live)
+        assert np.all(block.vel_x[~live] == 0.0) and np.all(block.vel_y[~live] == 0.0)
+        assert np.all(block.vel_x[live] != 0.0) and np.all(block.vel_y[live] != 0.0)
+
+    def test_moment_windows_draw_a_few_values_per_row(self):
+        # the moment check's windows, lambda * T = 1: about two legs reach T
+        # (one plus a Poisson(1) count), so a row takes about 4 normals and
+        # 6 durations; drawing 23 legs per row took 23 durations and 46
+        # normals
+        rng = _Counting(np.random.default_rng(13))
+        sample_window_positions(rng, 0.1, 5.0, 10.0, _WINDOW_BATCH, (5.0, 10.0))
+        durations = sum(n * width for n, width in rng.exponential_sizes)
+        assert rng.exponential_sizes[0] == (_WINDOW_BATCH, 6)
+        assert durations < 6.1 * _WINDOW_BATCH
+        assert 3.8 * _WINDOW_BATCH < rng.normals < 4.2 * _WINDOW_BATCH
 
 
 class TestMomentValidation:
