@@ -11,7 +11,7 @@ from .errors import (
     StaleQueryError,
     UnsupportedMomentError,
 )
-from .mobility import ModelParams, Trajectory, generate_trajectory, position_at, waypoint_count
+from .mobility import ModelParams, Trajectory, generate_trajectory, position_at
 
 __all__ = [
     "BracketError",
@@ -23,6 +23,5 @@ __all__ = [
     "UnsupportedMomentError",
     "generate_trajectory",
     "position_at",
-    "waypoint_count",
     "__version__",
 ]

@@ -18,27 +18,10 @@ within 3e-15 from lambda*T = 1e-9 to 800.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, UnsupportedMomentError
-
-
-@dataclass(frozen=True)
-class ConditionalMomentQuery:
-    """Moment of the k-th waypoint time, conditioned on n waypoints in (0, tau)."""
-
-    tau: float
-    n: int
-    k: int
-    order: int
-
-    def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ParameterError(f"tau must be > 0, got {self.tau}")
-        if not (1 <= self.k <= self.n):
-            raise ParameterError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +168,15 @@ def _check_order_stat(tau: float, n: int, k: int) -> None:
 # conditional moments
 
 
-def cond_waypoint_time_moment(q: ConditionalMomentQuery) -> float:
+def cond_waypoint_time_moment(tau: float, n: int, k: int, order: int) -> float:
     """E[T_k | n waypoints in (0, tau)] for order 1,
     E[T_k^2 | ...] for order 2: k*tau/(n+1) and k(k+1)tau^2/((n+1)(n+2))."""
-    if q.order == 1:
-        return q.k * q.tau / (q.n + 1)
-    if q.order == 2:
-        return q.k * (q.k + 1) * q.tau**2 / ((q.n + 1) * (q.n + 2))
-    raise UnsupportedMomentError(f"order must be 1 or 2, got {q.order}")
+    _check_order_stat(tau, n, k)
+    if order == 1:
+        return k * tau / (n + 1)
+    if order == 2:
+        return k * (k + 1) * tau**2 / ((n + 1) * (n + 2))
+    raise UnsupportedMomentError(f"order must be 1 or 2, got {order}")
 
 
 def cond_interarrival_moment(tau: float, n: int, order: int) -> float:

@@ -77,7 +77,10 @@ def parse_grid(spec: str) -> list[float]:
                 k += 1
             return values
         if "," in spec:
-            return [float(v) for v in spec.split(",") if v]
+            values = [float(v) for v in spec.split(",") if v]
+            if not values:
+                raise _UsageError(f"grid {spec!r} lists no values")
+            return values
         return [float(spec)]
     except ParameterError:
         raise
@@ -220,16 +223,28 @@ _CONFIG_TYPES = {
 
 
 def _resolve_settings(args) -> dict:
+    """The experiment's defaults, overridden by the config file and then by
+    flags; a setting the experiment does not use is a usage error."""
     settings = dict(_DEFAULTS[args.experiment])
+    given = {}
     if args.config:
         for key, raw in read_config_file(args.config).items():
             if key not in _CONFIG_TYPES:
                 raise _UsageError(f"unknown config key {key!r}")
-            settings[key] = _CONFIG_TYPES[key](raw)
+            try:
+                given[key] = _CONFIG_TYPES[key](raw)
+            except ValueError:
+                kind = _CONFIG_TYPES[key].__name__
+                raise _UsageError(f"config value {raw!r} of {key!r} is not a valid {kind}") from None
     for key in _CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
-            settings[key] = flag
+            given[key] = flag
+    unused = sorted(given.keys() - settings.keys())
+    if unused:
+        takes = ", ".join(sorted(settings))
+        raise _UsageError(f"{args.experiment} does not use {', '.join(unused)}; it takes {takes}")
+    settings.update(given)
     return settings
 
 

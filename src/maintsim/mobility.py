@@ -6,8 +6,8 @@ waypoint the sensor draws an independent leg duration (exponential, mean
 components, then moves in a straight line for that long.  Waypoint
 occurrences therefore form a Poisson process with rate ``lambda_rate``.
 
-Trajectories are immutable after generation and safe to share between
-replication workers.
+Trajectories are immutable after generation and keep the legs that start
+by the span.
 
 ``TrajectoryBlock`` holds many paths of the same model as padded
 (rows, legs) matrices and evaluates all rows at once.  ``windows`` draws
@@ -62,8 +62,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Piecewise-linear path; legs tile [0, span] with the last one allowed
-    to overshoot the horizon (its full drawn duration is kept)."""
+    """Piecewise-linear path over [0, span]: the legs that start by the
+    span, the last of which runs on to the horizon."""
 
     span: float
     start_times: np.ndarray  # leg start times, start_times[0] == 0
@@ -71,12 +71,6 @@ class Trajectory:
     start_y: np.ndarray
     vel_x: np.ndarray
     vel_y: np.ndarray
-    durations: np.ndarray
-
-    @property
-    def waypoint_times(self) -> np.ndarray:
-        """Times of direction changes after the start (may exceed span)."""
-        return self.start_times[1:]
 
 
 # replication chunks: at most this many rows, fewer once a row's first-round
@@ -120,10 +114,9 @@ def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Traj
     """Path of one replication: row r mod R of chunk r // R.
 
     Deterministic given ``(params.seed, replication_index)``.  It draws the
-    whole chunk and keeps the row's legs up to the one that overshoots the
-    span, whose full drawn duration is kept, so the path can be evaluated up
-    to the horizon without edge bias.  Its legs are bit for bit those of the
-    chunk row.
+    whole chunk and keeps the row's legs that start by the span, so the path
+    can be evaluated up to the horizon without edge bias.  Its legs are bit
+    for bit those of the chunk row.
     """
     if int(replication_index) != replication_index or replication_index < 0:
         raise ParameterError(f"replication_index must be a non-negative integer, got {replication_index}")
@@ -140,20 +133,14 @@ def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Traj
         start_y=path.start_y[0],
         vel_x=path.vel_x[0],
         vel_y=path.vel_y[0],
-        durations=gaps[0],
     )
-
-
-def _check_time(traj: Trajectory, t) -> np.ndarray:
-    ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0.0) or np.any(ts > traj.span):
-        raise ParameterError(f"time outside [0, {traj.span}]")
-    return ts
 
 
 def position_at(traj: Trajectory, t):
     """True position at time ``t`` (scalar or array), 0 <= t <= span."""
-    ts = _check_time(traj, t)
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0.0) or np.any(ts > traj.span):
+        raise ParameterError(f"time outside [0, {traj.span}]")
     idx = np.searchsorted(traj.start_times, ts, side="right") - 1
     dt = ts - traj.start_times[idx]
     x = traj.start_x[idx] + traj.vel_x[idx] * dt
@@ -161,15 +148,6 @@ def position_at(traj: Trajectory, t):
     if np.ndim(t) == 0:
         return float(x), float(y)
     return x, y
-
-
-def waypoint_count(traj: Trajectory, t) -> int:
-    """Number of waypoints in (0, t]."""
-    ts = _check_time(traj, t)
-    n = np.searchsorted(traj.waypoint_times, ts, side="right")
-    if np.ndim(t) == 0:
-        return int(n)
-    return n
 
 
 def _window_legs(rng: np.random.Generator, lambda_rate: float, sigma: float, horizon: float, rows: int):

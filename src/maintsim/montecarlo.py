@@ -14,9 +14,9 @@ rows still short of T, then velocities for the legs that start by T only,
 then its query times.  The count experiment runs the block-batched protocol
 runners on chunks of replications (``mobility.replication_chunk``): the
 timer schemes localize their tick grids as arrays, and the adaptive schemes
-advance all rows in lock-step.  The scalar runners, which drive the
-event-driven state machines of ``protocols`` one replication at a time, are
-the reference: a differential test requires the batched runners to
+advance all rows in lock-step.  The reference runners, which drive the
+event-driven state machines of ``protocols`` one replication at a time,
+live with the tests: a differential test requires the batched runners to
 reproduce their call counts and estimates.  A cross-check test keeps the
 window engine honest against the protocols.
 
@@ -40,7 +40,6 @@ from .analytic import (
     cond_interarrival_moment,
     cond_position_second_moment,
     cond_waypoint_time_moment,
-    ConditionalMomentQuery,
     displacement_cross_moment,
     error_asymptote,
     error_avg,
@@ -51,28 +50,11 @@ from .errors import ParameterError
 from .mobility import (
     _CHUNK_ROWS,
     ModelParams,
-    Trajectory,
     TrajectoryBlock,
     chunk_rows,
-    position_at,
     replication_chunk,
 )
-from .protocols import (
-    DvmConfig,
-    DvmState,
-    MadrdConfig,
-    MadrdState,
-    Query,
-    dvm_next_interval,
-    dvm_on_localization,
-    interpolate,
-    localize,
-    madrd_on_localization,
-    maint_init,
-    maint_on_query,
-    maint_on_timer,
-    sfr_schedule,
-)
+from .protocols import DvmConfig, MadrdConfig
 
 # stream tags: the period sweeps draw from (seed, tag, index) and the moment
 # check from (seed, tag).  The count experiment's chunks are (seed, chunk),
@@ -114,18 +96,6 @@ class ExperimentConfig:
         bad_T = [T for T in self.T_values if not (math.isfinite(T) and T > 0)]
         if bad_T:
             raise ParameterError(f"every T must be finite and > 0, got {bad_T[0]}")
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    """One query evaluation of one protocol in one replication."""
-
-    protocol: str
-    replication_index: int
-    query_time: float
-    sq_error: float
-    abs_error: float
-    localization_count: int
 
 
 @dataclass(frozen=True)
@@ -223,132 +193,14 @@ def sample_window_positions(
 
 
 # ---------------------------------------------------------------------------
-# event-driven protocol runners (one replication each)
-
-
-def run_maint_timer(traj: Trajectory, period: float, query_times, noise=None, log=None):
-    """Timer-driven interpolation protocol over the full span.
-
-    Localizations fire at 0, period, 2*period, ... regardless of traffic, so
-    the call count is floor(span/period) + 1 exactly.  Every query must fall
-    at or before the final tick (otherwise no enclosing pair ever exists).
-    Returns (estimates (n, 2), localization count).
-    """
-    qts = np.asarray(query_times, dtype=float)
-    ticks = sfr_schedule(period, traj.span)[1:]
-    if qts.size and not len(ticks):
-        raise ParameterError(f"period {period} schedules no tick within the span; nothing can bracket a query")
-    horizon = float(ticks[-1]) if len(ticks) else 0.0
-    if qts.size and qts.max() > horizon:
-        raise ParameterError(
-            f"query at {qts.max()} lies beyond the final localization at {horizon}"
-        )
-    state = maint_init(traj, period, mode="timer", noise=noise)
-    if log is not None:
-        log.record(0.0, "localization", "", *state.last_fix.pos)
-    events = sorted(
-        [(float(t), 0, i) for i, t in enumerate(qts)] + [(float(t), 1, -1) for t in ticks]
-    )
-    est = np.empty((qts.size, 2))
-    for when, kind, idx in events:
-        if kind == 0:
-            maint_on_query(state, Query(time=when, requester=idx), traj, clock=when)
-            if log is not None:
-                log.record(when, "query", idx, math.nan, math.nan)
-        else:
-            responses = maint_on_timer(state, traj, when)
-            if log is not None:
-                log.record(when, "localization", "", *state.last_fix.pos)
-            for resp in responses:
-                est[resp.requester] = interpolate(resp.fix_a, resp.fix_b, qts[resp.requester])
-                if log is not None:
-                    log.record(when, "response", resp.requester, *est[resp.requester])
-    return est, state.calls
-
-
-def run_sfr(traj: Trajectory, period: float, query_times):
-    """Fixed-rate baseline: answer every query with the latest fix."""
-    qts = np.asarray(query_times, dtype=float)
-    ticks = sfr_schedule(period, traj.span)
-    fx, fy = position_at(traj, ticks)
-    idx = np.searchsorted(ticks, qts, side="right") - 1
-    return np.column_stack([fx[idx], fy[idx]]), len(ticks)
-
-
-def _madrd_fix_sequence(traj: Trajectory, cfg: MadrdConfig):
-    """All MADRD localizations over the span.
-
-    Bootstrap: one fix at 0 and one after the base interval (no velocity is
-    defined until two fixes exist); adaptation starts at the third fix.
-    """
-    fix0 = localize(traj, 0.0)
-    if cfg.base_interval >= traj.span:
-        return [fix0], 1
-    fix1 = localize(traj, cfg.base_interval)
-    state = MadrdState(fix_prev=fix0, fix_last=fix1, next_interval=cfg.base_interval, config=cfg)
-    fixes = [fix0, fix1]
-    next_t = state.fix_last.time + state.next_interval
-    while next_t <= traj.span:
-        madrd_on_localization(state, localize(traj, next_t))
-        fixes.append(state.fix_last)
-        next_t = state.fix_last.time + state.next_interval
-    return fixes, state.calls
-
-
-def run_madrd(traj: Trajectory, cfg: MadrdConfig, query_times):
-    """Dead-reckoning baseline: answer each query by extrapolating from the
-    last two fixes known at the query time (stationary before the second
-    fix exists)."""
-    qts = np.asarray(query_times, dtype=float)
-    fixes, calls = _madrd_fix_sequence(traj, cfg)
-    times = np.array([f.time for f in fixes])
-    fx = np.array([f.pos[0] for f in fixes])
-    fy = np.array([f.pos[1] for f in fixes])
-    j = np.searchsorted(times, qts, side="right") - 1
-    est = np.empty((qts.size, 2))
-    first = j == 0
-    est[first, 0] = fx[0]
-    est[first, 1] = fy[0]
-    later = ~first
-    if later.any():
-        jl = j[later]
-        dt = times[jl] - times[jl - 1]
-        age = qts[later] - times[jl]
-        est[later, 0] = fx[jl] + (fx[jl] - fx[jl - 1]) / dt * age
-        est[later, 1] = fy[jl] + (fy[jl] - fy[jl - 1]) / dt * age
-    return est, calls
-
-
-def run_dvm(traj: Trajectory, cfg: DvmConfig, query_times, bootstrap_interval: float = 1.0):
-    """Velocity-monotonic baseline: schedule by recent speed, answer with the
-    latest fix."""
-    qts = np.asarray(query_times, dtype=float)
-    fix0 = localize(traj, 0.0)
-    if bootstrap_interval >= traj.span:
-        return np.tile(fix0.pos, (qts.size, 1)), 1
-    fix1 = localize(traj, bootstrap_interval)
-    state = DvmState(fix_prev=fix0, fix_last=fix1, config=cfg)
-    fixes = [fix0, fix1]
-    next_t = state.fix_last.time + dvm_next_interval(state)
-    while next_t <= traj.span:
-        dvm_on_localization(state, localize(traj, next_t))
-        fixes.append(state.fix_last)
-        next_t = state.fix_last.time + dvm_next_interval(state)
-    times = np.array([f.time for f in fixes])
-    fx = np.array([f.pos[0] for f in fixes])
-    fy = np.array([f.pos[1] for f in fixes])
-    j = np.searchsorted(times, qts, side="right") - 1
-    return np.column_stack([fx[j], fy[j]]), state.calls
-
-
-# ---------------------------------------------------------------------------
 # block-batched protocol runners (many replications each, in lock-step)
 
 
 def _tick_counts(periods: np.ndarray, span: float) -> np.ndarray:
     """Last tick index n of each grid {k * period : k = 0..n}, as
-    ``sfr_schedule`` computes it.  The scalar runners localize every tick,
-    so a last tick that rounds past the span fails here as it does there."""
+    ``protocols.sfr_schedule`` computes it.  The reference runners localize
+    every tick, so a last tick that rounds past the span fails here as it
+    does there."""
     if not np.all(periods > 0):
         raise ParameterError(f"periods must be > 0, got {periods.min()}")
     n = np.floor(span / periods * (1.0 + 1e-12))
@@ -358,11 +210,12 @@ def _tick_counts(periods: np.ndarray, span: float) -> np.ndarray:
 
 
 def run_maint_timer_block(block: TrajectoryBlock, periods, query_times):
-    """``run_maint_timer`` for every row of a block: ``periods`` (rows,),
-    ``query_times`` (rows, queries).  Returns (estimates (rows, queries, 2),
-    localization counts (rows,)).
+    """The timer-driven interpolation protocol, with fixes at 0, period,
+    2 * period, ... up to the span, for every row of a block: ``periods``
+    (rows,), ``query_times`` (rows, queries).  Returns (estimates (rows,
+    queries, 2), localization counts (rows,)).
 
-    Queries precede ticks in the scalar event order, so a query is answered
+    Queries precede ticks in the event order, so a query is answered
     at the first tick k * period >= q with k >= 1, with the chord between
     the fixes at ticks k - 1 and k.  Both ends of every window are localized
     in one call.
@@ -395,8 +248,8 @@ def run_maint_timer_block(block: TrajectoryBlock, periods, query_times):
 
 
 def run_sfr_block(block: TrajectoryBlock, periods, query_times):
-    """``run_sfr`` for every row of a block: each query gets the fix at the
-    last tick k * period <= q."""
+    """The fixed-rate baseline for every row of a block: each query gets the
+    fix at the last tick k * period <= q."""
     p = np.asarray(periods, dtype=float)
     q = np.asarray(query_times, dtype=float)
     n = _tick_counts(p, block.span)
@@ -454,12 +307,15 @@ class _FixTrail:
 
 def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """``math.hypot`` elementwise.  ``np.hypot`` differs from it in the last
-    ulp for about 0.5 % of inputs, and the scalar runners use math.hypot."""
+    ulp for about 0.5 % of inputs, and the state machines use math.hypot."""
     return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
 
 
 def run_madrd_block(block: TrajectoryBlock, configs, query_times):
-    """``run_madrd`` for every row of a block, one ``MadrdConfig`` per row.
+    """The dead-reckoning baseline for every row of a block, one
+    ``MadrdConfig`` per row: fixes at 0 and at the base interval, then at
+    intervals that ``protocols.madrd_on_localization`` adapts; each query is
+    extrapolated from the last two fixes at or before it.
 
     Rows advance in lock-step: each round localizes every row whose next
     fix still falls within the span and retires the others.
@@ -500,8 +356,10 @@ def run_madrd_block(block: TrajectoryBlock, configs, query_times):
 
 
 def run_dvm_block(block: TrajectoryBlock, configs, query_times, bootstrap_interval: float = 1.0):
-    """``run_dvm`` for every row of a block, one ``DvmConfig`` per row,
-    with the lock-step rounds of ``run_madrd_block``."""
+    """The velocity-monotonic baseline for every row of a block, one
+    ``DvmConfig`` per row, with the lock-step rounds of ``run_madrd_block``:
+    fixes at 0 and at ``bootstrap_interval``, then at the intervals of
+    ``protocols.dvm_next_interval``; each query gets the latest fix."""
     q = np.asarray(query_times, dtype=float)
     threshold = np.array([c.threshold_distance for c in configs], dtype=float)
     lo_clamp = np.array([c.min_interval for c in configs], dtype=float)
@@ -533,7 +391,7 @@ def run_dvm_block(block: TrajectoryBlock, configs, query_times, bootstrap_interv
 @dataclass(frozen=True, eq=False)
 class ErrorTable:
     """Error records as columns: row i is one query evaluation of one
-    protocol in one replication.  Iterating yields ``ErrorRecord`` rows."""
+    protocol in one replication."""
 
     protocol: np.ndarray
     replication_index: np.ndarray
@@ -550,26 +408,11 @@ class ErrorTable:
     def concat(cls, tables) -> ErrorTable:
         tables = list(tables)
         if not tables:
-            return cls.from_records([])
+            return cls(*(np.empty(0, dtype) for dtype in (str, np.int64, float, float, float, np.int64)))
         return cls(*(np.concatenate(cols) for cols in zip(*(t.columns for t in tables))))
-
-    @classmethod
-    def from_records(cls, records) -> ErrorTable:
-        names = [f.name for f in fields(ErrorRecord)]
-        cols = list(zip(*(tuple(getattr(rec, name) for name in names) for rec in records))) or [()] * len(names)
-        dtypes = (str, np.int64, float, float, float, np.int64)
-        return cls(*(np.array(col, dtype=dt) for col, dt in zip(cols, dtypes)))
 
     def __len__(self) -> int:
         return len(self.sq_error)
-
-    def __iter__(self):
-        return (ErrorRecord(*row) for row in zip(*(col.tolist() for col in self.columns)))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ErrorTable(*(col[index] for col in self.columns))
-        return ErrorRecord(*(col[index].item() for col in self.columns))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ErrorTable):
@@ -655,15 +498,14 @@ def collect_error_records(cfg: ExperimentConfig, block: int = _CHUNK_ROWS) -> Er
     return ErrorTable.concat(tables)
 
 
-def bin_records(records) -> dict[str, list[BinnedResult]]:
-    """Group records (an ``ErrorTable`` or ``ErrorRecord`` objects) by
-    (protocol, localization count) and aggregate.
+def bin_records(table: ErrorTable) -> dict[str, list[BinnedResult]]:
+    """Group the records of a table by (protocol, localization count) and
+    aggregate.
 
     Pure function of the record multiset: every bin sums its values in
-    sorted order, so permuting the input changes nothing.  Empty bins
+    sorted order, so permuting the rows changes nothing.  Empty bins
     simply do not appear.
     """
-    table = records if isinstance(records, ErrorTable) else ErrorTable.from_records(records)
     if not len(table):
         return {}
     names, codes = np.unique(table.protocol, return_inverse=True)
@@ -828,14 +670,14 @@ def validate_conditional_moments(
                 _z_check(
                     f"waypoint_time n={n} k={k} order=1",
                     wp[:, col],
-                    cond_waypoint_time_moment(ConditionalMomentQuery(tau=tau, n=n, k=k, order=1)),
+                    cond_waypoint_time_moment(tau, n, k, 1),
                 )
             )
             report.checks.append(
                 _z_check(
                     f"waypoint_time n={n} k={k} order=2",
                     wp[:, col] ** 2,
-                    cond_waypoint_time_moment(ConditionalMomentQuery(tau=tau, n=n, k=k, order=2)),
+                    cond_waypoint_time_moment(tau, n, k, 2),
                 )
             )
             report.checks.append(

@@ -2,24 +2,20 @@
 baselines.
 
 All four schemes pay one unit of energy per localization call, so each
-state carries a ``calls`` counter and nothing else measures energy.  Fixes
-are exact unless a ``noise`` hook is supplied.  Each state machine serves a
-single simulated sensor; distinct sensors can run concurrently because no
-state is shared.
+state carries a ``calls`` counter and nothing else measures energy.  Each
+state machine serves a single simulated sensor; distinct sensors can run
+concurrently because no state is shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import BracketError, DegeneratePairError, ParameterError, StaleQueryError
 from .mobility import Trajectory, position_at
-
-NoiseHook = Callable[[float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -45,13 +41,9 @@ class Response:
     fix_b: LocalizationFix
 
 
-def localize(truth: Trajectory, t: float, noise: NoiseHook | None = None) -> LocalizationFix:
-    """Invoke the (costly) positioning primitive: exact by default."""
-    x, y = position_at(truth, t)
-    if noise is not None:
-        dx, dy = noise(t)
-        x, y = x + dx, y + dy
-    return LocalizationFix(time=t, pos=(x, y))
+def localize(truth: Trajectory, t: float) -> LocalizationFix:
+    """Invoke the (costly) positioning primitive: an exact fix."""
+    return LocalizationFix(time=t, pos=position_at(truth, t))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +83,6 @@ class MaintState:
     mode: str = "timer"
     immediate_mode: bool = False
     calls: int = 1
-    noise: NoiseHook | None = None
 
 
 def maint_init(
@@ -100,7 +91,6 @@ def maint_init(
     mode: str = "timer",
     immediate_mode: bool = False,
     start_time: float = 0.0,
-    noise: NoiseHook | None = None,
 ) -> MaintState:
     """Localize once at ``start_time`` and return fresh scheduler state."""
     if not period_T > 0:
@@ -108,16 +98,15 @@ def maint_init(
     if mode not in ("timer", "query"):
         raise ParameterError(f"mode must be 'timer' or 'query', got {mode!r}")
     return MaintState(
-        last_fix=localize(truth, start_time, noise),
+        last_fix=localize(truth, start_time),
         period_T=period_T,
         mode=mode,
         immediate_mode=immediate_mode,
-        noise=noise,
     )
 
 
 def _maint_fire(state: MaintState, truth: Trajectory, clock: float) -> list[Response]:
-    new_fix = localize(truth, clock, state.noise)
+    new_fix = localize(truth, clock)
     state.calls += 1
     responses = [Response(q.requester, state.last_fix, new_fix) for q in state.pending]
     state.pending.clear()
@@ -308,27 +297,3 @@ def dvm_on_localization(state: DvmState, new_fix: LocalizationFix) -> DvmState:
     state.fix_last = new_fix
     state.calls += 1
     return state
-
-
-# ---------------------------------------------------------------------------
-# optional event log
-
-
-@dataclass
-class EventLog:
-    """Collects (time, kind, requester, x, y) rows; kind is one of
-    query / localization / response."""
-
-    rows: list[tuple] = field(default_factory=list)
-
-    def record(self, time: float, kind: str, requester: object, x: float, y: float) -> None:
-        self.rows.append((time, kind, requester, x, y))
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "event_kind", "requester", "x", "y"])
-            for time_, kind, requester, x, y in self.rows:
-                writer.writerow([repr(float(time_)), kind, requester, repr(float(x)), repr(float(y))])

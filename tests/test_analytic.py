@@ -18,7 +18,6 @@ from scipy.integrate import dblquad, quad
 
 from maintsim.analytic import (
     _libm,
-    ConditionalMomentQuery,
     cond_interarrival_moment,
     cond_position_second_moment,
     cond_waypoint_time_moment,
@@ -49,10 +48,10 @@ def _sorted_uniforms(rng, tau, n, samples):
 
 class TestCondWaypointTimeMoment:
     def test_frozen_values(self):
-        assert cond_waypoint_time_moment(ConditionalMomentQuery(10.0, 4, 2, 1)) == 4.0
-        assert cond_waypoint_time_moment(ConditionalMomentQuery(10.0, 4, 2, 2)) == 20.0
+        assert cond_waypoint_time_moment(10.0, 4, 2, 1) == 4.0
+        assert cond_waypoint_time_moment(10.0, 4, 2, 2) == 20.0
         # single waypoint: uniform on (0, tau), mean by symmetry
-        assert cond_waypoint_time_moment(ConditionalMomentQuery(10.0, 1, 1, 1)) == 5.0
+        assert cond_waypoint_time_moment(10.0, 1, 1, 1) == 5.0
 
     def test_order_statistics_oracle(self):
         rng = np.random.default_rng(2024)
@@ -64,13 +63,13 @@ class TestCondWaypointTimeMoment:
 
     def test_rejects_bad_order(self):
         with pytest.raises(UnsupportedMomentError):
-            cond_waypoint_time_moment(ConditionalMomentQuery(10.0, 4, 2, 3))
+            cond_waypoint_time_moment(10.0, 4, 2, 3)
 
     def test_rejects_bad_query(self):
         with pytest.raises(ParameterError):
-            ConditionalMomentQuery(10.0, 4, 5, 1)
+            cond_waypoint_time_moment(10.0, 4, 5, 1)
         with pytest.raises(ParameterError):
-            ConditionalMomentQuery(-1.0, 4, 2, 1)
+            cond_waypoint_time_moment(-1.0, 4, 2, 1)
 
 
 class TestCondInterarrivalMoment:
@@ -540,7 +539,7 @@ class TestDensities:
     def test_density_moments_match_closed_forms(self, n, k):
         tau = 10.0
         mean, _ = quad(lambda x: x * waypoint_time_density(x, tau, n, k), 0.0, tau, epsabs=1e-12, epsrel=1e-12)
-        assert mean == pytest.approx(cond_waypoint_time_moment(ConditionalMomentQuery(tau, n, k, 1)), rel=1e-9)
+        assert mean == pytest.approx(cond_waypoint_time_moment(tau, n, k, 1), rel=1e-9)
         second, _ = quad(
             lambda y: y * y * interarrival_density(y, tau, n), 0.0, tau, epsabs=1e-12, epsrel=1e-12
         )

@@ -34,7 +34,7 @@ class TestParseGrid:
     def test_bad_ranges(self):
         from maintsim.cli import _UsageError
 
-        for bad in ("200:10:10", "1:10:0", "abc", "1:2"):
+        for bad in ("200:10:10", "1:10:0", "abc", "1:2", ",", ",,"):
             with pytest.raises(_UsageError):
                 parse_grid(bad)
 
@@ -85,6 +85,12 @@ class TestTheory:
         assert run(["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1",
                     "--T", "10:20:10", "--t", "0:10:1"]) == EXIT_USAGE
         assert run(["theory", "--mode", "nope", "--sigma", "5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("mode,flags", [("error_avg", ["--lambda", "0.1"]), ("asymptote", ["--C", "50"])])
+    def test_empty_grid_writes_nothing(self, tmp_path, mode, flags):
+        out = tmp_path / "empty.csv"
+        assert run(["theory", "--mode", mode, "--sigma", "5", *flags, "--T", ",", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_validation_error_exit(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -187,6 +193,35 @@ class TestSimulate:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         assert run(["simulate", "fig5", "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4", "--replications", "5", "--T", "5"],
+            ["fig5", "--T", "20", "--replications", "5", "--C", "50"],
+            ["moments", "--samples", "10000", "--replications", "5"],
+            ["fig5", "--T", ",", "--replications", "5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_setting_the_experiment_ignores_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", *argv, "--out", str(out)]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "x.csv.manifest.json").exists()
+
+    def test_config_key_the_experiment_ignores_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("replications = 5\nsamples = 10000\n")
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "fig4", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("replications = abc\n")
+        assert run(["simulate", "fig5", "--config", str(cfg)]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
 
 
 BAD_FLAGS = [

@@ -18,11 +18,11 @@ from maintsim.mobility import (
     Trajectory,
     TrajectoryBlock,
     _window_cols,
+    _window_legs,
     chunk_rows,
     generate_trajectory,
     position_at,
     replication_chunk,
-    waypoint_count,
 )
 
 PARAMS = ModelParams(lambda_rate=0.1, sigma=5.0, seed=1234, span=100.0)
@@ -53,9 +53,17 @@ def manual_trajectory(legs, span):
     start_times = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
     xs = np.concatenate([[0.0], np.cumsum(us[:-1] * durations[:-1])])
     ys = np.concatenate([[0.0], np.cumsum(vs[:-1] * durations[:-1])])
-    return Trajectory(
-        span=span, start_times=start_times, start_x=xs, start_y=ys, vel_x=us, vel_y=vs, durations=durations
-    )
+    return Trajectory(span=span, start_times=start_times, start_x=xs, start_y=ys, vel_x=us, vel_y=vs)
+
+
+def drawn_durations(params, r):
+    """Leg durations of replication r as its chunk draws them (the chunk's
+    stream is keyed by (seed, chunk)), for the legs of its trajectory."""
+    rows = chunk_rows(params)
+    rng = np.random.default_rng([params.seed, r // rows])
+    gaps, starts, _, _ = _window_legs(rng, params.lambda_rate, params.sigma, params.span, rows)
+    row = r % rows
+    return gaps[row, : np.count_nonzero(starts[row] <= params.span)]
 
 
 class TestGeneration:
@@ -69,16 +77,18 @@ class TestGeneration:
     def test_replications_differ(self):
         a = generate_trajectory(PARAMS, 0)
         b = generate_trajectory(PARAMS, 1)
-        assert not np.array_equal(a.durations[:3], b.durations[:3])
+        assert not np.array_equal(a.start_times[1:4], b.start_times[1:4])
 
     def test_legs_cover_span_and_are_contiguous(self):
         traj = generate_trajectory(PARAMS, 3)
+        durations = drawn_durations(PARAMS, 3)
+        assert len(durations) == len(traj.start_times)
         assert traj.start_times[0] == 0.0
         assert traj.start_times[-1] < PARAMS.span
-        assert traj.start_times[-1] + traj.durations[-1] >= PARAMS.span
-        ends = traj.start_times[:-1] + traj.durations[:-1]
+        assert traj.start_times[-1] + durations[-1] >= PARAMS.span
+        ends = traj.start_times[:-1] + durations[:-1]
         assert np.array_equal(ends, traj.start_times[1:])
-        assert (traj.durations > 0).all()
+        assert (durations > 0).all()
 
     def test_mean_waypoint_count(self, ensemble_stats):
         mean = ensemble_stats["counts_span"].mean()
@@ -144,7 +154,7 @@ class TestChunkStreams:
         for name in ("start_times", "start_x", "start_y", "vel_x", "vel_y"):
             assert np.array_equal(getattr(traj, name), getattr(block, name)[row, :n]), name
         # the row's legs stop at the one that overshoots the span
-        assert traj.start_times[-1] <= PARAMS.span < traj.start_times[-1] + traj.durations[-1]
+        assert traj.start_times[-1] <= PARAMS.span < traj.start_times[-1] + drawn_durations(PARAMS, r)[-1]
         assert np.all(block.start_times[row, n:] > PARAMS.span)
 
     def test_chunk_stream_is_keyed_by_seed_and_chunk(self):
@@ -179,16 +189,19 @@ class TestPositionAt:
 
     def test_waypoint_positions_equal_cumulative_sums(self):
         traj = generate_trajectory(PARAMS, 9)
-        inside = traj.waypoint_times[traj.waypoint_times <= traj.span]
+        durations = drawn_durations(PARAMS, 9)
+        waypoints = traj.start_times[1:]
+        inside = waypoints[waypoints <= traj.span]
         assert inside.size > 1
         for i, t in enumerate(inside, start=1):
             x, y = position_at(traj, float(t))
-            assert x == float(np.cumsum(traj.vel_x[:i] * traj.durations[:i])[-1])
-            assert y == float(np.cumsum(traj.vel_y[:i] * traj.durations[:i])[-1])
+            assert x == float(np.cumsum(traj.vel_x[:i] * durations[:i])[-1])
+            assert y == float(np.cumsum(traj.vel_y[:i] * durations[:i])[-1])
 
     def test_continuous_at_waypoints(self):
         traj = generate_trajectory(PARAMS, 9)
-        for t in traj.waypoint_times[traj.waypoint_times < traj.span]:
+        waypoints = traj.start_times[1:]
+        for t in waypoints[waypoints < traj.span]:
             before = position_at(traj, float(np.nextafter(t, 0.0)))
             at = position_at(traj, float(t))
             speed = np.hypot(traj.vel_x, traj.vel_y).max()
@@ -217,28 +230,3 @@ class TestPositionAt:
         dt = t - traj.start_times[idx]
         assert x == traj.start_x[idx] + traj.vel_x[idx] * dt
         assert y == traj.start_y[idx] + traj.vel_y[idx] * dt
-
-
-class TestWaypointCount:
-    def test_zero_before_first_waypoint(self):
-        traj = generate_trajectory(PARAMS, 6)
-        t = float(traj.durations[0]) * 0.5
-        assert waypoint_count(traj, t) == 0
-
-    def test_counts_are_nondecreasing(self):
-        traj = generate_trajectory(PARAMS, 6)
-        ts = np.linspace(0.0, traj.span, 101)
-        counts = waypoint_count(traj, ts)
-        assert (np.diff(counts) >= 0).all()
-
-    def test_counts_inclusive_at_waypoint(self):
-        traj = generate_trajectory(PARAMS, 6)
-        t1 = float(traj.waypoint_times[0])
-        assert waypoint_count(traj, t1) == 1
-        assert waypoint_count(traj, np.nextafter(t1, 0.0)) == 0
-
-    def test_domain_error(self):
-        traj = generate_trajectory(PARAMS, 6)
-        with pytest.raises(ParameterError):
-            waypoint_count(traj, traj.span * 1.01)
-

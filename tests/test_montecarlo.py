@@ -24,29 +24,24 @@ from maintsim.mobility import (
     replication_chunk,
 )
 from maintsim.montecarlo import (
-    ErrorRecord,
     ErrorTable,
     ExperimentConfig,
     bin_records,
     collect_error_records,
     run_asymptotic_sweep,
-    run_dvm,
     run_dvm_block,
     run_error_vs_count,
     run_error_vs_period,
-    run_madrd,
     run_madrd_block,
-    run_maint_timer,
     run_maint_timer_block,
-    run_sfr,
     run_sfr_block,
     sample_window_errors,
     sample_window_positions,
     validate_conditional_moments,
     _WINDOW_BATCH,
-    _madrd_fix_sequence,
 )
-from maintsim.protocols import DvmConfig, EventLog, MadrdConfig, MadrdState, extrapolate_madrd
+from maintsim.protocols import DvmConfig, MadrdConfig, MadrdState, extrapolate_madrd, interpolate, localize
+from reference_runners import _madrd_fix_sequence, run_dvm, run_madrd, run_maint_timer, run_sfr
 
 MODEL = ModelParams(lambda_rate=0.1, sigma=5.0, seed=77, span=100.0)
 
@@ -88,15 +83,14 @@ class TestMaintTimerRunner:
     def test_every_query_answered_once(self):
         traj = generate_trajectory(MODEL, 3)
         qts = np.sort(np.random.default_rng(5).uniform(0.0, 100.0, 40))
-        log = EventLog()
-        est, _ = run_maint_timer(traj, 25.0, qts, log=log)
-        responses = [r for r in log.rows if r[1] == "response"]
-        assert len(responses) == 40
+        est, _ = run_maint_timer(traj, 25.0, qts)
+        assert est.shape == (40, 2)
         assert np.isfinite(est).all()
-        # answered at the first localization at or after arrival
-        for t_resp, _, requester, _, _ in responses:
-            q_time = qts[requester]
-            assert t_resp == math.ceil(q_time / 25.0) * 25.0 or (q_time % 25.0 == 0.0 and t_resp == q_time)
+        # answered at the first localization at or after arrival, with the
+        # chord between its fix and the one a period before
+        for q_time, got in zip(qts, est):
+            hi = max(math.ceil(q_time / 25.0), 1) * 25.0
+            assert tuple(got) == interpolate(localize(traj, hi - 25.0), localize(traj, hi), float(q_time))
 
     def test_agrees_with_closed_form_average(self):
         # event-driven protocol over full spans vs the closed form
@@ -206,6 +200,13 @@ def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootst
             b_est, b_calls = batched[name]
             assert b_calls[i] == calls, (name, i)
             np.testing.assert_allclose(b_est[i], est, rtol=rtol, atol=0.0, err_msg=f"{name} row {i}")
+
+
+def table_rows(table):
+    """(protocol, replication, query time, squared error, calls) rows of an
+    ``ErrorTable``, as Python values."""
+    columns = (table.protocol, table.replication_index, table.query_time, table.sq_error, table.localization_count)
+    return list(zip(*(col.tolist() for col in columns)))
 
 
 def scalar_records(cfg):
@@ -322,7 +323,7 @@ class TestBlockRunners:
         cfg = ExperimentConfig(model=model, protocols=ALL_PROTOCOLS, replications=40, queries_per_replication=2)
         table = collect_error_records(cfg, block=7)
         expected = sorted(scalar_records(cfg))
-        got = sorted((r.protocol, r.replication_index, r.query_time, r.sq_error, r.localization_count) for r in table)
+        got = sorted(table_rows(table))
         assert len(got) == len(expected) == 4 * 40 * 2
         for g, e in zip(got, expected):
             assert g[:3] == e[:3] and g[4] == e[4]
@@ -357,7 +358,7 @@ class TestBlockRunners:
         short = ExperimentConfig(model=MODEL, replications=300, queries_per_replication=2)
         small = collect_error_records(short)
         big = collect_error_records(cfg)
-        assert big[: len(small)] == small
+        assert ErrorTable(*(col[: len(small)] for col in big.columns)) == small
         assert np.array_equal(np.unique(small.replication_index), np.arange(300))
 
     def test_blocks_cap_padded_legs(self):
@@ -371,14 +372,6 @@ class TestBlockRunners:
         cfg = ExperimentConfig(model=model, replications=rows + 5)
         table = collect_error_records(cfg)
         assert np.array_equal(np.unique(table.replication_index), np.arange(rows + 5))
-
-    def test_table_and_record_list_bin_alike(self):
-        cfg = ExperimentConfig(model=MODEL, protocols=ALL_PROTOCOLS, replications=30)
-        table = collect_error_records(cfg)
-        records = list(table)
-        assert all(isinstance(r, ErrorRecord) for r in records)
-        assert len(table) == len(records) == 4 * 30
-        assert bin_records(records) == bin_records(table)
 
 
 class TestPeriodSweep:
@@ -444,31 +437,34 @@ class TestErrorVsCount:
     CFG = ExperimentConfig(model=MODEL, replications=1200, queries_per_replication=1)
 
     def test_record_invariants(self):
-        records = collect_error_records(self.CFG)
-        protocols = {r.protocol for r in records}
-        assert protocols == {"MAINT", "MADRD"}
-        for r in records[:500]:
-            assert r.sq_error == pytest.approx(r.abs_error**2, rel=1e-12)
-            assert r.localization_count >= 1
-            assert 0.0 <= r.query_time <= MODEL.span
+        table = collect_error_records(self.CFG)
+        assert set(table.protocol.tolist()) == {"MAINT", "MADRD"}
+        head = slice(0, 500)
+        for sq_error, abs_error, count, query_time in zip(
+            table.sq_error[head], table.abs_error[head], table.localization_count[head], table.query_time[head]
+        ):
+            assert sq_error == pytest.approx(abs_error**2, rel=1e-12)
+            assert count >= 1
+            assert 0.0 <= query_time <= MODEL.span
 
     def test_truth_is_the_trajectory_position(self):
-        records = [r for r in collect_error_records(self.CFG) if r.protocol == "MAINT"][:40]
+        table = collect_error_records(self.CFG)
+        maint = [row for row in table_rows(table) if row[0] == "MAINT"][:40]
         # recompute the estimate independently and recover the recorded error
-        for rec in records:
-            traj = generate_trajectory(MODEL, rec.replication_index)
-            period = self.CFG.maint_periods[rec.replication_index % len(self.CFG.maint_periods)]
-            est, calls = run_maint_timer(traj, period, [rec.query_time])
-            tx, ty = position_at(traj, rec.query_time)
+        for _, rep, query_time, sq_error, count in maint:
+            traj = generate_trajectory(MODEL, rep)
+            period = self.CFG.maint_periods[rep % len(self.CFG.maint_periods)]
+            est, calls = run_maint_timer(traj, period, [query_time])
+            tx, ty = position_at(traj, query_time)
             sq = (est[0, 0] - tx) ** 2 + (est[0, 1] - ty) ** 2
-            assert rec.localization_count == calls
-            assert rec.sq_error == pytest.approx(sq, rel=1e-9, abs=1e-15)
+            assert count == calls
+            assert sq_error == pytest.approx(sq, rel=1e-9, abs=1e-15)
 
     def test_binning_is_order_independent(self):
-        records = collect_error_records(self.CFG)
-        shuffled = list(records)
-        np.random.default_rng(0).shuffle(shuffled)
-        assert bin_records(records) == bin_records(shuffled)
+        table = collect_error_records(self.CFG)
+        order = np.random.default_rng(0).permutation(len(table))
+        shuffled = ErrorTable(*(col[order] for col in table.columns))
+        assert bin_records(table) == bin_records(shuffled)
 
     def test_deterministic_rerun(self):
         assert collect_error_records(self.CFG) == collect_error_records(self.CFG)
@@ -512,8 +508,14 @@ class TestErrorVsCount:
         cfg = ExperimentConfig(
             model=MODEL, protocols=("MAINT", "MADRD", "SFR", "DVM"), replications=40, queries_per_replication=1
         )
-        records = collect_error_records(cfg)
-        assert {r.protocol for r in records} == {"MAINT", "MADRD", "SFR", "DVM"}
+        table = collect_error_records(cfg)
+        assert set(table.protocol.tolist()) == {"MAINT", "MADRD", "SFR", "DVM"}
+
+    def test_no_protocols_give_an_empty_table(self):
+        table = collect_error_records(ExperimentConfig(model=MODEL, protocols=()))
+        assert len(table) == 0
+        assert len(table.columns) == 6
+        assert bin_records(table) == {}
 
 
 def _old_generate_trajectory(params, replication_index):
@@ -542,9 +544,7 @@ def _old_generate_trajectory(params, replication_index):
     start_times = np.concatenate([[0.0], ends[:-1]])
     xs = np.concatenate([[0.0], np.cumsum(us[:-1] * gaps[:-1])])
     ys = np.concatenate([[0.0], np.cumsum(vs[:-1] * gaps[:-1])])
-    return Trajectory(
-        span=params.span, start_times=start_times, start_x=xs, start_y=ys, vel_x=us, vel_y=vs, durations=gaps
-    )
+    return Trajectory(span=params.span, start_times=start_times, start_x=xs, start_y=ys, vel_x=us, vel_y=vs)
 
 
 def _old_layout_records(cfg):

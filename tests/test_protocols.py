@@ -14,7 +14,6 @@ from maintsim.mobility import ModelParams, generate_trajectory, position_at
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
-    EventLog,
     LocalizationFix,
     MadrdConfig,
     MadrdState,
@@ -168,12 +167,6 @@ class TestMaint:
         with pytest.raises(ParameterError):
             maint_on_query(state, Query(5.0, "a"), traj, clock=6.0)
 
-    def test_noise_hook(self):
-        traj = generate_trajectory(PARAMS, 8)
-        state = maint_init(traj, period_T=10.0, noise=lambda t: (1.0, -1.0))
-        truth = position_at(traj, 0.0)
-        assert state.last_fix.pos == (truth[0] + 1.0, truth[1] - 1.0)
-
 
 class TestMadrd:
     def line_state(self, base=10.0, **cfg_kwargs):
@@ -321,17 +314,3 @@ class TestDvm:
         )
         with pytest.raises(DegeneratePairError):
             dvm_next_interval(state)
-
-
-class TestEventLog:
-    def test_rows_and_csv(self, tmp_path):
-        log = EventLog()
-        log.record(1.0, "query", "D1", math.nan, math.nan)
-        log.record(2.0, "localization", "", 3.0, 4.0)
-        log.record(2.0, "response", "D1", 1.5, 2.0)
-        path = tmp_path / "events.csv"
-        log.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time,event_kind,requester,x,y"
-        assert len(lines) == 4
-        assert lines[2].startswith("2.0,localization")
