@@ -5,6 +5,8 @@ CSV grid, ``simulate`` runs a named experiment (fig4, fig5, fig6, moments)
 and writes its CSV plus a JSON manifest that pins seed and configuration.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
+A run whose size needs more memory than is available (say ``simulate
+moments --samples 1000000000000``) also exits 2, with one line and no file.
 Outputs default into $MAINTSIM_OUTDIR (falling back to the working
 directory) and depend only on the manifest and tool version: re-running a
 command reproduces its files byte for byte.
@@ -351,6 +353,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("memory error: this run needs more memory than is available; ask for a smaller size", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def entry() -> None:

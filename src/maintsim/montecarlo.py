@@ -27,6 +27,12 @@ and the last chunk is drawn in full and then cut, so a replication's path
 and queries depend neither on the number of replications nor on the block
 size the runners are evaluated in, and aggregation is a pure function of
 the collected records.
+
+The moment check samples its conditioned quantities by construction, apart
+from the window engine, so it checks the formulas independently of it.
+Each block is drawn as the row-major sampler drew it and then handled
+column-major, one contiguous (samples,) row per quantity, in place and
+freed before the next draw; the stream and every value are unchanged.
 """
 
 from __future__ import annotations
@@ -635,6 +641,21 @@ def _z_check(name: str, sample: np.ndarray, theory: float) -> MomentCheck:
     return MomentCheck(name=name, mc_mean=mean, std_error=se, theory=theory, z=float(z), samples=sample.size)
 
 
+def _sort_columns(block: np.ndarray, scratch: np.ndarray) -> None:
+    """Sort every column of an (n, samples) block in place, so row k holds
+    the k-th smallest value of each sample.
+
+    An insertion network of compare-exchanges between neighbouring rows;
+    min and max only move values, so the rows equal ``np.sort(block,
+    axis=0)`` bit for bit.  ``scratch`` is a buffer of one row's length.
+    """
+    for top in range(1, len(block)):
+        for k in range(top, 0, -1):
+            np.minimum(block[k - 1], block[k], out=scratch)
+            np.maximum(block[k - 1], block[k], out=block[k])
+            block[k - 1] = scratch
+
+
 def validate_conditional_moments(
     tau: float = 10.0,
     sigma: float = 5.0,
@@ -651,6 +672,14 @@ def validate_conditional_moments(
     (0, tau), their times are sorted uniforms), so no rejection is needed.
     The unconditional second moment and the cross moment come from direct
     window simulation.  Passing means every |z| < 4.
+
+    Each conditioned block is drawn as a (samples, n) matrix, uniforms then
+    normals, and transposed once into a column-major (n, samples) block, so
+    every check reads a contiguous row.  Times are sorted, differenced and
+    summed in place, row by row, in the order ``np.sort``, ``np.diff`` and
+    ``np.cumsum`` would use on the drawn matrix, so the stream and every
+    value are those of a row-major sampler.  A block is freed before the
+    next one is drawn.
     """
     if samples < 10_000:
         raise ParameterError(f"samples must be >= 10000, got {samples}")
@@ -658,66 +687,84 @@ def validate_conditional_moments(
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     rng = np.random.default_rng([seed, _STREAM_MOMENTS])
     report = MomentReport()
+    sq = np.empty(samples)  # squares of the row being checked
 
     for n in range(1, n_max + 1):
-        wp = np.sort(rng.uniform(0.0, tau, (samples, n)), axis=1)
-        gaps = np.diff(wp, axis=1, prepend=0.0)
-        vel = sigma * rng.standard_normal((samples, n))
-        pos = np.cumsum(vel * gaps, axis=1)
-        for k in range(1, n + 1):
-            col = k - 1
-            report.checks.append(
-                _z_check(
-                    f"waypoint_time n={n} k={k} order=1",
-                    wp[:, col],
-                    cond_waypoint_time_moment(tau, n, k, 1),
-                )
-            )
-            report.checks.append(
+        by_k = [[] for _ in range(n)]
+        # row k of the block holds, in turn, the k-th waypoint time, the gap
+        # before it, and the position reached at it
+        block = np.ascontiguousarray(rng.uniform(0.0, tau, (samples, n)).T)
+        _sort_columns(block, sq)
+        for k, row in enumerate(block, start=1):
+            by_k[k - 1] += (
+                _z_check(f"waypoint_time n={n} k={k} order=1", row, cond_waypoint_time_moment(tau, n, k, 1)),
                 _z_check(
                     f"waypoint_time n={n} k={k} order=2",
-                    wp[:, col] ** 2,
+                    np.square(row, out=sq),
                     cond_waypoint_time_moment(tau, n, k, 2),
-                )
+                ),
             )
-            report.checks.append(
-                _z_check(
-                    f"interarrival n={n} k={k} order=1",
-                    gaps[:, col],
-                    cond_interarrival_moment(tau, n, 1),
-                )
-            )
-            report.checks.append(
+        # last row first, so every subtraction reads two undifferenced times
+        for k in range(n - 1, 0, -1):
+            block[k] -= block[k - 1]
+        for k, row in enumerate(block, start=1):
+            by_k[k - 1] += (
+                _z_check(f"interarrival n={n} k={k} order=1", row, cond_interarrival_moment(tau, n, 1)),
                 _z_check(
                     f"interarrival n={n} k={k} order=2",
-                    gaps[:, col] ** 2,
+                    np.square(row, out=sq),
                     cond_interarrival_moment(tau, n, 2),
-                )
+                ),
             )
-            report.checks.append(
+        vel = rng.standard_normal((samples, n))
+        vel *= sigma  # products commute: these are (sigma * v) * gap exactly
+        block *= vel.T
+        del vel
+        for k in range(1, n):
+            block[k] += block[k - 1]
+        for k, row in enumerate(block, start=1):
+            by_k[k - 1].append(
                 _z_check(
                     f"waypoint_position_sq n={n} k={k}",
-                    pos[:, col] ** 2,
+                    np.square(row, out=sq),
                     cond_position_second_moment(tau, n, k, sigma),
                 )
             )
+        del block, row
+        for checks in by_k:
+            report.checks += checks
 
     # position second moment given an exact waypoint count in (0, t)
     for i in range(0, n_max + 1):
         if i == 0:
             x = t * sigma * rng.standard_normal(samples)
         else:
-            wp = np.sort(rng.uniform(0.0, t, (samples, i)), axis=1)
-            gaps = np.diff(wp, axis=1, prepend=0.0)
-            vel = sigma * rng.standard_normal((samples, i + 1))
-            x = (vel[:, :i] * gaps).sum(axis=1) + (t - wp[:, i - 1]) * vel[:, i]
+            # rows: waypoint times, then gaps, then each leg's displacement
+            block = np.ascontiguousarray(rng.uniform(0.0, t, (samples, i)).T)
+            _sort_columns(block, sq)
+            tail = t - block[i - 1]
+            for k in range(i - 1, 0, -1):
+                block[k] -= block[k - 1]
+            vel = rng.standard_normal((samples, i + 1))
+            vel *= sigma
+            block *= vel[:, :i].T
+            tail *= vel[:, i]
+            del vel
+            # summed sample by sample, so numpy picks the same order as for
+            # the row-major product (eight accumulators from eight terms on)
+            x = np.ascontiguousarray(block.T).sum(axis=1)
+            del block
+            x += tail
+            del tail
         report.checks.append(
             _z_check(
                 f"position_sq_given_count i={i}",
-                x**2,
+                np.square(x, out=sq),
                 position_second_moment_given_count(t, i, sigma),
             )
         )
+        del x
+    del sq
 
     # unconditional position second moment and the split-window cross moment;
     # x and y coordinates are iid so both contribute samples

@@ -5,12 +5,25 @@ They are the oracle of the differential tests, which hold the
 block-batched runners of ``maintsim.montecarlo`` to the same call counts
 and estimates.  Each returns (estimates (n, 2), localization count) for the
 query times it is given.
+
+``validate_conditional_moments`` is the row-major moment check of 0.4.0,
+kept as the oracle of the column-major one in ``maintsim.montecarlo``:
+both draw the same stream, and every check must agree bit for bit.
 """
 
 import numpy as np
 
+from maintsim.analytic import (
+    cond_interarrival_moment,
+    cond_position_second_moment,
+    cond_waypoint_time_moment,
+    displacement_cross_moment,
+    position_second_moment,
+    position_second_moment_given_count,
+)
 from maintsim.errors import ParameterError
 from maintsim.mobility import Trajectory, position_at
+from maintsim.montecarlo import _STREAM_MOMENTS, MomentReport, _z_check, sample_window_positions
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
@@ -133,3 +146,105 @@ def run_dvm(traj: Trajectory, cfg: DvmConfig, query_times, bootstrap_interval: f
     fy = np.array([f.pos[1] for f in fixes])
     j = np.searchsorted(times, qts, side="right") - 1
     return np.column_stack([fx[j], fy[j]]), state.calls
+
+
+def validate_conditional_moments(
+    tau: float = 10.0,
+    sigma: float = 5.0,
+    lambda_rate: float = 0.1,
+    t: float = 5.0,
+    T: float = 10.0,
+    n_max: int = 6,
+    samples: int = 100_000,
+    seed: int = 0,
+) -> MomentReport:
+    """Monte Carlo z-scores for every conditional-moment formula.
+
+    Conditioned quantities are sampled by construction (given n waypoints in
+    (0, tau), their times are sorted uniforms), so no rejection is needed.
+    The unconditional second moment and the cross moment come from direct
+    window simulation.  Passing means every |z| < 4.
+    """
+    if samples < 10_000:
+        raise ParameterError(f"samples must be >= 10000, got {samples}")
+    if n_max < 1:
+        raise ParameterError(f"n_max must be >= 1, got {n_max}")
+    rng = np.random.default_rng([seed, _STREAM_MOMENTS])
+    report = MomentReport()
+
+    for n in range(1, n_max + 1):
+        wp = np.sort(rng.uniform(0.0, tau, (samples, n)), axis=1)
+        gaps = np.diff(wp, axis=1, prepend=0.0)
+        vel = sigma * rng.standard_normal((samples, n))
+        pos = np.cumsum(vel * gaps, axis=1)
+        for k in range(1, n + 1):
+            col = k - 1
+            report.checks.append(
+                _z_check(
+                    f"waypoint_time n={n} k={k} order=1",
+                    wp[:, col],
+                    cond_waypoint_time_moment(tau, n, k, 1),
+                )
+            )
+            report.checks.append(
+                _z_check(
+                    f"waypoint_time n={n} k={k} order=2",
+                    wp[:, col] ** 2,
+                    cond_waypoint_time_moment(tau, n, k, 2),
+                )
+            )
+            report.checks.append(
+                _z_check(
+                    f"interarrival n={n} k={k} order=1",
+                    gaps[:, col],
+                    cond_interarrival_moment(tau, n, 1),
+                )
+            )
+            report.checks.append(
+                _z_check(
+                    f"interarrival n={n} k={k} order=2",
+                    gaps[:, col] ** 2,
+                    cond_interarrival_moment(tau, n, 2),
+                )
+            )
+            report.checks.append(
+                _z_check(
+                    f"waypoint_position_sq n={n} k={k}",
+                    pos[:, col] ** 2,
+                    cond_position_second_moment(tau, n, k, sigma),
+                )
+            )
+
+    # position second moment given an exact waypoint count in (0, t)
+    for i in range(0, n_max + 1):
+        if i == 0:
+            x = t * sigma * rng.standard_normal(samples)
+        else:
+            wp = np.sort(rng.uniform(0.0, t, (samples, i)), axis=1)
+            gaps = np.diff(wp, axis=1, prepend=0.0)
+            vel = sigma * rng.standard_normal((samples, i + 1))
+            x = (vel[:, :i] * gaps).sum(axis=1) + (t - wp[:, i - 1]) * vel[:, i]
+        report.checks.append(
+            _z_check(
+                f"position_sq_given_count i={i}",
+                x**2,
+                position_second_moment_given_count(t, i, sigma),
+            )
+        )
+
+    # unconditional position second moment and the split-window cross moment;
+    # x and y coordinates are iid so both contribute samples
+    xs, ys = sample_window_positions(rng, lambda_rate, sigma, T, samples, (t, T))
+    at_t = np.concatenate([xs[:, 0], ys[:, 0]])
+    at_T = np.concatenate([xs[:, 1], ys[:, 1]])
+    report.checks.append(
+        _z_check("position_sq_unconditional", at_t**2, position_second_moment(t, lambda_rate, sigma))
+    )
+    report.checks.append(
+        _z_check(
+            "displacement_cross_moment",
+            at_t * (at_T - at_t),
+            displacement_cross_moment(t, T, lambda_rate, sigma),
+        )
+    )
+    return report

@@ -296,6 +296,23 @@ def test_oversized_grid_range_exits_two(tmp_path, spec):
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "moments", "--samples", "200000000"],
+        ["simulate", "fig5", "--replications", "100000000", "--queries", "20"],
+    ],
+)
+def test_allocation_failure_exits_two(tmp_path, argv):
+    # both sizes fail on their first large allocation under the 1 GiB cap
+    out = tmp_path / "big.csv"
+    proc = run_capped_child([*argv, "--out", str(out)])
+    assert proc.returncode == EXIT_VALIDATION
+    assert "needs more memory than is available" in proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
+
+
 def test_grid_cap_is_inclusive(monkeypatch):
     import maintsim.cli as cli
 

@@ -1,0 +1,74 @@
+"""Pinned output digests: the data bytes of one small run of every
+experiment and of a theory grid, recorded at version 0.4.0.
+
+A digest covers every line of the CSV except ``# tool=``, which only
+names the version.  Outputs are a pure function of the manifest and the
+tool version, so these digests change only together with a version bump:
+a change that alters any output byte must bump ``maintsim.__version__``
+and record new digests here, and a change that keeps the version must
+reproduce them.  numpy's generators and summation order are part of the
+bytes, so the digests hold for the numpy they were recorded with only.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import maintsim
+from maintsim.cli import EXIT_OK, main
+
+VERSION = "0.4.0"
+NUMPY = "2.4.6"
+
+RUNS = {
+    "fig4": (
+        ["simulate", "fig4", "--replications", "300"],
+        "aa7879851de468f870b6d82f26c10bdcf80e54893f2f23fdd76fbe3e4fe44368",
+    ),
+    "fig5": (
+        ["simulate", "fig5", "--replications", "20"],
+        "b0c174e9af674f2afb6402c0e8da6469b9281cfdf4aed7fc421b22350ce98aad",
+    ),
+    "fig6": (
+        ["simulate", "fig6", "--replications", "20"],
+        "fb4cc81c335e0e7eea1d17183f070d1c4a414c35aea35c9134d27d271a281d6d",
+    ),
+    "moments_n6": (
+        ["simulate", "moments", "--samples", "10000", "--n-max", "6"],
+        "769564f18f58cf355c25fa3fb3c619d5d73bcbbc588c40741d248099aea3678b",
+    ),
+    "moments_n9": (
+        ["simulate", "moments", "--samples", "10000", "--n-max", "9"],
+        "035d0c2189b7fdf8f0d938128fe551ca156a70856ddfb616a710f85818230b88",
+    ),
+    "theory_error_t": (
+        ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:0.5"],
+        "8fc5218601ff35b5c6b9fb83368d82fc900263031c791f85f51246a7ba5737a2",
+    ),
+}
+
+
+def data_digest(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.startswith(b"# tool="):
+                h.update(line)
+    return h.hexdigest()
+
+
+def test_digests_belong_to_this_version():
+    assert maintsim.__version__ == VERSION, "record new digests together with the version bump"
+
+
+@pytest.mark.skipif(
+    np.__version__ != NUMPY,
+    reason=f"digests were recorded with numpy {NUMPY}; numpy {np.__version__} may draw or sum differently",
+)
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_output_digest(tmp_path, name):
+    argv, digest = RUNS[name]
+    out = tmp_path / f"{name}.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert data_digest(out) == digest

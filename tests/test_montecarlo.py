@@ -24,6 +24,7 @@ from maintsim.mobility import (
     replication_chunk,
 )
 from maintsim.montecarlo import (
+    _sort_columns,
     ErrorTable,
     ExperimentConfig,
     bin_records,
@@ -42,6 +43,7 @@ from maintsim.montecarlo import (
 )
 from maintsim.protocols import DvmConfig, MadrdConfig, MadrdState, extrapolate_madrd, interpolate, localize
 from reference_runners import _madrd_fix_sequence, run_dvm, run_madrd, run_maint_timer, run_sfr
+from reference_runners import validate_conditional_moments as row_major_moments
 
 MODEL = ModelParams(lambda_rate=0.1, sigma=5.0, seed=77, span=100.0)
 
@@ -840,6 +842,61 @@ class TestMomentValidation:
     def test_rejects_small_samples(self):
         with pytest.raises(ParameterError):
             validate_conditional_moments(samples=5000)
+
+    # the two parameter points of acceptance criterion 4, without their n_max
+    POINTS = (
+        dict(tau=10.0, sigma=5.0, lambda_rate=0.1, t=5.0, T=10.0),
+        dict(tau=4.0, sigma=2.0, lambda_rate=0.5, t=3.0, T=8.0),
+    )
+
+    @pytest.mark.parametrize("point", range(len(POINTS)))
+    @pytest.mark.parametrize("samples", [10_000, 10_001])
+    @pytest.mark.parametrize("n_max", [1, 2, 6, 9, 12])
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_matches_row_major_reference(self, seed, n_max, samples, point):
+        # n_max >= 8 reaches numpy's eight-accumulator sums in the
+        # count-conditioned checks; an odd sample count leaves a remainder
+        # in every pairwise mean
+        kw = dict(self.POINTS[point], n_max=n_max, samples=samples, seed=seed)
+        got = validate_conditional_moments(**kw).checks
+        want = row_major_moments(**kw).checks
+        assert [c.name for c in got] == [c.name for c in want]
+        for g, w in zip(got, want):
+            assert (g.mc_mean, g.std_error, g.theory, g.z, g.samples) == (
+                w.mc_mean, w.std_error, w.theory, w.z, w.samples
+            ), g.name
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sort_columns_matches_np_sort(self, n):
+        rng = np.random.default_rng(n)
+        # few distinct values, so columns hold ties and exact zeros
+        ties = rng.integers(0, 4, (n, 5000)) * 0.25
+        ties[:, :3] = 0.0
+        for block in (ties, rng.uniform(0.0, 10.0, (n, 5000))):
+            want = np.sort(block, axis=0)
+            _sort_columns(block, np.empty(5000))
+            assert block.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("samples", [20_000, 60_000])
+    def test_peak_memory_per_sample(self, samples):
+        # the column-major blocks keep the traced peak near 15 doubles per
+        # sample, plus a fixed window-engine share that shows at small
+        # sizes; the row-major sampler took 38 (60 000) to 47 (20 000)
+        import tracemalloc
+
+        validate_conditional_moments(samples=10_000, n_max=6)  # keep one-time imports out of the peak
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            validate_conditional_moments(samples=samples, n_max=6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 32 * 8 * samples, peak / (8 * samples)
 
 
 class TestConfigValidation:
