@@ -102,11 +102,7 @@ def waypoint_count_pmf(k, t: float, lambda_rate: float):
     if mean == 0.0:
         out = np.where(ks == 0, 1.0, 0.0)
     else:
-        # imported here: scipy costs every CLI start about 0.3 s, and only
-        # this function needs it
-        from scipy.special import gammaln
-
-        out = np.exp(ks * math.log(mean) - mean - gammaln(ks + 1))
+        out = np.exp(ks * math.log(mean) - mean - _libm(math.lgamma, ks + 1.0))
     return float(out) if np.ndim(k) == 0 else out
 
 

@@ -25,13 +25,7 @@ from . import __version__
 from .analytic import error_asymptote, error_at, error_avg
 from .errors import ParameterError
 from .mobility import ModelParams
-from .montecarlo import (
-    ExperimentConfig,
-    run_asymptotic_sweep,
-    run_error_vs_count,
-    run_error_vs_period,
-    validate_conditional_moments,
-)
+from .montecarlo import ExperimentConfig, run_error_vs_count, run_period_sweep, validate_conditional_moments
 from .output import RunManifest, write_csv, write_manifest
 
 EXIT_OK = 0
@@ -136,7 +130,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--T", help="period grid for fig5/fig6")
     sim.add_argument("--C", dest="ratio_C", type=float)
     sim.add_argument("--replications", type=int)
-    sim.add_argument("--queries", type=int, help="query samples per replication")
+    sim.add_argument("--queries", type=int, help="query samples per replication (fig4)")
     sim.add_argument("--samples", type=int, help="moment-validation sample count")
     sim.add_argument("--n-max", type=int, help="largest conditioned waypoint count")
     sim.add_argument("--out", help="output CSV path")
@@ -197,14 +191,8 @@ def cmd_theory(args) -> int:
 
 _DEFAULTS = {
     "fig4": dict(sigma=5.0, lambda_rate=0.1, span=100.0, seed=0, replications=10000, queries=1),
-    "fig5": dict(
-        sigma=5.0, lambda_rate=0.1, span=100.0, seed=0, replications=100, queries=20,
-        T="20:200:20",
-    ),
-    "fig6": dict(
-        sigma=10.0, lambda_rate=0.1, span=100.0, seed=0, replications=100, queries=20,
-        T="20:200:20", ratio_C=50.0,
-    ),
+    "fig5": dict(sigma=5.0, lambda_rate=0.1, span=100.0, seed=0, replications=100, T="20:200:20"),
+    "fig6": dict(sigma=10.0, lambda_rate=0.1, span=100.0, seed=0, replications=100, T="20:200:20", ratio_C=50.0),
     "moments": dict(
         sigma=5.0, lambda_rate=0.1, span=100.0, seed=0, samples=100000, n_max=6,
     ),
@@ -265,30 +253,23 @@ def cmd_simulate(args) -> int:
     meta["tool"] = f"maintsim {__version__}"
     status = EXIT_OK
 
-    if experiment == "fig5":
+    if experiment in ("fig5", "fig6"):
         cfg = ExperimentConfig(
             model=model,
             T_values=tuple(parse_grid(str(settings["T"]))),
             replications=settings["replications"],
-            queries_per_replication=settings["queries"],
+            ratio_C=settings.get("ratio_C"),
         )
-        points = run_error_vs_period(cfg)
-        rows = [(p.T, p.mean_sq_error, p.std_error, p.samples, p.theory) for p in points]
-        header = ["T", "mean_sq_error", "std_error", "samples", "theory_error_avg"]
-    elif experiment == "fig6":
-        cfg = ExperimentConfig(
-            model=model,
-            T_values=tuple(parse_grid(str(settings["T"]))),
-            replications=settings["replications"],
-            queries_per_replication=settings["queries"],
-            ratio_C=settings["ratio_C"],
-        )
-        points = run_asymptotic_sweep(cfg)
-        rows = [
-            (p.T, p.lambda_rate, p.mean_sq_error, p.std_error, p.samples, p.theory, p.asymptote)
-            for p in points
-        ]
-        header = ["T", "lambda", "mean_sq_error", "std_error", "samples", "theory_error_avg", "asymptote"]
+        points = run_period_sweep(cfg)
+        if experiment == "fig5":
+            rows = [(p.T, p.mean_sq_error, p.std_error, p.samples, p.theory) for p in points]
+            header = ["T", "mean_sq_error", "std_error", "samples", "theory_error_avg"]
+        else:
+            limit = error_asymptote(model.sigma, cfg.ratio_C)
+            rows = [
+                (p.T, p.lambda_rate, p.mean_sq_error, p.std_error, p.samples, p.theory, limit) for p in points
+            ]
+            header = ["T", "lambda", "mean_sq_error", "std_error", "samples", "theory_error_avg", "asymptote"]
     elif experiment == "fig4":
         cfg = ExperimentConfig(
             model=model,

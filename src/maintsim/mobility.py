@@ -12,11 +12,12 @@ by the span.
 ``TrajectoryBlock`` holds many paths of the same model as padded
 (rows, legs) matrices and evaluates all rows at once.  ``windows`` draws
 independent paths over [0, horizon] straight from a caller's generator; the
-window engine of ``montecarlo`` and the count experiment both use it.  It
-draws only what the window reaches: durations in rounds sized at the
-expected leg count plus about three standard deviations, extra rounds for
-the rows still short of the horizon, and velocities only for the legs that
-start by the horizon.
+count experiment and the moment check use it.  It draws only what the
+window reaches: durations in rounds sized at the expected leg count plus
+about three standard deviations, extra rounds for the rows still short of
+the horizon (``_window_durations``, all that the period sweeps of
+``montecarlo`` draw), and velocities only for the legs that start by the
+horizon.
 
 Replications of a model are drawn in chunks: replication r is row
 r mod R of chunk r // R, where R = ``chunk_rows(params)``, and chunk c draws
@@ -150,10 +151,10 @@ def position_at(traj: Trajectory, t):
     return x, y
 
 
-def _window_legs(rng: np.random.Generator, lambda_rate: float, sigma: float, horizon: float, rows: int):
-    """Leg durations, start times and x and y velocity components, each
-    (rows, legs), in the draw order that ``TrajectoryBlock.windows``
-    documents, cut to the columns that start by the horizon in some row."""
+def _window_durations(rng: np.random.Generator, lambda_rate: float, horizon: float, rows: int):
+    """Leg durations and start times, each (rows, legs): the duration
+    rounds of ``TrajectoryBlock.windows``, cut to the columns that start by
+    the horizon in some row."""
     cols = _window_cols(lambda_rate, horizon)
     gaps = rng.standard_exponential((rows, cols)) / lambda_rate
     total = gaps.sum(axis=1)
@@ -167,10 +168,18 @@ def _window_legs(rng: np.random.Generator, lambda_rate: float, sigma: float, hor
         total += pad.sum(axis=1)
     starts = _leg_starts(gaps)
     # rows are sorted, so the columns that start past the horizon in every
-    # row come last; copied, so that an extended batch's wide matrices are
-    # freed before the velocities are drawn (they set the sweeps' peak memory)
+    # row come last; copied one at a time, so that an extended batch's wide
+    # matrices are freed early (they set the sweeps' peak memory)
     keep = int(np.count_nonzero(starts.min(axis=0) <= horizon))
-    gaps, starts = gaps[:, :keep].copy(), starts[:, :keep].copy()
+    starts = starts[:, :keep].copy()
+    return gaps[:, :keep].copy(), starts
+
+
+def _window_legs(rng: np.random.Generator, lambda_rate: float, sigma: float, horizon: float, rows: int):
+    """Leg durations, start times and x and y velocity components, each
+    (rows, legs), in the draw order that ``TrajectoryBlock.windows``
+    documents: ``_window_durations``, then the velocities of the live legs."""
+    gaps, starts = _window_durations(rng, lambda_rate, horizon, rows)
     live = starts <= horizon
     n_live = int(np.count_nonzero(live))
     u = np.zeros(live.shape)

@@ -2,23 +2,24 @@
 closed-form error over the localization period, the constant-ratio sweep,
 and Monte Carlo validation of the conditional-moment formulas.
 
-Both engines evaluate paths as ``mobility.TrajectoryBlock`` leg matrices.
 The period sweeps use the window engine: each replication is one
 localization window [0, T] with exact fixes at both ends and the estimate
 is the straight line between them, which is exactly what the timer-driven
 interpolation protocol computes inside every window (waypoint occurrences
 are memoryless, so windows of a long run are identically distributed to a
-fresh one).  Windows are drawn straight into a block, a fixed batch of
-rows at a time: each batch draws its leg durations, in extra rounds for the
-rows still short of T, then velocities for the legs that start by T only,
-then its query times.  The count experiment runs the block-batched protocol
-runners on chunks of replications (``mobility.replication_chunk``): the
-timer schemes localize their tick grids as arrays, and the adaptive schemes
-advance all rows in lock-step.  The reference runners, which drive the
-event-driven state machines of ``protocols`` one replication at a time,
-live with the tests: a differential test requires the batched runners to
-reproduce their call counts and estimates.  A cross-check test keeps the
-window engine honest against the protocols.
+fresh one).  Windows are drawn a fixed batch of rows at a time, and a batch
+draws its leg durations only, in extra rounds for the rows still short of
+T: given them, each window's error averaged over velocities and a uniform
+query time is exact (``sample_window_mean_errors``).  The count experiment
+evaluates whole paths as ``mobility.TrajectoryBlock`` leg matrices and runs
+the block-batched protocol runners on chunks of replications
+(``mobility.replication_chunk``): the timer schemes localize their tick
+grids as arrays, and the adaptive schemes advance all rows in lock-step.
+The reference runners, which drive the event-driven state machines of
+``protocols`` one replication at a time, and the sampled window estimator
+the sweeps used before 0.5.0 live with the tests: a differential test
+requires the batched runners to reproduce their call counts and estimates,
+and the window engine must agree with the sampled estimator.
 
 The count experiment draws replications a chunk at a time: chunk c draws
 the paths of its R replications and then their query times, an (R, queries)
@@ -47,7 +48,6 @@ from .analytic import (
     cond_position_second_moment,
     cond_waypoint_time_moment,
     displacement_cross_moment,
-    error_asymptote,
     error_avg,
     position_second_moment,
     position_second_moment_given_count,
@@ -57,6 +57,7 @@ from .mobility import (
     _CHUNK_ROWS,
     ModelParams,
     TrajectoryBlock,
+    _window_durations,
     chunk_rows,
     replication_chunk,
 )
@@ -119,21 +120,11 @@ class BinnedResult:
 @dataclass(frozen=True)
 class PeriodPoint:
     T: float
-    mean_sq_error: float
-    std_error: float
-    samples: int
-    theory: float
-
-
-@dataclass(frozen=True)
-class AsymptotePoint:
-    T: float
     lambda_rate: float
     mean_sq_error: float
     std_error: float
     samples: int
     theory: float
-    asymptote: float
 
 
 # ---------------------------------------------------------------------------
@@ -141,39 +132,64 @@ class AsymptotePoint:
 
 
 # windows are drawn this many at a time; the batch size is part of the
-# stream layout, because each batch draws all its leg durations before its
-# velocities and queries, and whether a batch needs a second round of
-# durations depends on all its rows
+# stream layout, because each batch draws all its leg durations before
+# anything else, and whether a batch needs a second round of durations
+# depends on all its rows
 _WINDOW_BATCH = 4096
 
 
-def sample_window_errors(
+def sample_window_mean_errors(
     rng: np.random.Generator,
     lambda_rate: float,
     sigma: float,
     T: float,
     n_windows: int,
-    n_queries: int,
 ) -> np.ndarray:
-    """Squared interpolation errors, shape (n_windows, n_queries).
+    """Squared interpolation error of each of ``n_windows`` windows,
+    averaged over the velocities and a uniform query time: shape
+    (n_windows,).
 
-    Each window is localized exactly at 0 and T; each query time is uniform
-    on [0, T] and answered with the straight line between the two fixes.
-    Queries within a window share its trajectory, so rows are the
-    independent units for standard errors.
+    Each window is localized exactly at 0 and T and a query at t is
+    answered with the straight line between the two fixes.  Only the leg
+    durations are drawn.  Given them, the error at t is a linear form in
+    the Gaussian velocities, so its mean over them is exact:
+    2 sigma^2 sum_j c_j(t)^2, with c_j(t) = clip(t - s_j, 0, d_j) - (t/T) d_j
+    for leg j starting at s_j and spending d_j inside the window.  c_j is
+    piecewise linear through 0, -a s_j, a r_j and 0 at 0, s_j, s_j + d_j
+    and T, where a = d_j / T and r_j = T - s_j - d_j, so its mean square
+    over t is a^2 (s_j^3 + r_j^3 + d_j (s_j^2 - s_j r_j + r_j^2)) / (3T).
+    As s^3 + r^3 = (s + r)(s^2 - s r + r^2) and s_j + d_j + r_j = T, the
+    window's value is 2 sigma^2 T^2 / 3 * sum_j a^2 (s^2 - s r + r^2), with
+    s and r in units of T.  Every leg's term is non-negative, so the sum
+    cancels nothing.
+
+    The trade-off: the velocity part of the model is integrated
+    analytically here, so the period sweeps no longer simulate whole paths.
+    Whole-path simulation stays checked by the moment check's window rows
+    (``position_sq_unconditional``, ``displacement_cross_moment``), by the
+    count experiment, and by a test that holds the timer protocol on whole
+    paths to the closed-form average.
     """
-    out = np.empty((n_windows, n_queries))
+    out = np.empty(n_windows)
     for done in range(0, n_windows, _WINDOW_BATCH):
         m = min(_WINDOW_BATCH, n_windows - done)
-        block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
-        x_end, y_end = block.position(np.full(m, T))
-        for qi in range(n_queries):
-            tq = rng.uniform(0.0, T, m)
-            frac = tq / T
-            x, y = block.position(tq)
-            ex = x - x_end * frac
-            ey = y - y_end * frac
-            out[done : done + m, qi] = ex * ex + ey * ey
+        a, s = _window_durations(rng, lambda_rate, T, m)
+        # in place, in units of T, so a batch holds four (m, legs) matrices
+        s /= T
+        a /= T
+        r = np.subtract(1.0, s)
+        np.minimum(a, r, out=a)
+        np.maximum(a, 0.0, out=a)
+        r -= a
+        # s^2 - s r + r^2 = s (s - r) + r^2, which is at least
+        # 3/4 max(s, r)^2, so this form loses at most a few ulps
+        tmp = np.subtract(s, r)
+        s *= tmp
+        np.square(r, out=tmp)
+        s += tmp
+        s *= np.square(a, out=a)
+        s.sum(axis=1, out=out[done : done + m])
+    out *= 2.0 * (sigma * T) ** 2 / 3.0
     return out
 
 
@@ -550,54 +566,31 @@ def run_error_vs_count(cfg: ExperimentConfig) -> dict[str, list[BinnedResult]]:
 # period sweeps
 
 
-def run_error_vs_period(cfg: ExperimentConfig) -> list[PeriodPoint]:
+def run_period_sweep(cfg: ExperimentConfig) -> list[PeriodPoint]:
     """Simulated mean squared error per localization period, paired with the
     closed-form average; one window per replication, timer-style fixes at 0
-    and T."""
+    and T.  With ``ratio_C`` set, the waypoint rate is tied to the period
+    (lambda = T/C, the constant-ratio sweep); otherwise it is the model's."""
     if not cfg.T_values:
         raise ParameterError("T_values must be non-empty for a period sweep")
     model = cfg.model
+    tag = _STREAM_PERIOD if cfg.ratio_C is None else _STREAM_ASYMPTOTE
     points = []
     for i, T in enumerate(cfg.T_values):
-        rng = np.random.default_rng([model.seed, _STREAM_PERIOD, i])
-        sq = sample_window_errors(
-            rng, model.lambda_rate, model.sigma, float(T), cfg.replications, cfg.queries_per_replication
-        )
-        window_means = sq.mean(axis=1)
-        se = float(window_means.std(ddof=1) / math.sqrt(len(window_means))) if len(window_means) > 1 else 0.0
-        theory = error_avg(model.sigma, model.lambda_rate, float(T))
+        T = float(T)
+        lam = model.lambda_rate if cfg.ratio_C is None else T / cfg.ratio_C
+        rng = np.random.default_rng([model.seed, tag, i])
+        values = sample_window_mean_errors(rng, lam, model.sigma, T, cfg.replications)
+        n = len(values)
+        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         points.append(
-            PeriodPoint(T=float(T), mean_sq_error=float(sq.mean()), std_error=se, samples=sq.size, theory=theory)
-        )
-    return points
-
-
-def run_asymptotic_sweep(cfg: ExperimentConfig) -> list[AsymptotePoint]:
-    """Period sweep with the waypoint rate tied to the period (lambda = T/C),
-    against both the exact average and its constant limit 2 sigma^2 C / 3."""
-    if cfg.ratio_C is None:
-        raise ParameterError("ratio_C is required for the asymptotic sweep")
-    if not cfg.T_values:
-        raise ParameterError("T_values must be non-empty for a period sweep")
-    model = cfg.model
-    limit = error_asymptote(model.sigma, cfg.ratio_C)
-    points = []
-    for i, T in enumerate(cfg.T_values):
-        lam = float(T) / cfg.ratio_C
-        rng = np.random.default_rng([model.seed, _STREAM_ASYMPTOTE, i])
-        sq = sample_window_errors(rng, lam, model.sigma, float(T), cfg.replications, cfg.queries_per_replication)
-        window_means = sq.mean(axis=1)
-        se = float(window_means.std(ddof=1) / math.sqrt(len(window_means))) if len(window_means) > 1 else 0.0
-        theory = error_avg(model.sigma, lam, float(T))
-        points.append(
-            AsymptotePoint(
-                T=float(T),
+            PeriodPoint(
+                T=T,
                 lambda_rate=lam,
-                mean_sq_error=float(sq.mean()),
+                mean_sq_error=float(values.mean()),
                 std_error=se,
-                samples=sq.size,
-                theory=theory,
-                asymptote=limit,
+                samples=n,
+                theory=error_avg(model.sigma, lam, T),
             )
         )
     return points

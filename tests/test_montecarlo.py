@@ -15,6 +15,7 @@ from maintsim.mobility import (
     ModelParams,
     _leg_starts,
     _window_cols,
+    _window_durations,
     _window_legs,
     Trajectory,
     TrajectoryBlock,
@@ -29,20 +30,19 @@ from maintsim.montecarlo import (
     ExperimentConfig,
     bin_records,
     collect_error_records,
-    run_asymptotic_sweep,
     run_dvm_block,
     run_error_vs_count,
-    run_error_vs_period,
     run_madrd_block,
     run_maint_timer_block,
+    run_period_sweep,
     run_sfr_block,
-    sample_window_errors,
+    sample_window_mean_errors,
     sample_window_positions,
     validate_conditional_moments,
     _WINDOW_BATCH,
 )
 from maintsim.protocols import DvmConfig, MadrdConfig, MadrdState, extrapolate_madrd, interpolate, localize
-from reference_runners import _madrd_fix_sequence, run_dvm, run_madrd, run_maint_timer, run_sfr
+from reference_runners import _madrd_fix_sequence, run_dvm, run_madrd, run_maint_timer, run_sfr, sample_window_errors
 from reference_runners import validate_conditional_moments as row_major_moments
 
 MODEL = ModelParams(lambda_rate=0.1, sigma=5.0, seed=77, span=100.0)
@@ -378,60 +378,55 @@ class TestBlockRunners:
 
 class TestPeriodSweep:
     def test_deterministic(self):
-        cfg = ExperimentConfig(model=MODEL, T_values=(20.0, 50.0), replications=300, queries_per_replication=2)
-        assert run_error_vs_period(cfg) == run_error_vs_period(cfg)
+        cfg = ExperimentConfig(model=MODEL, T_values=(20.0, 50.0), replications=300)
+        assert run_period_sweep(cfg) == run_period_sweep(cfg)
 
     def test_matches_theory_within_band(self):
-        cfg = ExperimentConfig(model=MODEL, T_values=(20.0, 100.0), replications=4000, queries_per_replication=2)
-        for p in run_error_vs_period(cfg):
+        cfg = ExperimentConfig(model=MODEL, T_values=(20.0, 100.0), replications=4000)
+        for p in run_period_sweep(cfg):
             assert abs(p.mean_sq_error - p.theory) < 4.0 * p.std_error
 
     def test_theory_column_is_the_closed_form(self):
         cfg = ExperimentConfig(model=MODEL, T_values=(35.0,), replications=100)
-        (point,) = run_error_vs_period(cfg)
+        (point,) = run_period_sweep(cfg)
         assert point.theory == error_avg(MODEL.sigma, MODEL.lambda_rate, 35.0)
 
     def test_small_period_shrinks_error(self):
-        cfg = ExperimentConfig(model=MODEL, T_values=(1.0, 100.0), replications=2000, queries_per_replication=2)
-        small, large = run_error_vs_period(cfg)
+        cfg = ExperimentConfig(model=MODEL, T_values=(1.0, 100.0), replications=2000)
+        small, large = run_period_sweep(cfg)
         assert small.theory < 0.01 * large.theory
         assert small.mean_sq_error < 0.01 * large.mean_sq_error
 
     def test_standard_error_scaling(self):
-        base = ExperimentConfig(model=MODEL, T_values=(50.0,), replications=2000, queries_per_replication=1)
-        quad = ExperimentConfig(model=MODEL, T_values=(50.0,), replications=8000, queries_per_replication=1)
-        (p1,) = run_error_vs_period(base)
-        (p4,) = run_error_vs_period(quad)
+        base = ExperimentConfig(model=MODEL, T_values=(50.0,), replications=2000)
+        quad = ExperimentConfig(model=MODEL, T_values=(50.0,), replications=8000)
+        (p1,) = run_period_sweep(base)
+        (p4,) = run_period_sweep(quad)
         ratio = p4.std_error / p1.std_error
         assert 0.4 <= ratio <= 0.6
 
     def test_samples_column(self):
-        cfg = ExperimentConfig(model=MODEL, T_values=(20.0,), replications=150, queries_per_replication=3)
-        (point,) = run_error_vs_period(cfg)
-        assert point.samples == 450
+        cfg = ExperimentConfig(model=MODEL, T_values=(20.0,), replications=150)
+        (point,) = run_period_sweep(cfg)
+        assert point.samples == 150
 
     def test_needs_grid(self):
         with pytest.raises(ParameterError):
-            run_error_vs_period(ExperimentConfig(model=MODEL))
+            run_period_sweep(ExperimentConfig(model=MODEL))
 
 
 class TestAsymptoticSweep:
-    def test_needs_ratio(self):
-        with pytest.raises(ParameterError):
-            run_asymptotic_sweep(ExperimentConfig(model=MODEL, T_values=(20.0,)))
-
     def test_lambda_tied_to_period(self):
         cfg = ExperimentConfig(
             model=ModelParams(lambda_rate=0.1, sigma=10.0, seed=5, span=100.0),
             T_values=(20.0, 200.0),
             replications=1500,
-            queries_per_replication=2,
             ratio_C=50.0,
         )
-        points = run_asymptotic_sweep(cfg)
+        points = run_period_sweep(cfg)
         assert [p.lambda_rate for p in points] == [0.4, 4.0]
         for p in points:
-            assert p.asymptote == pytest.approx(2 * 100.0 * 50.0 / 3.0, rel=1e-12)
+            assert p.theory == error_avg(10.0, p.lambda_rate, p.T)
             assert abs(p.mean_sq_error - p.theory) < 4.0 * p.std_error
 
 
@@ -602,12 +597,10 @@ class TestStreamLayout:
         assert compared >= 30
 
 
-def _oracle_window_legs(rng, lam, sigma, horizon, rows):
-    """The window draws written out plainly: rounds of leg durations, the
-    expected count plus three standard deviations per row, until every row
-    covers the horizon (rows already covered get zero-duration legs), then
-    the x and the y velocity components of the legs that start by the
-    horizon, row by row; the other legs stand still."""
+def _oracle_window_durations(rng, lam, horizon, rows):
+    """The window's duration rounds written out plainly: the expected count
+    plus three standard deviations per row, until every row covers the
+    horizon (rows already covered get zero-duration legs)."""
     expected = lam * horizon
     cols = max(2, int(expected + 3.0 * math.sqrt(expected) + 2))
     gaps = rng.standard_exponential((rows, cols)) / lam
@@ -619,12 +612,39 @@ def _oracle_window_legs(rng, lam, sigma, horizon, rows):
         gaps = np.hstack([gaps, pad])
         total += pad.sum(axis=1)
     starts = np.hstack([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)[:, :-1]])
+    return gaps, starts
+
+
+def _oracle_window_legs(rng, lam, sigma, horizon, rows):
+    """The window draws written out plainly: the duration rounds, then the
+    x and the y velocity components of the legs that start by the horizon,
+    row by row; the other legs stand still."""
+    gaps, starts = _oracle_window_durations(rng, lam, horizon, rows)
     live_rows, live_cols = np.nonzero(starts <= horizon)
     u = np.zeros(gaps.shape)
     u[live_rows, live_cols] = sigma * rng.standard_normal(len(live_rows))
     v = np.zeros(gaps.shape)
     v[live_rows, live_cols] = sigma * rng.standard_normal(len(live_rows))
     return gaps, starts, u, v
+
+
+def _oracle_window_mean_errors(gaps, starts, sigma, T):
+    """Each window's squared error averaged over the velocities and a
+    uniform query time, summed leg by leg in the expanded form: with d the
+    part of a leg inside the window and a = d/T, the leg's chord error
+    integrates to a^2 s^3/3 + (1-a)^2 d^3/3 - (1-a) a s d^2 + a^2 s^2 d
+    + a^2 (T-s-d)^3/3 over [0, T]."""
+    s = starts
+    d = np.clip(T - s, 0.0, gaps)
+    a = d / T
+    legs = (
+        a**2 * s**3 / 3
+        + (1 - a) ** 2 * d**3 / 3
+        - (1 - a) * a * s * d**2
+        + a**2 * s**2 * d
+        + a**2 * (T - s - d) ** 3 / 3
+    )
+    return 2.0 * sigma**2 * legs.sum(axis=1) / T
 
 
 def _oracle_coordinate(gaps, starts, vel, t):
@@ -648,14 +668,29 @@ class _ShortLegs:
         return self._rng.standard_normal(size)
 
 
+class _FixedLegs:
+    """A generator whose every row of durations starts with ``first`` and
+    continues with legs of ``rest``; it draws nothing else."""
+
+    def __init__(self, first, rest):
+        self._first = np.asarray(first, dtype=float)
+        self._rest = rest
+
+    def standard_exponential(self, size):
+        out = np.full(size, float(self._rest))
+        out[:, : len(self._first)] = self._first
+        return out
+
+
 class _Counting:
     """Passes every draw through to ``rng`` and records the shape of each
-    round of durations and the number of normals drawn."""
+    round of durations and the number of normals and uniforms drawn."""
 
     def __init__(self, rng):
         self._rng = rng
         self.exponential_sizes = []
         self.normals = 0
+        self.uniforms = 0
 
     def standard_exponential(self, size):
         self.exponential_sizes.append(size)
@@ -665,14 +700,18 @@ class _Counting:
         self.normals += int(np.prod(size))
         return self._rng.standard_normal(size)
 
+    def uniform(self, low, high, size):
+        self.uniforms += int(np.prod(size))
+        return self._rng.uniform(low, high, size)
+
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
 
 class TestWindowEngine:
     def test_reproducible_given_generator_state(self):
-        a = sample_window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500, 2)
-        b = sample_window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500, 2)
+        a = sample_window_mean_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500)
+        b = sample_window_mean_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("lam,T", [(0.1, 20.0), (4.0, 200.0)])
@@ -746,23 +785,14 @@ class TestWindowEngine:
         assert np.all(block.vel_x[:, 4] != 0.0) and np.all(block.vel_y[:, 4] != 0.0)
 
     def test_errors_follow_the_stream_contract(self):
-        # two batches: the second draws after all of the first, queries included
-        lam, sigma, T, n_q = 0.1, 5.0, 20.0, 3
-        got = sample_window_errors(np.random.default_rng(8), lam, sigma, T, _WINDOW_BATCH + 7, n_q)
+        # two batches: the second draws after all of the first
+        lam, sigma, T = 0.1, 5.0, 20.0
+        got = sample_window_mean_errors(np.random.default_rng(8), lam, sigma, T, _WINDOW_BATCH + 7)
         rng = np.random.default_rng(8)
-        want = []
-        for m in (_WINDOW_BATCH, 7):
-            gaps, starts, u, v = _oracle_window_legs(rng, lam, sigma, T, m)
-            x_end = _oracle_coordinate(gaps, starts, u, np.full(m, T))
-            y_end = _oracle_coordinate(gaps, starts, v, np.full(m, T))
-            cols = []
-            for _ in range(n_q):
-                tq = rng.uniform(0.0, T, m)
-                ex = _oracle_coordinate(gaps, starts, u, tq) - x_end * (tq / T)
-                ey = _oracle_coordinate(gaps, starts, v, tq) - y_end * (tq / T)
-                cols.append(ex * ex + ey * ey)
-            want.append(np.column_stack(cols))
-        np.testing.assert_allclose(got, np.vstack(want), rtol=1e-9)
+        want = [
+            _oracle_window_mean_errors(*_oracle_window_durations(rng, lam, T, m), sigma, T) for m in (_WINDOW_BATCH, 7)
+        ]
+        np.testing.assert_allclose(got, np.concatenate(want), rtol=1e-9)
 
     def test_positions_follow_the_stream_contract(self):
         lam, sigma, horizon, times = 0.5, 2.0, 8.0, (3.0, 8.0)
@@ -778,12 +808,66 @@ class TestWindowEngine:
         # probability about 1.5e-3, so one full batch of real draws takes a
         # second round (with probability 0.997 before the seed is fixed)
         rng = _Counting(np.random.default_rng(1))
-        sq = sample_window_errors(rng, 4.0, 10.0, 200.0, _WINDOW_BATCH, 1)
+        sq = sample_window_mean_errors(rng, 4.0, 10.0, 200.0, _WINDOW_BATCH)
         assert np.isfinite(sq).all()
         cols = _window_cols(4.0, 200.0)
         first, *extra = rng.exponential_sizes
         assert first == (_WINDOW_BATCH, cols)
         assert extra and all(0 < n < _WINDOW_BATCH and width == cols for n, width in extra)
+
+    def test_mean_errors_draw_only_durations(self):
+        rng = _Counting(np.random.default_rng(2))
+        sample_window_mean_errors(rng, 0.1, 5.0, 20.0, _WINDOW_BATCH + 7)
+        assert rng.exponential_sizes[0] == (_WINDOW_BATCH, _window_cols(0.1, 20.0))
+        assert rng.normals == 0 and rng.uniforms == 0
+
+    @pytest.mark.parametrize("first", [10.0, 20.0])
+    def test_waypoint_free_window_has_no_error(self, first):
+        # one leg covers [0, T] (with 10.0 a second one starts on T itself)
+        got = sample_window_mean_errors(_FixedLegs([first], 20.0), 1.0, 5.0, 10.0, 3)
+        assert np.array_equal(got, np.zeros(3))
+
+    @pytest.mark.parametrize("w", [1e-3, 0.3, 5.0, 9.99])
+    def test_one_waypoint_window_matches_quadrature(self, w):
+        import mpmath  # in the test extra; only this test needs it
+        sigma, T = 5.0, 10.0
+        (got,) = sample_window_mean_errors(_FixedLegs([w], 20.0), 1.0, sigma, T, 1)
+        with mpmath.workdps(40):
+            sigma_m, T_m, w_m = mpmath.mpf(sigma), mpmath.mpf(T), mpmath.mpf(w)
+
+            def chord_sq(t):
+                before = min(t, w_m) - t / T_m * w_m
+                after = max(t - w_m, 0) - t / T_m * (T_m - w_m)
+                return before**2 + after**2
+
+            want = 2 * sigma_m**2 / T_m * mpmath.quad(chord_sq, [0, w_m, T_m])
+        assert got == pytest.approx(float(want), rel=1e-13)
+
+    def test_per_leg_form_matches_midpoint_rule(self):
+        lam, sigma, T, rows, n = 0.5, 3.0, 10.0, 8, 200_000
+        gaps, starts = _window_durations(np.random.default_rng(3), lam, T, rows)
+        got = sample_window_mean_errors(np.random.default_rng(3), lam, sigma, T, rows)
+        assert gaps.shape[1] > 3
+        t = (np.arange(n) + 0.5) * (T / n)
+        d = np.clip(T - starts, 0.0, gaps)
+        integral = np.zeros(rows)
+        for j in range(gaps.shape[1]):
+            chord = np.clip(t - starts[:, [j]], 0.0, d[:, [j]]) - t / T * d[:, [j]]
+            integral += (chord * chord).sum(axis=1) * (T / n)
+        np.testing.assert_allclose(got, 2.0 * sigma**2 * integral / T, rtol=1e-8)
+        np.testing.assert_allclose(got, _oracle_window_mean_errors(gaps, starts, sigma, T), rtol=1e-12)
+
+    @pytest.mark.parametrize("sweep", ["fig5", "fig6"])
+    def test_agrees_with_the_sampled_oracle(self, sweep):
+        # the default grids of both sweeps: fig5 at lambda = 0.1, fig6 at
+        # lambda = T / 50; the oracle draws whole paths and 20 queries a window
+        sigma, rate = (5.0, lambda T: 0.1) if sweep == "fig5" else (10.0, lambda T: T / 50.0)
+        for T in np.arange(20.0, 201.0, 20.0):
+            lam = rate(T)
+            sampled = sample_window_errors(np.random.default_rng([1, int(T)]), lam, sigma, T, 2000, 20).mean(axis=1)
+            exact = sample_window_mean_errors(np.random.default_rng([2, int(T)]), lam, sigma, T, 2000)
+            se = math.hypot(*(v.std(ddof=1) / math.sqrt(v.size) for v in (sampled, exact)))
+            assert abs(exact.mean() - sampled.mean()) < 4.0 * se, (T, exact.mean(), sampled.mean(), se)
 
     @pytest.mark.parametrize("expected", [1e-3, 0.1, 1.0, 10.0, 800.0])
     @pytest.mark.parametrize("extended", [False, True])
