@@ -25,7 +25,7 @@ from . import __version__
 from .analytic import error_asymptote, error_at, error_avg
 from .errors import ParameterError
 from .mobility import ModelParams
-from .montecarlo import ExperimentConfig, run_error_vs_count, run_period_sweep, validate_conditional_moments
+from .montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
 from .output import RunManifest, write_csv, write_manifest
 
 EXIT_OK = 0
@@ -56,22 +56,15 @@ def parse_grid(spec: str) -> list[float]:
             start_s, stop_s, step_s = spec.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
             if not all(map(math.isfinite, (start, stop, step))):
-                # the loop below would never reach a non-finite stop
+                # an inf or nan bound or step makes no meaningful grid
                 raise ParameterError(f"grid {spec!r} needs finite start, stop and step")
             if step <= 0 or stop < start:
                 raise ValueError
             points = (stop - start) / step + 1.0
             if not points <= _MAX_GRID_POINTS:  # also an overflow to inf
                 raise ParameterError(f"grid {spec!r} has {points:.3g} points; at most {_MAX_GRID_POINTS} are allowed")
-            values = []
-            k = 0
-            while True:
-                v = start + k * step
-                if v > stop + step * 1e-9:
-                    break
-                values.append(v)
-                k += 1
-            return values
+            values = start + step * np.arange(int(points) + 2)
+            return values[values <= stop + step * 1e-9].tolist()
         if "," in spec:
             values = [float(v) for v in spec.split(",") if v]
             if not values:
@@ -254,29 +247,19 @@ def cmd_simulate(args) -> int:
     status = EXIT_OK
 
     if experiment in ("fig5", "fig6"):
-        cfg = ExperimentConfig(
-            model=model,
-            T_values=tuple(parse_grid(str(settings["T"]))),
-            replications=settings["replications"],
-            ratio_C=settings.get("ratio_C"),
-        )
-        points = run_period_sweep(cfg)
+        T_values = parse_grid(str(settings["T"]))
+        points = run_period_sweep(model, T_values, settings["replications"], settings.get("ratio_C"))
         if experiment == "fig5":
             rows = [(p.T, p.mean_sq_error, p.std_error, p.samples, p.theory) for p in points]
             header = ["T", "mean_sq_error", "std_error", "samples", "theory_error_avg"]
         else:
-            limit = error_asymptote(model.sigma, cfg.ratio_C)
+            limit = error_asymptote(model.sigma, settings["ratio_C"])
             rows = [
                 (p.T, p.lambda_rate, p.mean_sq_error, p.std_error, p.samples, p.theory, limit) for p in points
             ]
             header = ["T", "lambda", "mean_sq_error", "std_error", "samples", "theory_error_avg", "asymptote"]
     elif experiment == "fig4":
-        cfg = ExperimentConfig(
-            model=model,
-            replications=settings["replications"],
-            queries_per_replication=settings["queries"],
-        )
-        bins = run_error_vs_count(cfg)
+        bins = run_error_vs_count(model, settings["replications"], settings["queries"])
         rows = [
             (proto, b.key, b.sample_count, b.mean_sq_error, b.standard_error, b.mean_abs_error, b.standard_error_abs)
             for proto in sorted(bins)

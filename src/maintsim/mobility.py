@@ -115,26 +115,17 @@ def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Traj
     """Path of one replication: row r mod R of chunk r // R.
 
     Deterministic given ``(params.seed, replication_index)``.  It draws the
-    whole chunk and keeps the row's legs that start by the span, so the path
-    can be evaluated up to the horizon without edge bias.  Its legs are bit
-    for bit those of the chunk row.
+    whole chunk and copies the row's legs that start by the span, so the
+    path can be evaluated up to the horizon without edge bias and does not
+    keep the chunk alive.  Its legs are bit for bit those of the chunk row.
     """
     if int(replication_index) != replication_index or replication_index < 0:
         raise ParameterError(f"replication_index must be a non-negative integer, got {replication_index}")
-    rows = chunk_rows(params)
-    chunk, row = divmod(int(replication_index), rows)
-    gaps, starts, u, v = _window_legs(_chunk_stream(params, chunk), params.lambda_rate, params.sigma, params.span, rows)
-    n_legs = int(np.count_nonzero(starts[row] <= params.span))
-    gaps, starts, u, v = (a[[row], :n_legs] for a in (gaps, starts, u, v))
-    path = TrajectoryBlock._from_legs(params.span, gaps, starts, u, v)
-    return Trajectory(
-        span=params.span,
-        start_times=path.start_times[0],
-        start_x=path.start_x[0],
-        start_y=path.start_y[0],
-        vel_x=path.vel_x[0],
-        vel_y=path.vel_y[0],
-    )
+    chunk, row = divmod(int(replication_index), chunk_rows(params))
+    paths, _ = replication_chunk(params, chunk)
+    n_legs = int(np.count_nonzero(paths.start_times[row] <= params.span))
+    legs = (paths.start_times, paths.start_x, paths.start_y, paths.vel_x, paths.vel_y)
+    return Trajectory(params.span, *(a[row, :n_legs].copy() for a in legs))
 
 
 def position_at(traj: Trajectory, t):
@@ -228,20 +219,8 @@ class TrajectoryBlock:
         row-major order; the legs after a row's last live leg get velocity
         0.  Only live legs move a row within [0, horizon].
         """
-        return cls._from_legs(horizon, *_window_legs(rng, lambda_rate, sigma, horizon, rows))
-
-    @classmethod
-    def _from_legs(
-        cls, horizon: float, gaps: np.ndarray, starts: np.ndarray, u: np.ndarray, v: np.ndarray
-    ) -> TrajectoryBlock:
-        return cls(
-            span=horizon,
-            start_times=starts,
-            start_x=_leg_starts(u * gaps),
-            start_y=_leg_starts(v * gaps),
-            vel_x=u,
-            vel_y=v,
-        )
+        gaps, starts, u, v = _window_legs(rng, lambda_rate, sigma, horizon, rows)
+        return cls(horizon, starts, _leg_starts(u * gaps), _leg_starts(v * gaps), u, v)
 
     def __len__(self) -> int:
         return len(self.start_times)

@@ -25,9 +25,10 @@ The count experiment draws replications a chunk at a time: chunk c draws
 the paths of its R replications and then their query times, an (R, queries)
 matrix, from one stream keyed by (seed, c).  R depends only on the model,
 and the last chunk is drawn in full and then cut, so a replication's path
-and queries depend neither on the number of replications nor on the block
-size the runners are evaluated in, and aggregation is a pure function of
-the collected records.
+and queries do not depend on the number of replications, and aggregation
+is a pure function of the collected records.  Each chunk goes through the
+runners whole, with the fixed schedules ``MAINT_PERIODS``, ``MADRD_CONFIGS``
+and ``DVM_CONFIG``.
 
 The moment check samples its conditioned quantities by construction, apart
 from the window engine, so it checks the formulas independently of it.
@@ -54,7 +55,6 @@ from .analytic import (
 )
 from .errors import ParameterError
 from .mobility import (
-    _CHUNK_ROWS,
     ModelParams,
     TrajectoryBlock,
     _window_durations,
@@ -74,35 +74,11 @@ _STREAM_MOMENTS = 104
 KNOWN_PROTOCOLS = ("MAINT", "MADRD", "SFR", "DVM")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved experiment settings; defaults reproduce the published setup
-    (sigma = 5 unit/s, mean 10 s between waypoints, 100 s spans)."""
-
-    model: ModelParams
-    protocols: tuple[str, ...] = ("MAINT", "MADRD")
-    T_values: tuple[float, ...] = ()
-    replications: int = 100
-    queries_per_replication: int = 1
-    ratio_C: float | None = None
-    maint_periods: tuple[float, ...] = (2.0, 4.0, 5.0, 10.0, 20.0, 25.0, 50.0)
-    madrd_intervals: tuple[float, ...] = (2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 35.0, 50.0)
-    e_thresh: float = 5.0
-    dvm_threshold: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ParameterError(f"replications must be >= 1, got {self.replications}")
-        if self.queries_per_replication < 1:
-            raise ParameterError(f"queries_per_replication must be >= 1, got {self.queries_per_replication}")
-        unknown = [p for p in self.protocols if p not in KNOWN_PROTOCOLS]
-        if unknown:
-            raise ParameterError(f"unknown protocols: {unknown}; known: {KNOWN_PROTOCOLS}")
-        if self.ratio_C is not None and not (math.isfinite(self.ratio_C) and self.ratio_C > 0):
-            raise ParameterError(f"ratio_C must be finite and > 0, got {self.ratio_C}")
-        bad_T = [T for T in self.T_values if not (math.isfinite(T) and T > 0)]
-        if bad_T:
-            raise ParameterError(f"every T must be finite and > 0, got {bad_T[0]}")
+# the count experiment's fixed schedules: timer periods (MAINT and SFR) and
+# MADRD base intervals cycle through their grids across replications
+MAINT_PERIODS = (2.0, 4.0, 5.0, 10.0, 20.0, 25.0, 50.0)
+MADRD_CONFIGS = tuple(MadrdConfig(base_interval=b, e_thresh=5.0) for b in (2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 35.0, 50.0))
+DVM_CONFIG = DvmConfig(threshold_distance=5.0)
 
 
 @dataclass(frozen=True)
@@ -231,6 +207,15 @@ def _tick_counts(periods: np.ndarray, span: float) -> np.ndarray:
     return n
 
 
+def _last_tick(q: np.ndarray, pc: np.ndarray) -> np.ndarray:
+    """Index k of the last tick k * period <= q, for query times ``q`` and
+    periods ``pc`` (rows, 1).  q / period may round across an integer; one
+    step either way corrects it."""
+    k = np.floor(q / pc)
+    k = np.where(k * pc > q, k - 1.0, k)
+    return np.where((k + 1.0) * pc <= q, k + 1.0, k)
+
+
 def run_maint_timer_block(block: TrajectoryBlock, periods, query_times):
     """The timer-driven interpolation protocol, with fixes at 0, period,
     2 * period, ... up to the span, for every row of a block: ``periods``
@@ -248,10 +233,8 @@ def run_maint_timer_block(block: TrajectoryBlock, periods, query_times):
     pc = p[:, None]
     if q.size and np.any(n == 0):
         raise ParameterError("a period schedules no tick within the span; nothing can bracket a query")
-    # q / period may round across an integer; one step either way corrects it
-    k = np.maximum(np.ceil(q / pc), 1.0)
-    k = np.where((k > 1.0) & ((k - 1.0) * pc >= q), k - 1.0, k)
-    k = np.where(k * pc < q, k + 1.0, k)
+    k = _last_tick(q, pc)
+    k = np.maximum(k + (k * pc < q), 1.0)  # the first tick at or after q
     late = k > n[:, None]
     if late.any():
         row = int(np.argwhere(late)[0, 0])
@@ -276,11 +259,7 @@ def run_sfr_block(block: TrajectoryBlock, periods, query_times):
     q = np.asarray(query_times, dtype=float)
     n = _tick_counts(p, block.span)
     pc = p[:, None]
-    # q / period may round across an integer; one step either way corrects it
-    k = np.floor(q / pc)
-    k = np.where(k * pc > q, k - 1.0, k)
-    k = np.where((k + 1.0) * pc <= q, k + 1.0, k)
-    k = np.minimum(k, n[:, None])
+    k = np.minimum(_last_tick(q, pc), n[:, None])
     x, y = block.position(k * pc)
     return np.stack([x, y], axis=-1), n.astype(np.int64) + 1
 
@@ -442,81 +421,79 @@ class ErrorTable:
         return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
 
 
-def collect_error_records(cfg: ExperimentConfig, block: int = _CHUNK_ROWS) -> ErrorTable:
-    """Run every configured protocol over fresh trajectories and record one
+def collect_error_records(
+    model: ModelParams, replications: int, queries: int, protocols=("MAINT", "MADRD")
+) -> ErrorTable:
+    """Run every given protocol over fresh trajectories and record one
     error sample per query.
 
-    Per replication: take its path, draw query times uniformly on
-    [0, span], and give every protocol the same path and queries.  Truth
-    comes from the path; estimates only from protocol-visible fixes.  Sweep
-    parameters (interpolation period, dead-reckoning base interval) cycle
-    through their grids across replications to populate the
-    localization-count axis.
+    Per replication: take its path, draw ``queries`` query times uniformly
+    on [0, span], and give every protocol the same path and queries.  Truth
+    comes from the path; estimates only from protocol-visible fixes.  The
+    schedule parameters (``MAINT_PERIODS`` for the timer schemes,
+    ``MADRD_CONFIGS`` for dead reckoning) cycle through their grids across
+    replications to populate the localization-count axis.
 
-    Replications are drawn a chunk at a time (see the module docstring) and
-    run through the block-batched runners in row slices of at most
-    ``block`` rows; the chunk size already keeps a chunk's first round of
-    legs within ``mobility._BLOCK_LEGS`` entries unless it holds a single
-    row.  Records come in replication
-    order, then protocol order (MAINT, MADRD, SFR, DVM), then query order,
-    so neither the block size nor the number of replications changes the
+    Replications are drawn a chunk at a time (see the module docstring), and
+    each chunk goes through the block-batched runners whole; the chunk size
+    already keeps a chunk's first round of legs within
+    ``mobility._BLOCK_LEGS`` entries unless it holds a single row.  Records
+    come in replication order, then protocol order (MAINT, MADRD, SFR, DVM),
+    then query order, so the number of replications does not change the
     records of a replication or their place in the table.
     """
-    if block < 1:
-        raise ParameterError(f"block must be >= 1, got {block}")
-    model = cfg.model
-    protos = [p for p in KNOWN_PROTOCOLS if p in cfg.protocols]
+    if replications < 1:
+        raise ParameterError(f"replications must be >= 1, got {replications}")
+    if queries < 1:
+        raise ParameterError(f"queries must be >= 1, got {queries}")
+    unknown = [p for p in protocols if p not in KNOWN_PROTOCOLS]
+    if unknown:
+        raise ParameterError(f"unknown protocols: {unknown}; known: {KNOWN_PROTOCOLS}")
+    protos = [p for p in KNOWN_PROTOCOLS if p in protocols]
     if not protos:
         return ErrorTable.concat([])
     if "MAINT" in protos:
-        for p in cfg.maint_periods:
+        for p in MAINT_PERIODS:
             n = math.floor(model.span / p * (1.0 + 1e-12))
             if abs(n * p - model.span) > 1e-9 * model.span:
                 raise ParameterError(
                     f"maint period {p} does not divide span {model.span}; "
                     "late queries could never be bracketed"
                 )
-    n_q = cfg.queries_per_replication
-    maint_periods = np.array(cfg.maint_periods, dtype=float)
-    madrd_configs = [MadrdConfig(base_interval=b, e_thresh=cfg.e_thresh) for b in cfg.madrd_intervals]
-    dvm_config = DvmConfig(threshold_distance=cfg.dvm_threshold)
-    protocol_column = np.repeat(np.array(protos), n_q)
+    protocol_column = np.repeat(np.array(protos), queries)
     rows_per_chunk = chunk_rows(model)
     tables: list[ErrorTable] = []
-    for first in range(0, cfg.replications, rows_per_chunk):
+    for first in range(0, replications, rows_per_chunk):
         paths, rng = replication_chunk(model, first // rows_per_chunk)
-        queries = rng.uniform(0.0, model.span, (rows_per_chunk, n_q))
-        used = min(rows_per_chunk, cfg.replications - first)
-        for lo in range(0, used, block):
-            part = slice(lo, min(used, lo + block))
-            legs, qts = paths[part], queries[part]
-            rows = np.arange(first + part.start, first + part.stop)
-            periods = maint_periods[rows % len(maint_periods)]
-            runs = []
-            if "MAINT" in protos:
-                runs.append(run_maint_timer_block(legs, periods, qts))
-            if "MADRD" in protos:
-                runs.append(run_madrd_block(legs, [madrd_configs[r % len(madrd_configs)] for r in rows], qts))
-            if "SFR" in protos:
-                runs.append(run_sfr_block(legs, periods, qts))
-            if "DVM" in protos:
-                runs.append(run_dvm_block(legs, [dvm_config] * len(rows), qts))
-            tx, ty = legs.position(qts)
-            est = np.stack([e for e, _ in runs], axis=1)  # (rows, protocols, queries, 2)
-            ex = est[..., 0] - tx[:, None, :]
-            ey = est[..., 1] - ty[:, None, :]
-            sq = (ex * ex + ey * ey).ravel()
-            calls = np.stack([c for _, c in runs], axis=1)
-            tables.append(
-                ErrorTable(
-                    protocol=np.tile(protocol_column, len(rows)),
-                    replication_index=np.repeat(rows, len(protocol_column)),
-                    query_time=np.repeat(qts, len(protos), axis=0).ravel(),
-                    sq_error=sq,
-                    abs_error=np.sqrt(sq),
-                    localization_count=np.repeat(calls.ravel(), n_q),
-                )
+        qts = rng.uniform(0.0, model.span, (rows_per_chunk, queries))
+        rows = np.arange(first, min(replications, first + rows_per_chunk))
+        legs, qts = paths[: len(rows)], qts[: len(rows)]
+        periods = np.array(MAINT_PERIODS)[rows % len(MAINT_PERIODS)]
+        runs = []
+        if "MAINT" in protos:
+            runs.append(run_maint_timer_block(legs, periods, qts))
+        if "MADRD" in protos:
+            runs.append(run_madrd_block(legs, [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in rows], qts))
+        if "SFR" in protos:
+            runs.append(run_sfr_block(legs, periods, qts))
+        if "DVM" in protos:
+            runs.append(run_dvm_block(legs, [DVM_CONFIG] * len(rows), qts))
+        tx, ty = legs.position(qts)
+        est = np.stack([e for e, _ in runs], axis=1)  # (rows, protocols, queries, 2)
+        ex = est[..., 0] - tx[:, None, :]
+        ey = est[..., 1] - ty[:, None, :]
+        sq = (ex * ex + ey * ey).ravel()
+        calls = np.stack([c for _, c in runs], axis=1)
+        tables.append(
+            ErrorTable(
+                protocol=np.tile(protocol_column, len(rows)),
+                replication_index=np.repeat(rows, len(protocol_column)),
+                query_time=np.repeat(qts, len(protos), axis=0).ravel(),
+                sq_error=sq,
+                abs_error=np.sqrt(sq),
+                localization_count=np.repeat(calls.ravel(), queries),
             )
+        )
     return ErrorTable.concat(tables)
 
 
@@ -554,33 +531,37 @@ def bin_records(table: ErrorTable) -> dict[str, list[BinnedResult]]:
     return out
 
 
-def run_error_vs_count(cfg: ExperimentConfig) -> dict[str, list[BinnedResult]]:
+def run_error_vs_count(model: ModelParams, replications: int, queries: int) -> dict[str, list[BinnedResult]]:
     """Error against localization count for the interpolation protocol and
     the dead-reckoning baseline over identical trajectories."""
-    if not {"MAINT", "MADRD"}.issubset(cfg.protocols):
-        raise ParameterError("the count experiment needs both MAINT and MADRD configured")
-    return bin_records(collect_error_records(cfg))
+    return bin_records(collect_error_records(model, replications, queries))
 
 
 # ---------------------------------------------------------------------------
 # period sweeps
 
 
-def run_period_sweep(cfg: ExperimentConfig) -> list[PeriodPoint]:
+def run_period_sweep(model: ModelParams, T_values, replications: int, ratio_C: float | None = None) -> list[PeriodPoint]:
     """Simulated mean squared error per localization period, paired with the
     closed-form average; one window per replication, timer-style fixes at 0
     and T.  With ``ratio_C`` set, the waypoint rate is tied to the period
     (lambda = T/C, the constant-ratio sweep); otherwise it is the model's."""
-    if not cfg.T_values:
+    if replications < 1:
+        raise ParameterError(f"replications must be >= 1, got {replications}")
+    if ratio_C is not None and not (math.isfinite(ratio_C) and ratio_C > 0):
+        raise ParameterError(f"ratio_C must be finite and > 0, got {ratio_C}")
+    bad_T = [T for T in T_values if not (math.isfinite(T) and T > 0)]
+    if bad_T:
+        raise ParameterError(f"every T must be finite and > 0, got {bad_T[0]}")
+    if not T_values:
         raise ParameterError("T_values must be non-empty for a period sweep")
-    model = cfg.model
-    tag = _STREAM_PERIOD if cfg.ratio_C is None else _STREAM_ASYMPTOTE
+    tag = _STREAM_PERIOD if ratio_C is None else _STREAM_ASYMPTOTE
     points = []
-    for i, T in enumerate(cfg.T_values):
+    for i, T in enumerate(T_values):
         T = float(T)
-        lam = model.lambda_rate if cfg.ratio_C is None else T / cfg.ratio_C
+        lam = model.lambda_rate if ratio_C is None else T / ratio_C
         rng = np.random.default_rng([model.seed, tag, i])
-        values = sample_window_mean_errors(rng, lam, model.sigma, T, cfg.replications)
+        values = sample_window_mean_errors(rng, lam, model.sigma, T, replications)
         n = len(values)
         se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         points.append(

@@ -30,7 +30,7 @@ from maintsim.analytic import (
 )
 from maintsim.cli import EXIT_OK, main
 from maintsim.mobility import ModelParams, generate_trajectory, position_at
-from maintsim.montecarlo import ExperimentConfig, run_error_vs_count, run_period_sweep, validate_conditional_moments
+from maintsim.montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
 from maintsim.protocols import interpolate, localize
 from reference_runners import run_maint_timer
 from test_mobility import manual_trajectory
@@ -46,8 +46,7 @@ def _report(num: int, description: str, ok: bool, detail: str) -> None:
 def test_criterion_1_period_sweep_matches_theory():
     started = time.perf_counter()
     model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=SEED, span=100.0)
-    cfg = ExperimentConfig(model=model, T_values=T_GRID, replications=25000)
-    points = run_period_sweep(cfg)
+    points = run_period_sweep(model, T_GRID, 25000)
     elapsed = time.perf_counter() - started
 
     reference = error_avg(5.0, 0.1, 100.0)
@@ -72,8 +71,7 @@ def test_criterion_1_period_sweep_matches_theory():
 def test_criterion_2_constant_ratio_sweep_reaches_asymptote():
     started = time.perf_counter()
     model = ModelParams(lambda_rate=0.1, sigma=10.0, seed=SEED, span=100.0)
-    cfg = ExperimentConfig(model=model, T_values=T_GRID, replications=8000, ratio_C=50.0)
-    points = run_period_sweep(cfg)
+    points = run_period_sweep(model, T_GRID, 8000, ratio_C=50.0)
     elapsed = time.perf_counter() - started
 
     limit = error_asymptote(10.0, 50.0)
@@ -97,8 +95,8 @@ def test_criterion_2_constant_ratio_sweep_reaches_asymptote():
 def test_criterion_3_interpolation_dominates_dead_reckoning():
     started = time.perf_counter()
     model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=SEED, span=100.0)
-    cfg = ExperimentConfig(model=model, replications=20000, queries_per_replication=1)
-    bins = run_error_vs_count(cfg)
+    replications = 20000
+    bins = run_error_vs_count(model, replications, 1)
     elapsed = time.perf_counter() - started
 
     maint = {b.key: b for b in bins["MAINT"]}
@@ -107,7 +105,7 @@ def test_criterion_3_interpolation_dominates_dead_reckoning():
         k for k in maint if k in madrd and maint[k].sample_count >= 30 and madrd[k].sample_count >= 30
     )
     violations = []
-    if cfg.replications < 10000:
+    if replications < 10000:
         violations.append("fewer than 10000 replications")
     if not shared:
         violations.append("no shared localization-count bin with 30 samples on both sides")
@@ -124,7 +122,7 @@ def test_criterion_3_interpolation_dominates_dead_reckoning():
         violations.append(f"runtime {elapsed:.1f}s >= 300s")
 
     _report(3, "interpolation beats dead reckoning in every shared count bin", not violations,
-            f"{len(shared)} shared bins {shared}, {cfg.replications} replications, {elapsed:.1f}s")
+            f"{len(shared)} shared bins {shared}, {replications} replications, {elapsed:.1f}s")
     assert not violations, violations
 
 

@@ -3,6 +3,7 @@ manifests, and byte-identical reruns."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -30,6 +31,25 @@ class TestParseGrid:
 
     def test_inclusive_endpoint(self):
         assert parse_grid("20:200:20")[-1] == 200.0
+
+    def test_range_matches_accumulation_loop(self):
+        # the reference: start + k * step for k = 0, 1, ... while within the
+        # stop's tolerance, as Python floats
+        def loop(start, stop, step):
+            values, k = [], 0
+            while start + k * step <= stop + step * 1e-9:
+                values.append(start + k * step)
+                k += 1
+            return values
+
+        rng = random.Random(3)
+        grids = [(0.0, 100.0, 0.001), (0.0, 0.3, 0.1), (0.1, 0.7, 0.2), (-5.0, 5.0, 0.01), (1.0, 1.0, 1.0)]
+        for _ in range(500):
+            start, step = rng.uniform(-100.0, 100.0), rng.choice([rng.uniform(1e-3, 10.0), 0.1, 0.3, 0.7])
+            grids.append((start, start + step * rng.choice([rng.randint(0, 300), rng.uniform(0.0, 300.0)]), step))
+        for start, stop, step in grids:
+            got = parse_grid(f"{start!r}:{stop!r}:{step!r}")
+            assert got == loop(start, stop, step) and all(type(v) is float for v in got), (start, stop, step)
 
     def test_bad_ranges(self):
         from maintsim.cli import _UsageError

@@ -1,6 +1,7 @@
 """Pinned output digests: the data bytes of one small run of every
-experiment and of a theory grid.  fig5 and fig6 were recorded at version
-0.5.0, the others at 0.4.0; 0.5.0 changed no other output byte.
+experiment and of a theory grid.  fig5, fig6 and fig4 with three queries
+per replication were recorded at version 0.5.0, the others at 0.4.0; 0.5.0
+changed no other output byte.
 
 A digest covers every line of the CSV except ``# tool=``, which only
 names the version.  Outputs are a pure function of the manifest and the
@@ -26,6 +27,10 @@ RUNS = {
     "fig4": (
         ["simulate", "fig4", "--replications", "300"],
         "aa7879851de468f870b6d82f26c10bdcf80e54893f2f23fdd76fbe3e4fe44368",
+    ),
+    "fig4_queries3": (
+        ["simulate", "fig4", "--replications", "300", "--queries", "3"],
+        "5a883655f0e0c7be4e374442a08cc26a1dd147f6b9aeec9ee024f1513f41f995",
     ),
     "fig5": (
         ["simulate", "fig5", "--replications", "20"],

@@ -26,8 +26,10 @@ from maintsim.mobility import (
 )
 from maintsim.montecarlo import (
     _sort_columns,
+    DVM_CONFIG,
+    MADRD_CONFIGS,
+    MAINT_PERIODS,
     ErrorTable,
-    ExperimentConfig,
     bin_records,
     collect_error_records,
     run_dvm_block,
@@ -211,25 +213,25 @@ def table_rows(table):
     return list(zip(*(col.tolist() for col in columns)))
 
 
-def scalar_records(cfg):
+def scalar_records(model, replications, queries, protocols):
     """The per-replication loop over the scalar runners: (protocol,
     replication, query time, squared error, calls) rows."""
     rows = []
-    per_chunk = chunk_rows(cfg.model)
-    for r in range(cfg.replications):
-        traj = generate_trajectory(cfg.model, r)
+    per_chunk = chunk_rows(model)
+    for r in range(replications):
+        traj = generate_trajectory(model, r)
         # the chunk's query times are drawn after its paths, one row each
-        _, qrng = replication_chunk(cfg.model, r // per_chunk)
-        qts = qrng.uniform(0.0, cfg.model.span, (per_chunk, cfg.queries_per_replication))[r % per_chunk]
+        _, qrng = replication_chunk(model, r // per_chunk)
+        qts = qrng.uniform(0.0, model.span, (per_chunk, queries))[r % per_chunk]
         tx, ty = position_at(traj, qts)
-        period = cfg.maint_periods[r % len(cfg.maint_periods)]
+        period = MAINT_PERIODS[r % len(MAINT_PERIODS)]
         runs = {
             "MAINT": run_maint_timer(traj, period, qts),
-            "MADRD": run_madrd(traj, MadrdConfig(cfg.madrd_intervals[r % len(cfg.madrd_intervals)], cfg.e_thresh), qts),
+            "MADRD": run_madrd(traj, MADRD_CONFIGS[r % len(MADRD_CONFIGS)], qts),
             "SFR": run_sfr(traj, period, qts),
-            "DVM": run_dvm(traj, DvmConfig(threshold_distance=cfg.dvm_threshold), qts),
+            "DVM": run_dvm(traj, DVM_CONFIG, qts),
         }
-        for name in cfg.protocols:
+        for name in protocols:
             est, calls = runs[name]
             sq = (est[:, 0] - tx) ** 2 + (est[:, 1] - ty) ** 2
             rows += [(name, r, float(q), float(e), calls) for q, e in zip(qts, sq)]
@@ -237,8 +239,6 @@ def scalar_records(cfg):
 
 
 ALL_PROTOCOLS = ("MAINT", "MADRD", "SFR", "DVM")
-PERIODS = (2.0, 4.0, 5.0, 10.0, 20.0, 25.0, 50.0)
-BASES = (2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 35.0, 50.0)
 
 
 class TestBlockRunners:
@@ -248,8 +248,8 @@ class TestBlockRunners:
         model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=seed, span=100.0)
         trajs = [generate_trajectory(model, r) for r in range(50)]
         qts = np.random.default_rng([seed, n_queries]).uniform(0.0, 100.0, (50, n_queries))
-        periods = np.array([PERIODS[r % len(PERIODS)] for r in range(50)])
-        madrd = [MadrdConfig(base_interval=BASES[r % len(BASES)]) for r in range(50)]
+        periods = np.array([MAINT_PERIODS[r % len(MAINT_PERIODS)] for r in range(50)])
+        madrd = [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in range(50)]
         assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * 50)
 
     def test_queries_at_zero_at_a_tick_and_at_the_span(self):
@@ -310,8 +310,8 @@ class TestBlockRunners:
         model = ModelParams(lambda_rate=0.1, sigma=1e-8, seed=4, span=100.0)
         trajs = [generate_trajectory(model, r) for r in range(16)]
         qts = np.random.default_rng(4).uniform(0.0, 100.0, (16, 3))
-        periods = np.array([PERIODS[r % len(PERIODS)] for r in range(16)])
-        madrd = [MadrdConfig(base_interval=BASES[r % len(BASES)]) for r in range(16)]
+        periods = np.array([MAINT_PERIODS[r % len(MAINT_PERIODS)] for r in range(16)])
+        madrd = [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in range(16)]
         assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * 16)
 
     def test_rejects_query_past_last_tick(self):
@@ -322,44 +322,33 @@ class TestBlockRunners:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_records_match_scalar_loop(self, seed):
         model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=seed, span=100.0)
-        cfg = ExperimentConfig(model=model, protocols=ALL_PROTOCOLS, replications=40, queries_per_replication=2)
-        table = collect_error_records(cfg, block=7)
-        expected = sorted(scalar_records(cfg))
+        table = collect_error_records(model, 40, 2, ALL_PROTOCOLS)
+        expected = sorted(scalar_records(model, 40, 2, ALL_PROTOCOLS))
         got = sorted(table_rows(table))
         assert len(got) == len(expected) == 4 * 40 * 2
         for g, e in zip(got, expected):
             assert g[:3] == e[:3] and g[4] == e[4]
             assert g[3] == pytest.approx(e[3], rel=1e-12, abs=0.0)
 
-    def test_chunk_rows_match_scalar_runners(self):
-        # the runners on a chunk's own leg matrices, as the count experiment
-        # feeds them, against the scalar runners on generate_trajectory
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_chunk_rows_match_scalar_runners(self, n):
+        # the runners on the first n rows of a chunk's own leg matrices, as
+        # the count experiment feeds them, against the scalar runners on
+        # generate_trajectory
         model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=3, span=100.0)
         paths, rng = replication_chunk(model, 1)
         first = chunk_rows(model)
-        trajs = [generate_trajectory(model, first + r) for r in range(60)]
-        qts = rng.uniform(0.0, model.span, (len(paths), 3))[:60]
-        periods = np.array([PERIODS[r % len(PERIODS)] for r in range(60)])
-        madrd = [MadrdConfig(base_interval=BASES[r % len(BASES)]) for r in range(60)]
-        assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * 60, rtol=0.0, block=paths[:60])
-
-    def test_block_size_does_not_change_bins(self):
-        # 300 replications make two chunks; DVM, the slowest runner at one
-        # row per block, is covered by test_records_match_scalar_loop
-        cfg = ExperimentConfig(
-            model=MODEL, protocols=("MAINT", "MADRD", "SFR"), replications=300, queries_per_replication=2
-        )
-        default = collect_error_records(cfg)
-        assert collect_error_records(cfg, block=1) == default
-        assert collect_error_records(cfg, block=7) == default
+        trajs = [generate_trajectory(model, first + r) for r in range(n)]
+        qts = rng.uniform(0.0, model.span, (len(paths), 3))[:n]
+        periods = np.array([MAINT_PERIODS[r % len(MAINT_PERIODS)] for r in range(n)])
+        madrd = [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in range(n)]
+        assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * n, rtol=0.0, block=paths[:n])
 
     def test_replication_count_does_not_change_earlier_records(self):
         # the last chunk is drawn in full and cut, so a longer run repeats a
         # shorter one's records as its prefix
-        cfg = ExperimentConfig(model=MODEL, replications=1000, queries_per_replication=2)
-        short = ExperimentConfig(model=MODEL, replications=300, queries_per_replication=2)
-        small = collect_error_records(short)
-        big = collect_error_records(cfg)
+        small = collect_error_records(MODEL, 300, 2)
+        big = collect_error_records(MODEL, 1000, 2)
         assert ErrorTable(*(col[: len(small)] for col in big.columns)) == small
         assert np.array_equal(np.unique(small.replication_index), np.arange(300))
 
@@ -371,59 +360,46 @@ class TestBlockRunners:
         paths, _ = replication_chunk(model, 0)
         assert 1 < rows < 256 and len(paths) == rows
         assert paths.start_times.size <= _BLOCK_LEGS
-        cfg = ExperimentConfig(model=model, replications=rows + 5)
-        table = collect_error_records(cfg)
+        table = collect_error_records(model, rows + 5, 1)
         assert np.array_equal(np.unique(table.replication_index), np.arange(rows + 5))
 
 
 class TestPeriodSweep:
     def test_deterministic(self):
-        cfg = ExperimentConfig(model=MODEL, T_values=(20.0, 50.0), replications=300)
-        assert run_period_sweep(cfg) == run_period_sweep(cfg)
+        assert run_period_sweep(MODEL, (20.0, 50.0), 300) == run_period_sweep(MODEL, (20.0, 50.0), 300)
 
     def test_matches_theory_within_band(self):
-        cfg = ExperimentConfig(model=MODEL, T_values=(20.0, 100.0), replications=4000)
-        for p in run_period_sweep(cfg):
+        for p in run_period_sweep(MODEL, (20.0, 100.0), 4000):
             assert abs(p.mean_sq_error - p.theory) < 4.0 * p.std_error
 
     def test_theory_column_is_the_closed_form(self):
-        cfg = ExperimentConfig(model=MODEL, T_values=(35.0,), replications=100)
-        (point,) = run_period_sweep(cfg)
+        (point,) = run_period_sweep(MODEL, (35.0,), 100)
         assert point.theory == error_avg(MODEL.sigma, MODEL.lambda_rate, 35.0)
 
     def test_small_period_shrinks_error(self):
-        cfg = ExperimentConfig(model=MODEL, T_values=(1.0, 100.0), replications=2000)
-        small, large = run_period_sweep(cfg)
+        small, large = run_period_sweep(MODEL, (1.0, 100.0), 2000)
         assert small.theory < 0.01 * large.theory
         assert small.mean_sq_error < 0.01 * large.mean_sq_error
 
     def test_standard_error_scaling(self):
-        base = ExperimentConfig(model=MODEL, T_values=(50.0,), replications=2000)
-        quad = ExperimentConfig(model=MODEL, T_values=(50.0,), replications=8000)
-        (p1,) = run_period_sweep(base)
-        (p4,) = run_period_sweep(quad)
+        (p1,) = run_period_sweep(MODEL, (50.0,), 2000)
+        (p4,) = run_period_sweep(MODEL, (50.0,), 8000)
         ratio = p4.std_error / p1.std_error
         assert 0.4 <= ratio <= 0.6
 
     def test_samples_column(self):
-        cfg = ExperimentConfig(model=MODEL, T_values=(20.0,), replications=150)
-        (point,) = run_period_sweep(cfg)
+        (point,) = run_period_sweep(MODEL, (20.0,), 150)
         assert point.samples == 150
 
     def test_needs_grid(self):
         with pytest.raises(ParameterError):
-            run_period_sweep(ExperimentConfig(model=MODEL))
+            run_period_sweep(MODEL, (), 100)
 
 
 class TestAsymptoticSweep:
     def test_lambda_tied_to_period(self):
-        cfg = ExperimentConfig(
-            model=ModelParams(lambda_rate=0.1, sigma=10.0, seed=5, span=100.0),
-            T_values=(20.0, 200.0),
-            replications=1500,
-            ratio_C=50.0,
-        )
-        points = run_period_sweep(cfg)
+        model = ModelParams(lambda_rate=0.1, sigma=10.0, seed=5, span=100.0)
+        points = run_period_sweep(model, (20.0, 200.0), 1500, ratio_C=50.0)
         assert [p.lambda_rate for p in points] == [0.4, 4.0]
         for p in points:
             assert p.theory == error_avg(10.0, p.lambda_rate, p.T)
@@ -431,10 +407,10 @@ class TestAsymptoticSweep:
 
 
 class TestErrorVsCount:
-    CFG = ExperimentConfig(model=MODEL, replications=1200, queries_per_replication=1)
+    RUN = dict(model=MODEL, replications=1200, queries=1)
 
     def test_record_invariants(self):
-        table = collect_error_records(self.CFG)
+        table = collect_error_records(**self.RUN)
         assert set(table.protocol.tolist()) == {"MAINT", "MADRD"}
         head = slice(0, 500)
         for sq_error, abs_error, count, query_time in zip(
@@ -445,12 +421,12 @@ class TestErrorVsCount:
             assert 0.0 <= query_time <= MODEL.span
 
     def test_truth_is_the_trajectory_position(self):
-        table = collect_error_records(self.CFG)
+        table = collect_error_records(**self.RUN)
         maint = [row for row in table_rows(table) if row[0] == "MAINT"][:40]
         # recompute the estimate independently and recover the recorded error
         for _, rep, query_time, sq_error, count in maint:
             traj = generate_trajectory(MODEL, rep)
-            period = self.CFG.maint_periods[rep % len(self.CFG.maint_periods)]
+            period = MAINT_PERIODS[rep % len(MAINT_PERIODS)]
             est, calls = run_maint_timer(traj, period, [query_time])
             tx, ty = position_at(traj, query_time)
             sq = (est[0, 0] - tx) ** 2 + (est[0, 1] - ty) ** 2
@@ -458,26 +434,26 @@ class TestErrorVsCount:
             assert sq_error == pytest.approx(sq, rel=1e-9, abs=1e-15)
 
     def test_binning_is_order_independent(self):
-        table = collect_error_records(self.CFG)
+        table = collect_error_records(**self.RUN)
         order = np.random.default_rng(0).permutation(len(table))
         shuffled = ErrorTable(*(col[order] for col in table.columns))
         assert bin_records(table) == bin_records(shuffled)
 
     def test_deterministic_rerun(self):
-        assert collect_error_records(self.CFG) == collect_error_records(self.CFG)
+        assert collect_error_records(**self.RUN) == collect_error_records(**self.RUN)
 
     def test_empty_bins_omitted(self):
-        bins = run_error_vs_count(self.CFG)
+        bins = run_error_vs_count(**self.RUN)
         for results in bins.values():
             assert all(b.sample_count >= 1 for b in results)
 
     def test_maint_bins_are_the_period_grid(self):
-        bins = run_error_vs_count(self.CFG)
-        expected = {math.floor(MODEL.span / p) + 1 for p in self.CFG.maint_periods}
+        bins = run_error_vs_count(**self.RUN)
+        expected = {math.floor(MODEL.span / p) + 1 for p in MAINT_PERIODS}
         assert {b.key for b in bins["MAINT"]} == expected
 
     def test_dominance_on_shared_bins(self):
-        bins = run_error_vs_count(self.CFG)
+        bins = run_error_vs_count(**self.RUN)
         maint = {b.key: b for b in bins["MAINT"]}
         madrd = {b.key: b for b in bins["MADRD"]}
         shared = [k for k in maint if k in madrd and maint[k].sample_count >= 30 and madrd[k].sample_count >= 30]
@@ -487,29 +463,22 @@ class TestErrorVsCount:
 
     def test_near_stationary_sensor_has_negligible_error(self):
         model = ModelParams(lambda_rate=0.1, sigma=1e-8, seed=4, span=100.0)
-        cfg = ExperimentConfig(model=model, replications=60, queries_per_replication=1)
-        for results in run_error_vs_count(cfg).values():
+        for results in run_error_vs_count(model, 60, 1).values():
             for b in results:
                 assert b.mean_sq_error < 1e-12
 
-    def test_requires_both_protocols(self):
-        with pytest.raises(ParameterError):
-            run_error_vs_count(ExperimentConfig(model=MODEL, protocols=("MAINT",)))
-
     def test_rejects_non_divisor_period(self):
-        cfg = ExperimentConfig(model=MODEL, maint_periods=(7.0,), replications=10)
-        with pytest.raises(ParameterError):
-            collect_error_records(cfg)
+        # 2 s, the first period, does not divide a 33 s span
+        model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=77, span=33.0)
+        with pytest.raises(ParameterError, match="does not divide span"):
+            collect_error_records(model, 10, 1)
 
     def test_all_four_protocols_record(self):
-        cfg = ExperimentConfig(
-            model=MODEL, protocols=("MAINT", "MADRD", "SFR", "DVM"), replications=40, queries_per_replication=1
-        )
-        table = collect_error_records(cfg)
+        table = collect_error_records(MODEL, 40, 1, ALL_PROTOCOLS)
         assert set(table.protocol.tolist()) == {"MAINT", "MADRD", "SFR", "DVM"}
 
     def test_no_protocols_give_an_empty_table(self):
-        table = collect_error_records(ExperimentConfig(model=MODEL, protocols=()))
+        table = collect_error_records(MODEL, 100, 1, protocols=())
         assert len(table) == 0
         assert len(table.columns) == 6
         assert bin_records(table) == {}
@@ -544,22 +513,20 @@ def _old_generate_trajectory(params, replication_index):
     return Trajectory(span=params.span, start_times=start_times, start_x=xs, start_y=ys, vel_x=us, vel_y=vs)
 
 
-def _old_layout_records(cfg):
+def _old_layout_records(model, replications, n_q):
     """MAINT and MADRD records under the version 0.2 stream layout: each
     replication's own trajectory stream and a query stream keyed by
     (seed, 101, replication), run through today's block runners."""
-    model, n_q = cfg.model, cfg.queries_per_replication
-    madrd = [MadrdConfig(base_interval=b, e_thresh=cfg.e_thresh) for b in cfg.madrd_intervals]
     tables = []
-    for first in range(0, cfg.replications, 256):
-        rows = np.arange(first, min(cfg.replications, first + 256))
+    for first in range(0, replications, 256):
+        rows = np.arange(first, min(replications, first + 256))
         legs = stack_block([_old_generate_trajectory(model, int(r)) for r in rows])
         qts = np.array([np.random.default_rng([model.seed, 101, r]).uniform(0.0, model.span, n_q) for r in rows])
         tx, ty = legs.position(qts)
-        periods = np.array(cfg.maint_periods)[rows % len(cfg.maint_periods)]
+        periods = np.array(MAINT_PERIODS)[rows % len(MAINT_PERIODS)]
         runs = {
             "MAINT": run_maint_timer_block(legs, periods, qts),
-            "MADRD": run_madrd_block(legs, [madrd[r % len(madrd)] for r in rows], qts),
+            "MADRD": run_madrd_block(legs, [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in rows], qts),
         }
         for name, (est, calls) in runs.items():
             sq = ((est[..., 0] - tx) ** 2 + (est[..., 1] - ty) ** 2).ravel()
@@ -580,9 +547,9 @@ class TestStreamLayout:
     def test_fig4_bins_agree_with_the_old_layout(self):
         # a new stream layout changes the samples, not the distribution: every
         # bin with 30 samples on both sides agrees within |z| < 4
-        cfg = ExperimentConfig(model=ModelParams(lambda_rate=0.1, sigma=5.0, seed=0, span=100.0), replications=20000)
-        new = bin_records(collect_error_records(cfg))
-        old = bin_records(_old_layout_records(cfg))
+        model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=0, span=100.0)
+        new = bin_records(collect_error_records(model, 20000, 1))
+        old = bin_records(_old_layout_records(model, 20000, 1))
         compared = 0
         for proto in ("MAINT", "MADRD"):
             olds = {b.key: b for b in old[proto]}
@@ -985,11 +952,13 @@ class TestMomentValidation:
 
 class TestConfigValidation:
     def test_bad_values(self):
-        with pytest.raises(ParameterError):
-            ExperimentConfig(model=MODEL, replications=0)
-        with pytest.raises(ParameterError):
-            ExperimentConfig(model=MODEL, queries_per_replication=0)
-        with pytest.raises(ParameterError):
-            ExperimentConfig(model=MODEL, protocols=("MAINT", "BOGUS"))
-        with pytest.raises(ParameterError):
-            ExperimentConfig(model=MODEL, ratio_C=0.0)
+        with pytest.raises(ParameterError, match="replications must be >= 1"):
+            collect_error_records(MODEL, 0, 1)
+        with pytest.raises(ParameterError, match="queries must be >= 1"):
+            collect_error_records(MODEL, 10, 0)
+        with pytest.raises(ParameterError, match="unknown protocols"):
+            collect_error_records(MODEL, 10, 1, ("MAINT", "BOGUS"))
+        with pytest.raises(ParameterError, match="ratio_C must be finite"):
+            run_period_sweep(MODEL, (20.0,), 10, ratio_C=0.0)
+        with pytest.raises(ParameterError, match="every T must be finite"):
+            run_period_sweep(MODEL, (20.0, math.inf), 10)
