@@ -11,17 +11,12 @@ from .errors import (
     StaleQueryError,
     UnsupportedMomentError,
 )
-from .mobility import ModelParams, Trajectory, generate_trajectory, position_at
 
 __all__ = [
     "BracketError",
     "DegeneratePairError",
-    "ModelParams",
     "ParameterError",
     "StaleQueryError",
-    "Trajectory",
     "UnsupportedMomentError",
-    "generate_trajectory",
-    "position_at",
     "__version__",
 ]

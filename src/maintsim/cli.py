@@ -10,6 +10,11 @@ moments --samples 1000000000000``) also exits 2, with one line and no file.
 Outputs default into $MAINTSIM_OUTDIR (falling back to the working
 directory) and depend only on the manifest and tool version: re-running a
 command reproduces its files byte for byte.
+
+``theory`` keeps its grids and the kernel output as float64 arrays and
+hands them to the CSV writer as columns.  The simulation stack
+(``mobility``, ``montecarlo`` and, through it, ``protocols``) is imported
+only when ``simulate`` runs, so ``theory`` and ``--version`` never load it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ import numpy as np
 from . import __version__
 from .analytic import error_asymptote, error_at, error_avg
 from .errors import ParameterError
-from .mobility import ModelParams
-from .montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
 from .output import RunManifest, write_csv, write_manifest
 
 EXIT_OK = 0
@@ -49,8 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def parse_grid(spec: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive), 'a,b,c', or a single number."""
+def parse_grid(spec: str) -> np.ndarray:
+    """Parse 'start:stop:step' (inclusive), 'a,b,c', or a single number
+    into a float64 array."""
     try:
         if ":" in spec:
             start_s, stop_s, step_s = spec.split(":")
@@ -64,13 +68,13 @@ def parse_grid(spec: str) -> list[float]:
             if not points <= _MAX_GRID_POINTS:  # also an overflow to inf
                 raise ParameterError(f"grid {spec!r} has {points:.3g} points; at most {_MAX_GRID_POINTS} are allowed")
             values = start + step * np.arange(int(points) + 2)
-            return values[values <= stop + step * 1e-9].tolist()
+            return values[values <= stop + step * 1e-9]
         if "," in spec:
             values = [float(v) for v in spec.split(",") if v]
             if not values:
                 raise _UsageError(f"grid {spec!r} lists no values")
-            return values
-        return [float(spec)]
+            return np.array(values)
+        return np.array([float(spec)])
     except ParameterError:
         raise
     except ValueError:
@@ -145,8 +149,8 @@ def cmd_theory(args) -> int:
         T_grid = parse_grid(args.T)
         meta["lambda"] = args.lambda_rate
         n = len(T_grid)
-        errors = error_avg(args.sigma, args.lambda_rate, np.array(T_grid))
-        columns = (T_grid, [args.lambda_rate] * n, [args.sigma] * n, errors.tolist())
+        errors = error_avg(args.sigma, args.lambda_rate, T_grid)
+        columns = (T_grid, np.full(n, args.lambda_rate), np.full(n, args.sigma), errors)
         header = ["T", "lambda", "sigma", "error_avg"]
     elif args.mode == "error_t":
         if args.lambda_rate is None or args.T is None or args.t_grid is None:
@@ -154,11 +158,11 @@ def cmd_theory(args) -> int:
         T_vals = parse_grid(args.T)
         if len(T_vals) != 1:
             raise _UsageError("error_t mode takes a scalar --T")
-        T = T_vals[0]
+        T = float(T_vals[0])
         meta["lambda"] = args.lambda_rate
         meta["T"] = T
         t_grid = parse_grid(args.t_grid)
-        columns = (t_grid, error_at(args.sigma, args.lambda_rate, T, np.array(t_grid)).tolist())
+        columns = (t_grid, error_at(args.sigma, args.lambda_rate, T, t_grid))
         header = ["t", "error_t"]
     else:  # asymptote
         if args.ratio_C is None or args.T is None:
@@ -167,13 +171,12 @@ def cmd_theory(args) -> int:
         meta["C"] = args.ratio_C
         T_grid = parse_grid(args.T)
         n = len(T_grid)
-        T_array = np.array(T_grid)
-        lam = T_array / args.ratio_C
-        errors = error_avg(args.sigma, lam, T_array)
-        columns = (T_grid, lam.tolist(), [args.sigma] * n, errors.tolist(), [limit] * n)
+        lam = T_grid / args.ratio_C
+        errors = error_avg(args.sigma, lam, T_grid)
+        columns = (T_grid, lam, np.full(n, args.sigma), errors, np.full(n, limit))
         header = ["T", "lambda", "sigma", "error_avg", "asymptote"]
 
-    count = write_csv(out, header, zip(*columns), meta)
+    count = write_csv(out, header, columns, meta)
     print(f"wrote {count} rows -> {out}")
     return EXIT_OK
 
@@ -232,6 +235,11 @@ def _resolve_settings(args) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    # imported here, not at the top: theory and --version never use the
+    # simulation stack, and loading it costs every CLI start tens of ms
+    from .mobility import ModelParams
+    from .montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
+
     settings = _resolve_settings(args)
     experiment = args.experiment
     out = args.out or os.path.join(_outdir(args), f"{experiment}.csv")
@@ -247,7 +255,7 @@ def cmd_simulate(args) -> int:
     status = EXIT_OK
 
     if experiment in ("fig5", "fig6"):
-        T_values = parse_grid(str(settings["T"]))
+        T_values = parse_grid(str(settings["T"])).tolist()
         points = run_period_sweep(model, T_values, settings["replications"], settings.get("ratio_C"))
         if experiment == "fig5":
             rows = [(p.T, p.mean_sq_error, p.std_error, p.samples, p.theory) for p in points]
@@ -282,7 +290,7 @@ def cmd_simulate(args) -> int:
         if not report.passed:
             status = EXIT_VALIDATION
 
-    count = write_csv(out, header, rows, meta)
+    count = write_csv(out, header, list(zip(*rows)), meta)
     manifest = RunManifest(
         experiment=experiment,
         seed=settings["seed"],

@@ -148,22 +148,38 @@ def _window_durations(rng: np.random.Generator, lambda_rate: float, horizon: flo
     the horizon in some row."""
     cols = _window_cols(lambda_rate, horizon)
     gaps = rng.standard_exponential((rows, cols)) / lambda_rate
-    total = gaps.sum(axis=1)
-    while True:
-        short = total < horizon
-        if not short.any():
-            break
-        pad = np.zeros((rows, cols))
-        pad[short] = rng.standard_exponential((int(short.sum()), cols)) / lambda_rate
-        gaps = np.hstack([gaps, pad])
-        total += pad.sum(axis=1)
     starts = _leg_starts(gaps)
+    # where a row's zero-duration padding legs start: cumsum's next value,
+    # which can round to the horizon or below even when the pairwise
+    # ``total`` reaches it
+    end = starts[:, -1] + gaps[:, -1]
+    total = gaps.sum(axis=1)
+    # only the rows short of the horizon, and any row whose padding legs
+    # would still start by it, go on in a wider matrix of their own, so one
+    # short row does not widen the whole batch
+    wide_rows = np.flatnonzero((total < horizon) | (end <= horizon))
+    wide, wide_total = gaps[wide_rows], total[wide_rows]
+    while (short := wide_total < horizon).any():
+        pad = np.zeros((len(wide_rows), cols))
+        pad[short] = rng.standard_exponential((int(short.sum()), cols)) / lambda_rate
+        wide = np.hstack([wide, pad])
+        wide_total += pad.sum(axis=1)
+    wide_starts = _leg_starts(wide)
     # rows are sorted, so the columns that start past the horizon in every
-    # row come last; copied one at a time, so that an extended batch's wide
-    # matrices are freed early (they set the sweeps' peak memory)
-    keep = int(np.count_nonzero(starts.min(axis=0) <= horizon))
-    starts = starts[:, :keep].copy()
-    return gaps[:, :keep].copy(), starts
+    # row come last; the other rows' padding starts past it
+    keep = max(
+        int(np.count_nonzero(starts.min(axis=0) <= horizon)),
+        int(np.count_nonzero(wide_starts.min(axis=0, initial=np.inf) <= horizon)),
+    )
+    first = min(keep, cols)
+    out_gaps = np.zeros((rows, keep))
+    out_gaps[:, :first] = gaps[:, :first]
+    out_gaps[wide_rows] = wide[:, :keep]
+    out_starts = np.empty((rows, keep))
+    out_starts[:, :first] = starts[:, :first]
+    out_starts[:, first:] = end[:, None]
+    out_starts[wide_rows] = wide_starts[:, :keep]
+    return out_gaps, out_starts
 
 
 def _window_legs(rng: np.random.Generator, lambda_rate: float, sigma: float, horizon: float, rows: int):

@@ -5,13 +5,17 @@ capturing the full resolved configuration and seed, so a file plus the tool
 version pins down exactly how to regenerate it.  Floats are serialized with
 ``repr`` (shortest round-trip form) and nothing time- or host-dependent is
 ever written.
+
+Tables are handed over by columns: one float64 array or list per header
+name.  ``write_csv`` formats them a chunk of rows at a time, each column
+slice by one map over its Python values, and never builds row tuples of
+values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -32,33 +36,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _format_column(values: tuple) -> list[str]:
+def _format_column(values) -> list[str]:
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     kinds = set(map(type, values))
     plain = _PLAIN.get(kinds.pop()) if len(kinds) == 1 else None
     return list(map(plain or _fmt, values))
 
 
-def write_csv(path, header: list[str], rows, metadata: dict | None = None) -> int:
+def write_csv(path, header: list[str], columns, metadata: dict | None = None) -> int:
     """Write metadata comments, a header row, and data rows; returns the
     number of data rows.
 
-    Every row holds one value per header column.  Rows are formatted a
-    chunk of ``_CHUNK_ROWS`` at a time, column by column, so memory stays
-    flat however many rows an iterator yields.
+    ``columns`` holds one sequence per header column, a numpy array or a
+    list, all of one length.  Rows are formatted a chunk of ``_CHUNK_ROWS``
+    at a time, column by column, so a long grid never exists as strings all
+    at once.
     """
-    count = 0
-    rows = iter(rows)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header names")
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    count = lengths.pop() if lengths else 0
     with open(path, "w", newline="") as fh:
         if metadata:
             for key in sorted(metadata):
                 fh.write(f"# {key}={_fmt(metadata[key])}\n")
         fh.write(",".join(header) + "\n")
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            if set(map(len, chunk)) != {len(header)}:
-                raise ValueError(f"every row must hold {len(header)} values, one per header column")
-            columns = [_format_column(col) for col in zip(*chunk)]
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
-            count += len(chunk)
+        for start in range(0, count, _CHUNK_ROWS):
+            cells = [_format_column(col[start : start + _CHUNK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return count
 
 

@@ -23,11 +23,16 @@ def run(argv):
 
 class TestParseGrid:
     def test_range(self):
-        assert parse_grid("10:200:10") == [10.0 + 10.0 * k for k in range(20)]
+        assert parse_grid("10:200:10").tolist() == [10.0 + 10.0 * k for k in range(20)]
 
     def test_scalar_and_list(self):
-        assert parse_grid("42") == [42.0]
-        assert parse_grid("1,2.5,7") == [1.0, 2.5, 7.0]
+        assert parse_grid("42").tolist() == [42.0]
+        assert parse_grid("1,2.5,7").tolist() == [1.0, 2.5, 7.0]
+
+    def test_float64_arrays(self):
+        for spec in ("10:200:10", "42", "1,2.5,7"):
+            grid = parse_grid(spec)
+            assert grid.ndim == 1 and grid.dtype == float
 
     def test_inclusive_endpoint(self):
         assert parse_grid("20:200:20")[-1] == 200.0
@@ -48,7 +53,7 @@ class TestParseGrid:
             start, step = rng.uniform(-100.0, 100.0), rng.choice([rng.uniform(1e-3, 10.0), 0.1, 0.3, 0.7])
             grids.append((start, start + step * rng.choice([rng.randint(0, 300), rng.uniform(0.0, 300.0)]), step))
         for start, stop, step in grids:
-            got = parse_grid(f"{start!r}:{stop!r}:{step!r}")
+            got = parse_grid(f"{start!r}:{stop!r}:{step!r}").tolist()
             assert got == loop(start, stop, step) and all(type(v) is float for v in got), (start, stop, step)
 
     def test_bad_ranges(self):
@@ -173,12 +178,12 @@ class TestSimulate:
         assert all(abs(float(r[4])) < 4.0 for r in rows)
 
     def test_moments_failure_exit_two(self, tmp_path, monkeypatch):
-        import maintsim.cli as cli
+        import maintsim.montecarlo
 
         broken = MomentReport(
             checks=[MomentCheck(name="x", mc_mean=1.0, std_error=0.1, theory=0.0, z=10.0, samples=10000)]
         )
-        monkeypatch.setattr(cli, "validate_conditional_moments", lambda **kw: broken)
+        monkeypatch.setattr(maintsim.montecarlo, "validate_conditional_moments", lambda **kw: broken)
         out = tmp_path / "m.csv"
         assert run(["simulate", "moments", "--out", str(out)]) == EXIT_VALIDATION
         assert out.exists()
@@ -338,8 +343,8 @@ def test_grid_cap_is_inclusive(monkeypatch):
     import maintsim.cli as cli
 
     monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
-    assert parse_grid("0:4:1") == [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert parse_grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert parse_grid("0:4:1").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert parse_grid("0:1:0.25").tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     with pytest.raises(ParameterError):
         parse_grid("0:5:1")
 
@@ -355,3 +360,30 @@ def test_cli_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(maintsim.__file__))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:5"], ["--version"]],
+)
+def test_theory_and_version_leave_the_simulation_stack_unloaded(tmp_path, argv):
+    # the simulation stack costs every CLI start tens of milliseconds, and
+    # only simulate needs it
+    code = (
+        "import sys\n"
+        "from maintsim.cli import main\n"
+        "try:\n"
+        "    status = main(sys.argv[1:])\n"
+        "except SystemExit as exc:  # --version exits through argparse\n"
+        "    status = exc.code\n"
+        "stack = {'maintsim.montecarlo', 'maintsim.mobility', 'maintsim.protocols', 'numpy.random'}\n"
+        "print(sorted(stack & set(sys.modules)))\n"
+        "sys.exit(status)"
+    )
+    src = os.path.dirname(os.path.dirname(maintsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src, "MAINTSIM_OUTDIR": str(tmp_path)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,7 +1,8 @@
 """Pinned output digests: the data bytes of one small run of every
-experiment and of a theory grid.  fig5, fig6 and fig4 with three queries
-per replication were recorded at version 0.5.0, the others at 0.4.0; 0.5.0
-changed no other output byte.
+experiment and of theory grids.  fig5, fig6, fig4 with three queries per
+replication and the two theory grids longer than one chunk of the CSV
+writer were recorded at version 0.5.0, the others at 0.4.0; 0.5.0 changed
+no other output byte.
 
 A digest covers every line of the CSV except ``# tool=``, which only
 names the version.  Outputs are a pure function of the manifest and the
@@ -51,6 +52,15 @@ RUNS = {
     "theory_error_t": (
         ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:0.5"],
         "8fc5218601ff35b5c6b9fb83368d82fc900263031c791f85f51246a7ba5737a2",
+    ),
+    # grids longer than one chunk of the CSV writer: 10 001 and 10 000 rows
+    "theory_error_t_chunks": (
+        ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:0.01"],
+        "65faafcf38caf1c0c5438e9c14fa6696951d9736ae0c9fcc932fbb5409e47501",
+    ),
+    "theory_error_avg_chunks": (
+        ["theory", "--mode", "error_avg", "--sigma", "5", "--lambda", "0.1", "--T", "1:10000:1"],
+        "6505605df444da2312efb4499910ece6430edfcb6e1eda3b9647c946c17a328a",
     ),
 }
 

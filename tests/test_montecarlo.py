@@ -876,6 +876,70 @@ class TestWindowEngine:
         assert 3.8 * _WINDOW_BATCH < rng.normals < 4.2 * _WINDOW_BATCH
 
 
+class _Rounds:
+    """A generator that hands out the given rounds of durations in turn."""
+
+    def __init__(self, *rounds):
+        self._rounds = [np.asarray(r, dtype=float) for r in rounds]
+
+    def standard_exponential(self, size):
+        out = self._rounds.pop(0)
+        assert out.shape == size
+        return out
+
+
+def _trimmed(gaps, starts, horizon):
+    """The oracle's matrices cut to the columns that start by the horizon
+    in some row."""
+    keep = int(np.count_nonzero(starts.min(axis=0) <= horizon))
+    return gaps[:, :keep], starts[:, :keep]
+
+
+class TestWindowDurations:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_for_bit_the_plain_rounds(self, seed):
+        # legs shrunk so that about one row in five takes a second round
+        # and a few a third
+        lam, horizon, rows = 0.5, 6.0, 200
+        got = _window_durations(_ShortLegs(seed, 0.4), lam, horizon, rows)
+        want = _trimmed(*_oracle_window_durations(_ShortLegs(seed, 0.4), lam, horizon, rows), horizon)
+        assert got[0].shape[1] > _window_cols(lam, horizon)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_padding_that_rounds_onto_the_horizon_is_kept(self):
+        # row 0's pairwise sum, 2 + 3 * 2^-51, covers the horizon, so it
+        # takes no second round; its cumulative sum, where its padding legs
+        # start, stays 2.0, by the horizon.  Row 1 falls short.
+        tiny, horizon = 2.0**-52, 2.0 + 2.0**-51
+        assert _window_cols(1.0, horizon) == 8
+        first, second = [[2.0] + [tiny] * 7, [0.1] * 8], [[1.0] * 8]
+        got = _window_durations(_Rounds(first, second), 1.0, horizon, 2)
+        want = _trimmed(*_oracle_window_durations(_Rounds(first, second), 1.0, horizon, 2), horizon)
+        assert got[0].shape == (2, 16)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_one_short_row_does_not_widen_the_batch(self):
+        # row 7 takes a second round, which covers the horizon at once; the
+        # batch's matrices stay one round wide until the result, one column
+        # wider, is built (extending every row came to six rounds' worth)
+        import tracemalloc
+
+        rows, lam, horizon = 1000, 1.0, 200.0
+        cols = _window_cols(lam, horizon)
+        first = np.full((rows, cols), 1.0)
+        first[7] = 0.1
+        tracemalloc.start()
+        try:
+            gaps, _ = _window_durations(_Rounds(first, np.full((1, cols), horizon)), lam, horizon, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gaps.shape == (rows, cols + 1)
+        assert peak < 4.5 * rows * cols * 8
+
+
 class TestMomentValidation:
     def test_passes_on_default_grid(self):
         report = validate_conditional_moments(samples=20_000, n_max=4, seed=6)
