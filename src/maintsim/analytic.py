@@ -3,7 +3,8 @@
 Everything here is a pure function of its arguments.  The interpolation
 error kernels ``error_at`` and ``error_avg`` take scalars or arrays (a
 scalar call gives a float) and evaluate element by element exactly as a
-scalar evaluation would, bit for bit.  The recurring bracket
+scalar evaluation would, bit for bit, a fixed-size chunk of a grid at a
+time, so their memory beyond the result does not grow with the grid.  The recurring bracket
 ``exp(-x) - 1 + x`` and the averaged-error bracket both cancel
 catastrophically for small ``x`` if evaluated term by term, so they switch
 to series below a threshold (period sweeps reach lambda*T ~ 800 on one end
@@ -37,6 +38,27 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     as a scalar evaluation, at about 0.1 us per element.
     """
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+# the error kernels run over this many grid points at a time, so their
+# temporaries, and the Python floats of ``_libm``, stay a fixed size
+_CHUNK = 4096
+
+
+def _by_chunks(kernel, *arrays) -> np.ndarray:
+    """``kernel`` applied to the broadcast ``arrays``, ``_CHUNK`` elements at
+    a time, as one array of the broadcast shape (0-d for scalars).  Only for
+    elementwise kernels, whose results cannot depend on the chunking."""
+    it = np.nditer(
+        [*arrays, None],
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_flags=[["readonly"]] * len(arrays) + [["writeonly", "allocate"]],
+        buffersize=_CHUNK,
+    )
+    with it:
+        for *chunks, out in it:
+            out[...] = kernel(*chunks)
+        return it.operands[-1]
 
 
 def _exp_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +305,8 @@ def error_at(sigma: float, lambda_rate, T, t):
     if outside.any():
         t_bad, T_bad = (np.broadcast_to(v, outside.shape)[outside].flat[0] for v in (t, T))
         raise ParameterError(f"t must lie in [0, {T_bad}], got {t_bad}")
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def kernel(lam, T, t):
         scale = lam * lam * T * T
         if np.any(scale == 0.0):
             raise ParameterError("lambda_rate**2 * T**2 underflows to 0")
@@ -292,7 +315,10 @@ def error_at(sigma: float, lambda_rate, T, t):
         rise_u, gap_u = _exp_terms(lam * u)
         rise_w, gap_w = _exp_terms(lam * w)
         bracket = u * u * gap_w + w * w * gap_u - u * w * rise_u * rise_w
-        return _finite(4.0 * s2 / scale * bracket, "error_at")
+        return 4.0 * s2 / scale * bracket
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_by_chunks(kernel, lam, T, t), "error_at")
 
 
 def error_avg(sigma: float, lambda_rate, T):
@@ -307,11 +333,15 @@ def error_avg(sigma: float, lambda_rate, T):
     s2 = _square("sigma", sigma)
     lam = _positive("lambda_rate", lambda_rate)
     T = _positive("T", T)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def kernel(lam, T):
         scale = 3.0 * lam * lam
         if np.any(scale == 0.0):
             raise ParameterError("lambda_rate**2 underflows to 0")
-        return _finite(2.0 * s2 / scale * _avg_bracket(lam * T), "error_avg")
+        return 2.0 * s2 / scale * _avg_bracket(lam * T)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_by_chunks(kernel, lam, T), "error_avg")
 
 
 def error_asymptote(sigma: float, C: float) -> float:

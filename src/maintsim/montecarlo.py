@@ -32,14 +32,19 @@ and ``DVM_CONFIG``.
 
 The moment check samples its conditioned quantities by construction, apart
 from the window engine, so it checks the formulas independently of it.
-Each block is drawn as the row-major sampler drew it and then handled
-column-major, one contiguous (samples,) row per quantity, in place and
-freed before the next draw; the stream and every value are unchanged.
+One producer thread makes every draw of the check, in stream order, from
+the one generator, while the calling thread checks the block drawn before:
+at most two draw items are alive at a time, held or in flight.  Each block
+is drawn as the row-major sampler drew it, a few rows at a time straight
+into column-major rows, one contiguous (samples,) row per quantity, which
+the caller handles in place; the stream and every value are unchanged, so
+the output does not depend on thread scheduling or the number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -167,27 +172,6 @@ def sample_window_mean_errors(
         s.sum(axis=1, out=out[done : done + m])
     out *= 2.0 * (sigma * T) ** 2 / 3.0
     return out
-
-
-def sample_window_positions(
-    rng: np.random.Generator,
-    lambda_rate: float,
-    sigma: float,
-    horizon: float,
-    n_windows: int,
-    eval_times,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates at fixed times for independent windows; shapes
-    (n_windows, len(eval_times)).  Used by the moment-validation oracles."""
-    times = [float(t) for t in eval_times]
-    xs = np.empty((n_windows, len(times)))
-    ys = np.empty((n_windows, len(times)))
-    for done in range(0, n_windows, _WINDOW_BATCH):
-        m = min(_WINDOW_BATCH, n_windows - done)
-        block = TrajectoryBlock.windows(rng, lambda_rate, sigma, horizon, m)
-        for j, t in enumerate(times):
-            xs[done : done + m, j], ys[done : done + m, j] = block.position(np.full(m, t))
-    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -608,26 +592,138 @@ class MomentReport:
             yield (c.name, c.mc_mean, c.std_error, c.theory, c.z, c.samples)
 
 
-def _z_check(name: str, sample: np.ndarray, theory: float) -> MomentCheck:
-    mean = float(sample.mean())
-    se = float(sample.std(ddof=1) / math.sqrt(sample.size))
-    z = (mean - theory) / se if se > 0 else 0.0
-    return MomentCheck(name=name, mc_mean=mean, std_error=se, theory=theory, z=float(z), samples=sample.size)
+def _z_check(name: str, sample: np.ndarray, theory: float, dev: np.ndarray) -> MomentCheck:
+    """z-score of the sample mean against ``theory``.
 
-
-def _sort_columns(block: np.ndarray, scratch: np.ndarray) -> None:
-    """Sort every column of an (n, samples) block in place, so row k holds
-    the k-th smallest value of each sample.
-
-    An insertion network of compare-exchanges between neighbouring rows;
-    min and max only move values, so the rows equal ``np.sort(block,
-    axis=0)`` bit for bit.  ``scratch`` is a buffer of one row's length.
+    ``dev`` is a buffer of the sample's size for the squared deviations; it
+    may be ``sample`` itself, which is then overwritten.  The mean is reused
+    for the deviations, so the standard error equals ``sample.std(ddof=1) /
+    sqrt(n)`` bit for bit, without its second mean and its temporary.
     """
-    for top in range(1, len(block)):
+    n = sample.size
+    mean = sample.mean()
+    np.subtract(sample, mean, out=dev)
+    np.square(dev, out=dev)
+    se = float(np.sqrt(dev.sum() / (n - 1)) / math.sqrt(n))
+    mean = float(mean)
+    z = (mean - theory) / se if se > 0 else 0.0
+    return MomentCheck(name=name, mc_mean=mean, std_error=se, theory=theory, z=float(z), samples=n)
+
+
+def _sort_columns(rows: list[np.ndarray], spare: np.ndarray) -> np.ndarray:
+    """Sort the values of every sample across the equal-length ``rows`` in
+    place, so ``rows[k]`` holds the k-th smallest value of each sample, and
+    return the buffer left over as the spare.
+
+    An insertion network of compare-exchanges between neighbouring rows: the
+    minimum goes into the spare buffer, the maximum into the upper row, and
+    the spare takes the lower row's place in the list, so no row is copied
+    back.  min and max only move values, so the rows equal ``np.sort`` across
+    them bit for bit.
+    """
+    for top in range(1, len(rows)):
         for k in range(top, 0, -1):
-            np.minimum(block[k - 1], block[k], out=scratch)
-            np.maximum(block[k - 1], block[k], out=block[k])
-            block[k - 1] = scratch
+            np.minimum(rows[k - 1], rows[k], out=spare)
+            np.maximum(rows[k - 1], rows[k], out=rows[k])
+            rows[k - 1], spare = spare, rows[k - 1]
+    return spare
+
+
+class _Producer:
+    """Runs a generator of draws on one background thread, ahead of the
+    calling thread that ``take``s the items in order.
+
+    At most two items are alive at a time, held by the caller or in flight:
+    the thread takes one of two slots before each draw, and the caller
+    returns it with ``drop`` once it has let go of an item.  An exception raised by
+    a draw is raised again by ``take``.  Leaving the ``with`` block, by any
+    path, stops the thread and joins it.
+    """
+
+    def __init__(self, draws) -> None:
+        self._draws = draws
+        self._items: list = []
+        self._slots = threading.Semaphore(2)
+        self._ready = threading.Semaphore(0)
+        self._stopped = False
+        self._thread = threading.Thread(target=self._run, name="maintsim-draws", daemon=True)
+
+    def __enter__(self) -> _Producer:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stopped = True
+        self._slots.release()  # wakes the thread if it waits for a slot
+        self._thread.join()
+
+    def _run(self) -> None:
+        try:
+            while True:
+                self._slots.acquire()
+                if self._stopped:
+                    return
+                self._items.append(next(self._draws))
+                self._ready.release()
+        except BaseException as exc:  # handed to the caller, which raises it
+            self._items.append(exc)
+            self._ready.release()
+        finally:
+            self._draws.close()
+
+    def take(self):
+        self._ready.acquire()
+        item = self._items.pop(0)
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def drop(self) -> None:
+        self._slots.release()
+
+
+# a (samples, n) draw is made this many rows at a time; any count gives the
+# same stream, because the generator fills a draw row-major and in order
+_DRAW_ROWS = 8192
+
+
+def _draw_rows(draw, scale: float, samples: int, n: int, spare: int = 0) -> np.ndarray:
+    """``scale`` times a (samples, n) draw of ``draw`` (``Generator.random``
+    or ``standard_normal``), as the first n rows of an (n + spare, samples)
+    array whose ``spare`` last rows are left unset.
+
+    ``uniform(0, hi)`` is ``0.0 + hi * random()``, which is ``random() * hi``
+    exactly, so a scaled ``random`` draw is the uniform one bit for bit.
+    """
+    out = np.empty((n + spare, samples))
+    chunk = np.empty((min(_DRAW_ROWS, samples), n))
+    for start in range(0, samples, _DRAW_ROWS):
+        part = chunk[: min(_DRAW_ROWS, samples - start)]
+        draw(out=part)
+        np.multiply(part.T, scale, out=out[:n, start : start + len(part)])
+    return out
+
+
+def _moment_draws(rng, tau, sigma, lambda_rate, t, T, n_max, samples):
+    """Every draw of ``validate_conditional_moments``, in stream order.
+
+    For n = 1..n_max: the n waypoint times in (0, tau) with one spare row,
+    then the n velocities.  For i = 0..n_max: the i waypoint times in (0, t)
+    with one spare row (none for i = 0), then the i + 1 velocities (for
+    i = 0 the one displacement over t).  Last, the windows of the
+    unconditional checks, one ``_WINDOW_BATCH`` block at a time.
+    """
+    for n in range(1, n_max + 1):
+        yield _draw_rows(rng.random, tau, samples, n, spare=1)
+        yield _draw_rows(rng.standard_normal, sigma, samples, n)
+    for i in range(0, n_max + 1):
+        if i == 0:
+            yield _draw_rows(rng.standard_normal, t * sigma, samples, 1)
+        else:
+            yield _draw_rows(rng.random, t, samples, i, spare=1)
+            yield _draw_rows(rng.standard_normal, sigma, samples, i + 1)
+    for done in range(0, samples, _WINDOW_BATCH):
+        yield TrajectoryBlock.windows(rng, lambda_rate, sigma, T, min(_WINDOW_BATCH, samples - done))
 
 
 def validate_conditional_moments(
@@ -647,13 +743,13 @@ def validate_conditional_moments(
     The unconditional second moment and the cross moment come from direct
     window simulation.  Passing means every |z| < 4.
 
-    Each conditioned block is drawn as a (samples, n) matrix, uniforms then
-    normals, and transposed once into a column-major (n, samples) block, so
+    A producer thread draws the stream of ``_moment_draws`` while this
+    thread checks the block drawn before.  Each conditioned block arrives
+    as column-major rows, one contiguous (samples,) row per quantity, so
     every check reads a contiguous row.  Times are sorted, differenced and
-    summed in place, row by row, in the order ``np.sort``, ``np.diff`` and
-    ``np.cumsum`` would use on the drawn matrix, so the stream and every
-    value are those of a row-major sampler.  A block is freed before the
-    next one is drawn.
+    summed in place, row by row, in the order ``np.sort``, ``np.diff``,
+    ``np.cumsum`` and ``sum`` use on a row-major (samples, n) matrix, so
+    the stream and every value are those of a row-major sampler.
     """
     if samples < 10_000:
         raise ParameterError(f"samples must be >= 10000, got {samples}")
@@ -661,98 +757,121 @@ def validate_conditional_moments(
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     rng = np.random.default_rng([seed, _STREAM_MOMENTS])
     report = MomentReport()
-    sq = np.empty(samples)  # squares of the row being checked
+    with _Producer(_moment_draws(rng, tau, sigma, lambda_rate, t, T, n_max, samples)) as draws:
+        for n in range(1, n_max + 1):
+            by_k = [[] for _ in range(n)]
+            # rows[k] holds, in turn, the k-th waypoint time, the gap before
+            # it, and the position reached at it; sq the square being checked
+            rows = list(draws.take())
+            sq = _sort_columns(rows, rows.pop())
+            for k, row in enumerate(rows, start=1):
+                by_k[k - 1] += (
+                    _z_check(f"waypoint_time n={n} k={k} order=1", row, cond_waypoint_time_moment(tau, n, k, 1), sq),
+                    _z_check(
+                        f"waypoint_time n={n} k={k} order=2",
+                        np.square(row, out=sq),
+                        cond_waypoint_time_moment(tau, n, k, 2),
+                        sq,
+                    ),
+                )
+            # last row first, so every subtraction reads two undifferenced times
+            for k in range(n - 1, 0, -1):
+                rows[k] -= rows[k - 1]
+            for k, row in enumerate(rows, start=1):
+                by_k[k - 1] += (
+                    _z_check(f"interarrival n={n} k={k} order=1", row, cond_interarrival_moment(tau, n, 1), sq),
+                    _z_check(
+                        f"interarrival n={n} k={k} order=2",
+                        np.square(row, out=sq),
+                        cond_interarrival_moment(tau, n, 2),
+                        sq,
+                    ),
+                )
+            vel = draws.take()
+            for row, v in zip(rows, vel):
+                row *= v  # products commute: these are (sigma * v) * gap exactly
+            del vel, v
+            draws.drop()
+            for k in range(1, n):
+                rows[k] += rows[k - 1]
+            for k, row in enumerate(rows, start=1):
+                by_k[k - 1].append(
+                    _z_check(
+                        f"waypoint_position_sq n={n} k={k}",
+                        np.square(row, out=sq),
+                        cond_position_second_moment(tau, n, k, sigma),
+                        sq,
+                    )
+                )
+            del rows, row, sq
+            draws.drop()
+            for checks in by_k:
+                report.checks += checks
 
-    for n in range(1, n_max + 1):
-        by_k = [[] for _ in range(n)]
-        # row k of the block holds, in turn, the k-th waypoint time, the gap
-        # before it, and the position reached at it
-        block = np.ascontiguousarray(rng.uniform(0.0, tau, (samples, n)).T)
-        _sort_columns(block, sq)
-        for k, row in enumerate(block, start=1):
-            by_k[k - 1] += (
-                _z_check(f"waypoint_time n={n} k={k} order=1", row, cond_waypoint_time_moment(tau, n, k, 1)),
+        # position second moment given an exact waypoint count in (0, t)
+        for i in range(0, n_max + 1):
+            if i == 0:
+                (x,) = draws.take()
+            else:
+                # rows: waypoint times, then gaps, then each leg's displacement
+                rows = list(draws.take())
+                tail = _sort_columns(rows, rows.pop())
+                np.subtract(t, rows[-1], out=tail)
+                for k in range(i - 1, 0, -1):
+                    rows[k] -= rows[k - 1]
+                vel = draws.take()
+                for row, v in zip(rows, vel):
+                    row *= v
+                tail *= vel[i]
+                del vel, v, row
+                draws.drop()
+                if i < 8:
+                    # numpy sums fewer than eight terms one after the other
+                    x = rows[0]
+                    for k in range(1, i):
+                        x += rows[k]
+                else:
+                    # and more with eight accumulators: let numpy sum them
+                    x = np.stack(rows, axis=1).sum(axis=1)
+                x += tail
+                del rows, tail
+            report.checks.append(
                 _z_check(
-                    f"waypoint_time n={n} k={k} order=2",
-                    np.square(row, out=sq),
-                    cond_waypoint_time_moment(tau, n, k, 2),
-                ),
-            )
-        # last row first, so every subtraction reads two undifferenced times
-        for k in range(n - 1, 0, -1):
-            block[k] -= block[k - 1]
-        for k, row in enumerate(block, start=1):
-            by_k[k - 1] += (
-                _z_check(f"interarrival n={n} k={k} order=1", row, cond_interarrival_moment(tau, n, 1)),
-                _z_check(
-                    f"interarrival n={n} k={k} order=2",
-                    np.square(row, out=sq),
-                    cond_interarrival_moment(tau, n, 2),
-                ),
-            )
-        vel = rng.standard_normal((samples, n))
-        vel *= sigma  # products commute: these are (sigma * v) * gap exactly
-        block *= vel.T
-        del vel
-        for k in range(1, n):
-            block[k] += block[k - 1]
-        for k, row in enumerate(block, start=1):
-            by_k[k - 1].append(
-                _z_check(
-                    f"waypoint_position_sq n={n} k={k}",
-                    np.square(row, out=sq),
-                    cond_position_second_moment(tau, n, k, sigma),
+                    f"position_sq_given_count i={i}",
+                    np.square(x, out=x),
+                    position_second_moment_given_count(t, i, sigma),
+                    x,
                 )
             )
-        del block, row
-        for checks in by_k:
-            report.checks += checks
+            del x
+            draws.drop()
 
-    # position second moment given an exact waypoint count in (0, t)
-    for i in range(0, n_max + 1):
-        if i == 0:
-            x = t * sigma * rng.standard_normal(samples)
-        else:
-            # rows: waypoint times, then gaps, then each leg's displacement
-            block = np.ascontiguousarray(rng.uniform(0.0, t, (samples, i)).T)
-            _sort_columns(block, sq)
-            tail = t - block[i - 1]
-            for k in range(i - 1, 0, -1):
-                block[k] -= block[k - 1]
-            vel = rng.standard_normal((samples, i + 1))
-            vel *= sigma
-            block *= vel[:, :i].T
-            tail *= vel[:, i]
-            del vel
-            # summed sample by sample, so numpy picks the same order as for
-            # the row-major product (eight accumulators from eight terms on)
-            x = np.ascontiguousarray(block.T).sum(axis=1)
+        # unconditional position second moment and the split-window cross
+        # moment; x and y coordinates are iid so both contribute samples:
+        # the x coordinates fill the first half of each array, the y the second
+        at_t = np.empty(2 * samples)
+        at_T = np.empty(2 * samples)
+        for done in range(0, samples, _WINDOW_BATCH):
+            block = draws.take()
+            m = len(block)
+            x, y = block.position(np.broadcast_to((t, T), (m, 2)))
             del block
-            x += tail
-            del tail
-        report.checks.append(
-            _z_check(
-                f"position_sq_given_count i={i}",
-                np.square(x, out=sq),
-                position_second_moment_given_count(t, i, sigma),
-            )
-        )
-        del x
-    del sq
-
-    # unconditional position second moment and the split-window cross moment;
-    # x and y coordinates are iid so both contribute samples
-    xs, ys = sample_window_positions(rng, lambda_rate, sigma, T, samples, (t, T))
-    at_t = np.concatenate([xs[:, 0], ys[:, 0]])
-    at_T = np.concatenate([xs[:, 1], ys[:, 1]])
-    report.checks.append(
-        _z_check("position_sq_unconditional", at_t**2, position_second_moment(t, lambda_rate, sigma))
-    )
+            draws.drop()
+            at_t[done : done + m], at_T[done : done + m] = x.T
+            at_t[samples + done : samples + done + m], at_T[samples + done : samples + done + m] = y.T
+            del x, y
+    # the cross moment first, while at_t is whole; then at_t's squares
+    at_T -= at_t
+    at_T *= at_t
+    cross = _z_check("displacement_cross_moment", at_T, displacement_cross_moment(t, T, lambda_rate, sigma), at_T)
+    del at_T
     report.checks.append(
         _z_check(
-            "displacement_cross_moment",
-            at_t * (at_T - at_t),
-            displacement_cross_moment(t, T, lambda_rate, sigma),
+            "position_sq_unconditional",
+            np.square(at_t, out=at_t),
+            position_second_moment(t, lambda_rate, sigma),
+            at_t,
         )
     )
+    report.checks.append(cross)
     return report

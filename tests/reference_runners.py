@@ -8,13 +8,18 @@ query times it is given.
 
 ``validate_conditional_moments`` is the row-major moment check of 0.4.0,
 kept as the oracle of the column-major one in ``maintsim.montecarlo``:
-both draw the same stream, and every check must agree bit for bit.
+both draw the same stream, and every check must agree bit for bit.  It
+keeps its own z-check, on ``np.std``, and draws its windows with
+``sample_window_positions``, which the analytic and window-engine tests
+use too.
 
 ``sample_window_errors`` is the period sweeps' estimator of 0.4.0, kept as
 the oracle of ``maintsim.montecarlo.sample_window_mean_errors``: it draws
 whole paths and query times and averages sampled squared errors, so the
 two must agree within their joint standard error.
 """
+
+import math
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from maintsim.analytic import (
 )
 from maintsim.errors import ParameterError
 from maintsim.mobility import Trajectory, TrajectoryBlock, position_at
-from maintsim.montecarlo import _STREAM_MOMENTS, _WINDOW_BATCH, MomentReport, _z_check, sample_window_positions
+from maintsim.montecarlo import _STREAM_MOMENTS, _WINDOW_BATCH, MomentCheck, MomentReport
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
@@ -181,6 +186,35 @@ def sample_window_errors(
             ey = y - y_end * frac
             out[done : done + m, qi] = ex * ex + ey * ey
     return out
+
+
+def sample_window_positions(
+    rng: np.random.Generator,
+    lambda_rate: float,
+    sigma: float,
+    horizon: float,
+    n_windows: int,
+    eval_times,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates at fixed times for independent windows; shapes
+    (n_windows, len(eval_times)).  Draws the windows of the moment check."""
+    times = [float(t) for t in eval_times]
+    xs = np.empty((n_windows, len(times)))
+    ys = np.empty((n_windows, len(times)))
+    for done in range(0, n_windows, _WINDOW_BATCH):
+        m = min(_WINDOW_BATCH, n_windows - done)
+        block = TrajectoryBlock.windows(rng, lambda_rate, sigma, horizon, m)
+        for j, t in enumerate(times):
+            xs[done : done + m, j], ys[done : done + m, j] = block.position(np.full(m, t))
+    return xs, ys
+
+
+def _z_check(name: str, sample: np.ndarray, theory: float) -> MomentCheck:
+    """The z-check of 0.4.0, on ``np.std``: the oracle of ``montecarlo._z_check``."""
+    mean = float(sample.mean())
+    se = float(sample.std(ddof=1) / math.sqrt(sample.size))
+    z = (mean - theory) / se if se > 0 else 0.0
+    return MomentCheck(name=name, mc_mean=mean, std_error=se, theory=theory, z=float(z), samples=sample.size)
 
 
 def validate_conditional_moments(

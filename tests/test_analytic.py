@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from maintsim import analytic
 from maintsim.analytic import (
     _libm,
     cond_interarrival_moment,
@@ -33,7 +34,7 @@ from maintsim.analytic import (
     waypoint_time_gap_joint_density,
 )
 from maintsim.errors import ParameterError, UnsupportedMomentError
-from maintsim.montecarlo import sample_window_positions
+from reference_runners import sample_window_positions
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +430,43 @@ class TestArrayKernels:
         lam = T / 50.0
         got = error_avg(10.0, lam, T)
         assert _bits(got) == _bits([_error_avg_ref(10.0, float(a), float(b)) for a, b in zip(lam, T)])
+
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_chunks_give_the_whole_grid_bits(self, monkeypatch, chunk):
+        # three full chunks and a short one, the asymptote's lambda tied to
+        # T, and a 2-d broadcast, against the grid evaluated as one chunk
+        n = 3 * chunk + 5
+        t = np.linspace(0.0, 100.0, n)
+        T = np.linspace(0.5, 800.0, n)
+        lam = np.geomspace(1e-3, 10.0, 11)[:, None]
+
+        def kernels():
+            return error_at(5.0, 0.1, 100.0, t), error_avg(10.0, T / 50.0, T), error_avg(5.0, lam, T[: chunk + 3])
+
+        monkeypatch.setattr(analytic, "_CHUNK", 11 * n)
+        want = kernels()
+        monkeypatch.setattr(analytic, "_CHUNK", chunk)
+        got = kernels()
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and _bits(g) == _bits(w)
+
+    def test_error_at_memory_stays_chunk_sized(self):
+        # the kernels' temporaries and libm's Python floats cover one chunk
+        # at a time, so the traced peak is the output plus a fixed share;
+        # evaluated whole, the grid took about 90 bytes a point
+        import tracemalloc
+
+        t = np.linspace(0.0, 100.0, 200_000)
+        error_at(5.0, 0.1, 100.0, t[:10])  # keep one-time allocations out of the peak
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = error_at(5.0, 0.1, 100.0, t)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == t.shape
+        assert peak < 8 * t.size + 2**21, peak / t.size
 
     def test_moments_keep_their_scalar_values(self):
         assert position_second_moment(10.0, 0.1, 5.0) == 2.0 * 25.0 / 0.1**2 * _exp_gap_ref(1.0)

@@ -4,10 +4,14 @@ block-batched runners, the vectorized window engine, and the closed
 forms."""
 
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
+from maintsim import montecarlo
 from maintsim.analytic import error_avg
 from maintsim.errors import ParameterError
 from maintsim.mobility import (
@@ -39,12 +43,19 @@ from maintsim.montecarlo import (
     run_period_sweep,
     run_sfr_block,
     sample_window_mean_errors,
-    sample_window_positions,
     validate_conditional_moments,
     _WINDOW_BATCH,
 )
 from maintsim.protocols import DvmConfig, MadrdConfig, MadrdState, extrapolate_madrd, interpolate, localize
-from reference_runners import _madrd_fix_sequence, run_dvm, run_madrd, run_maint_timer, run_sfr, sample_window_errors
+from reference_runners import (
+    _madrd_fix_sequence,
+    run_dvm,
+    run_madrd,
+    run_maint_timer,
+    run_sfr,
+    sample_window_errors,
+    sample_window_positions,
+)
 from reference_runners import validate_conditional_moments as row_major_moments
 
 MODEL = ModelParams(lambda_rate=0.1, sigma=5.0, seed=77, span=100.0)
@@ -989,8 +1000,12 @@ class TestMomentValidation:
         ties[:, :3] = 0.0
         for block in (ties, rng.uniform(0.0, 10.0, (n, 5000))):
             want = np.sort(block, axis=0)
-            _sort_columns(block, np.empty(5000))
-            assert block.tobytes() == want.tobytes()
+            rows = list(np.vstack([block, np.full((1, 5000), np.nan)]))
+            spare = _sort_columns(rows, rows.pop())
+            assert np.stack(rows).tobytes() == want.tobytes()
+            # the spare is one of the n + 1 buffers, none shared by two rows
+            assert len({id(r.base) for r in rows} | {id(spare.base)}) == 1
+            assert len({r.__array_interface__["data"][0] for r in [*rows, spare]}) == n + 1
 
     @pytest.mark.parametrize("samples", [20_000, 60_000])
     def test_peak_memory_per_sample(self, samples):
@@ -1012,6 +1027,165 @@ class TestMomentValidation:
             if started:
                 tracemalloc.stop()
         assert peak <= 32 * 8 * samples, peak / (8 * samples)
+
+    @pytest.mark.parametrize("n_max", [2, 9])
+    def test_stream_does_not_depend_on_draw_rows(self, monkeypatch, n_max):
+        # many small row chunks per draw, and one shorter last chunk
+        monkeypatch.setattr(montecarlo, "_DRAW_ROWS", 999)
+        kw = dict(n_max=n_max, samples=10_001, seed=3)
+        got = validate_conditional_moments(**kw).checks
+        want = row_major_moments(**kw).checks
+        assert got == want
+
+    def test_at_most_two_draw_items_alive(self, monkeypatch):
+        # before each draw, at most one earlier item may still be referenced
+        # by the caller or waiting in the queue
+        refs, alive = [], []
+        draws = montecarlo._moment_draws
+
+        def watched(*args):
+            stream = draws(*args)
+            while True:
+                alive.append(sum(r() is not None for r in refs))
+                try:
+                    item = [next(stream)]
+                except StopIteration:
+                    return
+                refs.append(weakref.ref(item[0]))
+                yield item.pop()  # keeps no reference while suspended
+
+        monkeypatch.setattr(montecarlo, "_moment_draws", watched)
+        validate_conditional_moments(samples=10_000, n_max=4, seed=1)
+        # 4 n blocks of two items, 1 + 4 * 2 count items, 3 window batches
+        assert len(refs) == 8 + 9 + 3
+        assert max(alive) == 1
+
+    @pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
+    @pytest.mark.parametrize("where", ["first", "middle", "window", "last"])
+    def test_draw_failure_reaches_the_caller(self, monkeypatch, exc, where):
+        # count the draw calls of one check, then fail the same check at
+        # the first, a middle, the first window and the last call
+        kw = dict(samples=10_000, n_max=2, seed=0)
+        real = np.random.default_rng
+        made = []
+        monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(_FailingDraws(real(key))) or made[-1])
+        validate_conditional_moments(**kw)
+        total, window = made[0].calls, made[0].first_window
+        fail_at = {"first": 1, "middle": window // 2, "window": window, "last": total}[where]
+        monkeypatch.setattr(np.random, "default_rng", lambda key: _FailingDraws(real(key), fail_at, exc))
+        before = threading.active_count()
+        raised = _run_bounded(lambda: validate_conditional_moments(**kw))
+        assert type(raised) is exc and "injected" in str(raised)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("call", [1, 2])
+    def test_caller_memory_error_stops_the_producer(self, monkeypatch, call):
+        # the caller allocates the two arrays of the window stage, while the
+        # producer draws the windows
+        empty = np.empty
+        calls = []
+
+        def caller_empty(*args, **kwargs):
+            if threading.current_thread().name != "maintsim-draws":
+                calls.append(args)
+                if len(calls) == call:
+                    raise MemoryError("injected")
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", caller_empty)
+        before = threading.active_count()
+        raised = _run_bounded(lambda: validate_conditional_moments(samples=10_000, n_max=2, seed=0))
+        assert type(raised) is MemoryError and len(calls) == call
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("call", [1, 12, 32, 36])
+    def test_keyboard_interrupt_stops_the_producer(self, monkeypatch, call):
+        # n_max = 3 makes 30 checks of the n blocks, 4 count-conditioned
+        # ones and 2 from the windows
+        z_check = montecarlo._z_check
+        calls = []
+
+        def interrupted(*args):
+            calls.append(args[0])
+            if len(calls) == call:
+                raise KeyboardInterrupt
+            return z_check(*args)
+
+        monkeypatch.setattr(montecarlo, "_z_check", interrupted)
+        before = threading.active_count()
+        raised = _run_bounded(lambda: validate_conditional_moments(samples=10_000, n_max=3, seed=0))
+        assert type(raised) is KeyboardInterrupt
+        assert threading.active_count() == before
+
+    def test_concurrent_checks_under_fast_switching(self):
+        # three checks at once, six threads on fewer cores, with thread
+        # switches forced every microsecond: each report must equal the one
+        # drawn alone
+        kw = [dict(samples=10_000, n_max=3, seed=s) for s in range(3)]
+        want = [validate_conditional_moments(**k).checks for k in kw]
+        got = [None] * 3
+
+        def run(i):
+            got[i] = validate_conditional_moments(**kw[i]).checks
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == want
+
+
+class _FailingDraws:
+    """Passes every draw through to ``rng``, counting the calls, and raises
+    ``exc`` from call number ``fail_at``.  Notes the first call made from
+    inside ``TrajectoryBlock.windows``."""
+
+    def __init__(self, rng, fail_at=None, exc=MemoryError):
+        self._rng = rng
+        self._fail_at = fail_at
+        self._exc = exc
+        self.calls = 0
+        self.first_window = None
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            if self.first_window is None and name == "standard_exponential":
+                self.first_window = self.calls
+            if self.calls == self._fail_at:
+                raise self._exc("injected")
+            return draw(*args, **kwargs)
+
+        return counted
+
+
+def _run_bounded(fn, timeout=120):
+    """The exception ``fn`` raises, run on a helper thread that must finish
+    within ``timeout`` seconds, so a deadlock fails instead of hanging (the
+    thread is a daemon, so it does not hold up the interpreter's exit)."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive()
+    assert len(raised) == 1, "no exception reached the caller"
+    return raised[0]
 
 
 class TestConfigValidation:
