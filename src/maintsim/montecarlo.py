@@ -44,7 +44,7 @@ the output does not depend on thread scheduling or the number of CPUs.
 from __future__ import annotations
 
 import math
-import threading
+from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -629,59 +629,6 @@ def _sort_columns(rows: list[np.ndarray], spare: np.ndarray) -> np.ndarray:
     return spare
 
 
-class _Producer:
-    """Runs a generator of draws on one background thread, ahead of the
-    calling thread that ``take``s the items in order.
-
-    At most two items are alive at a time, held by the caller or in flight:
-    the thread takes one of two slots before each draw, and the caller
-    returns it with ``drop`` once it has let go of an item.  An exception raised by
-    a draw is raised again by ``take``.  Leaving the ``with`` block, by any
-    path, stops the thread and joins it.
-    """
-
-    def __init__(self, draws) -> None:
-        self._draws = draws
-        self._items: list = []
-        self._slots = threading.Semaphore(2)
-        self._ready = threading.Semaphore(0)
-        self._stopped = False
-        self._thread = threading.Thread(target=self._run, name="maintsim-draws", daemon=True)
-
-    def __enter__(self) -> _Producer:
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stopped = True
-        self._slots.release()  # wakes the thread if it waits for a slot
-        self._thread.join()
-
-    def _run(self) -> None:
-        try:
-            while True:
-                self._slots.acquire()
-                if self._stopped:
-                    return
-                self._items.append(next(self._draws))
-                self._ready.release()
-        except BaseException as exc:  # handed to the caller, which raises it
-            self._items.append(exc)
-            self._ready.release()
-        finally:
-            self._draws.close()
-
-    def take(self):
-        self._ready.acquire()
-        item = self._items.pop(0)
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-    def drop(self) -> None:
-        self._slots.release()
-
-
 # a (samples, n) draw is made this many rows at a time; any count gives the
 # same stream, because the generator fills a draw row-major and in order
 _DRAW_ROWS = 8192
@@ -705,25 +652,26 @@ def _draw_rows(draw, scale: float, samples: int, n: int, spare: int = 0) -> np.n
 
 
 def _moment_draws(rng, tau, sigma, lambda_rate, t, T, n_max, samples):
-    """Every draw of ``validate_conditional_moments``, in stream order.
+    """Every draw of ``validate_conditional_moments``, in stream order, each
+    as a (tag, item) pair; the caller checks each tag as it takes the item.
 
     For n = 1..n_max: the n waypoint times in (0, tau) with one spare row,
     then the n velocities.  For i = 0..n_max: the i waypoint times in (0, t)
-    with one spare row (none for i = 0), then the i + 1 velocities (for
-    i = 0 the one displacement over t).  Last, the windows of the
-    unconditional checks, one ``_WINDOW_BATCH`` block at a time.
+    with one spare row, then the i + 1 velocities (for i = 0 only the one
+    displacement over t).  Last, the windows of the unconditional checks,
+    one ``_WINDOW_BATCH`` block at a time.
     """
     for n in range(1, n_max + 1):
-        yield _draw_rows(rng.random, tau, samples, n, spare=1)
-        yield _draw_rows(rng.standard_normal, sigma, samples, n)
+        yield ("times", n), _draw_rows(rng.random, tau, samples, n, spare=1)
+        yield ("velocities", n), _draw_rows(rng.standard_normal, sigma, samples, n)
     for i in range(0, n_max + 1):
         if i == 0:
-            yield _draw_rows(rng.standard_normal, t * sigma, samples, 1)
+            yield ("displacement", 0), _draw_rows(rng.standard_normal, t * sigma, samples, 1)
         else:
-            yield _draw_rows(rng.random, t, samples, i, spare=1)
-            yield _draw_rows(rng.standard_normal, sigma, samples, i + 1)
+            yield ("count times", i), _draw_rows(rng.random, t, samples, i, spare=1)
+            yield ("count velocities", i), _draw_rows(rng.standard_normal, sigma, samples, i + 1)
     for done in range(0, samples, _WINDOW_BATCH):
-        yield TrajectoryBlock.windows(rng, lambda_rate, sigma, T, min(_WINDOW_BATCH, samples - done))
+        yield ("windows", done), TrajectoryBlock.windows(rng, lambda_rate, sigma, T, min(_WINDOW_BATCH, samples - done))
 
 
 def validate_conditional_moments(
@@ -751,18 +699,41 @@ def validate_conditional_moments(
     ``np.cumsum`` and ``sum`` use on a row-major (samples, n) matrix, so
     the stream and every value are those of a row-major sampler.
     """
+    # imported here: only the moment check runs a thread, and the module
+    # loads logging, which the other experiments would pay for at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     if samples < 10_000:
         raise ParameterError(f"samples must be >= 10000, got {samples}")
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     rng = np.random.default_rng([seed, _STREAM_MOMENTS])
     report = MomentReport()
-    with _Producer(_moment_draws(rng, tau, sigma, lambda_rate, t, T, n_max, samples)) as draws:
+    draws = _moment_draws(rng, tau, sigma, lambda_rate, t, T, n_max, samples)
+    # one thread makes the draws in order; two are queued at the start, and
+    # one more each time this thread lets go of an item, so at most two draw
+    # items are alive, held here or in flight
+    pool = ThreadPoolExecutor(1, thread_name_prefix="maintsim-draws")
+    pending = deque()
+
+    def draw_next():
+        pending.append(pool.submit(next, draws))
+
+    def take(*tag):
+        # the loops below take the items in the order _moment_draws yields them
+        got, item = pending.popleft().result()
+        if got != tag:
+            raise AssertionError(f"drew {got} where {tag} was due")
+        return item
+
+    try:
+        draw_next()
+        draw_next()
         for n in range(1, n_max + 1):
             by_k = [[] for _ in range(n)]
             # rows[k] holds, in turn, the k-th waypoint time, the gap before
             # it, and the position reached at it; sq the square being checked
-            rows = list(draws.take())
+            rows = list(take("times", n))
             sq = _sort_columns(rows, rows.pop())
             for k, row in enumerate(rows, start=1):
                 by_k[k - 1] += (
@@ -787,11 +758,11 @@ def validate_conditional_moments(
                         sq,
                     ),
                 )
-            vel = draws.take()
+            vel = take("velocities", n)
             for row, v in zip(rows, vel):
                 row *= v  # products commute: these are (sigma * v) * gap exactly
             del vel, v
-            draws.drop()
+            draw_next()
             for k in range(1, n):
                 rows[k] += rows[k - 1]
             for k, row in enumerate(rows, start=1):
@@ -804,37 +775,37 @@ def validate_conditional_moments(
                     )
                 )
             del rows, row, sq
-            draws.drop()
+            draw_next()
             for checks in by_k:
                 report.checks += checks
 
         # position second moment given an exact waypoint count in (0, t)
         for i in range(0, n_max + 1):
             if i == 0:
-                (x,) = draws.take()
+                (x,) = take("displacement", 0)
             else:
                 # rows: waypoint times, then gaps, then each leg's displacement
-                rows = list(draws.take())
+                rows = list(take("count times", i))
                 tail = _sort_columns(rows, rows.pop())
                 np.subtract(t, rows[-1], out=tail)
                 for k in range(i - 1, 0, -1):
                     rows[k] -= rows[k - 1]
-                vel = draws.take()
+                vel = take("count velocities", i)
                 for row, v in zip(rows, vel):
                     row *= v
                 tail *= vel[i]
                 del vel, v, row
-                draws.drop()
-                if i < 8:
-                    # numpy sums fewer than eight terms one after the other
-                    x = rows[0]
-                    for k in range(1, i):
-                        x += rows[k]
-                else:
-                    # and more with eight accumulators: let numpy sum them
-                    x = np.stack(rows, axis=1).sum(axis=1)
+                draw_next()
+                # summed sample by sample, so numpy picks the same order as
+                # for the row-major product; a chunk of samples at a time
+                # into rows[0], as a whole (samples, i) copy would raise the
+                # peak while the next block is drawn
+                x = rows[0]
+                for a in range(0, samples, _DRAW_ROWS):
+                    x[a : a + _DRAW_ROWS] = np.stack([r[a : a + _DRAW_ROWS] for r in rows], axis=1).sum(axis=1)
+                del rows
                 x += tail
-                del rows, tail
+                del tail
             report.checks.append(
                 _z_check(
                     f"position_sq_given_count i={i}",
@@ -844,7 +815,7 @@ def validate_conditional_moments(
                 )
             )
             del x
-            draws.drop()
+            draw_next()
 
         # unconditional position second moment and the split-window cross
         # moment; x and y coordinates are iid so both contribute samples:
@@ -852,14 +823,18 @@ def validate_conditional_moments(
         at_t = np.empty(2 * samples)
         at_T = np.empty(2 * samples)
         for done in range(0, samples, _WINDOW_BATCH):
-            block = draws.take()
+            block = take("windows", done)
             m = len(block)
             x, y = block.position(np.broadcast_to((t, T), (m, 2)))
             del block
-            draws.drop()
+            draw_next()
             at_t[done : done + m], at_T[done : done + m] = x.T
             at_t[samples + done : samples + done + m], at_T[samples + done : samples + done + m] = y.T
             del x, y
+    finally:
+        # on an early exit, the queued draws are dropped and the one running
+        # is waited for
+        pool.shutdown(cancel_futures=True)
     # the cross moment first, while at_t is whole; then at_t's squares
     at_T -= at_t
     at_T *= at_t

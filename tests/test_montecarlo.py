@@ -1051,7 +1051,7 @@ class TestMomentValidation:
                     item = [next(stream)]
                 except StopIteration:
                     return
-                refs.append(weakref.ref(item[0]))
+                refs.append(weakref.ref(item[0][1]))
                 yield item.pop()  # keeps no reference while suspended
 
         monkeypatch.setattr(montecarlo, "_moment_draws", watched)
@@ -1086,7 +1086,7 @@ class TestMomentValidation:
         calls = []
 
         def caller_empty(*args, **kwargs):
-            if threading.current_thread().name != "maintsim-draws":
+            if not threading.current_thread().name.startswith("maintsim-draws"):
                 calls.append(args)
                 if len(calls) == call:
                     raise MemoryError("injected")
@@ -1115,6 +1115,23 @@ class TestMomentValidation:
         before = threading.active_count()
         raised = _run_bounded(lambda: validate_conditional_moments(samples=10_000, n_max=3, seed=0))
         assert type(raised) is KeyboardInterrupt
+        assert threading.active_count() == before
+
+    def test_draws_out_of_order_are_caught(self, monkeypatch):
+        # the velocities of n = 1 arrive before their waypoint times
+        draws = montecarlo._moment_draws
+
+        def swapped(*args):
+            stream = draws(*args)
+            first = next(stream)
+            yield next(stream)
+            yield first
+            yield from stream
+
+        monkeypatch.setattr(montecarlo, "_moment_draws", swapped)
+        before = threading.active_count()
+        raised = _run_bounded(lambda: validate_conditional_moments(samples=10_000, n_max=2, seed=0))
+        assert type(raised) is AssertionError and "('velocities', 1)" in str(raised)
         assert threading.active_count() == before
 
     def test_concurrent_checks_under_fast_switching(self):
