@@ -6,11 +6,9 @@ waypoint the sensor draws an independent leg duration (exponential, mean
 components, then moves in a straight line for that long.  Waypoint
 occurrences therefore form a Poisson process with rate ``lambda_rate``.
 
-Trajectories are immutable after generation and keep the legs that start
-by the span.
-
-``TrajectoryBlock`` holds many paths of the same model as padded
-(rows, legs) matrices and evaluates all rows at once.  ``windows`` draws
+``TrajectoryBlock`` is the one path type: one or many paths of the model
+over one span as padded (rows, legs) matrices, immutable after generation,
+whose ``position`` evaluates every row at once.  ``windows`` draws
 independent paths over [0, horizon] straight from a caller's generator; the
 count experiment and the moment check use it.  It draws only what the
 window reaches: durations in rounds sized at the expected leg count plus
@@ -23,7 +21,8 @@ Replications of a model are drawn in chunks: replication r is row
 r mod R of chunk r // R, where R = ``chunk_rows(params)``, and chunk c draws
 its R paths with ``windows`` from ``default_rng([seed, c])``
 (``replication_chunk``).  ``generate_trajectory`` returns one such row as a
-``Trajectory``, the form the event-driven protocols work on.  The chunk
+one-row block: the path the event-driven state machines of ``protocols``
+localize on, through the same ``position`` as the block runners.  The chunk
 size is part of the stream layout: a path depends on its seed and index
 only, not on how many replications a run asks for.
 """
@@ -59,19 +58,6 @@ class ModelParams:
                 raise ParameterError(f"{name} must be finite and > 0, got {value}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Piecewise-linear path over [0, span]: the legs that start by the
-    span, the last of which runs on to the horizon."""
-
-    span: float
-    start_times: np.ndarray  # leg start times, start_times[0] == 0
-    start_x: np.ndarray
-    start_y: np.ndarray
-    vel_x: np.ndarray
-    vel_y: np.ndarray
 
 
 # replication chunks: at most this many rows, fewer once a row's first-round
@@ -111,8 +97,9 @@ def replication_chunk(params: ModelParams, chunk: int) -> tuple[TrajectoryBlock,
     return TrajectoryBlock.windows(rng, params.lambda_rate, params.sigma, params.span, chunk_rows(params)), rng
 
 
-def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Trajectory:
-    """Path of one replication: row r mod R of chunk r // R.
+def generate_trajectory(params: ModelParams, replication_index: int = 0) -> TrajectoryBlock:
+    """Path of one replication, row r mod R of chunk r // R, as a one-row
+    block.
 
     Deterministic given ``(params.seed, replication_index)``.  It draws the
     whole chunk and copies the row's legs that start by the span, so the
@@ -125,21 +112,7 @@ def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Traj
     paths, _ = replication_chunk(params, chunk)
     n_legs = int(np.count_nonzero(paths.start_times[row] <= params.span))
     legs = (paths.start_times, paths.start_x, paths.start_y, paths.vel_x, paths.vel_y)
-    return Trajectory(params.span, *(a[row, :n_legs].copy() for a in legs))
-
-
-def position_at(traj: Trajectory, t):
-    """True position at time ``t`` (scalar or array), 0 <= t <= span."""
-    ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0.0) or np.any(ts > traj.span):
-        raise ParameterError(f"time outside [0, {traj.span}]")
-    idx = np.searchsorted(traj.start_times, ts, side="right") - 1
-    dt = ts - traj.start_times[idx]
-    x = traj.start_x[idx] + traj.vel_x[idx] * dt
-    y = traj.start_y[idx] + traj.vel_y[idx] * dt
-    if np.ndim(t) == 0:
-        return float(x), float(y)
-    return x, y
+    return TrajectoryBlock(params.span, *(a[row : row + 1, :n_legs].copy() for a in legs))
 
 
 def _window_durations(rng: np.random.Generator, lambda_rate: float, horizon: float, rows: int):
@@ -250,9 +223,11 @@ class TrajectoryBlock:
     def position(self, t, rows=None):
         """Coordinates at times ``t`` of shape (n,) or (n, k), one row of
         ``t`` per trajectory row: all rows, or the n row indices ``rows``.
+        A single time on a one-row block is a (1, 1) ``t``.
 
-        Same arithmetic as ``position_at``: the count of leg starts at or
-        before a time equals ``searchsorted(side="right")``.
+        The leg in force at a time is the last one that starts at or before
+        it: the count of such starts, less one, which equals
+        ``searchsorted(side="right") - 1`` on the row's sorted starts.
         """
         ts = np.asarray(t, dtype=float)
         if np.any(ts < 0.0) or np.any(ts > self.span):

@@ -254,7 +254,9 @@ class _FixTrail:
     Every row is localized at 0, and at ``bootstrap`` if that falls before
     the span (``booted`` holds those rows); ``add`` localizes a subset of
     rows once more.  Rows not localized in a round get an +inf time in its
-    column, so each row's fix times stay sorted.
+    column, so each row's fix times stay sorted.  Each round localizes a
+    subset of the rows of the round before, so every row still running was
+    localized in each of the last two columns.
     """
 
     def __init__(self, block: TrajectoryBlock, bootstrap: np.ndarray) -> None:
@@ -263,24 +265,20 @@ class _FixTrail:
         self.booted = np.flatnonzero(bootstrap < block.span)
         t0 = np.zeros(rows)
         self.columns = [(t0, *block.position(t0))]
-        self.last = [arr.copy() for arr in self.columns[0]]
-        self.prev = [arr.copy() for arr in self.columns[0]]
         self.add(self.booted, bootstrap[self.booted])
 
     def add(self, rows: np.ndarray, t: np.ndarray):
         x, y = self.block.position(t, rows)
         column = (np.full(len(self.block), np.inf), np.zeros(len(self.block)), np.zeros(len(self.block)))
-        for prev, last, col, new in zip(self.prev, self.last, column, (t, x, y)):
-            prev[rows] = last[rows]
-            last[rows] = new
+        for col, new in zip(column, (t, x, y)):
             col[rows] = new
         self.columns.append(column)
         return x, y
 
     def pair(self, rows: np.ndarray):
-        """(t, x, y) of the last two fixes of ``rows``: the earlier, then
-        the latest."""
-        return [a[rows] for a in self.prev], [a[rows] for a in self.last]
+        """(t, x, y) of the last two fixes of ``rows``, which the last two
+        rounds localized: the earlier, then the latest."""
+        return [a[rows] for a in self.columns[-2]], [a[rows] for a in self.columns[-1]]
 
     def answer(self, query_times: np.ndarray):
         """Fix matrices (rows, fixes), localization counts, and for every
@@ -313,7 +311,7 @@ def run_madrd_block(block: TrajectoryBlock, configs, query_times):
     trail = _FixTrail(block, interval)
     rows = trail.booted
     while True:
-        t = trail.last[0][rows] + interval[rows]
+        t = trail.columns[-1][0][rows] + interval[rows]
         due = t <= block.span
         rows, t = rows[due], t[due]
         if not rows.size:

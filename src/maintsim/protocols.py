@@ -3,8 +3,9 @@ baselines.
 
 All four schemes pay one unit of energy per localization call, so each
 state carries a ``calls`` counter and nothing else measures energy.  Each
-state machine serves a single simulated sensor; distinct sensors can run
-concurrently because no state is shared.
+state machine serves a single simulated sensor, whose true path is a
+one-row ``mobility.TrajectoryBlock`` (``mobility.generate_trajectory``);
+distinct sensors can run concurrently because no state is shared.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketError, DegeneratePairError, ParameterError, StaleQueryError
-from .mobility import Trajectory, position_at
+from .mobility import TrajectoryBlock
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,11 @@ class Response:
     fix_b: LocalizationFix
 
 
-def localize(truth: Trajectory, t: float) -> LocalizationFix:
-    """Invoke the (costly) positioning primitive: an exact fix."""
-    return LocalizationFix(time=t, pos=position_at(truth, t))
+def localize(truth: TrajectoryBlock, t: float) -> LocalizationFix:
+    """Invoke the (costly) positioning primitive: an exact fix of the
+    one-row path ``truth``."""
+    x, y = truth.position(np.array([[t]]))
+    return LocalizationFix(time=t, pos=(float(x[0, 0]), float(y[0, 0])))
 
 
 # ---------------------------------------------------------------------------
@@ -69,53 +72,24 @@ def interpolate(fix_a: LocalizationFix, fix_b: LocalizationFix, t_query: float) 
 
 @dataclass
 class MaintState:
-    """Sensor-side MAINT scheduler.
-
-    ``mode`` selects when localization fires: "query" follows the on-demand
-    rule (fire when a query arrives at or past last fix + period), "timer"
-    fires only on explicit timer ticks.  ``immediate_mode`` forces a
-    localization on every query regardless of mode.
-    """
+    """Sensor-side MAINT scheduler: queries are buffered until the next
+    timer tick, which localizes and answers them all."""
 
     last_fix: LocalizationFix
     period_T: float
     pending: list[Query] = field(default_factory=list)
-    mode: str = "timer"
-    immediate_mode: bool = False
     calls: int = 1
 
 
-def maint_init(
-    truth: Trajectory,
-    period_T: float,
-    mode: str = "timer",
-    immediate_mode: bool = False,
-    start_time: float = 0.0,
-) -> MaintState:
+def maint_init(truth: TrajectoryBlock, period_T: float, start_time: float = 0.0) -> MaintState:
     """Localize once at ``start_time`` and return fresh scheduler state."""
     if not period_T > 0:
         raise ParameterError(f"period_T must be > 0, got {period_T}")
-    if mode not in ("timer", "query"):
-        raise ParameterError(f"mode must be 'timer' or 'query', got {mode!r}")
-    return MaintState(
-        last_fix=localize(truth, start_time),
-        period_T=period_T,
-        mode=mode,
-        immediate_mode=immediate_mode,
-    )
+    return MaintState(last_fix=localize(truth, start_time), period_T=period_T)
 
 
-def _maint_fire(state: MaintState, truth: Trajectory, clock: float) -> list[Response]:
-    new_fix = localize(truth, clock)
-    state.calls += 1
-    responses = [Response(q.requester, state.last_fix, new_fix) for q in state.pending]
-    state.pending.clear()
-    state.last_fix = new_fix
-    return responses
-
-
-def maint_on_query(state: MaintState, q: Query, truth: Trajectory, clock: float) -> list[Response]:
-    """Buffer a query; fire a localization if the scheme calls for one.
+def maint_on_query(state: MaintState, q: Query, clock: float) -> None:
+    """Buffer a query until the next timer tick.
 
     Every response carries the two fixes enclosing the query time, so the
     base station can interpolate.  A repeated requester is buffered once
@@ -131,19 +105,18 @@ def maint_on_query(state: MaintState, q: Query, truth: Trajectory, clock: float)
         while at > 0 and state.pending[at - 1].time > q.time:
             at -= 1
         state.pending.insert(at, q)
-    fire = state.immediate_mode or (
-        state.mode == "query" and clock >= state.last_fix.time + state.period_T
-    )
-    if fire:
-        return _maint_fire(state, truth, clock)
-    return []
 
 
-def maint_on_timer(state: MaintState, truth: Trajectory, clock: float) -> list[Response]:
+def maint_on_timer(state: MaintState, truth: TrajectoryBlock, clock: float) -> list[Response]:
     """Timer tick: localize now and flush all buffered queries."""
     if clock < state.last_fix.time:
         raise ParameterError(f"timer tick at {clock} predates last fix at {state.last_fix.time}")
-    return _maint_fire(state, truth, clock)
+    new_fix = localize(truth, clock)
+    state.calls += 1
+    responses = [Response(q.requester, state.last_fix, new_fix) for q in state.pending]
+    state.pending.clear()
+    state.last_fix = new_fix
+    return responses
 
 
 # ---------------------------------------------------------------------------

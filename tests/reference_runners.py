@@ -3,8 +3,9 @@
 
 They are the oracle of the differential tests, which hold the
 block-batched runners of ``maintsim.montecarlo`` to the same call counts
-and estimates.  Each returns (estimates (n, 2), localization count) for the
-query times it is given.
+and estimates.  Each runs on one path, a one-row ``TrajectoryBlock`` such
+as ``generate_trajectory`` returns, and returns (estimates (n, 2),
+localization count) for the query times it is given.
 
 ``validate_conditional_moments`` is the row-major moment check of 0.4.0,
 kept as the oracle of the column-major one in ``maintsim.montecarlo``:
@@ -32,7 +33,7 @@ from maintsim.analytic import (
     position_second_moment_given_count,
 )
 from maintsim.errors import ParameterError
-from maintsim.mobility import Trajectory, TrajectoryBlock, position_at
+from maintsim.mobility import TrajectoryBlock
 from maintsim.montecarlo import _STREAM_MOMENTS, _WINDOW_BATCH, MomentCheck, MomentReport
 from maintsim.protocols import (
     DvmConfig,
@@ -52,7 +53,7 @@ from maintsim.protocols import (
 )
 
 
-def run_maint_timer(traj: Trajectory, period: float, query_times):
+def run_maint_timer(traj: TrajectoryBlock, period: float, query_times):
     """Timer-driven interpolation protocol over the full span.
 
     Localizations fire at 0, period, 2*period, ... regardless of traffic, so
@@ -69,30 +70,30 @@ def run_maint_timer(traj: Trajectory, period: float, query_times):
         raise ParameterError(
             f"query at {qts.max()} lies beyond the final localization at {horizon}"
         )
-    state = maint_init(traj, period, mode="timer")
+    state = maint_init(traj, period)
     events = sorted(
         [(float(t), 0, i) for i, t in enumerate(qts)] + [(float(t), 1, -1) for t in ticks]
     )
     est = np.empty((qts.size, 2))
     for when, kind, idx in events:
         if kind == 0:
-            maint_on_query(state, Query(time=when, requester=idx), traj, clock=when)
+            maint_on_query(state, Query(time=when, requester=idx), clock=when)
         else:
             for resp in maint_on_timer(state, traj, when):
                 est[resp.requester] = interpolate(resp.fix_a, resp.fix_b, qts[resp.requester])
     return est, state.calls
 
 
-def run_sfr(traj: Trajectory, period: float, query_times):
+def run_sfr(traj: TrajectoryBlock, period: float, query_times):
     """Fixed-rate baseline: answer every query with the latest fix."""
     qts = np.asarray(query_times, dtype=float)
     ticks = sfr_schedule(period, traj.span)
-    fx, fy = position_at(traj, ticks)
+    fx, fy = traj.position(ticks[None])
     idx = np.searchsorted(ticks, qts, side="right") - 1
-    return np.column_stack([fx[idx], fy[idx]]), len(ticks)
+    return np.column_stack([fx[0, idx], fy[0, idx]]), len(ticks)
 
 
-def _madrd_fix_sequence(traj: Trajectory, cfg: MadrdConfig):
+def _madrd_fix_sequence(traj: TrajectoryBlock, cfg: MadrdConfig):
     """All MADRD localizations over the span.
 
     Bootstrap: one fix at 0 and one after the base interval (no velocity is
@@ -112,7 +113,7 @@ def _madrd_fix_sequence(traj: Trajectory, cfg: MadrdConfig):
     return fixes, state.calls
 
 
-def run_madrd(traj: Trajectory, cfg: MadrdConfig, query_times):
+def run_madrd(traj: TrajectoryBlock, cfg: MadrdConfig, query_times):
     """Dead-reckoning baseline: answer each query by extrapolating from the
     last two fixes known at the query time (stationary before the second
     fix exists)."""
@@ -136,7 +137,7 @@ def run_madrd(traj: Trajectory, cfg: MadrdConfig, query_times):
     return est, calls
 
 
-def run_dvm(traj: Trajectory, cfg: DvmConfig, query_times, bootstrap_interval: float = 1.0):
+def run_dvm(traj: TrajectoryBlock, cfg: DvmConfig, query_times, bootstrap_interval: float = 1.0):
     """Velocity-monotonic baseline: schedule by recent speed, answer with the
     latest fix."""
     qts = np.asarray(query_times, dtype=float)

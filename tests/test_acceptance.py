@@ -29,11 +29,11 @@ from maintsim.analytic import (
     waypoint_time_density,
 )
 from maintsim.cli import EXIT_OK, main
-from maintsim.mobility import ModelParams, generate_trajectory, position_at
+from maintsim.mobility import ModelParams, generate_trajectory
 from maintsim.montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
 from maintsim.protocols import interpolate, localize
 from reference_runners import run_maint_timer
-from test_mobility import manual_trajectory
+from test_mobility import manual_trajectory, point
 
 SEED = 20240811
 T_GRID = tuple(float(t) for t in range(20, 201, 20))
@@ -201,7 +201,7 @@ def test_criterion_5_structural_invariants(tmp_path):
     fix_b = localize(traj, 59.0)
     for t in np.linspace(26.0, 59.0, 31):
         est = interpolate(fix_a, fix_b, float(t))
-        true = position_at(traj, float(t))
+        true = point(traj, float(t))
         gap = math.hypot(est[0] - true[0], est[1] - true[1])
         if gap > 1e-10:
             violations.append(f"zero-waypoint window off by {gap:.2e} at t={t}")
@@ -211,7 +211,7 @@ def test_criterion_5_structural_invariants(tmp_path):
         gen = generate_trajectory(model, rep)
         for k in range(5):
             lo, hi = 20.0 * k, 20.0 * (k + 1)
-            waypoints = gen.start_times[1:]
+            waypoints = gen.start_times[0, 1:]
             inside = (waypoints > lo) & (waypoints < hi)
             if inside.any():
                 continue
@@ -219,7 +219,7 @@ def test_criterion_5_structural_invariants(tmp_path):
             a, b = localize(gen, lo), localize(gen, hi)
             for t in np.linspace(lo, hi, 7):
                 est = interpolate(a, b, float(t))
-                true = position_at(gen, float(t))
+                true = point(gen, float(t))
                 gap = math.hypot(est[0] - true[0], est[1] - true[1])
                 if gap > 1e-9:
                     violations.append(f"rep {rep} window [{lo},{hi}] off by {gap:.2e}")

@@ -1,6 +1,7 @@
 """Command-line surface: grids, CSV shapes, exit codes, config files,
 manifests, and byte-identical reruns."""
 
+import dataclasses
 import json
 import os
 import random
@@ -14,7 +15,8 @@ import maintsim
 from maintsim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main, parse_grid
 from maintsim.errors import ParameterError
 from maintsim.montecarlo import MomentCheck, MomentReport
-from maintsim.output import read_csv
+from maintsim import cli
+from maintsim.output import read_csv, read_manifest
 
 
 def run(argv):
@@ -138,6 +140,27 @@ class TestSimulate:
         assert ma["config"] == mb["config"]
         assert ma["experiment"] == "fig5" and ma["seed"] == 42
         assert ma["tool_version"]
+
+    @pytest.mark.parametrize("argv", [["fig4", "--replications", "60", "--seed", "3"], ["fig6", *FAST_FIG5]])
+    def test_manifest_reads_back_as_written(self, tmp_path, monkeypatch, argv):
+        written = []
+        write = cli.write_manifest
+
+        def capture(path, manifest):
+            written.append(manifest)
+            write(path, manifest)
+
+        monkeypatch.setattr(cli, "write_manifest", capture)
+        out = tmp_path / "run.csv"
+        assert run(["simulate", *argv, "--out", str(out)]) == EXIT_OK
+        (manifest,) = written
+        back = read_manifest(tmp_path / "run.csv.manifest.json")
+        for field in dataclasses.fields(manifest):
+            got, want = getattr(back, field.name), getattr(manifest, field.name)
+            assert type(got) is type(want) and got == want, field.name
+        # JSON keeps every setting's type: ints stay ints, floats floats
+        assert {k: type(v) for k, v in back.config.items()} == {k: type(v) for k, v in manifest.config.items()}
+        assert back.outputs == ("run.csv",)
 
     def test_fig5_columns_and_metadata(self, tmp_path):
         out = tmp_path / "f5.csv"

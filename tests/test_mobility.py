@@ -15,13 +15,11 @@ from maintsim.mobility import (
     _BLOCK_LEGS,
     _CHUNK_ROWS,
     ModelParams,
-    Trajectory,
     TrajectoryBlock,
     _window_cols,
     _window_legs,
     chunk_rows,
     generate_trajectory,
-    position_at,
     replication_chunk,
 )
 
@@ -46,14 +44,20 @@ def ensemble_stats():
 
 
 def manual_trajectory(legs, span):
-    """Trajectory from (duration, u, v) triples starting at the origin."""
+    """One-row path from (duration, u, v) triples starting at the origin."""
     durations = np.array([d for d, _, _ in legs], dtype=float)
     us = np.array([u for _, u, _ in legs], dtype=float)
     vs = np.array([v for _, _, v in legs], dtype=float)
     start_times = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
     xs = np.concatenate([[0.0], np.cumsum(us[:-1] * durations[:-1])])
     ys = np.concatenate([[0.0], np.cumsum(vs[:-1] * durations[:-1])])
-    return Trajectory(span=span, start_times=start_times, start_x=xs, start_y=ys, vel_x=us, vel_y=vs)
+    return TrajectoryBlock(span, *(a[None] for a in (start_times, xs, ys, us, vs)))
+
+
+def point(path, t):
+    """(x, y) of the one-row ``path`` at the single time ``t``, as floats."""
+    x, y = path.position(np.array([[t]]))
+    return float(x[0, 0]), float(y[0, 0])
 
 
 def drawn_durations(params, r):
@@ -77,17 +81,19 @@ class TestGeneration:
     def test_replications_differ(self):
         a = generate_trajectory(PARAMS, 0)
         b = generate_trajectory(PARAMS, 1)
-        assert not np.array_equal(a.start_times[1:4], b.start_times[1:4])
+        assert not np.array_equal(a.start_times[0, 1:4], b.start_times[0, 1:4])
 
     def test_legs_cover_span_and_are_contiguous(self):
         traj = generate_trajectory(PARAMS, 3)
+        (starts,) = traj.start_times
         durations = drawn_durations(PARAMS, 3)
-        assert len(durations) == len(traj.start_times)
-        assert traj.start_times[0] == 0.0
-        assert traj.start_times[-1] < PARAMS.span
-        assert traj.start_times[-1] + durations[-1] >= PARAMS.span
-        ends = traj.start_times[:-1] + durations[:-1]
-        assert np.array_equal(ends, traj.start_times[1:])
+        assert len(traj) == 1
+        assert len(durations) == len(starts)
+        assert starts[0] == 0.0
+        assert starts[-1] < PARAMS.span
+        assert starts[-1] + durations[-1] >= PARAMS.span
+        ends = starts[:-1] + durations[:-1]
+        assert np.array_equal(ends, starts[1:])
         assert (durations > 0).all()
 
     def test_mean_waypoint_count(self, ensemble_stats):
@@ -149,12 +155,14 @@ class TestChunkStreams:
         rows = chunk_rows(PARAMS)
         block, _ = replication_chunk(PARAMS, r // rows)
         traj = generate_trajectory(PARAMS, r)
-        n = len(traj.start_times)
+        n = traj.start_times.shape[1]
         row = r % rows
+        assert traj.span == PARAMS.span
         for name in ("start_times", "start_x", "start_y", "vel_x", "vel_y"):
-            assert np.array_equal(getattr(traj, name), getattr(block, name)[row, :n]), name
+            assert np.array_equal(getattr(traj, name), getattr(block, name)[row : row + 1, :n]), name
         # the row's legs stop at the one that overshoots the span
-        assert traj.start_times[-1] <= PARAMS.span < traj.start_times[-1] + drawn_durations(PARAMS, r)[-1]
+        last = traj.start_times[0, -1]
+        assert last <= PARAMS.span < last + drawn_durations(PARAMS, r)[-1]
         assert np.all(block.start_times[row, n:] > PARAMS.span)
 
     def test_chunk_stream_is_keyed_by_seed_and_chunk(self):
@@ -181,52 +189,53 @@ class TestChunkStreams:
 class TestPositionAt:
     def test_single_leg_linear_motion(self):
         traj = manual_trajectory([(10.0, 1.0, 2.0)], span=10.0)
-        assert position_at(traj, 3.0) == (3.0, 6.0)
+        assert point(traj, 3.0) == (3.0, 6.0)
 
     def test_origin_convention(self):
         traj = generate_trajectory(PARAMS, 5)
-        assert position_at(traj, 0.0) == (0.0, 0.0)
+        assert point(traj, 0.0) == (0.0, 0.0)
 
     def test_waypoint_positions_equal_cumulative_sums(self):
         traj = generate_trajectory(PARAMS, 9)
         durations = drawn_durations(PARAMS, 9)
-        waypoints = traj.start_times[1:]
+        waypoints = traj.start_times[0, 1:]
         inside = waypoints[waypoints <= traj.span]
         assert inside.size > 1
         for i, t in enumerate(inside, start=1):
-            x, y = position_at(traj, float(t))
-            assert x == float(np.cumsum(traj.vel_x[:i] * durations[:i])[-1])
-            assert y == float(np.cumsum(traj.vel_y[:i] * durations[:i])[-1])
+            x, y = point(traj, float(t))
+            assert x == float(np.cumsum(traj.vel_x[0, :i] * durations[:i])[-1])
+            assert y == float(np.cumsum(traj.vel_y[0, :i] * durations[:i])[-1])
 
     def test_continuous_at_waypoints(self):
         traj = generate_trajectory(PARAMS, 9)
-        waypoints = traj.start_times[1:]
+        waypoints = traj.start_times[0, 1:]
         for t in waypoints[waypoints < traj.span]:
-            before = position_at(traj, float(np.nextafter(t, 0.0)))
-            at = position_at(traj, float(t))
+            before = point(traj, float(np.nextafter(t, 0.0)))
+            at = point(traj, float(t))
             speed = np.hypot(traj.vel_x, traj.vel_y).max()
             assert math.hypot(at[0] - before[0], at[1] - before[1]) < speed * 1e-9 + 1e-12
 
     def test_vectorized_matches_scalar(self):
         traj = generate_trajectory(PARAMS, 2)
         ts = np.linspace(0.0, traj.span, 17)
-        xs, ys = position_at(traj, ts)
-        for t, x, y in zip(ts, xs, ys):
-            assert position_at(traj, float(t)) == (x, y)
+        xs, ys = traj.position(ts[None])
+        assert xs.shape == ys.shape == (1, 17)
+        for t, x, y in zip(ts, xs[0], ys[0]):
+            assert point(traj, float(t)) == (x, y)
 
     def test_domain_errors(self):
         traj = generate_trajectory(PARAMS, 2)
         with pytest.raises(ParameterError):
-            position_at(traj, -0.001)
+            point(traj, -0.001)
         with pytest.raises(ParameterError):
-            position_at(traj, traj.span + 0.001)
+            point(traj, traj.span + 0.001)
 
     @given(st.floats(0.0, 100.0))
     @settings(max_examples=60, deadline=None)
     def test_piecewise_linear_within_leg(self, t):
         traj = generate_trajectory(PARAMS, 4)
-        idx = int(np.searchsorted(traj.start_times, t, side="right")) - 1
-        x, y = position_at(traj, t)
-        dt = t - traj.start_times[idx]
-        assert x == traj.start_x[idx] + traj.vel_x[idx] * dt
-        assert y == traj.start_y[idx] + traj.vel_y[idx] * dt
+        idx = int(np.searchsorted(traj.start_times[0], t, side="right")) - 1
+        x, y = point(traj, t)
+        dt = t - traj.start_times[0, idx]
+        assert x == traj.start_x[0, idx] + traj.vel_x[0, idx] * dt
+        assert y == traj.start_y[0, idx] + traj.vel_y[0, idx] * dt

@@ -3,6 +3,7 @@ accounting, and agreement between the event-driven protocols, the
 block-batched runners, the vectorized window engine, and the closed
 forms."""
 
+import concurrent.futures
 import math
 import sys
 import threading
@@ -21,11 +22,9 @@ from maintsim.mobility import (
     _window_cols,
     _window_durations,
     _window_legs,
-    Trajectory,
     TrajectoryBlock,
     chunk_rows,
     generate_trajectory,
-    position_at,
     replication_chunk,
 )
 from maintsim.montecarlo import (
@@ -57,6 +56,7 @@ from reference_runners import (
     sample_window_positions,
 )
 from reference_runners import validate_conditional_moments as row_major_moments
+from test_mobility import point
 
 MODEL = ModelParams(lambda_rate=0.1, sigma=5.0, seed=77, span=100.0)
 
@@ -90,7 +90,7 @@ class TestMaintTimerRunner:
         for t, (ex, ey) in zip(qts, est):
             lo = math.floor(t / period) * period
             hi = lo + period
-            (x0, y0), (x1, y1) = position_at(traj, lo), position_at(traj, hi)
+            (x0, y0), (x1, y1) = point(traj, lo), point(traj, hi)
             f = (t - lo) / period
             assert ex == pytest.approx(x0 + (x1 - x0) * f, rel=1e-12, abs=1e-12)
             assert ey == pytest.approx(y0 + (y1 - y0) * f, rel=1e-12, abs=1e-12)
@@ -116,7 +116,7 @@ class TestMaintTimerRunner:
             traj = generate_trajectory(MODEL, r)
             qts = rng.uniform(0.0, MODEL.span, 3)
             est, _ = run_maint_timer(traj, T, qts)
-            tx, ty = position_at(traj, qts)
+            (tx,), (ty,) = traj.position(qts[None])
             sq.extend(((est[:, 0] - tx) ** 2 + (est[:, 1] - ty) ** 2).tolist())
         sq = np.array(sq)
         theory = error_avg(MODEL.sigma, MODEL.lambda_rate, T)
@@ -162,7 +162,7 @@ class TestMadrdRunner:
         traj = generate_trajectory(MODEL, 8)
         est, calls = run_madrd(traj, MadrdConfig(base_interval=500.0), np.array([10.0, 90.0]))
         assert calls == 1
-        assert (est == position_at(traj, 0.0)).all()
+        assert (est == point(traj, 0.0)).all()
 
 
 class TestSfrRunner:
@@ -173,18 +173,18 @@ class TestSfrRunner:
         assert calls == 5
         for t, (ex, ey) in zip(qts, est):
             fix_time = math.floor(t / 25.0) * 25.0
-            assert (ex, ey) == position_at(traj, fix_time)
+            assert (ex, ey) == point(traj, fix_time)
 
 
 def stack_block(trajs):
-    """Trajectories over one span as one block, padded with legs that start
+    """One-row paths over one span as one block, padded with legs that start
     at +inf and so never start at or before any time."""
-    lengths = np.array([len(traj.start_times) for traj in trajs])
+    lengths = np.array([traj.start_times.shape[1] for traj in trajs])
     filled = np.arange(lengths.max()) < lengths[:, None]
 
     def pad(name, fill):
         out = np.full(filled.shape, fill)
-        out[filled] = np.concatenate([getattr(traj, name) for traj in trajs])
+        out[filled] = np.concatenate([getattr(traj, name)[0] for traj in trajs])
         return out
 
     (span,) = {traj.span for traj in trajs}
@@ -234,7 +234,7 @@ def scalar_records(model, replications, queries, protocols):
         # the chunk's query times are drawn after its paths, one row each
         _, qrng = replication_chunk(model, r // per_chunk)
         qts = qrng.uniform(0.0, model.span, (per_chunk, queries))[r % per_chunk]
-        tx, ty = position_at(traj, qts)
+        (tx,), (ty,) = traj.position(qts[None])
         period = MAINT_PERIODS[r % len(MAINT_PERIODS)]
         runs = {
             "MAINT": run_maint_timer(traj, period, qts),
@@ -439,7 +439,7 @@ class TestErrorVsCount:
             traj = generate_trajectory(MODEL, rep)
             period = MAINT_PERIODS[rep % len(MAINT_PERIODS)]
             est, calls = run_maint_timer(traj, period, [query_time])
-            tx, ty = position_at(traj, query_time)
+            tx, ty = point(traj, query_time)
             sq = (est[0, 0] - tx) ** 2 + (est[0, 1] - ty) ** 2
             assert count == calls
             assert sq_error == pytest.approx(sq, rel=1e-9, abs=1e-15)
@@ -497,7 +497,7 @@ class TestErrorVsCount:
 
 def _old_generate_trajectory(params, replication_index):
     """Version 0.2 trajectory streams, verbatim: one generator per
-    replication, keyed by (seed, replication)."""
+    replication, keyed by (seed, replication), as a one-row path."""
     rng = np.random.default_rng([params.seed, replication_index])
     lam = params.lambda_rate
 
@@ -521,7 +521,7 @@ def _old_generate_trajectory(params, replication_index):
     start_times = np.concatenate([[0.0], ends[:-1]])
     xs = np.concatenate([[0.0], np.cumsum(us[:-1] * gaps[:-1])])
     ys = np.concatenate([[0.0], np.cumsum(vs[:-1] * gaps[:-1])])
-    return Trajectory(span=params.span, start_times=start_times, start_x=xs, start_y=ys, vel_x=us, vel_y=vs)
+    return TrajectoryBlock(params.span, *(a[None] for a in (start_times, xs, ys, us, vs)))
 
 
 def _old_layout_records(model, replications, n_q):
@@ -951,6 +951,16 @@ class TestWindowDurations:
         assert peak < 4.5 * rows * cols * 8
 
 
+class _DrawBeforeReturn(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool whose ``submit`` returns only after the submitted call
+    has finished on the pool's thread."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        concurrent.futures.wait([future])
+        return future
+
+
 class TestMomentValidation:
     def test_passes_on_default_grid(self):
         report = validate_conditional_moments(samples=20_000, n_max=4, seed=6)
@@ -1039,7 +1049,10 @@ class TestMomentValidation:
 
     def test_at_most_two_draw_items_alive(self, monkeypatch):
         # before each draw, at most one earlier item may still be referenced
-        # by the caller or waiting in the queue
+        # by the caller or waiting in the queue.  Each submit returns only
+        # once its draw has run, so every count sees the caller as it was
+        # when it queued the draw, whatever the thread timing
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _DrawBeforeReturn)
         refs, alive = [], []
         draws = montecarlo._moment_draws
 

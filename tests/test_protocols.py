@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maintsim.errors import BracketError, DegeneratePairError, ParameterError, StaleQueryError
-from maintsim.mobility import ModelParams, generate_trajectory, position_at
+from maintsim.mobility import ModelParams, generate_trajectory
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
@@ -28,7 +28,7 @@ from maintsim.protocols import (
     maint_on_timer,
     sfr_schedule,
 )
-from test_mobility import manual_trajectory
+from test_mobility import manual_trajectory, point
 
 PARAMS = ModelParams(lambda_rate=0.1, sigma=5.0, seed=99, span=100.0)
 
@@ -51,7 +51,7 @@ class TestInterpolate:
         b = localize(traj, 17.0)
         for t in np.linspace(3.0, 17.0, 29):
             est = interpolate(a, b, float(t))
-            true = position_at(traj, float(t))
+            true = point(traj, float(t))
             assert est[0] == pytest.approx(true[0], abs=1e-12)
             assert est[1] == pytest.approx(true[1], abs=1e-12)
 
@@ -76,29 +76,30 @@ class TestMaint:
         state = maint_init(traj, period_T=20.0)
         assert state.calls == 1
         for i, t in enumerate((4.0, 9.0, 16.5)):
-            assert maint_on_query(state, Query(t, f"D{i}"), traj, clock=t) == []
+            maint_on_query(state, Query(t, f"D{i}"), clock=t)
+        assert state.calls == 1
         responses = maint_on_timer(state, traj, 20.0)
         assert [r.requester for r in responses] == ["D0", "D1", "D2"]
         for r in responses:
             assert r.fix_a.time == 0.0
             assert r.fix_b.time == 20.0
-            assert r.fix_a.pos == position_at(traj, 0.0)
-            assert r.fix_b.pos == position_at(traj, 20.0)
+            assert r.fix_a.pos == point(traj, 0.0)
+            assert r.fix_b.pos == point(traj, 20.0)
         assert state.pending == []
         assert state.calls == 2
 
     def test_response_brackets_query_time(self):
         traj = generate_trajectory(PARAMS, 1)
         state = maint_init(traj, period_T=10.0)
-        maint_on_query(state, Query(3.0, "a"), traj, clock=3.0)
+        maint_on_query(state, Query(3.0, "a"), clock=3.0)
         (resp,) = maint_on_timer(state, traj, 10.0)
         assert resp.fix_a.time <= 3.0 <= resp.fix_b.time
 
     def test_duplicate_requester_buffered_once(self):
         traj = generate_trajectory(PARAMS, 2)
         state = maint_init(traj, period_T=50.0)
-        maint_on_query(state, Query(5.0, "dup"), traj, clock=5.0)
-        maint_on_query(state, Query(9.0, "dup"), traj, clock=9.0)
+        maint_on_query(state, Query(5.0, "dup"), clock=5.0)
+        maint_on_query(state, Query(9.0, "dup"), clock=9.0)
         assert len(state.pending) == 1
         responses = maint_on_timer(state, traj, 50.0)
         assert len(responses) == 1
@@ -107,7 +108,7 @@ class TestMaint:
         traj = generate_trajectory(PARAMS, 2)
         state = maint_init(traj, period_T=50.0)
         for t, who in ((9.0, "b"), (4.0, "a"), (16.5, "c")):
-            maint_on_query(state, Query(t, who), traj, clock=t)
+            maint_on_query(state, Query(t, who), clock=t)
         assert [q.time for q in state.pending] == [4.0, 9.0, 16.5]
         responses = maint_on_timer(state, traj, 50.0)
         assert [r.requester for r in responses] == ["a", "b", "c"]
@@ -117,26 +118,7 @@ class TestMaint:
         state = maint_init(traj, period_T=10.0)
         maint_on_timer(state, traj, 10.0)
         with pytest.raises(StaleQueryError):
-            maint_on_query(state, Query(9.0, "late"), traj, clock=9.0)
-
-    def test_query_driven_fires_at_query_time(self):
-        traj = generate_trajectory(PARAMS, 4)
-        state = maint_init(traj, period_T=10.0, mode="query")
-        assert maint_on_query(state, Query(7.0, "a"), traj, clock=7.0) == []
-        responses = maint_on_query(state, Query(13.5, "b"), traj, clock=13.5)
-        assert len(responses) == 2
-        # fires at the triggering query's time, not at last fix + period
-        assert all(r.fix_b.time == 13.5 for r in responses)
-        assert state.calls == 2
-
-    def test_immediate_mode_localizes_every_query(self):
-        traj = generate_trajectory(PARAMS, 5)
-        state = maint_init(traj, period_T=50.0, mode="query", immediate_mode=True)
-        (r1,) = maint_on_query(state, Query(1.0, "a"), traj, clock=1.0)
-        (r2,) = maint_on_query(state, Query(2.0, "b"), traj, clock=2.0)
-        assert state.calls == 3
-        assert r1.fix_b.time == 1.0
-        assert r2.fix_a.time == 1.0 and r2.fix_b.time == 2.0
+            maint_on_query(state, Query(9.0, "late"), clock=9.0)
 
     def test_estimate_is_endpoint_fraction_when_window_starts_at_origin(self):
         # fixes at 0 and T from the origin: interpolation reduces to
@@ -158,14 +140,14 @@ class TestMaint:
         b = localize(traj, 44.0)
         for t in np.linspace(16.0, 44.0, 23):
             est = interpolate(a, b, float(t))
-            true = position_at(traj, float(t))
+            true = point(traj, float(t))
             assert math.hypot(est[0] - true[0], est[1] - true[1]) < 1e-10
 
     def test_clock_mismatch_rejected(self):
         traj = generate_trajectory(PARAMS, 7)
         state = maint_init(traj, period_T=10.0)
         with pytest.raises(ParameterError):
-            maint_on_query(state, Query(5.0, "a"), traj, clock=6.0)
+            maint_on_query(state, Query(5.0, "a"), clock=6.0)
 
 
 class TestMadrd:
@@ -193,7 +175,7 @@ class TestMadrd:
         )
         for t in (20.0, 33.0, 48.0):
             est = extrapolate_madrd(state, t)
-            true = position_at(traj, t)
+            true = point(traj, t)
             assert est[0] == pytest.approx(true[0], abs=1e-12)
             assert est[1] == pytest.approx(true[1], abs=1e-12)
 
@@ -266,7 +248,7 @@ class TestSfr:
         traj = manual_trajectory([(100.0, 0.0, 0.0)], span=100.0)
         times = sfr_schedule(25.0, 100.0)
         for t in times:
-            assert position_at(traj, float(t)) == (0.0, 0.0)
+            assert point(traj, float(t)) == (0.0, 0.0)
         assert len(times) == 5  # calls unaffected by the sensor resting
 
     def test_last_fix_semantics(self):
