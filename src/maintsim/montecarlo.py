@@ -32,19 +32,22 @@ and ``DVM_CONFIG``.
 
 The moment check samples its conditioned quantities by construction, apart
 from the window engine, so it checks the formulas independently of it.
-One producer thread makes every draw of the check, in stream order, from
-the one generator, while the calling thread checks the block drawn before:
-at most two draw items are alive at a time, held or in flight.  Each block
-is drawn as the row-major sampler drew it, a few rows at a time straight
-into column-major rows, one contiguous (samples,) row per quantity, which
-the caller handles in place; the stream and every value are unchanged, so
-the output does not depend on thread scheduling or the number of CPUs.
+Given n points in an interval, their gaps are normalized exponential
+spacings, so their times are running sums and nothing is sorted.  Squared
+positions are checked through their expectation over the Gaussian
+velocities given the gaps (the conditional expectation), so those checks
+draw no velocities; only the position given no waypoint, whose expectation
+would be a constant, is sampled.  The unconditional moments and the
+pointwise errors come from whole windows.
+Everything is drawn on the calling thread, from one generator, a
+fixed-size chunk at a time; each chunk's count, mean and sum of squared
+deviations are merged pairwise into the running ones, so memory stays the
+same whatever the sample count.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -54,6 +57,7 @@ from .analytic import (
     cond_position_second_moment,
     cond_waypoint_time_moment,
     displacement_cross_moment,
+    error_at,
     error_avg,
     position_second_moment,
     position_second_moment_given_count,
@@ -590,86 +594,90 @@ class MomentReport:
             yield (c.name, c.mc_mean, c.std_error, c.theory, c.z, c.samples)
 
 
-def _z_check(name: str, sample: np.ndarray, theory: float, dev: np.ndarray) -> MomentCheck:
-    """z-score of the sample mean against ``theory``.
+# the moment check's largest --samples: at its fixed memory a run this size
+# takes minutes, and a typo such as 1e12 would otherwise run for days
+_MAX_SAMPLES = 100_000_000
 
-    ``dev`` is a buffer of the sample's size for the squared deviations; it
-    may be ``sample`` itself, which is then overwritten.  The mean is reused
-    for the deviations, so the standard error equals ``sample.std(ddof=1) /
-    sqrt(n)`` bit for bit, without its second mean and its temporary.
+# a conditioned chunk draws at most this many exponentials, (n + 1) * rows
+# (or one row, where that alone is wider), so its matrices stay the same
+# size at any --samples and --n-max; the chunk layout is part of the
+# stream, so changing it changes the output
+_CHUNK_DRAWS = 1 << 15
+
+
+def _merge(a, b):
+    """Count, mean and sum of squared deviations of two sample sets joined
+    (Chan, Golub and LeVeque, *Am. Stat.* 37(3), 1983); means and sums may
+    be arrays, one entry per check."""
+    na, ma, qa = a
+    nb, mb, qb = b
+    n = na + nb
+    d = mb - ma
+    return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
+
+
+class _Moments:
+    """Count, mean and sum of squared deviations of a set of checks, fed a
+    chunk of samples at a time.
+
+    Each chunk's partial result is merged pairwise, as a binary counter
+    carries: a partial merges with another of its own level, so every mean
+    and sum is built up as a balanced tree of chunks.
     """
-    n = sample.size
-    mean = sample.mean()
-    np.subtract(sample, mean, out=dev)
-    np.square(dev, out=dev)
-    se = float(np.sqrt(dev.sum() / (n - 1)) / math.sqrt(n))
-    mean = float(mean)
-    z = (mean - theory) / se if se > 0 else 0.0
-    return MomentCheck(name=name, mc_mean=mean, std_error=se, theory=theory, z=float(z), samples=n)
+
+    def __init__(self) -> None:
+        self._levels: list = []
+
+    def add(self, values: np.ndarray) -> None:
+        """Take ``values`` (..., m), m samples of every check; the buffer is
+        overwritten."""
+        mean = values.mean(axis=-1)
+        values -= mean[..., None]
+        part = (values.shape[-1], mean, np.square(values, out=values).sum(axis=-1))
+        level = 0
+        while level < len(self._levels) and self._levels[level] is not None:
+            part = _merge(self._levels[level], part)
+            self._levels[level] = None
+            level += 1
+        if level == len(self._levels):
+            self._levels.append(None)
+        self._levels[level] = part
+
+    def checks(self, names, theories) -> list[MomentCheck]:
+        """One z-check per name, in the order of the flattened leading axes
+        of the chunks."""
+        parts = [p for p in self._levels if p is not None]
+        n, mean, m2 = parts[0]
+        for part in parts[1:]:
+            n, mean, m2 = _merge(part, (n, mean, m2))
+        out = []
+        for name, theory, mu, q in zip(names, theories, np.ravel(mean).tolist(), np.ravel(m2).tolist()):
+            se = math.sqrt(q / (n - 1)) / math.sqrt(n)
+            z = (mu - theory) / se if se > 0 else 0.0
+            out.append(MomentCheck(name=name, mc_mean=mu, std_error=se, theory=theory, z=z, samples=n))
+        return out
 
 
-def _sort_columns(rows: list[np.ndarray], spare: np.ndarray) -> np.ndarray:
-    """Sort the values of every sample across the equal-length ``rows`` in
-    place, so ``rows[k]`` holds the k-th smallest value of each sample, and
-    return the buffer left over as the spare.
+def _chunks(samples: int, width: int):
+    """Row counts of the chunks of ``samples`` rows of ``width`` draws each."""
+    rows = max(1, _CHUNK_DRAWS // width)
+    for done in range(0, samples, rows):
+        yield min(rows, samples - done)
 
-    An insertion network of compare-exchanges between neighbouring rows: the
-    minimum goes into the spare buffer, the maximum into the upper row, and
-    the spare takes the lower row's place in the list, so no row is copied
-    back.  min and max only move values, so the rows equal ``np.sort`` across
-    them bit for bit.
+
+def _spacings(rng: np.random.Generator, span: float, parts: int, rows: int) -> np.ndarray:
+    """The ``parts`` gaps between 0, the ``parts - 1`` sorted uniform points
+    of (0, span) and span, for ``rows`` samples: shape (parts, rows).
+
+    Normalized exponential spacings (Renyi 1953; Devroye 1986, ch. V): with
+    E_1..E_parts iid standard exponential, span * E_k / sum E are exactly
+    the gaps of sorted uniforms, so nothing is sorted.
     """
-    for top in range(1, len(rows)):
-        for k in range(top, 0, -1):
-            np.minimum(rows[k - 1], rows[k], out=spare)
-            np.maximum(rows[k - 1], rows[k], out=rows[k])
-            rows[k - 1], spare = spare, rows[k - 1]
-    return spare
-
-
-# a (samples, n) draw is made this many rows at a time; any count gives the
-# same stream, because the generator fills a draw row-major and in order
-_DRAW_ROWS = 8192
-
-
-def _draw_rows(draw, scale: float, samples: int, n: int, spare: int = 0) -> np.ndarray:
-    """``scale`` times a (samples, n) draw of ``draw`` (``Generator.random``
-    or ``standard_normal``), as the first n rows of an (n + spare, samples)
-    array whose ``spare`` last rows are left unset.
-
-    ``uniform(0, hi)`` is ``0.0 + hi * random()``, which is ``random() * hi``
-    exactly, so a scaled ``random`` draw is the uniform one bit for bit.
-    """
-    out = np.empty((n + spare, samples))
-    chunk = np.empty((min(_DRAW_ROWS, samples), n))
-    for start in range(0, samples, _DRAW_ROWS):
-        part = chunk[: min(_DRAW_ROWS, samples - start)]
-        draw(out=part)
-        np.multiply(part.T, scale, out=out[:n, start : start + len(part)])
-    return out
-
-
-def _moment_draws(rng, tau, sigma, lambda_rate, t, T, n_max, samples):
-    """Every draw of ``validate_conditional_moments``, in stream order, each
-    as a (tag, item) pair; the caller checks each tag as it takes the item.
-
-    For n = 1..n_max: the n waypoint times in (0, tau) with one spare row,
-    then the n velocities.  For i = 0..n_max: the i waypoint times in (0, t)
-    with one spare row, then the i + 1 velocities (for i = 0 only the one
-    displacement over t).  Last, the windows of the unconditional checks,
-    one ``_WINDOW_BATCH`` block at a time.
-    """
-    for n in range(1, n_max + 1):
-        yield ("times", n), _draw_rows(rng.random, tau, samples, n, spare=1)
-        yield ("velocities", n), _draw_rows(rng.standard_normal, sigma, samples, n)
-    for i in range(0, n_max + 1):
-        if i == 0:
-            yield ("displacement", 0), _draw_rows(rng.standard_normal, t * sigma, samples, 1)
-        else:
-            yield ("count times", i), _draw_rows(rng.random, t, samples, i, spare=1)
-            yield ("count velocities", i), _draw_rows(rng.standard_normal, sigma, samples, i + 1)
-    for done in range(0, samples, _WINDOW_BATCH):
-        yield ("windows", done), TrajectoryBlock.windows(rng, lambda_rate, sigma, T, min(_WINDOW_BATCH, samples - done))
+    gaps = rng.standard_exponential((parts, rows))
+    scale = gaps.sum(axis=0)
+    np.divide(span, scale, out=scale)
+    gaps *= scale
+    return gaps
 
 
 def validate_conditional_moments(
@@ -682,169 +690,100 @@ def validate_conditional_moments(
     samples: int = 100_000,
     seed: int = 0,
 ) -> MomentReport:
-    """Monte Carlo z-scores for every conditional-moment formula.
+    """Monte Carlo z-scores for every conditional-moment formula, and for
+    the expected interpolation error at T/4 and at t.
 
-    Conditioned quantities are sampled by construction (given n waypoints in
-    (0, tau), their times are sorted uniforms), so no rejection is needed.
-    The unconditional second moment and the cross moment come from direct
-    window simulation.  Passing means every |z| < 4.
+    Given n waypoints in (0, tau), their gaps are drawn as normalized
+    exponential spacings (``_spacings``) and the waypoint times are their
+    running sums.  The squared position at waypoint k is checked through its
+    expectation over the velocities given the gaps, sigma^2 sum_{j<=k} g_j^2
+    per coordinate, and so is the position at t given i >= 1 waypoints in
+    (0, t), from the i + 1 spacings of (0, t).  Given no waypoint the
+    position at t is a sampled t sigma N(0, 1), as that expectation would be
+    a constant.  The unconditional second moment, the cross moment and the
+    errors come from whole windows of ``TrajectoryBlock.windows``, evaluated
+    at T/4, t and T; the error at s is |X(s) - (s/T) X(T)|^2 over both
+    coordinates.  Passing means every |z| < 4.
 
-    A producer thread draws the stream of ``_moment_draws`` while this
-    thread checks the block drawn before.  Each conditioned block arrives
-    as column-major rows, one contiguous (samples,) row per quantity, so
-    every check reads a contiguous row.  Times are sorted, differenced and
-    summed in place, row by row, in the order ``np.sort``, ``np.diff``,
-    ``np.cumsum`` and ``sum`` use on a row-major (samples, n) matrix, so
-    the stream and every value are those of a row-major sampler.
+    Every quantity is drawn and checked a fixed-size chunk at a time and
+    merged into running moments, so memory does not grow with ``samples``.
     """
-    # imported here: only the moment check runs a thread, and the module
-    # loads logging, which the other experiments would pay for at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    if samples < 10_000:
-        raise ParameterError(f"samples must be >= 10000, got {samples}")
+    if not 10_000 <= samples <= _MAX_SAMPLES:
+        raise ParameterError(f"samples must be >= 10000 and at most {_MAX_SAMPLES}, got {samples}")
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     rng = np.random.default_rng([seed, _STREAM_MOMENTS])
     report = MomentReport()
-    draws = _moment_draws(rng, tau, sigma, lambda_rate, t, T, n_max, samples)
-    # one thread makes the draws in order; two are queued at the start, and
-    # one more each time this thread lets go of an item, so at most two draw
-    # items are alive, held here or in flight
-    pool = ThreadPoolExecutor(1, thread_name_prefix="maintsim-draws")
-    pending = deque()
+    var = sigma * sigma
 
-    def draw_next():
-        pending.append(pool.submit(next, draws))
-
-    def take(*tag):
-        # the loops below take the items in the order _moment_draws yields them
-        got, item = pending.popleft().result()
-        if got != tag:
-            raise AssertionError(f"drew {got} where {tag} was due")
-        return item
-
-    try:
-        draw_next()
-        draw_next()
-        for n in range(1, n_max + 1):
-            by_k = [[] for _ in range(n)]
-            # rows[k] holds, in turn, the k-th waypoint time, the gap before
-            # it, and the position reached at it; sq the square being checked
-            rows = list(take("times", n))
-            sq = _sort_columns(rows, rows.pop())
-            for k, row in enumerate(rows, start=1):
-                by_k[k - 1] += (
-                    _z_check(f"waypoint_time n={n} k={k} order=1", row, cond_waypoint_time_moment(tau, n, k, 1), sq),
-                    _z_check(
-                        f"waypoint_time n={n} k={k} order=2",
-                        np.square(row, out=sq),
-                        cond_waypoint_time_moment(tau, n, k, 2),
-                        sq,
-                    ),
-                )
-            # last row first, so every subtraction reads two undifferenced times
-            for k in range(n - 1, 0, -1):
-                rows[k] -= rows[k - 1]
-            for k, row in enumerate(rows, start=1):
-                by_k[k - 1] += (
-                    _z_check(f"interarrival n={n} k={k} order=1", row, cond_interarrival_moment(tau, n, 1), sq),
-                    _z_check(
-                        f"interarrival n={n} k={k} order=2",
-                        np.square(row, out=sq),
-                        cond_interarrival_moment(tau, n, 2),
-                        sq,
-                    ),
-                )
-            vel = take("velocities", n)
-            for row, v in zip(rows, vel):
-                row *= v  # products commute: these are (sigma * v) * gap exactly
-            del vel, v
-            draw_next()
+    for n in range(1, n_max + 1):
+        stats = _Moments()
+        for m in _chunks(samples, n + 1):
+            gaps = _spacings(rng, tau, n + 1, m)
+            # per waypoint k: its time and the time squared, the gap before
+            # it and the gap squared, and the running sum of squared gaps,
+            # scaled to sigma^2 at the end
+            q = np.empty((n, 5, m))
+            time, gap, gap_sq, position_sq = q[:, 0], q[:, 2], q[:, 3], q[:, 4]
+            gap[...] = gaps[:n]
+            del gaps
+            np.square(gap, out=gap_sq)
+            time[0] = gap[0]
+            position_sq[0] = gap_sq[0]
             for k in range(1, n):
-                rows[k] += rows[k - 1]
-            for k, row in enumerate(rows, start=1):
-                by_k[k - 1].append(
-                    _z_check(
-                        f"waypoint_position_sq n={n} k={k}",
-                        np.square(row, out=sq),
-                        cond_position_second_moment(tau, n, k, sigma),
-                        sq,
-                    )
-                )
-            del rows, row, sq
-            draw_next()
-            for checks in by_k:
-                report.checks += checks
+                np.add(time[k - 1], gap[k], out=time[k])
+                np.add(position_sq[k - 1], gap_sq[k], out=position_sq[k])
+            np.square(time, out=q[:, 1])
+            position_sq *= var
+            stats.add(q)
+        names, theories = [], []
+        for k in range(1, n + 1):
+            for order in (1, 2):
+                names.append(f"waypoint_time n={n} k={k} order={order}")
+                theories.append(cond_waypoint_time_moment(tau, n, k, order))
+            for order in (1, 2):
+                names.append(f"interarrival n={n} k={k} order={order}")
+                theories.append(cond_interarrival_moment(tau, n, order))
+            names.append(f"waypoint_position_sq n={n} k={k}")
+            theories.append(cond_position_second_moment(tau, n, k, sigma))
+        report.checks += stats.checks(names, theories)
 
-        # position second moment given an exact waypoint count in (0, t)
-        for i in range(0, n_max + 1):
+    # position second moment given an exact waypoint count in (0, t)
+    for i in range(0, n_max + 1):
+        stats = _Moments()
+        for m in _chunks(samples, i + 1):
             if i == 0:
-                (x,) = take("displacement", 0)
+                x = rng.standard_normal(m)
+                x *= t * sigma
+                np.square(x, out=x)
             else:
-                # rows: waypoint times, then gaps, then each leg's displacement
-                rows = list(take("count times", i))
-                tail = _sort_columns(rows, rows.pop())
-                np.subtract(t, rows[-1], out=tail)
-                for k in range(i - 1, 0, -1):
-                    rows[k] -= rows[k - 1]
-                vel = take("count velocities", i)
-                for row, v in zip(rows, vel):
-                    row *= v
-                tail *= vel[i]
-                del vel, v, row
-                draw_next()
-                # summed sample by sample, so numpy picks the same order as
-                # for the row-major product; a chunk of samples at a time
-                # into rows[0], as a whole (samples, i) copy would raise the
-                # peak while the next block is drawn
-                x = rows[0]
-                for a in range(0, samples, _DRAW_ROWS):
-                    x[a : a + _DRAW_ROWS] = np.stack([r[a : a + _DRAW_ROWS] for r in rows], axis=1).sum(axis=1)
-                del rows
-                x += tail
-                del tail
-            report.checks.append(
-                _z_check(
-                    f"position_sq_given_count i={i}",
-                    np.square(x, out=x),
-                    position_second_moment_given_count(t, i, sigma),
-                    x,
-                )
-            )
-            del x
-            draw_next()
-
-        # unconditional position second moment and the split-window cross
-        # moment; x and y coordinates are iid so both contribute samples:
-        # the x coordinates fill the first half of each array, the y the second
-        at_t = np.empty(2 * samples)
-        at_T = np.empty(2 * samples)
-        for done in range(0, samples, _WINDOW_BATCH):
-            block = take("windows", done)
-            m = len(block)
-            x, y = block.position(np.broadcast_to((t, T), (m, 2)))
-            del block
-            draw_next()
-            at_t[done : done + m], at_T[done : done + m] = x.T
-            at_t[samples + done : samples + done + m], at_T[samples + done : samples + done + m] = y.T
-            del x, y
-    finally:
-        # on an early exit, the queued draws are dropped and the one running
-        # is waited for
-        pool.shutdown(cancel_futures=True)
-    # the cross moment first, while at_t is whole; then at_t's squares
-    at_T -= at_t
-    at_T *= at_t
-    cross = _z_check("displacement_cross_moment", at_T, displacement_cross_moment(t, T, lambda_rate, sigma), at_T)
-    del at_T
-    report.checks.append(
-        _z_check(
-            "position_sq_unconditional",
-            np.square(at_t, out=at_t),
-            position_second_moment(t, lambda_rate, sigma),
-            at_t,
+                gaps = _spacings(rng, t, i + 1, m)
+                x = np.square(gaps, out=gaps).sum(axis=0)
+                x *= var
+            stats.add(x)
+        report.checks += stats.checks(
+            [f"position_sq_given_count i={i}"], [position_second_moment_given_count(t, i, sigma)]
         )
+
+    # whole windows at T/4, t and T: the unconditional second moment and the
+    # split-window cross moment per coordinate (x and y are iid, so both
+    # contribute samples), and the interpolation error over both
+    quarter = T / 4.0
+    per_coordinate, errors = _Moments(), _Moments()
+    for done in range(0, samples, _WINDOW_BATCH):
+        m = min(_WINDOW_BATCH, samples - done)
+        block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
+        x, y = block.position(np.broadcast_to((quarter, t, T), (m, 3)))
+        at_q, at_t, at_T = np.moveaxis(np.stack([x, y]), -1, 0)  # each (coordinate, window)
+        per_coordinate.add(np.stack([at_t * at_t, at_t * (at_T - at_t)]).reshape(2, 2 * m))
+        err = np.stack([at_q - quarter / T * at_T, at_t - t / T * at_T])
+        errors.add(np.square(err, out=err).sum(axis=1))
+    report.checks += per_coordinate.checks(
+        ["position_sq_unconditional", "displacement_cross_moment"],
+        [position_second_moment(t, lambda_rate, sigma), displacement_cross_moment(t, T, lambda_rate, sigma)],
     )
-    report.checks.append(cross)
+    report.checks += errors.checks(
+        [f"error_at t={s:g}" for s in (quarter, t)],
+        [error_at(sigma, lambda_rate, T, s) for s in (quarter, t)],
+    )
     return report

@@ -76,16 +76,19 @@ class MaintState:
     timer tick, which localizes and answers them all."""
 
     last_fix: LocalizationFix
-    period_T: float
     pending: list[Query] = field(default_factory=list)
     calls: int = 1
 
 
-def maint_init(truth: TrajectoryBlock, period_T: float, start_time: float = 0.0) -> MaintState:
-    """Localize once at ``start_time`` and return fresh scheduler state."""
+def maint_init(truth: TrajectoryBlock, period_T: float) -> MaintState:
+    """Localize once at time 0 and return fresh scheduler state.
+
+    The caller schedules the timer ticks every ``period_T``; it is only
+    checked here, so a bad period fails before the first tick.
+    """
     if not period_T > 0:
         raise ParameterError(f"period_T must be > 0, got {period_T}")
-    return MaintState(last_fix=localize(truth, start_time), period_T=period_T)
+    return MaintState(last_fix=localize(truth, 0.0))
 
 
 def maint_on_query(state: MaintState, q: Query, clock: float) -> None:

@@ -7,12 +7,14 @@ and estimates.  Each runs on one path, a one-row ``TrajectoryBlock`` such
 as ``generate_trajectory`` returns, and returns (estimates (n, 2),
 localization count) for the query times it is given.
 
-``validate_conditional_moments`` is the row-major moment check of 0.4.0,
-kept as the oracle of the column-major one in ``maintsim.montecarlo``:
-both draw the same stream, and every check must agree bit for bit.  It
-keeps its own z-check, on ``np.std``, and draws its windows with
-``sample_window_positions``, which the analytic and window-engine tests
-use too.
+``validate_conditional_moments`` is the moment check of 0.4.0 and 0.5.0
+in its row-major form, kept as the distributional oracle of the streamed
+one in ``maintsim.montecarlo``: it sorts uniforms and samples velocities
+where that one draws exponential spacings and takes expectations over
+the velocities, so the two must agree check by check within their joint
+standard error.  It keeps its own z-check, on ``np.std``, and draws its
+windows with ``sample_window_positions``, which the analytic and
+window-engine tests use too.
 
 ``sample_window_errors`` is the period sweeps' estimator of 0.4.0, kept as
 the oracle of ``maintsim.montecarlo.sample_window_mean_errors``: it draws
@@ -29,6 +31,7 @@ from maintsim.analytic import (
     cond_position_second_moment,
     cond_waypoint_time_moment,
     displacement_cross_moment,
+    error_at,
     position_second_moment,
     position_second_moment_given_count,
 )
@@ -232,8 +235,9 @@ def validate_conditional_moments(
 
     Conditioned quantities are sampled by construction (given n waypoints in
     (0, tau), their times are sorted uniforms), so no rejection is needed.
-    The unconditional second moment and the cross moment come from direct
-    window simulation.  Passing means every |z| < 4.
+    The unconditional second moment, the cross moment and the interpolation
+    errors at T/4 and t come from direct window simulation.  Passing means
+    every |z| < 4.
     """
     if samples < 10_000:
         raise ParameterError(f"samples must be >= 10000, got {samples}")
@@ -303,10 +307,12 @@ def validate_conditional_moments(
         )
 
     # unconditional position second moment and the split-window cross moment;
-    # x and y coordinates are iid so both contribute samples
-    xs, ys = sample_window_positions(rng, lambda_rate, sigma, T, samples, (t, T))
-    at_t = np.concatenate([xs[:, 0], ys[:, 0]])
-    at_T = np.concatenate([xs[:, 1], ys[:, 1]])
+    # x and y coordinates are iid so both contribute samples.  Then the
+    # interpolation error over both coordinates at T/4 and t
+    quarter = T / 4.0
+    xs, ys = sample_window_positions(rng, lambda_rate, sigma, T, samples, (quarter, t, T))
+    at_t = np.concatenate([xs[:, 1], ys[:, 1]])
+    at_T = np.concatenate([xs[:, 2], ys[:, 2]])
     report.checks.append(
         _z_check("position_sq_unconditional", at_t**2, position_second_moment(t, lambda_rate, sigma))
     )
@@ -317,4 +323,8 @@ def validate_conditional_moments(
             displacement_cross_moment(t, T, lambda_rate, sigma),
         )
     )
+    for j, s in ((0, quarter), (1, t)):
+        ex = xs[:, j] - s / T * xs[:, 2]
+        ey = ys[:, j] - s / T * ys[:, 2]
+        report.checks.append(_z_check(f"error_at t={s:g}", ex**2 + ey**2, error_at(sigma, lambda_rate, T, s)))
     return report

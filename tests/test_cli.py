@@ -348,16 +348,27 @@ def test_oversized_grid_range_exits_two(tmp_path, spec):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "moments", "--samples", "200000000"],
         ["simulate", "fig5", "--replications", "1000000000"],
+        ["simulate", "fig6", "--replications", "1000000000"],
     ],
 )
 def test_allocation_failure_exits_two(tmp_path, argv):
-    # both sizes fail on their first large allocation under the 1 GiB cap
+    # both sweeps fail on their first large allocation under the 1 GiB cap
     out = tmp_path / "big.csv"
     proc = run_capped_child([*argv, "--out", str(out)])
     assert proc.returncode == EXIT_VALIDATION
     assert "needs more memory than is available" in proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
+
+
+def test_sample_cap_exits_two(tmp_path):
+    # the moment check runs in fixed memory, so an oversized run would not
+    # fail on allocation but run for minutes: --samples is capped instead
+    out = tmp_path / "big.csv"
+    proc = run_capped_child(["simulate", "moments", "--samples", "200000000", "--out", str(out)])
+    assert proc.returncode == EXIT_VALIDATION
+    assert "at most 100000000" in proc.stderr
     assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
     assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
 

@@ -3,17 +3,15 @@ accounting, and agreement between the event-driven protocols, the
 block-batched runners, the vectorized window engine, and the closed
 forms."""
 
-import concurrent.futures
 import math
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
 
 from maintsim import montecarlo
-from maintsim.analytic import error_avg
+from maintsim.analytic import error_at, error_avg
 from maintsim.errors import ParameterError
 from maintsim.mobility import (
     _BLOCK_LEGS,
@@ -28,7 +26,6 @@ from maintsim.mobility import (
     replication_chunk,
 )
 from maintsim.montecarlo import (
-    _sort_columns,
     DVM_CONFIG,
     MADRD_CONFIGS,
     MAINT_PERIODS,
@@ -951,23 +948,14 @@ class TestWindowDurations:
         assert peak < 4.5 * rows * cols * 8
 
 
-class _DrawBeforeReturn(concurrent.futures.ThreadPoolExecutor):
-    """A thread pool whose ``submit`` returns only after the submitted call
-    has finished on the pool's thread."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = super().submit(fn, *args, **kwargs)
-        concurrent.futures.wait([future])
-        return future
-
-
 class TestMomentValidation:
     def test_passes_on_default_grid(self):
         report = validate_conditional_moments(samples=20_000, n_max=4, seed=6)
         assert report.passed
         assert 0.0 < report.max_abs_z < 4.0
         # 5 checks per (n, k) pair + count-conditioned + two unconditional
-        assert len(report.checks) == 5 * (4 * 5 // 2) + 5 + 2
+        # + two errors
+        assert len(report.checks) == 5 * (4 * 5 // 2) + 5 + 2 + 2
 
     def test_rows_align_with_checks(self):
         report = validate_conditional_moments(samples=10_000, n_max=2, seed=6)
@@ -976,8 +964,16 @@ class TestMomentValidation:
         assert all(len(r) == 6 for r in rows)
 
     def test_rejects_small_samples(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="samples must be >= 10000"):
             validate_conditional_moments(samples=5000)
+
+    def test_sample_cap_is_inclusive(self, monkeypatch):
+        with pytest.raises(ParameterError, match="at most 100000000"):
+            validate_conditional_moments(samples=montecarlo._MAX_SAMPLES + 1)
+        monkeypatch.setattr(montecarlo, "_MAX_SAMPLES", 10_001)
+        assert validate_conditional_moments(samples=10_001, n_max=1).checks[0].samples == 10_001
+        with pytest.raises(ParameterError):
+            validate_conditional_moments(samples=10_002, n_max=1)
 
     # the two parameter points of acceptance criterion 4, without their n_max
     POINTS = (
@@ -990,167 +986,156 @@ class TestMomentValidation:
     @pytest.mark.parametrize("n_max", [1, 2, 6, 9, 12])
     @pytest.mark.parametrize("seed", [0, 6])
     def test_matches_row_major_reference(self, seed, n_max, samples, point):
-        # n_max >= 8 reaches numpy's eight-accumulator sums in the
-        # count-conditioned checks; an odd sample count leaves a remainder
-        # in every pairwise mean
+        # the sorted-uniform, sampled-velocity check of 0.5.0 is the
+        # distributional oracle of the spacing one: the same checks, theory
+        # values and sample counts, and means within a two-sample |z| < 4
         kw = dict(self.POINTS[point], n_max=n_max, samples=samples, seed=seed)
         got = validate_conditional_moments(**kw).checks
         want = row_major_moments(**kw).checks
         assert [c.name for c in got] == [c.name for c in want]
         for g, w in zip(got, want):
-            assert (g.mc_mean, g.std_error, g.theory, g.z, g.samples) == (
-                w.mc_mean, w.std_error, w.theory, w.z, w.samples
-            ), g.name
+            assert (g.theory, g.samples) == (w.theory, w.samples), g.name
+            z = (g.mc_mean - w.mc_mean) / math.hypot(g.std_error, w.std_error)
+            assert abs(z) < 4.0, (g.name, z)
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_sort_columns_matches_np_sort(self, n):
-        rng = np.random.default_rng(n)
-        # few distinct values, so columns hold ties and exact zeros
-        ties = rng.integers(0, 4, (n, 5000)) * 0.25
-        ties[:, :3] = 0.0
-        for block in (ties, rng.uniform(0.0, 10.0, (n, 5000))):
-            want = np.sort(block, axis=0)
-            rows = list(np.vstack([block, np.full((1, 5000), np.nan)]))
-            spare = _sort_columns(rows, rows.pop())
-            assert np.stack(rows).tobytes() == want.tobytes()
-            # the spare is one of the n + 1 buffers, none shared by two rows
-            assert len({id(r.base) for r in rows} | {id(spare.base)}) == 1
-            assert len({r.__array_interface__["data"][0] for r in [*rows, spare]}) == n + 1
+    def test_expectations_given_gaps_cut_the_standard_error(self):
+        # the velocities are integrated out, so the spacing check's squared
+        # positions vary less than sampled ones
+        kw = dict(n_max=3, samples=20_000, seed=2)
+        got = {c.name: c for c in validate_conditional_moments(**kw).checks}
+        want = {c.name: c for c in row_major_moments(**kw).checks}
+        for name in ["waypoint_position_sq n=3 k=3", *(f"position_sq_given_count i={i}" for i in (1, 2, 3))]:
+            assert got[name].std_error < 0.8 * want[name].std_error, name
+        # given no waypoint the position is still sampled, so the check is not vacuous
+        assert got["position_sq_given_count i=0"].std_error > 0.0
 
-    @pytest.mark.parametrize("samples", [20_000, 60_000])
-    def test_peak_memory_per_sample(self, samples):
-        # the column-major blocks keep the traced peak near 15 doubles per
-        # sample, plus a fixed window-engine share that shows at small
-        # sizes; the row-major sampler took 38 (60 000) to 47 (20 000)
+    @pytest.mark.parametrize("point", range(len(POINTS)))
+    def test_error_rows_are_z_tested_against_the_closed_form(self, point):
+        kw = self.POINTS[point]
+        report = validate_conditional_moments(samples=10_000, n_max=1, seed=3, **kw)
+        rows = report.checks[-2:]
+        times = (kw["T"] / 4.0, kw["t"])
+        assert [c.name for c in rows] == [f"error_at t={s:g}" for s in times]
+        for s, c in zip(times, rows):
+            assert c.theory == error_at(kw["sigma"], kw["lambda_rate"], kw["T"], s)
+            assert c.samples == 10_000 and abs(c.z) < 4.0
+
+    @pytest.mark.parametrize("sizes", [(7,), (1000, 1), (4096, 4096, 3), (1, 2, 3, 4, 5, 6, 7, 8, 9)])
+    def test_streamed_moments_match_one_pass(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        data = rng.normal(3.0, 2.0, (2, 3, sum(sizes)))
+        stats = montecarlo._Moments()
+        cuts = np.cumsum((0, *sizes))
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            stats.add(data[..., a:b].copy())
+        checks = stats.checks([str(j) for j in range(6)], [0.0] * 6)
+        flat = data.reshape(6, -1)
+        n = flat.shape[1]
+        assert [c.samples for c in checks] == [n] * 6
+        np.testing.assert_allclose([c.mc_mean for c in checks], flat.mean(axis=1), rtol=1e-13)
+        se = flat.std(axis=1, ddof=1) / math.sqrt(n)
+        np.testing.assert_allclose([c.std_error for c in checks], se, rtol=1e-12)
+
+    @pytest.mark.parametrize("parts", [1, 2, 4, 7])
+    def test_spacings_are_the_gaps_of_sorted_uniforms(self, parts):
+        rows = 100_000
+        gaps = montecarlo._spacings(np.random.default_rng(parts), 3.0, parts, rows)
+        assert gaps.shape == (parts, rows) and np.all(gaps > 0)
+        np.testing.assert_allclose(gaps.sum(axis=0), 3.0, rtol=1e-15)
+        # the running sums against sorted uniforms on (0, 3), point by point
+        times = np.cumsum(gaps[:-1], axis=0)
+        want = np.sort(np.random.default_rng(10 + parts).uniform(0.0, 3.0, (parts - 1, rows)), axis=0)
+        for got_k, want_k in zip(times, want):
+            for a, b in ((got_k, want_k), (got_k**2, want_k**2)):
+                z = (a.mean() - b.mean()) / math.hypot(a.std(), b.std()) * math.sqrt(rows)
+                assert abs(z) < 4.0
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 13, montecarlo._CHUNK_DRAWS + 1])
+    def test_chunks_stay_within_the_draw_budget(self, width):
+        # any n_max: a chunk of (n + 1, rows) draws holds at most the budget,
+        # or a single row where one row alone is wider
+        for samples in (10_000, 10_001, 400_000):
+            rows = list(montecarlo._chunks(samples, width))
+            assert sum(rows) == samples and min(rows) >= 1
+            assert max(rows) * width <= max(montecarlo._CHUNK_DRAWS, width)
+
+    @pytest.mark.parametrize("n_max", [6, 9])
+    def test_memory_does_not_grow_with_samples(self, n_max):
+        # the check streams fixed-size chunks, so its traced peak is the
+        # same at 20 000 and at 400 000 samples, and small at both
+        import tracemalloc
+
+        validate_conditional_moments(samples=10_000, n_max=n_max)  # keep one-time imports out of the peak
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        peaks = []
+        try:
+            for samples in (20_000, 400_000):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                validate_conditional_moments(samples=samples, n_max=n_max)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1 << 20, peaks
+        assert max(peaks) <= 8 << 20, peaks
+
+    def test_memory_does_not_grow_with_n_max(self):
+        # the chunks of every n hold at most the same number of draws, so
+        # the traced peak, less the report the check returns (which holds
+        # O(n_max^2) checks), is the same at n_max 6 and 20
         import tracemalloc
 
         validate_conditional_moments(samples=10_000, n_max=6)  # keep one-time imports out of the peak
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
+        working = []
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            validate_conditional_moments(samples=samples, n_max=6)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            for n_max in (6, 20):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                report = validate_conditional_moments(samples=10_000, n_max=n_max)
+                kept, peak = tracemalloc.get_traced_memory()
+                working.append(peak - kept)
+                del report
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak <= 32 * 8 * samples, peak / (8 * samples)
-
-    @pytest.mark.parametrize("n_max", [2, 9])
-    def test_stream_does_not_depend_on_draw_rows(self, monkeypatch, n_max):
-        # many small row chunks per draw, and one shorter last chunk
-        monkeypatch.setattr(montecarlo, "_DRAW_ROWS", 999)
-        kw = dict(n_max=n_max, samples=10_001, seed=3)
-        got = validate_conditional_moments(**kw).checks
-        want = row_major_moments(**kw).checks
-        assert got == want
-
-    def test_at_most_two_draw_items_alive(self, monkeypatch):
-        # before each draw, at most one earlier item may still be referenced
-        # by the caller or waiting in the queue.  Each submit returns only
-        # once its draw has run, so every count sees the caller as it was
-        # when it queued the draw, whatever the thread timing
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _DrawBeforeReturn)
-        refs, alive = [], []
-        draws = montecarlo._moment_draws
-
-        def watched(*args):
-            stream = draws(*args)
-            while True:
-                alive.append(sum(r() is not None for r in refs))
-                try:
-                    item = [next(stream)]
-                except StopIteration:
-                    return
-                refs.append(weakref.ref(item[0][1]))
-                yield item.pop()  # keeps no reference while suspended
-
-        monkeypatch.setattr(montecarlo, "_moment_draws", watched)
-        validate_conditional_moments(samples=10_000, n_max=4, seed=1)
-        # 4 n blocks of two items, 1 + 4 * 2 count items, 3 window batches
-        assert len(refs) == 8 + 9 + 3
-        assert max(alive) == 1
+        assert abs(working[1] - working[0]) <= 1 << 20, working
 
     @pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
     @pytest.mark.parametrize("where", ["first", "middle", "window", "last"])
     def test_draw_failure_reaches_the_caller(self, monkeypatch, exc, where):
         # count the draw calls of one check, then fail the same check at
-        # the first, a middle, the first window and the last call
+        # the first, a middle, the first window and the last call; the check
+        # starts no thread, so none is left behind either
         kw = dict(samples=10_000, n_max=2, seed=0)
-        real = np.random.default_rng
+        real_rng, real_windows = np.random.default_rng, TrajectoryBlock.windows.__func__
         made = []
-        monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(_FailingDraws(real(key))) or made[-1])
+
+        def windows(cls, rng, *args):
+            if rng.first_window is None:
+                rng.first_window = rng.calls + 1
+            return real_windows(cls, rng, *args)
+
+        monkeypatch.setattr(TrajectoryBlock, "windows", classmethod(windows))
+        monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(_FailingDraws(real_rng(key))) or made[-1])
         validate_conditional_moments(**kw)
         total, window = made[0].calls, made[0].first_window
         fail_at = {"first": 1, "middle": window // 2, "window": window, "last": total}[where]
-        monkeypatch.setattr(np.random, "default_rng", lambda key: _FailingDraws(real(key), fail_at, exc))
+        monkeypatch.setattr(np.random, "default_rng", lambda key: _FailingDraws(real_rng(key), fail_at, exc))
         before = threading.active_count()
-        raised = _run_bounded(lambda: validate_conditional_moments(**kw))
-        assert type(raised) is exc and "injected" in str(raised)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("call", [1, 2])
-    def test_caller_memory_error_stops_the_producer(self, monkeypatch, call):
-        # the caller allocates the two arrays of the window stage, while the
-        # producer draws the windows
-        empty = np.empty
-        calls = []
-
-        def caller_empty(*args, **kwargs):
-            if not threading.current_thread().name.startswith("maintsim-draws"):
-                calls.append(args)
-                if len(calls) == call:
-                    raise MemoryError("injected")
-            return empty(*args, **kwargs)
-
-        monkeypatch.setattr(np, "empty", caller_empty)
-        before = threading.active_count()
-        raised = _run_bounded(lambda: validate_conditional_moments(samples=10_000, n_max=2, seed=0))
-        assert type(raised) is MemoryError and len(calls) == call
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("call", [1, 12, 32, 36])
-    def test_keyboard_interrupt_stops_the_producer(self, monkeypatch, call):
-        # n_max = 3 makes 30 checks of the n blocks, 4 count-conditioned
-        # ones and 2 from the windows
-        z_check = montecarlo._z_check
-        calls = []
-
-        def interrupted(*args):
-            calls.append(args[0])
-            if len(calls) == call:
-                raise KeyboardInterrupt
-            return z_check(*args)
-
-        monkeypatch.setattr(montecarlo, "_z_check", interrupted)
-        before = threading.active_count()
-        raised = _run_bounded(lambda: validate_conditional_moments(samples=10_000, n_max=3, seed=0))
-        assert type(raised) is KeyboardInterrupt
-        assert threading.active_count() == before
-
-    def test_draws_out_of_order_are_caught(self, monkeypatch):
-        # the velocities of n = 1 arrive before their waypoint times
-        draws = montecarlo._moment_draws
-
-        def swapped(*args):
-            stream = draws(*args)
-            first = next(stream)
-            yield next(stream)
-            yield first
-            yield from stream
-
-        monkeypatch.setattr(montecarlo, "_moment_draws", swapped)
-        before = threading.active_count()
-        raised = _run_bounded(lambda: validate_conditional_moments(samples=10_000, n_max=2, seed=0))
-        assert type(raised) is AssertionError and "('velocities', 1)" in str(raised)
+        with pytest.raises(exc, match="injected"):
+            validate_conditional_moments(**kw)
         assert threading.active_count() == before
 
     def test_concurrent_checks_under_fast_switching(self):
-        # three checks at once, six threads on fewer cores, with thread
-        # switches forced every microsecond: each report must equal the one
-        # drawn alone
+        # the check keeps no shared state: three checks at once, on three
+        # threads with switches forced every microsecond, each equal the
+        # report drawn alone
         kw = [dict(samples=10_000, n_max=3, seed=s) for s in range(3)]
         want = [validate_conditional_moments(**k).checks for k in kw]
         got = [None] * 3
@@ -1174,8 +1159,8 @@ class TestMomentValidation:
 
 class _FailingDraws:
     """Passes every draw through to ``rng``, counting the calls, and raises
-    ``exc`` from call number ``fail_at``.  Notes the first call made from
-    inside ``TrajectoryBlock.windows``."""
+    ``exc`` from call number ``fail_at``.  ``first_window`` is set by the
+    caller to the first call made from inside ``TrajectoryBlock.windows``."""
 
     def __init__(self, rng, fail_at=None, exc=MemoryError):
         self._rng = rng
@@ -1189,33 +1174,11 @@ class _FailingDraws:
 
         def counted(*args, **kwargs):
             self.calls += 1
-            if self.first_window is None and name == "standard_exponential":
-                self.first_window = self.calls
             if self.calls == self._fail_at:
                 raise self._exc("injected")
             return draw(*args, **kwargs)
 
         return counted
-
-
-def _run_bounded(fn, timeout=120):
-    """The exception ``fn`` raises, run on a helper thread that must finish
-    within ``timeout`` seconds, so a deadlock fails instead of hanging (the
-    thread is a daemon, so it does not hold up the interpreter's exit)."""
-    raised = []
-
-    def run():
-        try:
-            fn()
-        except BaseException as exc:
-            raised.append(exc)
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout)
-    assert not worker.is_alive()
-    assert len(raised) == 1, "no exception reached the caller"
-    return raised[0]
 
 
 class TestConfigValidation:

@@ -88,6 +88,13 @@ class TestMaint:
         assert state.pending == []
         assert state.calls == 2
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, float("nan")])
+    def test_init_rejects_a_period_that_schedules_nothing(self, period):
+        # the state keeps no period, so a bad one must fail here, before the
+        # caller schedules its first tick
+        with pytest.raises(ParameterError, match="period_T must be > 0"):
+            maint_init(generate_trajectory(PARAMS, 0), period_T=period)
+
     def test_response_brackets_query_time(self):
         traj = generate_trajectory(PARAMS, 1)
         state = maint_init(traj, period_T=10.0)
