@@ -757,8 +757,8 @@ def validate_conditional_moments(
                 x *= t * sigma
                 np.square(x, out=x)
             else:
-                gaps = _spacings(rng, t, i + 1, m)
-                x = np.square(gaps, out=gaps).sum(axis=0)
+                x = _spacings(rng, t, i + 1, m)
+                x = np.square(x, out=x).sum(axis=0)
                 x *= var
             stats.add(x)
         report.checks += stats.checks(

@@ -6,6 +6,7 @@ forms."""
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -1106,6 +1107,65 @@ class TestMomentValidation:
                 tracemalloc.stop()
         assert abs(working[1] - working[0]) <= 1 << 20, working
 
+    @pytest.mark.parametrize("samples", [20_000, 60_000])
+    def test_peak_memory_per_sample(self, samples):
+        # the fixed chunk buffers weigh most per sample at small sizes: the
+        # traced peak is 26 doubles per sample at 20 000 and 10 at 60 000;
+        # the row-major sampler took 38 (60 000) to 47 (20 000)
+        import tracemalloc
+
+        validate_conditional_moments(samples=10_000, n_max=6)  # keep one-time imports out of the peak
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            validate_conditional_moments(samples=samples, n_max=6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 32 * 8 * samples, peak / (8 * samples)
+
+    @pytest.mark.parametrize("n_max", [2, 9])
+    def test_stream_does_not_depend_on_draw_rows(self, monkeypatch, n_max):
+        # many small chunks per n, and one shorter last chunk: the chunk
+        # size moves draws between samples and deepens the merge tree, but
+        # every check still agrees with the row-major oracle
+        monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 999)
+        kw = dict(n_max=n_max, samples=10_001, seed=3)
+        assert len(list(montecarlo._chunks(kw["samples"], n_max + 1))) > 20
+        got = validate_conditional_moments(**kw).checks
+        want = row_major_moments(**kw).checks
+        assert [(c.name, c.theory, c.samples) for c in got] == [(c.name, c.theory, c.samples) for c in want]
+        for g, w in zip(got, want):
+            z = (g.mc_mean - w.mc_mean) / math.hypot(g.std_error, w.std_error)
+            assert abs(z) < 4.0, (g.name, z)
+
+    def test_at_most_two_draw_items_alive(self, monkeypatch):
+        # before each draw of spacings or of a window batch, at most one
+        # earlier draw may still be referenced, so the check holds at most
+        # two chunks of draws whatever --samples asks for
+        refs, alive = [], []
+
+        def watch(draw):
+            def watched(*args):
+                alive.append(sum(r() is not None for r in refs))
+                item = draw(*args)
+                refs.append(weakref.ref(item))
+                return item
+
+            return watched
+
+        monkeypatch.setattr(montecarlo, "_spacings", watch(montecarlo._spacings))
+        monkeypatch.setattr(TrajectoryBlock, "windows", classmethod(watch(TrajectoryBlock.windows.__func__)))
+        validate_conditional_moments(samples=10_000, n_max=4, seed=1)
+        # 1 + 1 + 2 + 2 chunks of the n blocks, as many of the counts, and
+        # 3 window batches
+        assert len(refs) == 6 + 6 + 3
+        assert max(alive) == 1
+
     @pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
     @pytest.mark.parametrize("where", ["first", "middle", "window", "last"])
     def test_draw_failure_reaches_the_caller(self, monkeypatch, exc, where):
@@ -1130,6 +1190,51 @@ class TestMomentValidation:
         before = threading.active_count()
         with pytest.raises(exc, match="injected"):
             validate_conditional_moments(**kw)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("call", [1, 2])
+    def test_caller_memory_error_stops_the_producer(self, monkeypatch, call):
+        # the check allocates one matrix per chunk of the n blocks, on the
+        # calling thread: a MemoryError from the first or the second stops
+        # the check, reaches the caller and leaves no thread behind
+        empty = np.empty
+        calls = []
+
+        def failing_empty(*args, **kwargs):
+            # the generator's own allocations pass
+            if sys._getframe(1).f_code is not validate_conditional_moments.__code__:
+                return empty(*args, **kwargs)
+            calls.append(args)
+            if len(calls) == call:
+                raise MemoryError("injected")
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing_empty)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="injected"):
+            validate_conditional_moments(samples=10_000, n_max=2, seed=0)
+        assert len(calls) == call and calls[-1][0] == (call, 5, 10_000)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("call", [1, 12, 32, 36])
+    def test_keyboard_interrupt_stops_the_producer(self, monkeypatch, call):
+        # n_max = 3 makes 30 checks of the n blocks, 4 count-conditioned
+        # ones, 2 from the windows and 2 errors; an interrupt while any of
+        # them is made stops the check and leaves no thread behind
+        make = montecarlo.MomentCheck
+        calls = []
+
+        def interrupted(**kwargs):
+            calls.append(kwargs["name"])
+            if len(calls) == call:
+                raise KeyboardInterrupt
+            return make(**kwargs)
+
+        monkeypatch.setattr(montecarlo, "MomentCheck", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            validate_conditional_moments(samples=10_000, n_max=3, seed=0)
+        assert len(calls) == call
         assert threading.active_count() == before
 
     def test_concurrent_checks_under_fast_switching(self):
