@@ -7,7 +7,8 @@ and writes its CSV plus a JSON manifest that pins seed and configuration.
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 A run whose size needs more memory than is available (say ``simulate
 fig5 --replications 1000000000``) also exits 2, with one line and no file,
-and so does a ``simulate moments --samples`` above 10^8.
+and so does a ``simulate moments`` with ``--samples`` above 10^8 or
+``--n-max`` above 100.
 Outputs default into $MAINTSIM_OUTDIR (falling back to the working
 directory) and depend only on the manifest and tool version: re-running a
 command reproduces its files byte for byte.
@@ -130,7 +131,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--replications", type=int)
     sim.add_argument("--queries", type=int, help="query samples per replication (fig4)")
     sim.add_argument("--samples", type=int, help="moment-validation sample count, 10000 to 10^8")
-    sim.add_argument("--n-max", type=int, help="largest conditioned waypoint count")
+    sim.add_argument("--n-max", type=int, help="largest conditioned waypoint count, 1 to 100")
     sim.add_argument("--out", help="output CSV path")
     sim.add_argument("--outdir", help="output directory (default $MAINTSIM_OUTDIR or .)")
     return parser

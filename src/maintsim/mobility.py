@@ -15,7 +15,10 @@ window reaches: durations in rounds sized at the expected leg count plus
 about three standard deviations, extra rounds for the rows still short of
 the horizon (``_window_durations``, all that the period sweeps of
 ``montecarlo`` draw), and velocities only for the legs that start by the
-horizon.
+horizon.  Every caller sizes its blocks with ``block_rows``: a cap on the
+rows and a budget of first-round durations, so that the memory of a block
+stays bounded however large lambda * horizon is (a single row wider than
+the budget is drawn alone).
 
 Replications of a model are drawn in chunks: replication r is row
 r mod R of chunk r // R, where R = ``chunk_rows(params)``, and chunk c draws
@@ -61,10 +64,9 @@ class ModelParams:
 
 
 # replication chunks: at most this many rows, fewer once a row's first-round
-# columns times the rows would exceed _BLOCK_LEGS, so that a large
-# lambda * span cannot make a chunk hundreds of times larger than one path
-# (a chunk whose rows take a second round may keep a few more legs).  Both
-# are part of the stream layout.
+# columns times the rows would exceed _BLOCK_LEGS (``block_rows``), so that
+# a large lambda * span cannot make a chunk hundreds of times larger than
+# one path.  Both are part of the stream layout.
 _CHUNK_ROWS = 256
 _BLOCK_LEGS = 1 << 16
 
@@ -77,9 +79,18 @@ def _window_cols(lambda_rate: float, horizon: float) -> int:
     return max(2, int(expected + 3.0 * math.sqrt(expected) + 2))
 
 
+def block_rows(lambda_rate: float, horizon: float, most: int, budget: int) -> int:
+    """Rows of one ``TrajectoryBlock.windows`` draw over [0, horizon]: at
+    most ``most``, and fewer once the first round of durations,
+    ``_window_cols`` per row, would exceed ``budget`` draws; one row at the
+    least, however wide.  Rows that take further rounds may add a few
+    more."""
+    return min(most, max(1, budget // _window_cols(lambda_rate, horizon)))
+
+
 def chunk_rows(params: ModelParams) -> int:
     """R, the number of replications per chunk of the model's streams."""
-    return min(_CHUNK_ROWS, max(1, _BLOCK_LEGS // _window_cols(params.lambda_rate, params.span)))
+    return block_rows(params.lambda_rate, params.span, _CHUNK_ROWS, _BLOCK_LEGS)
 
 
 def _chunk_stream(params: ModelParams, chunk: int) -> np.random.Generator:

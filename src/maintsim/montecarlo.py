@@ -7,10 +7,10 @@ localization window [0, T] with exact fixes at both ends and the estimate
 is the straight line between them, which is exactly what the timer-driven
 interpolation protocol computes inside every window (waypoint occurrences
 are memoryless, so windows of a long run are identically distributed to a
-fresh one).  Windows are drawn a fixed batch of rows at a time, and a batch
-draws its leg durations only, in extra rounds for the rows still short of
-T: given them, each window's error averaged over velocities and a uniform
-query time is exact (``sample_window_mean_errors``).  The count experiment
+fresh one).  Windows are drawn in batches sized by a draw budget, and a
+batch draws its leg durations only, in extra rounds for the rows still
+short of T: given them, each window's error averaged over velocities and a
+uniform query time is exact (``sample_window_mean_errors``).  The count experiment
 evaluates whole paths as ``mobility.TrajectoryBlock`` leg matrices and runs
 the block-batched protocol runners on chunks of replications
 (``mobility.replication_chunk``): the timer schemes localize their tick
@@ -42,7 +42,7 @@ pointwise errors come from whole windows.
 Everything is drawn on the calling thread, from one generator, a
 fixed-size chunk at a time; each chunk's count, mean and sum of squared
 deviations are merged pairwise into the running ones, so memory stays the
-same whatever the sample count.
+same whatever the sample count, the largest conditioned count and lambda.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .mobility import (
     ModelParams,
     TrajectoryBlock,
     _window_durations,
+    block_rows,
     chunk_rows,
     replication_chunk,
 )
@@ -116,11 +117,26 @@ class PeriodPoint:
 # vectorized window engine
 
 
-# windows are drawn this many at a time; the batch size is part of the
-# stream layout, because each batch draws all its leg durations before
-# anything else, and whether a batch needs a second round of durations
-# depends on all its rows
+# one draw budget for every batch: a batch of windows holds at most
+# _WINDOW_BATCH rows, fewer once its first round of durations would exceed
+# _CHUNK_DRAWS (``_window_batches``), and a conditioned chunk of the moment
+# check at most _CHUNK_DRAWS exponentials, (n + 1) * rows (``_chunks``); in
+# both, a single row wider than the budget is drawn alone.  So a batch's
+# matrices stay within one bound at any --replications, --samples, --n-max
+# and lambda * T.  Both sizes are part of the stream layout (a window batch
+# draws all its leg durations before anything else, and whether it needs a
+# second round depends on all its rows), so changing either constant
+# changes the output.
 _WINDOW_BATCH = 4096
+_CHUNK_DRAWS = 1 << 15
+
+
+def _window_batches(n_windows: int, lambda_rate: float, horizon: float):
+    """Start and row count of each batch of ``n_windows`` windows over
+    [0, horizon]."""
+    rows = block_rows(lambda_rate, horizon, _WINDOW_BATCH, _CHUNK_DRAWS)
+    for done in range(0, n_windows, rows):
+        yield done, min(rows, n_windows - done)
 
 
 def sample_window_mean_errors(
@@ -156,8 +172,7 @@ def sample_window_mean_errors(
     paths to the closed-form average.
     """
     out = np.empty(n_windows)
-    for done in range(0, n_windows, _WINDOW_BATCH):
-        m = min(_WINDOW_BATCH, n_windows - done)
+    for done, m in _window_batches(n_windows, lambda_rate, T):
         a, s = _window_durations(rng, lambda_rate, T, m)
         # in place, in units of T, so a batch holds four (m, legs) matrices
         s /= T
@@ -597,12 +612,9 @@ class MomentReport:
 # the moment check's largest --samples: at its fixed memory a run this size
 # takes minutes, and a typo such as 1e12 would otherwise run for days
 _MAX_SAMPLES = 100_000_000
-
-# a conditioned chunk draws at most this many exponentials, (n + 1) * rows
-# (or one row, where that alone is wider), so its matrices stay the same
-# size at any --samples and --n-max; the chunk layout is part of the
-# stream, so changing it changes the output
-_CHUNK_DRAWS = 1 << 15
+# and its largest --n-max: the report holds 5 n_max^2 / 2 checks, which the
+# fixed-size chunks do not bound
+_MAX_N_MAX = 100
 
 
 def _merge(a, b):
@@ -706,12 +718,13 @@ def validate_conditional_moments(
     coordinates.  Passing means every |z| < 4.
 
     Every quantity is drawn and checked a fixed-size chunk at a time and
-    merged into running moments, so memory does not grow with ``samples``.
+    merged into running moments, so memory does not grow with ``samples``,
+    ``n_max`` or ``lambda_rate * T``.
     """
     if not 10_000 <= samples <= _MAX_SAMPLES:
         raise ParameterError(f"samples must be >= 10000 and at most {_MAX_SAMPLES}, got {samples}")
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= _MAX_N_MAX:
+        raise ParameterError(f"n_max must be >= 1 and at most {_MAX_N_MAX}, got {n_max}")
     rng = np.random.default_rng([seed, _STREAM_MOMENTS])
     report = MomentReport()
     var = sigma * sigma
@@ -770,8 +783,7 @@ def validate_conditional_moments(
     # contribute samples), and the interpolation error over both
     quarter = T / 4.0
     per_coordinate, errors = _Moments(), _Moments()
-    for done in range(0, samples, _WINDOW_BATCH):
-        m = min(_WINDOW_BATCH, samples - done)
+    for _, m in _window_batches(samples, lambda_rate, T):
         block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
         x, y = block.position(np.broadcast_to((quarter, t, T), (m, 3)))
         at_q, at_t, at_T = np.moveaxis(np.stack([x, y]), -1, 0)  # each (coordinate, window)

@@ -37,7 +37,7 @@ from maintsim.analytic import (
 )
 from maintsim.errors import ParameterError
 from maintsim.mobility import TrajectoryBlock
-from maintsim.montecarlo import _STREAM_MOMENTS, _WINDOW_BATCH, MomentCheck, MomentReport
+from maintsim.montecarlo import _STREAM_MOMENTS, MomentCheck, MomentReport, _window_batches
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
@@ -178,8 +178,7 @@ def sample_window_errors(
     independent units for standard errors.
     """
     out = np.empty((n_windows, n_queries))
-    for done in range(0, n_windows, _WINDOW_BATCH):
-        m = min(_WINDOW_BATCH, n_windows - done)
+    for done, m in _window_batches(n_windows, lambda_rate, T):
         block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
         x_end, y_end = block.position(np.full(m, T))
         for qi in range(n_queries):
@@ -205,8 +204,7 @@ def sample_window_positions(
     times = [float(t) for t in eval_times]
     xs = np.empty((n_windows, len(times)))
     ys = np.empty((n_windows, len(times)))
-    for done in range(0, n_windows, _WINDOW_BATCH):
-        m = min(_WINDOW_BATCH, n_windows - done)
+    for done, m in _window_batches(n_windows, lambda_rate, horizon):
         block = TrajectoryBlock.windows(rng, lambda_rate, sigma, horizon, m)
         for j, t in enumerate(times):
             xs[done : done + m, j], ys[done : done + m, j] = block.position(np.full(m, t))

@@ -309,19 +309,20 @@ def test_bad_values_exit_two_without_traceback(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def run_capped_child(argv):
-    """The CLI in a child with a 1 GiB address-space cap, so that a grid
-    that asks for too much memory fails instead of exhausting it."""
+def run_capped_child(argv, cap=1 << 30):
+    """The CLI in a child with an address-space cap of ``cap`` bytes (1 GiB
+    by default), so that a grid that asks for too much memory fails instead
+    of exhausting it."""
     import resource
 
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = os.path.dirname(os.path.dirname(maintsim.__file__))
     return subprocess.run(
         [sys.executable, "-m", "maintsim.cli", *argv],
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-        preexec_fn=cap, capture_output=True, text=True, timeout=60,
+        preexec_fn=limit, capture_output=True, text=True, timeout=60,
     )
 
 
@@ -371,6 +372,34 @@ def test_sample_cap_exits_two(tmp_path):
     assert "at most 100000000" in proc.stderr
     assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
     assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
+
+
+def test_n_max_cap_exits_two(tmp_path):
+    # the report holds 5 n_max^2 / 2 checks, which the fixed-size chunks do
+    # not bound, so --n-max is capped
+    out = tmp_path / "big.csv"
+    proc = run_capped_child(["simulate", "moments", "--samples", "10000", "--n-max", "101", "--out", str(out)])
+    assert proc.returncode == EXIT_VALIDATION
+    assert "at most 100" in proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "fig6", "--replications", "4096", "--T", "400"],
+        ["simulate", "moments", "--lambda", "50", "--samples", "20000"],
+    ],
+)
+def test_long_windows_run_in_256_mib(tmp_path, argv):
+    # lambda * T = 3200 and 500: window batches are sized by the draw
+    # budget, so these fit in a quarter of the default cap; batches of 4096
+    # windows ran out of it
+    out = tmp_path / "long.csv"
+    proc = run_capped_child([*argv, "--out", str(out)], cap=256 << 20)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert out.exists()
 
 
 def test_grid_cap_is_inclusive(monkeypatch):

@@ -684,6 +684,29 @@ class _Counting:
         return getattr(self._rng, name)
 
 
+def traced_memory(*calls):
+    """For each call in turn, the traced memory that its result keeps and
+    its traced peak, both above what was traced before it."""
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    out = []
+    try:
+        for call in calls:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            kept, peak = tracemalloc.get_traced_memory()
+            del result
+            out.append((kept - base, peak - base))
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out
+
+
 class TestWindowEngine:
     def test_reproducible_given_generator_state(self):
         a = sample_window_mean_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500)
@@ -778,18 +801,61 @@ class TestWindowEngine:
             np.testing.assert_allclose(xs[:, j], _oracle_coordinate(gaps, starts, u, np.full(300, t)), rtol=1e-9)
             np.testing.assert_allclose(ys[:, j], _oracle_coordinate(gaps, starts, v, np.full(300, t)), rtol=1e-9)
 
-    def test_long_window_rows_extend(self):
+    def test_long_window_rows_extend(self, monkeypatch):
         # lambda * T = 800, the longest windows the constant-ratio sweep
-        # draws; a row falls short of T after its first round with
-        # probability about 1.5e-3, so one full batch of real draws takes a
-        # second round (with probability 0.997 before the seed is fixed)
+        # draws: each batch's first round holds the draw budget's 36 rows of
+        # 886 durations (the last batch the 28 rows left over).  A row falls
+        # short of T after its first round with probability about 1.5e-3,
+        # so some batch among 4096 windows takes an extension round (with
+        # probability 0.998 before the seed is fixed)
         rng = _Counting(np.random.default_rng(1))
+        batches = []
+
+        def durations(*args):
+            start = len(rng.exponential_sizes)
+            out = _window_durations(*args)
+            batches.append(rng.exponential_sizes[start:])
+            return out
+
+        monkeypatch.setattr(montecarlo, "_window_durations", durations)
         sq = sample_window_mean_errors(rng, 4.0, 10.0, 200.0, _WINDOW_BATCH)
         assert np.isfinite(sq).all()
         cols = _window_cols(4.0, 200.0)
-        first, *extra = rng.exponential_sizes
-        assert first == (_WINDOW_BATCH, cols)
-        assert extra and all(0 < n < _WINDOW_BATCH and width == cols for n, width in extra)
+        rows = montecarlo._CHUNK_DRAWS // cols
+        assert (rows, cols) == (36, 886)
+        firsts = [first for first, *_ in batches]
+        assert firsts == [(rows, cols)] * (_WINDOW_BATCH // rows) + [(_WINDOW_BATCH % rows, cols)]
+        extra = [size for _, *sizes in batches for size in sizes]
+        assert extra and all(0 < n < rows and width == cols for n, width in extra)
+
+    @pytest.mark.parametrize("expected", [1.0, 2.3, 20.0, 800.0, 3200.0, 40_000.0])
+    def test_batches_stay_within_the_draw_budget(self, expected):
+        # a batch's first round holds at most the budget of durations, or
+        # a single row where one row alone is wider; windows short enough
+        # for 8 columns a row still come 4096 at a time
+        lam = 4.0
+        cols = _window_cols(lam, expected / lam)
+        full = min(_WINDOW_BATCH, max(1, montecarlo._CHUNK_DRAWS // cols))
+        assert full == _WINDOW_BATCH or cols > 8
+        assert full * cols <= max(montecarlo._CHUNK_DRAWS, cols)
+        for n in (1, 300, _WINDOW_BATCH + 1, 20_000):
+            batches = list(montecarlo._window_batches(n, lam, expected / lam))
+            assert [done for done, _ in batches] == list(range(0, n, full))
+            assert [m for _, m in batches[:-1]] == [full] * (len(batches) - 1)
+            assert batches[-1][0] + batches[-1][1] == n
+
+    @pytest.mark.parametrize("lam,T", [(4.0, 200.0), (8.0, 400.0)])
+    def test_memory_does_not_grow_with_windows(self, lam, T):
+        # lambda * T = 800 and 3200: a batch's first round holds at most the
+        # draw budget of durations, so the traced peak is the same at 300
+        # and at 20 000 windows, less the 8-byte result per window; batches
+        # of 4096 windows peaked at about 230 MB at lambda * T = 800
+        sample_window_mean_errors(np.random.default_rng(0), lam, 10.0, T, 10)  # keep one-time imports out
+        peaks = [peak - kept for kept, peak in traced_memory(
+            *(lambda n=n: sample_window_mean_errors(np.random.default_rng(1), lam, 10.0, T, n) for n in (300, 20_000))
+        )]
+        assert abs(peaks[1] - peaks[0]) <= 1 << 19, peaks
+        assert max(peaks) <= 4 << 20, peaks
 
     def test_mean_errors_draw_only_durations(self):
         rng = _Counting(np.random.default_rng(2))
@@ -1064,47 +1130,37 @@ class TestMomentValidation:
     def test_memory_does_not_grow_with_samples(self, n_max):
         # the check streams fixed-size chunks, so its traced peak is the
         # same at 20 000 and at 400 000 samples, and small at both
-        import tracemalloc
-
         validate_conditional_moments(samples=10_000, n_max=n_max)  # keep one-time imports out of the peak
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        peaks = []
-        try:
-            for samples in (20_000, 400_000):
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                validate_conditional_moments(samples=samples, n_max=n_max)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            if started:
-                tracemalloc.stop()
+        peaks = [peak for _, peak in traced_memory(
+            *(lambda s=s: validate_conditional_moments(samples=s, n_max=n_max) for s in (20_000, 400_000))
+        )]
         assert abs(peaks[1] - peaks[0]) <= 1 << 20, peaks
+        assert max(peaks) <= 8 << 20, peaks
+
+    def test_memory_does_not_grow_with_lambda(self):
+        # the window stage sizes its batches by the draw budget, so the
+        # traced peak is the same at lambda * T = 1 and 100 (4096 and 248
+        # windows a batch), at 20 000 and at 100 000 samples; batches of
+        # 4096 windows at lambda * T = 100 peaked at about 54 MB
+        validate_conditional_moments(samples=10_000)  # keep one-time imports out of the peak
+        peaks = [peak for _, peak in traced_memory(
+            *(
+                lambda lam=lam, s=s: validate_conditional_moments(samples=s, lambda_rate=lam)
+                for lam in (0.1, 10.0)
+                for s in (20_000, 100_000)
+            )
+        )]
+        assert max(peaks) - min(peaks) <= 1 << 20, peaks
         assert max(peaks) <= 8 << 20, peaks
 
     def test_memory_does_not_grow_with_n_max(self):
         # the chunks of every n hold at most the same number of draws, so
         # the traced peak, less the report the check returns (which holds
         # O(n_max^2) checks), is the same at n_max 6 and 20
-        import tracemalloc
-
         validate_conditional_moments(samples=10_000, n_max=6)  # keep one-time imports out of the peak
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        working = []
-        try:
-            for n_max in (6, 20):
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                report = validate_conditional_moments(samples=10_000, n_max=n_max)
-                kept, peak = tracemalloc.get_traced_memory()
-                working.append(peak - kept)
-                del report
-        finally:
-            if started:
-                tracemalloc.stop()
+        working = [peak - kept for kept, peak in traced_memory(
+            *(lambda n=n: validate_conditional_moments(samples=10_000, n_max=n) for n in (6, 20))
+        )]
         assert abs(working[1] - working[0]) <= 1 << 20, working
 
     @pytest.mark.parametrize("samples", [20_000, 60_000])
@@ -1112,20 +1168,8 @@ class TestMomentValidation:
         # the fixed chunk buffers weigh most per sample at small sizes: the
         # traced peak is 26 doubles per sample at 20 000 and 10 at 60 000;
         # the row-major sampler took 38 (60 000) to 47 (20 000)
-        import tracemalloc
-
         validate_conditional_moments(samples=10_000, n_max=6)  # keep one-time imports out of the peak
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            validate_conditional_moments(samples=samples, n_max=6)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        [(_, peak)] = traced_memory(lambda: validate_conditional_moments(samples=samples, n_max=6))
         assert peak <= 32 * 8 * samples, peak / (8 * samples)
 
     @pytest.mark.parametrize("n_max", [2, 9])
