@@ -44,6 +44,13 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
 # temporaries, and the Python floats of ``_libm``, stay a fixed size
 _CHUNK = 4096
 
+# smallest normal float64.  Where an error kernel's factor, 4 sigma^2 /
+# (lambda T)^2 or 2 sigma^2 / (3 lambda^2), falls below it (lambda^2
+# overflows above lambda ~ 1e154), the kernel divides its bracket, which
+# grows as lambda * T, by lambda * T or by lambda twice instead: those
+# quotients stay in range wherever the result does
+_TINY = np.finfo(float).tiny
+
 
 def _by_chunks(kernel, *arrays) -> np.ndarray:
     """``kernel`` applied to the broadcast ``arrays``, ``_CHUNK`` elements at
@@ -315,7 +322,13 @@ def error_at(sigma: float, lambda_rate, T, t):
         rise_u, gap_u = _exp_terms(lam * u)
         rise_w, gap_w = _exp_terms(lam * w)
         bracket = u * u * gap_w + w * w * gap_u - u * w * rise_u * rise_w
-        return 4.0 * s2 / scale * bracket
+        factor = 4.0 * s2 / scale
+        out = factor * bracket
+        low = factor < _TINY
+        if low.any():
+            lam_T = (lam * T)[low]
+            out[low] = 4.0 * s2 * (bracket[low] / lam_T / lam_T)
+        return out
 
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(_by_chunks(kernel, lam, T, t), "error_at")
@@ -338,7 +351,14 @@ def error_avg(sigma: float, lambda_rate, T):
         scale = 3.0 * lam * lam
         if np.any(scale == 0.0):
             raise ParameterError("lambda_rate**2 underflows to 0")
-        return 2.0 * s2 / scale * _avg_bracket(lam * T)
+        bracket = _avg_bracket(lam * T)
+        factor = 2.0 * s2 / scale
+        out = factor * bracket
+        low = factor < _TINY
+        if low.any():
+            lam_low = lam[low]
+            out[low] = 2.0 * s2 / 3.0 * (bracket[low] / lam_low / lam_low)
+        return out
 
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(_by_chunks(kernel, lam, T), "error_avg")

@@ -14,9 +14,12 @@ directory) and depend only on the manifest and tool version: re-running a
 command reproduces its files byte for byte.
 
 ``theory`` keeps its grids and the kernel output as float64 arrays and
-hands them to the CSV writer as columns.  The simulation stack
-(``mobility``, ``montecarlo`` and, through it, ``protocols``) is imported
-only when ``simulate`` runs, so ``theory`` and ``--version`` never load it.
+hands them to the CSV writer as columns.  This module imports only the
+standard library, the version and the exception types: ``theory`` loads
+numpy, ``analytic`` and ``output``, and ``simulate`` loads those and the
+simulation stack (``mobility``, ``montecarlo`` and, through it,
+``protocols``), each after its flags, config file and grids are checked.
+So ``--version``, ``--help`` and every usage error answer without numpy.
 """
 
 from __future__ import annotations
@@ -26,12 +29,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .analytic import error_asymptote, error_at, error_avg
 from .errors import ParameterError
-from .output import RunManifest, write_csv, write_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,9 +53,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def parse_grid(spec: str) -> np.ndarray:
-    """Parse 'start:stop:step' (inclusive), 'a,b,c', or a single number
-    into a float64 array."""
+def _read_grid(spec: str) -> tuple[float, float, int] | list[float]:
+    """Grid ``spec`` checked and read without numpy: (start, step, n) for
+    'start:stop:step', whose points are start + step * k for k < n, and the
+    values of 'a,b,c' or a single number."""
     try:
         if ":" in spec:
             start_s, stop_s, step_s = spec.split(":")
@@ -69,18 +69,34 @@ def parse_grid(spec: str) -> np.ndarray:
             points = (stop - start) / step + 1.0
             if not points <= _MAX_GRID_POINTS:  # also an overflow to inf
                 raise ParameterError(f"grid {spec!r} has {points:.3g} points; at most {_MAX_GRID_POINTS} are allowed")
-            values = start + step * np.arange(int(points) + 2)
-            return values[values <= stop + step * 1e-9]
+            # the points grow with k, so the ones past the stop's tolerance
+            # are the last of these candidates
+            n = int(points) + 2
+            while start + step * (n - 1) > stop + step * 1e-9:
+                n -= 1
+            return start, step, n
         if "," in spec:
             values = [float(v) for v in spec.split(",") if v]
             if not values:
                 raise _UsageError(f"grid {spec!r} lists no values")
-            return np.array(values)
-        return np.array([float(spec)])
+            return values
+        return [float(spec)]
     except ParameterError:
         raise
     except ValueError:
         raise _UsageError(f"bad grid {spec!r}; expected start:stop:step, a,b,c or a number") from None
+
+
+def parse_grid(spec: str):
+    """Parse 'start:stop:step' (inclusive), 'a,b,c', or a single number
+    into a float64 array."""
+    grid = _read_grid(spec)
+    import numpy as np
+
+    if isinstance(grid, list):
+        return np.array(grid)
+    start, step, n = grid
+    return start + step * np.arange(n)
 
 
 def read_config_file(path) -> dict:
@@ -142,33 +158,44 @@ def _build_parser() -> _Parser:
 
 
 def cmd_theory(args) -> int:
-    out = args.out or os.path.join(_outdir(args), f"theory_{args.mode}.csv")
-    meta = {"mode": args.mode, "sigma": args.sigma, "tool": f"maintsim {__version__}"}
+    mode = args.mode
+    if mode == "error_avg" and (args.lambda_rate is None or args.T is None):
+        raise _UsageError("error_avg mode needs --lambda and --T")
+    if mode == "error_t" and (args.lambda_rate is None or args.T is None or args.t_grid is None):
+        raise _UsageError("error_t mode needs --lambda, a scalar --T and --t")
+    if mode == "asymptote" and (args.ratio_C is None or args.T is None):
+        raise _UsageError("asymptote mode needs --C and --T")
+    # the grids are read once here, before numpy loads, so that a usage
+    # error never pays for it; parse_grid reads them again below
+    T_spec = _read_grid(args.T)
+    if mode == "error_t":
+        if (T_spec[2] if isinstance(T_spec, tuple) else len(T_spec)) != 1:
+            raise _UsageError("error_t mode takes a scalar --T")
+        _read_grid(args.t_grid)
 
-    if args.mode == "error_avg":
-        if args.lambda_rate is None or args.T is None:
-            raise _UsageError("error_avg mode needs --lambda and --T")
+    import numpy as np
+
+    from .analytic import error_asymptote, error_at, error_avg
+    from .output import write_csv
+
+    out = args.out or os.path.join(_outdir(args), f"theory_{mode}.csv")
+    meta = {"mode": mode, "sigma": args.sigma, "tool": f"maintsim {__version__}"}
+
+    if mode == "error_avg":
         T_grid = parse_grid(args.T)
         meta["lambda"] = args.lambda_rate
         n = len(T_grid)
         errors = error_avg(args.sigma, args.lambda_rate, T_grid)
         columns = (T_grid, np.full(n, args.lambda_rate), np.full(n, args.sigma), errors)
         header = ["T", "lambda", "sigma", "error_avg"]
-    elif args.mode == "error_t":
-        if args.lambda_rate is None or args.T is None or args.t_grid is None:
-            raise _UsageError("error_t mode needs --lambda, a scalar --T and --t")
-        T_vals = parse_grid(args.T)
-        if len(T_vals) != 1:
-            raise _UsageError("error_t mode takes a scalar --T")
-        T = float(T_vals[0])
+    elif mode == "error_t":
+        T = float(parse_grid(args.T)[0])
         meta["lambda"] = args.lambda_rate
         meta["T"] = T
         t_grid = parse_grid(args.t_grid)
         columns = (t_grid, error_at(args.sigma, args.lambda_rate, T, t_grid))
         header = ["t", "error_t"]
     else:  # asymptote
-        if args.ratio_C is None or args.T is None:
-            raise _UsageError("asymptote mode needs --C and --T")
         limit = error_asymptote(args.sigma, args.ratio_C)
         meta["C"] = args.ratio_C
         T_grid = parse_grid(args.T)
@@ -237,13 +264,17 @@ def _resolve_settings(args) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    # imported here, not at the top: theory and --version never use the
-    # simulation stack, and loading it costs every CLI start tens of ms
-    from .mobility import ModelParams
-    from .montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
-
     settings = _resolve_settings(args)
     experiment = args.experiment
+    if experiment in ("fig5", "fig6"):
+        _read_grid(str(settings["T"]))  # a usage error before numpy loads
+    # imported here, not at the top: only simulate uses the simulation
+    # stack, and loading it costs every CLI start tens of ms
+    from .analytic import error_asymptote
+    from .mobility import ModelParams
+    from .montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
+    from .output import RunManifest, write_csv, write_manifest
+
     out = args.out or os.path.join(_outdir(args), f"{experiment}.csv")
     model = ModelParams(
         lambda_rate=settings["lambda_rate"],

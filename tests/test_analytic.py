@@ -431,6 +431,20 @@ class TestArrayKernels:
         got = error_avg(10.0, lam, T)
         assert _bits(got) == _bits([_error_avg_ref(10.0, float(a), float(b)) for a, b in zip(lam, T)])
 
+    def test_large_lambda_leaves_the_other_elements_bits(self):
+        # lambda**2 overflows above lambda ~ 1e154, where the kernels divide
+        # the bracket by lambda instead (values checked against mpmath in
+        # test_cli); elements in range keep the oracle's bits
+        lam = np.array([0.1, 1e155, 1e200, 3.7])
+        avg = error_avg(5.0, lam, 100.0)
+        at = error_at(5.0, lam, 100.0, 30.0)
+        for i in (0, 3):
+            assert _bits(avg[i]) == _bits(_error_avg_ref(5.0, float(lam[i]), 100.0))
+            assert _bits(at[i]) == _bits(_error_at_ref(5.0, float(lam[i]), 100.0, 30.0))
+        for i in (1, 2):
+            assert avg[i] == error_avg(5.0, float(lam[i]), 100.0) > 0.0
+            assert at[i] == error_at(5.0, float(lam[i]), 100.0, 30.0) > 0.0
+
     @pytest.mark.parametrize("chunk", [7, 4096])
     def test_chunks_give_the_whole_grid_bits(self, monkeypatch, chunk):
         # three full chunks and a short one, the asymptote's lambda tied to

@@ -15,7 +15,6 @@ import maintsim
 from maintsim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main, parse_grid
 from maintsim.errors import ParameterError
 from maintsim.montecarlo import MomentCheck, MomentReport
-from maintsim import cli
 from maintsim.output import read_csv, read_manifest
 
 
@@ -144,13 +143,14 @@ class TestSimulate:
     @pytest.mark.parametrize("argv", [["fig4", "--replications", "60", "--seed", "3"], ["fig6", *FAST_FIG5]])
     def test_manifest_reads_back_as_written(self, tmp_path, monkeypatch, argv):
         written = []
-        write = cli.write_manifest
+        write = maintsim.output.write_manifest
 
         def capture(path, manifest):
             written.append(manifest)
             write(path, manifest)
 
-        monkeypatch.setattr(cli, "write_manifest", capture)
+        # cmd_simulate imports the writer when it runs, so patch it where it lives
+        monkeypatch.setattr(maintsim.output, "write_manifest", capture)
         out = tmp_path / "run.csv"
         assert run(["simulate", *argv, "--out", str(out)]) == EXIT_OK
         (manifest,) = written
@@ -425,6 +425,28 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0
 
 
+def modules_loaded_by(argv, tmp_path, modules):
+    """Run the CLI with ``argv`` in a fresh interpreter in ``tmp_path``; its
+    exit status, standard error, and which of ``modules`` it had loaded."""
+    code = (
+        "import json, sys\n"
+        "from maintsim.cli import main\n"
+        "try:\n"
+        "    status = main(sys.argv[2:])\n"
+        "except SystemExit as exc:  # --version and --help exit through argparse\n"
+        "    status = exc.code\n"
+        "print(json.dumps(sorted(set(json.loads(sys.argv[1])) & set(sys.modules))))\n"
+        "sys.exit(status)"
+    )
+    src = os.path.dirname(os.path.dirname(maintsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(sorted(modules)), *argv], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src, "MAINTSIM_OUTDIR": str(tmp_path)},
+        capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stderr, json.loads(proc.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize(
     "argv",
     [["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:5"], ["--version"]],
@@ -432,21 +454,75 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_theory_and_version_leave_the_simulation_stack_unloaded(tmp_path, argv):
     # the simulation stack costs every CLI start tens of milliseconds, and
     # only simulate needs it
-    code = (
-        "import sys\n"
-        "from maintsim.cli import main\n"
-        "try:\n"
-        "    status = main(sys.argv[1:])\n"
-        "except SystemExit as exc:  # --version exits through argparse\n"
-        "    status = exc.code\n"
-        "stack = {'maintsim.montecarlo', 'maintsim.mobility', 'maintsim.protocols', 'numpy.random'}\n"
-        "print(sorted(stack & set(sys.modules)))\n"
-        "sys.exit(status)"
-    )
-    src = os.path.dirname(os.path.dirname(maintsim.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src, "MAINTSIM_OUTDIR": str(tmp_path)},
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    stack = {"maintsim.montecarlo", "maintsim.mobility", "maintsim.protocols", "numpy.random"}
+    status, err, loaded = modules_loaded_by(argv, tmp_path, stack)
+    assert status == EXIT_OK, err
+    assert loaded == []
+
+
+NUMPY_FREE = [
+    (["--version"], EXIT_OK),
+    (["--help"], EXIT_OK),
+    (["simulate", "--help"], EXIT_OK),
+    (["simulate", "fig4", "--T", "5"], EXIT_USAGE),
+    (["simulate", "fig4", "--config", "unknown.cfg"], EXIT_USAGE),
+    (["theory", "--mode", "error_t", "--sigma", "5"], EXIT_USAGE),
+    (["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "1,2", "--t", "0:1:1"], EXIT_USAGE),
+    (["theory", "--mode", "error_avg", "--sigma", "5", "--lambda", "0.1", "--T", "1:0:1"], EXIT_USAGE),
+    (["simulate", "fig5", "--T", "1:0:1"], EXIT_USAGE),
+]
+
+
+@pytest.mark.parametrize("argv,status", NUMPY_FREE, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_front_end_answers_without_numpy(tmp_path, argv, status):
+    # importing numpy is most of a bare CLI start; only the commands that
+    # compute need it
+    (tmp_path / "unknown.cfg").write_text("replicates = 5\n")
+    got, err, loaded = modules_loaded_by(argv, tmp_path, {"numpy"})
+    assert got == status, err
+    assert "Traceback" not in err
+    assert loaded == []
+
+
+LARGE_LAMBDA = [
+    ["theory", "--mode", "error_avg", "--sigma", "5", "--lambda", "1e200", "--T", "100"],
+    ["theory", "--mode", "asymptote", "--sigma", "5", "--C", "1e-300", "--T", "1"],
+    ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "1e200", "--T", "100", "--t", "10,50"],
+]
+
+
+@pytest.mark.parametrize("argv", LARGE_LAMBDA, ids=lambda argv: argv[2])
+def test_large_lambda_matches_the_closed_form(tmp_path, argv):
+    # lambda**2 overflows above lambda ~ 1e154, and these printed 0.0 up to
+    # 0.7.0; the closed forms evaluated at 50 digits
+    import mpmath  # in the test extra
+
+    out = tmp_path / "large.csv"
+    assert run([*argv, "--out", str(out)]) == EXIT_OK
+    meta, header, rows = read_csv(out)
+    with mpmath.workdps(50):
+        mp = mpmath.mpf
+        sigma = mp(meta["sigma"])
+        for row in rows:
+            if header[1] == "error_t":
+                lam, T, t = mp(meta["lambda"]), mp(meta["T"]), mp(row[0])
+                u, w = min(t, T - t), max(t, T - t)
+
+                def gap(y):
+                    return mpmath.exp(-y) - 1 + y
+
+                def rise(y):
+                    return 1 - mpmath.exp(-y)
+
+                want = 4 * sigma**2 / (lam * T) ** 2 * (
+                    u * u * gap(lam * w) + w * w * gap(lam * u) - u * w * rise(lam * u) * rise(lam * w)
+                )
+                got = float(row[1])
+            else:
+                T, lam = mp(row[0]), mp(row[1])
+                x = lam * T
+                want = 2 * sigma**2 / (3 * lam**2) * (
+                    x - 5 + 12 / x - 12 / x**2 + 12 * mpmath.exp(-x) / x**2 - mpmath.exp(-x)
+                )
+                got = float(row[header.index("error_avg")])
+            assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
