@@ -7,8 +7,8 @@ and writes its CSV plus a JSON manifest that pins seed and configuration.
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 A run whose size needs more memory than is available (say ``simulate
 fig5 --replications 1000000000``) also exits 2, with one line and no file,
-and so does a ``simulate moments`` with ``--samples`` above 10^8 or
-``--n-max`` above 100.
+and so do a ``simulate moments`` with ``--samples`` above 10^8 or
+``--n-max`` above 100 and a window with lambda * T above 10^9.
 Outputs default into $MAINTSIM_OUTDIR (falling back to the working
 directory) and depend only on the manifest and tool version: re-running a
 command reproduces its files byte for byte.

@@ -11,14 +11,17 @@ over one span as padded (rows, legs) matrices, immutable after generation,
 whose ``position`` evaluates every row at once.  ``windows`` draws
 independent paths over [0, horizon] straight from a caller's generator; the
 count experiment and the moment check use it.  It draws only what the
-window reaches: durations in rounds sized at the expected leg count plus
-about three standard deviations, extra rounds for the rows still short of
-the horizon (``_window_durations``, all that the period sweeps of
-``montecarlo`` draw), and velocities only for the legs that start by the
-horizon.  Every caller sizes its blocks with ``block_rows``: a cap on the
-rows and a budget of first-round durations, so that the memory of a block
-stays bounded however large lambda * horizon is (a single row wider than
-the budget is drawn alone).
+window holds, by the direct construction of a Poisson process: a row's
+waypoint count N is Poisson(lambda * horizon), and given N its N + 1 legs
+are normalized exponential spacings of [0, horizon] (Renyi 1953; Devroye
+1986, ch. V), so every leg ends inside the window and nothing is trimmed
+(``_window_durations``, all that the period sweeps of ``montecarlo``
+draw); then the velocities of those legs.  Every caller sizes its blocks
+with ``block_rows``: a cap on the rows and a budget of legs at a high
+quantile of a row's leg count, so that the memory of a block stays bounded
+however large lambda * horizon is (a single row wider than the budget is
+drawn alone).  A lambda * horizon above ``_MAX_WINDOW_LEGS`` is refused
+before anything is drawn.
 
 Replications of a model are drawn in chunks: replication r is row
 r mod R of chunk r // R, where R = ``chunk_rows(params)``, and chunk c draws
@@ -63,29 +66,43 @@ class ModelParams:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
 
 
-# replication chunks: at most this many rows, fewer once a row's first-round
-# columns times the rows would exceed _BLOCK_LEGS (``block_rows``), so that
-# a large lambda * span cannot make a chunk hundreds of times larger than
-# one path.  Both are part of the stream layout.
+# replication chunks: at most this many rows, fewer once a row's leg-count
+# quantile times the rows would exceed _BLOCK_LEGS (``block_rows``), so
+# that a large lambda * span cannot make a chunk hundreds of times larger
+# than one path.  Both are part of the stream layout.
 _CHUNK_ROWS = 256
 _BLOCK_LEGS = 1 << 16
 
+# the largest lambda * horizon a window may expect: 10^9 legs a row is
+# beyond any memory this runs in, and far below numpy's limits on a Poisson
+# mean and on an array's size
+_MAX_WINDOW_LEGS = 1e9
 
-def _window_cols(lambda_rate: float, horizon: float) -> int:
-    """Legs drawn per row in each round of durations of
-    ``TrajectoryBlock.windows``: the expected count plus about three
-    standard deviations, so a few rows in a thousand need a second round."""
+
+def _expected_waypoints(lambda_rate: float, horizon: float) -> float:
+    """lambda * horizon, the mean waypoint count of a window, once it is
+    checked against ``_MAX_WINDOW_LEGS``: every window is sized and drawn
+    through here, so a larger one fails before anything is allocated."""
     expected = lambda_rate * horizon
+    if not expected <= _MAX_WINDOW_LEGS:
+        raise ParameterError(f"lambda times the window length must be at most {_MAX_WINDOW_LEGS:g}, got {expected:g}")
+    return expected
+
+
+def _leg_count_quantile(lambda_rate: float, horizon: float) -> int:
+    """A high quantile of the legs of one window row, one plus a
+    Poisson(lambda * horizon) count: the mean plus about three standard
+    deviations.  It sizes batches only (``block_rows``)."""
+    expected = _expected_waypoints(lambda_rate, horizon)
     return max(2, int(expected + 3.0 * math.sqrt(expected) + 2))
 
 
 def block_rows(lambda_rate: float, horizon: float, most: int, budget: int) -> int:
     """Rows of one ``TrajectoryBlock.windows`` draw over [0, horizon]: at
-    most ``most``, and fewer once the first round of durations,
-    ``_window_cols`` per row, would exceed ``budget`` draws; one row at the
-    least, however wide.  Rows that take further rounds may add a few
-    more."""
-    return min(most, max(1, budget // _window_cols(lambda_rate, horizon)))
+    most ``most``, and fewer once ``_leg_count_quantile`` legs per row would
+    exceed ``budget``; one row at the least, however wide.  A batch is as
+    wide as its longest row, which can pass the quantile by a few legs."""
+    return min(most, max(1, budget // _leg_count_quantile(lambda_rate, horizon)))
 
 
 def chunk_rows(params: ModelParams) -> int:
@@ -127,51 +144,29 @@ def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Traj
 
 
 def _window_durations(rng: np.random.Generator, lambda_rate: float, horizon: float, rows: int):
-    """Leg durations and start times, each (rows, legs): the duration
-    rounds of ``TrajectoryBlock.windows``, cut to the columns that start by
-    the horizon in some row."""
-    cols = _window_cols(lambda_rate, horizon)
-    gaps = rng.standard_exponential((rows, cols)) / lambda_rate
+    """Leg durations and start times, each (rows, legs), and the mask of the
+    live legs, in the draw order of ``TrajectoryBlock.windows``.  Padding
+    legs have duration 0 and start just past the horizon."""
+    legs = rng.poisson(_expected_waypoints(lambda_rate, horizon), rows) + 1
+    live = np.arange(legs.max()) < legs[:, None]
+    gaps = np.zeros(live.shape)
+    gaps[live] = rng.standard_exponential(int(legs.sum()))
+    # the last start plus the last gap is the row's running sum: padding
+    # adds exact zeros to it.  Divided first, so a one-leg row lasts exactly
+    # the horizon
     starts = _leg_starts(gaps)
-    # where a row's zero-duration padding legs start: cumsum's next value,
-    # which can round to the horizon or below even when the pairwise
-    # ``total`` reaches it
-    end = starts[:, -1] + gaps[:, -1]
-    total = gaps.sum(axis=1)
-    # only the rows short of the horizon, and any row whose padding legs
-    # would still start by it, go on in a wider matrix of their own, so one
-    # short row does not widen the whole batch
-    wide_rows = np.flatnonzero((total < horizon) | (end <= horizon))
-    wide, wide_total = gaps[wide_rows], total[wide_rows]
-    while (short := wide_total < horizon).any():
-        pad = np.zeros((len(wide_rows), cols))
-        pad[short] = rng.standard_exponential((int(short.sum()), cols)) / lambda_rate
-        wide = np.hstack([wide, pad])
-        wide_total += pad.sum(axis=1)
-    wide_starts = _leg_starts(wide)
-    # rows are sorted, so the columns that start past the horizon in every
-    # row come last; the other rows' padding starts past it
-    keep = max(
-        int(np.count_nonzero(starts.min(axis=0) <= horizon)),
-        int(np.count_nonzero(wide_starts.min(axis=0, initial=np.inf) <= horizon)),
-    )
-    first = min(keep, cols)
-    out_gaps = np.zeros((rows, keep))
-    out_gaps[:, :first] = gaps[:, :first]
-    out_gaps[wide_rows] = wide[:, :keep]
-    out_starts = np.empty((rows, keep))
-    out_starts[:, :first] = starts[:, :first]
-    out_starts[:, first:] = end[:, None]
-    out_starts[wide_rows] = wide_starts[:, :keep]
-    return out_gaps, out_starts
+    gaps /= (starts[:, -1] + gaps[:, -1])[:, None]
+    gaps *= horizon
+    np.cumsum(gaps[:, :-1], axis=1, out=starts[:, 1:])
+    starts[~live] = np.nextafter(horizon, np.inf)
+    return gaps, starts, live
 
 
 def _window_legs(rng: np.random.Generator, lambda_rate: float, sigma: float, horizon: float, rows: int):
     """Leg durations, start times and x and y velocity components, each
     (rows, legs), in the draw order that ``TrajectoryBlock.windows``
     documents: ``_window_durations``, then the velocities of the live legs."""
-    gaps, starts = _window_durations(rng, lambda_rate, horizon, rows)
-    live = starts <= horizon
+    gaps, starts, live = _window_durations(rng, lambda_rate, horizon, rows)
     n_live = int(np.count_nonzero(live))
     u = np.zeros(live.shape)
     u[live] = sigma * rng.standard_normal(n_live)
@@ -192,7 +187,7 @@ def _leg_starts(steps: np.ndarray) -> np.ndarray:
 class TrajectoryBlock:
     """Legs of several paths over one span, stacked into padded (rows, legs)
     matrices.  Padding legs never move a row within the span: they start
-    after the row's last leg that starts by the span."""
+    after the span."""
 
     span: float
     start_times: np.ndarray
@@ -208,16 +203,16 @@ class TrajectoryBlock:
         """``rows`` independent paths of the model covering [0, horizon],
         all starting at the origin.
 
-        Draws from ``rng`` in a fixed order.  First a round of leg
-        durations, ``_window_cols`` per row: the expected count plus about
-        three standard deviations.  Then further rounds of the same width
-        for the rows whose legs still fall short of the horizon; the other
-        rows get zero-duration legs in each round.  The columns past the
-        last leg that starts by the horizon in any row are then dropped.
-        Last come the x, then the y velocity components of the live legs,
-        those that start by the horizon, each as one flat vector in
-        row-major order; the legs after a row's last live leg get velocity
-        0.  Only live legs move a row within [0, horizon].
+        Draws from ``rng`` in a fixed order.  First every row's waypoint
+        count N, Poisson(lambda_rate * horizon), as one vector.  Then the
+        N + 1 standard exponentials of every row, as one flat vector in
+        row-major order; each row's are scaled to sum to the horizon and
+        are its leg durations, and the starts are their running sums.  Last
+        come the x, then the y velocity components of those legs, each as
+        one flat vector in row-major order.  The block is as wide as its
+        longest row; the other rows' padding legs have duration and
+        velocity 0 and start past the horizon, so they never move a row
+        within [0, horizon].
         """
         gaps, starts, u, v = _window_legs(rng, lambda_rate, sigma, horizon, rows)
         return cls(horizon, starts, _leg_starts(u * gaps), _leg_starts(v * gaps), u, v)

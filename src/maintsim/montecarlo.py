@@ -8,9 +8,10 @@ is the straight line between them, which is exactly what the timer-driven
 interpolation protocol computes inside every window (waypoint occurrences
 are memoryless, so windows of a long run are identically distributed to a
 fresh one).  Windows are drawn in batches sized by a draw budget, and a
-batch draws its leg durations only, in extra rounds for the rows still
-short of T: given them, each window's error averaged over velocities and a
-uniform query time is exact (``sample_window_mean_errors``).  The count experiment
+batch draws its leg durations only, a Poisson waypoint count per window
+and then normalized exponential spacings of [0, T]: given them, each
+window's error averaged over velocities and a uniform query time is exact
+(``sample_window_mean_errors``).  The count experiment
 evaluates whole paths as ``mobility.TrajectoryBlock`` leg matrices and runs
 the block-batched protocol runners on chunks of replications
 (``mobility.replication_chunk``): the timer schemes localize their tick
@@ -118,15 +119,14 @@ class PeriodPoint:
 
 
 # one draw budget for every batch: a batch of windows holds at most
-# _WINDOW_BATCH rows, fewer once its first round of durations would exceed
+# _WINDOW_BATCH rows, fewer once a high quantile of its legs would exceed
 # _CHUNK_DRAWS (``_window_batches``), and a conditioned chunk of the moment
 # check at most _CHUNK_DRAWS exponentials, (n + 1) * rows (``_chunks``); in
 # both, a single row wider than the budget is drawn alone.  So a batch's
 # matrices stay within one bound at any --replications, --samples, --n-max
 # and lambda * T.  Both sizes are part of the stream layout (a window batch
-# draws all its leg durations before anything else, and whether it needs a
-# second round depends on all its rows), so changing either constant
-# changes the output.
+# draws all its waypoint counts, then all its leg durations, before
+# anything else), so changing either constant changes the output.
 _WINDOW_BATCH = 4096
 _CHUNK_DRAWS = 1 << 15
 
@@ -152,17 +152,18 @@ def sample_window_mean_errors(
 
     Each window is localized exactly at 0 and T and a query at t is
     answered with the straight line between the two fixes.  Only the leg
-    durations are drawn.  Given them, the error at t is a linear form in
-    the Gaussian velocities, so its mean over them is exact:
-    2 sigma^2 sum_j c_j(t)^2, with c_j(t) = clip(t - s_j, 0, d_j) - (t/T) d_j
-    for leg j starting at s_j and spending d_j inside the window.  c_j is
-    piecewise linear through 0, -a s_j, a r_j and 0 at 0, s_j, s_j + d_j
-    and T, where a = d_j / T and r_j = T - s_j - d_j, so its mean square
+    durations are drawn, and every leg ends inside the window.  Given them,
+    the error at t is a linear form in the Gaussian velocities, so its mean
+    over them is exact: 2 sigma^2 sum_j c_j(t)^2, with
+    c_j(t) = clip(t - s_j, 0, d_j) - (t/T) d_j for leg j starting at s_j
+    and lasting d_j.  c_j is piecewise linear through 0, -a s_j, a r_j and
+    0 at 0, s_j, s_j + d_j and T, where a = d_j / T and
+    r_j = T - s_j - d_j, so its mean square
     over t is a^2 (s_j^3 + r_j^3 + d_j (s_j^2 - s_j r_j + r_j^2)) / (3T).
     As s^3 + r^3 = (s + r)(s^2 - s r + r^2) and s_j + d_j + r_j = T, the
     window's value is 2 sigma^2 T^2 / 3 * sum_j a^2 (s^2 - s r + r^2), with
     s and r in units of T.  Every leg's term is non-negative, so the sum
-    cancels nothing.
+    cancels nothing, and a padding leg's is exactly 0, as its a is.
 
     The trade-off: the velocity part of the model is integrated
     analytically here, so the period sweeps no longer simulate whole paths.
@@ -173,13 +174,9 @@ def sample_window_mean_errors(
     """
     out = np.empty(n_windows)
     for done, m in _window_batches(n_windows, lambda_rate, T):
-        a, s = _window_durations(rng, lambda_rate, T, m)
-        # in place, in units of T, so a batch holds four (m, legs) matrices
-        s /= T
-        a /= T
+        # drawn in units of T, so a batch holds four (m, legs) matrices
+        a, s, _ = _window_durations(rng, lambda_rate * T, 1.0, m)
         r = np.subtract(1.0, s)
-        np.minimum(a, r, out=a)
-        np.maximum(a, 0.0, out=a)
         r -= a
         # s^2 - s r + r^2 = s (s - r) + r^2, which is at least
         # 3/4 max(s, r)^2, so this form loses at most a few ulps
@@ -437,8 +434,9 @@ def collect_error_records(
 
     Replications are drawn a chunk at a time (see the module docstring), and
     each chunk goes through the block-batched runners whole; the chunk size
-    already keeps a chunk's first round of legs within
-    ``mobility._BLOCK_LEGS`` entries unless it holds a single row.  Records
+    keeps a chunk's legs near ``mobility._BLOCK_LEGS`` entries (its rows
+    times a high quantile of a row's leg count) unless it holds a single
+    row.  Records
     come in replication order, then protocol order (MAINT, MADRD, SFR, DVM),
     then query order, so the number of replications does not change the
     records of a replication or their place in the table.

@@ -19,7 +19,10 @@ window-engine tests use too.
 ``sample_window_errors`` is the period sweeps' estimator of 0.4.0, kept as
 the oracle of ``maintsim.montecarlo.sample_window_mean_errors``: it draws
 whole paths and query times and averages sampled squared errors, so the
-two must agree within their joint standard error.
+two must agree within their joint standard error.  Both draw their windows
+through ``TrajectoryBlock.windows``, so this checks the velocity average,
+not the law of the leg durations; the window tests hold that to the iid
+duration rounds of 0.7.0.
 """
 
 import math

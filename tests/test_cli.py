@@ -388,6 +388,28 @@ def test_n_max_cap_exits_two(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["simulate", "fig4", "--lambda", "1e20"],
+        ["simulate", "fig5", "--lambda", "1e20", "--T", "10"],
+        ["simulate", "fig6", "--T", "1e25"],
+        # lambda * T overflows to inf
+        ["simulate", "fig5", "--lambda", "1e300", "--T", "1e10"],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_window_leg_cap_exits_two(tmp_path, argv):
+    # refused before anything is allocated: past numpy's limits these ended
+    # in a traceback, and below them in an allocation failure
+    out = tmp_path / "huge.csv"
+    proc = run_capped_child([*argv, "--out", str(out)])
+    assert proc.returncode == EXIT_VALIDATION
+    assert "lambda times the window length must be at most 1e+09" in proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not out.exists() and not (tmp_path / "huge.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["simulate", "fig6", "--replications", "4096", "--T", "400"],
         ["simulate", "moments", "--lambda", "50", "--samples", "20000"],
     ],

@@ -1,10 +1,9 @@
 """Pinned output digests: the data bytes of one small run of every
-experiment and of theory grids.  fig6 at its default 100 replications,
-whose long windows span several batches of the draw budget, was recorded
-at version 0.7.0; the two moment checks at 0.6.0; fig5, fig6, fig4 with
-three queries per replication and the two theory grids longer than one
-chunk of the CSV writer at 0.5.0, the others at 0.4.0.  0.5.0, 0.6.0 and
-0.7.0 changed no other output byte.
+experiment and of theory grids.  Every ``simulate`` digest was recorded at
+version 0.8.0, which draws windows from a Poisson count and exponential
+spacings; the two theory grids longer than one chunk of the CSV writer at
+0.5.0, the other theory grid at 0.4.0.  No version since changed a theory
+byte.
 
 A digest covers every line of the CSV except ``# tool=``, which only
 names the version.  Outputs are a pure function of the manifest and the
@@ -23,38 +22,38 @@ import pytest
 import maintsim
 from maintsim.cli import EXIT_OK, main
 
-VERSION = "0.7.0"
+VERSION = "0.8.0"
 NUMPY = "2.4.6"
 
 RUNS = {
     "fig4": (
         ["simulate", "fig4", "--replications", "300"],
-        "aa7879851de468f870b6d82f26c10bdcf80e54893f2f23fdd76fbe3e4fe44368",
+        "3f042ebb1689f4fb0844bd657060820aee2f6329ed273a502d6ef0028ad05781",
     ),
     "fig4_queries3": (
         ["simulate", "fig4", "--replications", "300", "--queries", "3"],
-        "5a883655f0e0c7be4e374442a08cc26a1dd147f6b9aeec9ee024f1513f41f995",
+        "b523b78f41310f857a0fb0d43fe53440689c9f136ed117a928f49e7140fa08a2",
     ),
     "fig5": (
         ["simulate", "fig5", "--replications", "20"],
-        "3d78d5deadcbfd2ed6d0e2d7bb96846c6ea57400316b6fd0a864190eab0e7209",
+        "33c8ebaca3e993f81b5c9926e714fcd7c669f6e402ca4bf5d8aa2ec564c885d0",
     ),
     "fig6": (
         ["simulate", "fig6", "--replications", "20"],
-        "e2f4af550175c444d02e297aa15ea71246a8888edee68f1cea3959b97f14ca7f",
+        "415ef07c31e7ffe217393484027b9debf3453b1d681f6a0d3afb908c2ceb14ee",
     ),
     # 100 windows per period: up to 3 batches at lambda * T = 800
     "fig6_default": (
         ["simulate", "fig6", "--replications", "100"],
-        "a991670971e2c6322f71b266cacf2302eb6723f4e6eff97af9823c03d643650d",
+        "9bc2f2b253dbed1aba34065e9584beab7179336019652b1890c2c9b8221a72a9",
     ),
     "moments_n6": (
         ["simulate", "moments", "--samples", "10000", "--n-max", "6"],
-        "494bd91b01f60588e979e9ee1807d21b77e17ab9ea15bd3113725e7fc4f08817",
+        "8f639c43bb80149273a05cda2809f637d3e61b84bc5bc09a1fed8dc3cda75b44",
     ),
     "moments_n9": (
         ["simulate", "moments", "--samples", "10000", "--n-max", "9"],
-        "209fc54555340a738d296385d1f8cd0fa62e30ca580c24febf88db3767a00647",
+        "06ef367b83066b30f1349b136b8d92bd1f8637849a2dc1e04b45fb0b42043947",
     ),
     "theory_error_t": (
         ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:0.5"],

@@ -16,7 +16,7 @@ from maintsim.mobility import (
     _CHUNK_ROWS,
     ModelParams,
     TrajectoryBlock,
-    _window_cols,
+    _leg_count_quantile,
     _window_legs,
     chunk_rows,
     generate_trajectory,
@@ -38,8 +38,9 @@ def ensemble_stats():
         stats["counts_span"].append((waypoints <= PARAMS.span).sum(axis=1))
         stats["counts_10"].append((waypoints <= 10.0).sum(axis=1))
         stats["x_at_10"].append(block.position(np.full(len(block), 10.0))[0])
-        # the second leg starts at the first leg's drawn duration, exactly
-        stats["first_durations"].append(waypoints[:, 0].copy())
+        # the first waypoint, or the span if it comes later: the first
+        # leg's duration
+        stats["first_durations"].append(np.minimum(waypoints[:, 0], PARAMS.span))
     return {name: np.concatenate(parts)[:N_REPS] for name, parts in stats.items()}
 
 
@@ -91,7 +92,8 @@ class TestGeneration:
         assert len(durations) == len(starts)
         assert starts[0] == 0.0
         assert starts[-1] < PARAMS.span
-        assert starts[-1] + durations[-1] >= PARAMS.span
+        # the last leg ends at the span
+        assert starts[-1] + durations[-1] == pytest.approx(PARAMS.span, rel=1e-13)
         ends = starts[:-1] + durations[:-1]
         assert np.array_equal(ends, starts[1:])
         assert (durations > 0).all()
@@ -118,12 +120,13 @@ class TestGeneration:
         assert tv < 0.01
 
     def test_leg_duration_moments(self, ensemble_stats):
-        # first legs are iid exponential draws
+        # first legs are iid Exp(lambda) draws truncated at the span
         d = ensemble_stats["first_durations"]
-        mean_target = 1.0 / PARAMS.lambda_rate
+        lam, cut = PARAMS.lambda_rate, math.exp(-PARAMS.lambda_rate * PARAMS.span)
+        mean_target = (1.0 - cut) / lam
         se1 = d.std(ddof=1) / math.sqrt(d.size)
         assert abs(d.mean() - mean_target) < 3.0 * se1
-        second_target = 2.0 / PARAMS.lambda_rate**2
+        second_target = 2.0 / lam**2 * (1.0 - cut * (1.0 + lam * PARAMS.span))
         se2 = (d**2).std(ddof=1) / math.sqrt(d.size)
         assert abs((d**2).mean() - second_target) < 3.0 * se2
 
@@ -160,9 +163,10 @@ class TestChunkStreams:
         assert traj.span == PARAMS.span
         for name in ("start_times", "start_x", "start_y", "vel_x", "vel_y"):
             assert np.array_equal(getattr(traj, name), getattr(block, name)[row : row + 1, :n]), name
-        # the row's legs stop at the one that overshoots the span
+        # the row's legs stop at the one that ends on the span
         last = traj.start_times[0, -1]
-        assert last <= PARAMS.span < last + drawn_durations(PARAMS, r)[-1]
+        assert last <= PARAMS.span
+        assert last + drawn_durations(PARAMS, r)[-1] == pytest.approx(PARAMS.span, rel=1e-13)
         assert np.all(block.start_times[row, n:] > PARAMS.span)
 
     def test_chunk_stream_is_keyed_by_seed_and_chunk(self):
@@ -178,7 +182,7 @@ class TestChunkStreams:
     def test_chunk_rows_cap_the_chunk_legs(self, lam, span):
         # arithmetic only: the largest of these would draw 1e9 legs per row
         params = ModelParams(lambda_rate=lam, sigma=5.0, seed=0, span=span)
-        rows, cols = chunk_rows(params), _window_cols(lam, span)
+        rows, cols = chunk_rows(params), _leg_count_quantile(lam, span)
         assert 1 <= rows <= _CHUNK_ROWS
         assert rows * cols <= _BLOCK_LEGS or rows == 1
         assert rows == _CHUNK_ROWS or (rows + 1) * cols > _BLOCK_LEGS

@@ -17,8 +17,8 @@ from maintsim.errors import ParameterError
 from maintsim.mobility import (
     _BLOCK_LEGS,
     ModelParams,
+    _leg_count_quantile,
     _leg_starts,
-    _window_cols,
     _window_durations,
     _window_legs,
     TrajectoryBlock,
@@ -574,9 +574,10 @@ class TestStreamLayout:
 
 
 def _oracle_window_durations(rng, lam, horizon, rows):
-    """The window's duration rounds written out plainly: the expected count
-    plus three standard deviations per row, until every row covers the
-    horizon (rows already covered get zero-duration legs)."""
+    """The duration rounds of 0.7.0 written out plainly, an independent
+    reference for the law of the windows: iid exponential legs, the
+    expected count plus three standard deviations per row, until every row
+    covers the horizon (rows already covered get zero-duration legs)."""
     expected = lam * horizon
     cols = max(2, int(expected + 3.0 * math.sqrt(expected) + 2))
     gaps = rng.standard_exponential((rows, cols)) / lam
@@ -592,15 +593,51 @@ def _oracle_window_durations(rng, lam, horizon, rows):
 
 
 def _oracle_window_legs(rng, lam, sigma, horizon, rows):
-    """The window draws written out plainly: the duration rounds, then the
-    x and the y velocity components of the legs that start by the horizon,
-    row by row; the other legs stand still."""
+    """The window draws of 0.7.0 written out plainly: the duration rounds,
+    then the x and the y velocity components of the legs that start by the
+    horizon, row by row; the other legs stand still."""
     gaps, starts = _oracle_window_durations(rng, lam, horizon, rows)
     live_rows, live_cols = np.nonzero(starts <= horizon)
     u = np.zeros(gaps.shape)
     u[live_rows, live_cols] = sigma * rng.standard_normal(len(live_rows))
     v = np.zeros(gaps.shape)
     v[live_rows, live_cols] = sigma * rng.standard_normal(len(live_rows))
+    return gaps, starts, u, v
+
+
+def _plain_window_durations(rng, lam, horizon, rows):
+    """The window's draw order written out row by row: the Poisson counts,
+    then each row's N + 1 exponentials in turn, divided by their running
+    sum and scaled by the horizon; the starts are the running sums of the
+    durations.  Returns the durations, the starts and each row's N + 1."""
+    counts = rng.poisson(lam * horizon, rows) + 1
+    flat = rng.standard_exponential(int(counts.sum()))
+    width = int(counts.max())
+    gaps = np.zeros((rows, width))
+    starts = np.full((rows, width), np.nextafter(horizon, np.inf))
+    at = 0
+    for row, n in enumerate(counts):
+        e = flat[at : at + n]
+        at += n
+        d = e / np.cumsum(e)[-1] * horizon
+        gaps[row, :n] = d
+        starts[row, 0] = 0.0
+        starts[row, 1:n] = np.cumsum(d)[:-1]
+    return gaps, starts, counts
+
+
+def _plain_window_legs(rng, lam, sigma, horizon, rows):
+    """``_plain_window_durations``, then the x and the y velocities of
+    every row's legs, row by row; padding legs stand still."""
+    gaps, starts, counts = _plain_window_durations(rng, lam, horizon, rows)
+    us = sigma * rng.standard_normal(int(counts.sum()))
+    vs = sigma * rng.standard_normal(int(counts.sum()))
+    u, v = np.zeros(gaps.shape), np.zeros(gaps.shape)
+    at = 0
+    for row, n in enumerate(counts):
+        u[row, :n] = us[at : at + n]
+        v[row, :n] = vs[at : at + n]
+        at += n
     return gaps, starts, u, v
 
 
@@ -629,44 +666,42 @@ def _oracle_coordinate(gaps, starts, vel, t):
     return (vel * np.clip(np.asarray(t)[:, None] - starts, 0.0, gaps)).sum(axis=1)
 
 
-class _ShortLegs:
-    """A generator whose leg durations are scaled by ``shrink``, so that
-    windows need extension rounds; every other draw passes through."""
-
-    def __init__(self, seed, shrink):
-        self._rng = np.random.default_rng(seed)
-        self._shrink = shrink
-
-    def standard_exponential(self, size):
-        return self._shrink * self._rng.standard_exponential(size)
-
-    def standard_normal(self, size):
-        return self._rng.standard_normal(size)
+def _z(a, b):
+    """Two-sample z-score of the means of ``a`` and ``b``."""
+    se = math.hypot(*(v.std(ddof=1) / math.sqrt(v.size) for v in (a, b)))
+    return (a.mean() - b.mean()) / se
 
 
 class _FixedLegs:
-    """A generator whose every row of durations starts with ``first`` and
-    continues with legs of ``rest``; it draws nothing else."""
+    """A generator whose every window has ``count`` waypoints and whose
+    exponentials repeat ``legs``; it draws nothing else."""
 
-    def __init__(self, first, rest):
-        self._first = np.asarray(first, dtype=float)
-        self._rest = rest
+    def __init__(self, count, legs):
+        self._count = count
+        self._legs = np.asarray(legs, dtype=float)
+
+    def poisson(self, lam, size):
+        return np.full(size, self._count)
 
     def standard_exponential(self, size):
-        out = np.full(size, float(self._rest))
-        out[:, : len(self._first)] = self._first
-        return out
+        return np.resize(self._legs, size)
 
 
 class _Counting:
-    """Passes every draw through to ``rng`` and records the shape of each
-    round of durations and the number of normals and uniforms drawn."""
+    """Passes every draw through to ``rng`` and records the size of each
+    draw of waypoint counts and of durations, and the number of normals and
+    uniforms drawn."""
 
     def __init__(self, rng):
         self._rng = rng
+        self.poisson_sizes = []
         self.exponential_sizes = []
         self.normals = 0
         self.uniforms = 0
+
+    def poisson(self, lam, size):
+        self.poisson_sizes.append(size)
+        return self._rng.poisson(lam, size)
 
     def standard_exponential(self, size):
         self.exponential_sizes.append(size)
@@ -714,23 +749,11 @@ class TestWindowEngine:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("lam,T", [(0.1, 20.0), (4.0, 200.0)])
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_block_matches_clip_and_sum_oracle(self, lam, T, extended):
+    def test_block_matches_clip_and_sum_oracle(self, lam, T):
         rows = 64
-        # scaled so that two rounds of durations cover the horizon in about
-        # half the rows: some rows take a third round, the others get
-        # zero-duration legs in it
-        cols = _window_cols(lam, T)
-        shrink = 0.5 * lam * T / cols if extended else 1.0
-        block = TrajectoryBlock.windows(_ShortLegs(5, shrink), lam, 5.0, T, rows)
-        gaps, starts, u, v = _oracle_window_legs(_ShortLegs(5, shrink), lam, 5.0, T, rows)
-        # the block keeps the columns up to the last leg that starts by T
-        assert block.start_times.shape == (rows, (starts <= T).sum(axis=1).max())
-        if extended:
-            zero_legs = (gaps == 0.0).any(axis=1)
-            assert gaps.shape[1] >= 3 * cols and zero_legs.any() and not zero_legs.all()
-        else:
-            assert gaps.shape[1] == cols
+        block = TrajectoryBlock.windows(np.random.default_rng(5), lam, 5.0, T, rows)
+        gaps, starts, u, v = _plain_window_legs(np.random.default_rng(5), lam, 5.0, T, rows)
+        assert np.array_equal(block.start_times, starts)
         ts = np.random.default_rng(6).uniform(0.0, T, (rows, 8))
         ts[:, 0] = 0.0
         ts[:, 1] = T
@@ -743,98 +766,32 @@ class TestWindowEngine:
                 assert np.all(np.abs(got[:, j] - want) <= 1e-12 * reach)
         assert np.all(x[:, 0] == 0.0) and np.all(y[:, 0] == 0.0)
 
-    @pytest.mark.parametrize("lam,T", [(0.1, 100.0), (0.1, 10.0), (4.0, 200.0)])
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_trimmed_columns_change_no_position(self, lam, T, extended):
-        # the same draws without the trim: every position must be bit-identical
-        rows = 256
-        cols = _window_cols(lam, T)
-        shrink = 0.5 * lam * T / cols if extended else 1.0
-        block = TrajectoryBlock.windows(_ShortLegs(7, shrink), lam, 5.0, T, rows)
-        gaps, starts, u, v = _oracle_window_legs(_ShortLegs(7, shrink), lam, 5.0, T, rows)
-        untrimmed = TrajectoryBlock(T, starts, _leg_starts(u * gaps), _leg_starts(v * gaps), u, v)
-        assert np.array_equal(untrimmed.start_times, starts)
-        assert block.start_times.shape[1] < gaps.shape[1]
-        if extended:
-            assert gaps.shape[1] >= 2 * cols
-        ts = np.random.default_rng(8).uniform(0.0, T, (rows, 12))
-        ts[:, 0] = 0.0
-        ts[:, 1] = T
-        ts[:, 2] = np.nextafter(T, 0.0)
-        # leg starts inside the window, where the leg index changes
-        inside = np.where(starts <= T, starts, 0.0)
-        ts[:, 3] = inside.max(axis=1)
-        for got, want in zip(block.position(ts), untrimmed.position(ts)):
-            assert np.array_equal(got, want)
-        for j in range(ts.shape[1]):
-            for got, want in zip(block.position(ts[:, j]), untrimmed.position(ts[:, j])):
-                assert np.array_equal(got, want)
-
-    def test_leg_starting_at_the_horizon_is_kept(self):
-        # durations of exactly 0.25: the fifth leg starts on the horizon,
-        # and position counts the legs that start at or before a time, so
-        # it is live and gets velocities
-        class QuarterLegs(_ShortLegs):
-            def standard_exponential(self, size):
-                return np.full(size, 0.25)
-
-        block = TrajectoryBlock.windows(QuarterLegs(3, 1.0), 1.0, 5.0, 1.0, 4)
-        assert block.start_times.shape == (4, 5)
-        assert np.array_equal(block.start_times[0], [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert np.all(block.vel_x[:, 4] != 0.0) and np.all(block.vel_y[:, 4] != 0.0)
-
     def test_errors_follow_the_stream_contract(self):
         # two batches: the second draws after all of the first
         lam, sigma, T = 0.1, 5.0, 20.0
         got = sample_window_mean_errors(np.random.default_rng(8), lam, sigma, T, _WINDOW_BATCH + 7)
         rng = np.random.default_rng(8)
         want = [
-            _oracle_window_mean_errors(*_oracle_window_durations(rng, lam, T, m), sigma, T) for m in (_WINDOW_BATCH, 7)
+            _oracle_window_mean_errors(*_plain_window_durations(rng, lam, T, m)[:2], sigma, T)
+            for m in (_WINDOW_BATCH, 7)
         ]
         np.testing.assert_allclose(got, np.concatenate(want), rtol=1e-9)
 
     def test_positions_follow_the_stream_contract(self):
         lam, sigma, horizon, times = 0.5, 2.0, 8.0, (3.0, 8.0)
         xs, ys = sample_window_positions(np.random.default_rng(4), lam, sigma, horizon, 300, times)
-        gaps, starts, u, v = _oracle_window_legs(np.random.default_rng(4), lam, sigma, horizon, 300)
+        gaps, starts, u, v = _plain_window_legs(np.random.default_rng(4), lam, sigma, horizon, 300)
         for j, t in enumerate(times):
             np.testing.assert_allclose(xs[:, j], _oracle_coordinate(gaps, starts, u, np.full(300, t)), rtol=1e-9)
             np.testing.assert_allclose(ys[:, j], _oracle_coordinate(gaps, starts, v, np.full(300, t)), rtol=1e-9)
 
-    def test_long_window_rows_extend(self, monkeypatch):
-        # lambda * T = 800, the longest windows the constant-ratio sweep
-        # draws: each batch's first round holds the draw budget's 36 rows of
-        # 886 durations (the last batch the 28 rows left over).  A row falls
-        # short of T after its first round with probability about 1.5e-3,
-        # so some batch among 4096 windows takes an extension round (with
-        # probability 0.998 before the seed is fixed)
-        rng = _Counting(np.random.default_rng(1))
-        batches = []
-
-        def durations(*args):
-            start = len(rng.exponential_sizes)
-            out = _window_durations(*args)
-            batches.append(rng.exponential_sizes[start:])
-            return out
-
-        monkeypatch.setattr(montecarlo, "_window_durations", durations)
-        sq = sample_window_mean_errors(rng, 4.0, 10.0, 200.0, _WINDOW_BATCH)
-        assert np.isfinite(sq).all()
-        cols = _window_cols(4.0, 200.0)
-        rows = montecarlo._CHUNK_DRAWS // cols
-        assert (rows, cols) == (36, 886)
-        firsts = [first for first, *_ in batches]
-        assert firsts == [(rows, cols)] * (_WINDOW_BATCH // rows) + [(_WINDOW_BATCH % rows, cols)]
-        extra = [size for _, *sizes in batches for size in sizes]
-        assert extra and all(0 < n < rows and width == cols for n, width in extra)
-
     @pytest.mark.parametrize("expected", [1.0, 2.3, 20.0, 800.0, 3200.0, 40_000.0])
     def test_batches_stay_within_the_draw_budget(self, expected):
-        # a batch's first round holds at most the budget of durations, or
-        # a single row where one row alone is wider; windows short enough
-        # for 8 columns a row still come 4096 at a time
+        # a batch's leg-count quantile holds at most the budget of
+        # durations, or a single row where one row alone is wider; windows
+        # short enough for 8 legs a row still come 4096 at a time
         lam = 4.0
-        cols = _window_cols(lam, expected / lam)
+        cols = _leg_count_quantile(lam, expected / lam)
         full = min(_WINDOW_BATCH, max(1, montecarlo._CHUNK_DRAWS // cols))
         assert full == _WINDOW_BATCH or cols > 8
         assert full * cols <= max(montecarlo._CHUNK_DRAWS, cols)
@@ -846,10 +803,10 @@ class TestWindowEngine:
 
     @pytest.mark.parametrize("lam,T", [(4.0, 200.0), (8.0, 400.0)])
     def test_memory_does_not_grow_with_windows(self, lam, T):
-        # lambda * T = 800 and 3200: a batch's first round holds at most the
-        # draw budget of durations, so the traced peak is the same at 300
-        # and at 20 000 windows, less the 8-byte result per window; batches
-        # of 4096 windows peaked at about 230 MB at lambda * T = 800
+        # lambda * T = 800 and 3200: a batch's leg-count quantile holds at
+        # most the draw budget of durations, so the traced peak is the same
+        # at 300 and at 20 000 windows, less the 8-byte result per window;
+        # batches of 4096 windows peaked at about 230 MB at lambda * T = 800
         sample_window_mean_errors(np.random.default_rng(0), lam, 10.0, T, 10)  # keep one-time imports out
         peaks = [peak - kept for kept, peak in traced_memory(
             *(lambda n=n: sample_window_mean_errors(np.random.default_rng(1), lam, 10.0, T, n) for n in (300, 20_000))
@@ -860,20 +817,22 @@ class TestWindowEngine:
     def test_mean_errors_draw_only_durations(self):
         rng = _Counting(np.random.default_rng(2))
         sample_window_mean_errors(rng, 0.1, 5.0, 20.0, _WINDOW_BATCH + 7)
-        assert rng.exponential_sizes[0] == (_WINDOW_BATCH, _window_cols(0.1, 20.0))
+        assert rng.poisson_sizes == [_WINDOW_BATCH, 7]
+        assert len(rng.exponential_sizes) == 2
         assert rng.normals == 0 and rng.uniforms == 0
 
     @pytest.mark.parametrize("first", [10.0, 20.0])
     def test_waypoint_free_window_has_no_error(self, first):
-        # one leg covers [0, T] (with 10.0 a second one starts on T itself)
-        got = sample_window_mean_errors(_FixedLegs([first], 20.0), 1.0, 5.0, 10.0, 3)
+        # no waypoint: one leg covers [0, T] exactly, whatever its
+        # exponential
+        got = sample_window_mean_errors(_FixedLegs(0, [first, math.pi]), 1.0, 5.0, 10.0, 3)
         assert np.array_equal(got, np.zeros(3))
 
     @pytest.mark.parametrize("w", [1e-3, 0.3, 5.0, 9.99])
     def test_one_waypoint_window_matches_quadrature(self, w):
         import mpmath  # in the test extra; only this test needs it
         sigma, T = 5.0, 10.0
-        (got,) = sample_window_mean_errors(_FixedLegs([w], 20.0), 1.0, sigma, T, 1)
+        (got,) = sample_window_mean_errors(_FixedLegs(1, [w, T - w]), 1.0, sigma, T, 1)
         with mpmath.workdps(40):
             sigma_m, T_m, w_m = mpmath.mpf(sigma), mpmath.mpf(T), mpmath.mpf(w)
 
@@ -887,7 +846,7 @@ class TestWindowEngine:
 
     def test_per_leg_form_matches_midpoint_rule(self):
         lam, sigma, T, rows, n = 0.5, 3.0, 10.0, 8, 200_000
-        gaps, starts = _window_durations(np.random.default_rng(3), lam, T, rows)
+        gaps, starts, _ = _window_durations(np.random.default_rng(3), lam, T, rows)
         got = sample_window_mean_errors(np.random.default_rng(3), lam, sigma, T, rows)
         assert gaps.shape[1] > 3
         t = (np.arange(n) + 0.5) * (T / n)
@@ -912,107 +871,98 @@ class TestWindowEngine:
             assert abs(exact.mean() - sampled.mean()) < 4.0 * se, (T, exact.mean(), sampled.mean(), se)
 
     @pytest.mark.parametrize("expected", [1e-3, 0.1, 1.0, 10.0, 800.0])
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_rows_reach_the_horizon(self, expected, extended):
+    def test_rows_reach_the_horizon(self, expected):
+        # every live leg ends inside the window and the last one on its
+        # end; padding legs last 0 and start past it
         lam, rows = 4.0, 256
         T = expected / lam
-        shrink = 0.5 * expected / _window_cols(lam, T) if extended else 1.0
-        rng = _Counting(_ShortLegs(11, shrink))
-        gaps, starts, u, v = _window_legs(rng, lam, 5.0, T, rows)
-        assert np.all(gaps.sum(axis=1) >= T)
-        # every row's last kept leg ends at or past T, and the kept columns
-        # are those that start by T in some row
-        assert np.all(starts[:, -1] + gaps[:, -1] >= T)
-        assert starts[:, -1].min() <= T
-        if extended:
-            assert len(rng.exponential_sizes) >= 2
+        gaps, starts, live = _window_durations(np.random.default_rng(11), lam, T, rows)
+        np.testing.assert_allclose(gaps.sum(axis=1), T, rtol=1e-13)
+        assert np.all(live[:, 0]) and np.all(live[:, :-1] >= live[:, 1:])
+        assert np.all(gaps[live] > 0.0) and np.all(gaps[~live] == 0.0)
+        assert np.all(starts[live] <= T) and np.all(starts[~live] > T)
+        last = live.sum(axis=1) - 1
+        ends = starts[np.arange(rows), last] + gaps[np.arange(rows), last]
+        np.testing.assert_allclose(ends, T, rtol=1e-13)
 
     @pytest.mark.parametrize("lam,T", [(0.1, 10.0), (0.1, 20.0), (4.0, 200.0)])
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_velocities_only_for_live_legs(self, lam, T, extended):
-        shrink = 0.5 * lam * T / _window_cols(lam, T) if extended else 1.0
-        rng = _Counting(_ShortLegs(12, shrink))
+    def test_velocities_only_for_live_legs(self, lam, T):
+        rng = _Counting(np.random.default_rng(12))
         block = TrajectoryBlock.windows(rng, lam, 5.0, T, 512)
         live = block.start_times <= T
-        assert rng.normals == 2 * np.count_nonzero(live)
+        assert rng.normals == 2 * np.count_nonzero(live) == 2 * sum(rng.exponential_sizes)
         assert np.all(block.vel_x[~live] == 0.0) and np.all(block.vel_y[~live] == 0.0)
         assert np.all(block.vel_x[live] != 0.0) and np.all(block.vel_y[live] != 0.0)
 
     def test_moment_windows_draw_a_few_values_per_row(self):
-        # the moment check's windows, lambda * T = 1: about two legs reach T
-        # (one plus a Poisson(1) count), so a row takes about 4 normals and
-        # 6 durations; drawing 23 legs per row took 23 durations and 46
-        # normals
+        # the moment check's windows, lambda * T = 1: a row has one plus a
+        # Poisson(1) count of legs, so it takes about 2 durations and 4
+        # normals; drawing 23 legs per row took 23 durations and 46 normals
         rng = _Counting(np.random.default_rng(13))
         sample_window_positions(rng, 0.1, 5.0, 10.0, _WINDOW_BATCH, (5.0, 10.0))
-        durations = sum(n * width for n, width in rng.exponential_sizes)
-        assert rng.exponential_sizes[0] == (_WINDOW_BATCH, 6)
-        assert durations < 6.1 * _WINDOW_BATCH
-        assert 3.8 * _WINDOW_BATCH < rng.normals < 4.2 * _WINDOW_BATCH
+        assert rng.poisson_sizes == [_WINDOW_BATCH]
+        (durations,) = rng.exponential_sizes
+        assert 1.9 * _WINDOW_BATCH < durations < 2.1 * _WINDOW_BATCH
+        assert rng.normals == 2 * durations
 
 
-class _Rounds:
-    """A generator that hands out the given rounds of durations in turn."""
-
-    def __init__(self, *rounds):
-        self._rounds = [np.asarray(r, dtype=float) for r in rounds]
-
-    def standard_exponential(self, size):
-        out = self._rounds.pop(0)
-        assert out.shape == size
-        return out
-
-
-def _trimmed(gaps, starts, horizon):
-    """The oracle's matrices cut to the columns that start by the horizon
-    in some row."""
-    keep = int(np.count_nonzero(starts.min(axis=0) <= horizon))
-    return gaps[:, :keep], starts[:, :keep]
-
-
-class TestWindowDurations:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_bit_for_bit_the_plain_rounds(self, seed):
-        # legs shrunk so that about one row in five takes a second round
-        # and a few a third
-        lam, horizon, rows = 0.5, 6.0, 200
-        got = _window_durations(_ShortLegs(seed, 0.4), lam, horizon, rows)
-        want = _trimmed(*_oracle_window_durations(_ShortLegs(seed, 0.4), lam, horizon, rows), horizon)
-        assert got[0].shape[1] > _window_cols(lam, horizon)
+class TestPoissonWindows:
+    @pytest.mark.parametrize("lam,horizon,rows", [(0.5, 6.0, 200), (1e-3, 1.0, 50), (4.0, 200.0, 9), (20.0, 2.0, 1)])
+    def test_bit_for_bit_the_plain_row_by_row_draw(self, lam, horizon, rows):
+        got = _window_legs(np.random.default_rng(21), lam, 5.0, horizon, rows)
+        want = _plain_window_legs(np.random.default_rng(21), lam, 5.0, horizon, rows)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b)
+        block = TrajectoryBlock.windows(np.random.default_rng(21), lam, 5.0, horizon, rows)
+        gaps, starts, u, v = want
+        assert np.array_equal(block.start_times, starts)
+        assert np.array_equal(block.vel_x, u) and np.array_equal(block.vel_y, v)
+        assert np.array_equal(block.start_x, _leg_starts(u * gaps))
 
-    def test_padding_that_rounds_onto_the_horizon_is_kept(self):
-        # row 0's pairwise sum, 2 + 3 * 2^-51, covers the horizon, so it
-        # takes no second round; its cumulative sum, where its padding legs
-        # start, stays 2.0, by the horizon.  Row 1 falls short.
-        tiny, horizon = 2.0**-52, 2.0 + 2.0**-51
-        assert _window_cols(1.0, horizon) == 8
-        first, second = [[2.0] + [tiny] * 7, [0.1] * 8], [[1.0] * 8]
-        got = _window_durations(_Rounds(first, second), 1.0, horizon, 2)
-        want = _trimmed(*_oracle_window_durations(_Rounds(first, second), 1.0, horizon, 2), horizon)
-        assert got[0].shape == (2, 16)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+    @pytest.mark.parametrize("expected", [1e-3, 1.0, 800.0])
+    def test_counts_are_poisson(self, expected):
+        from scipy.stats import chisquare, poisson
 
-    def test_one_short_row_does_not_widen_the_batch(self):
-        # row 7 takes a second round, which covers the horizon at once; the
-        # batch's matrices stay one round wide until the result, one column
-        # wider, is built (extending every row came to six rounds' worth)
-        import tracemalloc
+        rows = 200_000 if expected < 1.0 else 20_000
+        _, _, live = _window_durations(np.random.default_rng([22, int(expected)]), 1.0, expected, rows)
+        counts = live.sum(axis=1) - 1
+        # up to ten bins of about equal probability, as the law allows
+        edges = np.unique(poisson.ppf(np.linspace(0.1, 0.9, 9), expected))
+        observed = np.bincount(np.searchsorted(edges, counts), minlength=len(edges) + 1)
+        probs = np.diff(poisson.cdf(edges, expected), prepend=0.0, append=1.0)
+        assert chisquare(observed, probs * rows).pvalue > 1e-4
+        z = (counts.mean() - expected) / math.sqrt(expected / rows)
+        assert abs(z) < 4.0
 
-        rows, lam, horizon = 1000, 1.0, 200.0
-        cols = _window_cols(lam, horizon)
-        first = np.full((rows, cols), 1.0)
-        first[7] = 0.1
-        tracemalloc.start()
-        try:
-            gaps, _ = _window_durations(_Rounds(first, np.full((1, cols), horizon)), lam, horizon, rows)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert gaps.shape == (rows, cols + 1)
-        assert peak < 4.5 * rows * cols * 8
+    @pytest.mark.parametrize("expected", [1e-3, 1.0, 8.0, 800.0])
+    def test_window_means_match_the_iid_rounds(self, expected):
+        # against the 0.7.0 rounds of iid exponential legs: the two laws
+        # agree, not the draws
+        sigma, T = 5.0, 10.0
+        lam, n = expected / T, (200_000 if expected < 1.0 else 20_000)
+        got = sample_window_mean_errors(np.random.default_rng([23, int(expected)]), lam, sigma, T, n)
+        rng = np.random.default_rng([24, int(expected)])
+        want = np.concatenate([
+            _oracle_window_mean_errors(*_oracle_window_durations(rng, lam, T, m), sigma, T)
+            for _, m in montecarlo._window_batches(n, lam, T)
+        ])
+        assert abs(_z(got, want)) < 4.0
+
+    @pytest.mark.parametrize("expected", [1e-3, 1.0, 8.0, 800.0])
+    def test_positions_match_the_iid_rounds(self, expected):
+        sigma, T = 5.0, 10.0
+        lam, n = expected / T, (200_000 if expected < 1.0 else 20_000)
+        xs, ys = sample_window_positions(np.random.default_rng([25, int(expected)]), lam, sigma, T, n, (T / 2, T))
+        rng = np.random.default_rng([26, int(expected)])
+        want = []
+        for _, m in montecarlo._window_batches(n, lam, T):
+            gaps, starts, u, v = _oracle_window_legs(rng, lam, sigma, T, m)
+            at = [np.full(m, t) for t in (T / 2, T)]
+            want.append(np.stack([_oracle_coordinate(gaps, starts, w, t) for w in (u, v) for t in at], axis=1))
+        want = np.concatenate(want)
+        got = np.concatenate([xs, ys], axis=1)
+        for j in range(4):
+            assert abs(_z(got[:, j] ** 2, want[:, j] ** 2)) < 4.0, j
 
 
 class TestMomentValidation:
