@@ -5,10 +5,10 @@ CSV grid, ``simulate`` runs a named experiment (fig4, fig5, fig6, moments)
 and writes its CSV plus a JSON manifest that pins seed and configuration.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
-A run whose size needs more memory than is available (say ``simulate
-fig5 --replications 1000000000``) also exits 2, with one line and no file,
-and so do a ``simulate moments`` with ``--samples`` above 10^8 or
-``--n-max`` above 100 and a window with lambda * T above 10^9.
+Every experiment runs in fixed memory, so ``--replications`` and
+``--samples`` above 10^8 exit 2 with one line and no file, and so do an
+``--n-max`` above 100, a window with lambda * T above 10^9 and a run that
+still needs more memory than is available.
 Outputs default into $MAINTSIM_OUTDIR (falling back to the working
 directory) and depend only on the manifest and tool version: re-running a
 command reproduces its files byte for byte.
@@ -144,7 +144,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--span", type=float)
     sim.add_argument("--T", help="period grid for fig5/fig6")
     sim.add_argument("--C", dest="ratio_C", type=float)
-    sim.add_argument("--replications", type=int)
+    sim.add_argument("--replications", type=int, help="replications or windows per period, 1 to 10^8")
     sim.add_argument("--queries", type=int, help="query samples per replication (fig4)")
     sim.add_argument("--samples", type=int, help="moment-validation sample count, 10000 to 10^8")
     sim.add_argument("--n-max", type=int, help="largest conditioned waypoint count, 1 to 100")

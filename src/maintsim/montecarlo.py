@@ -26,10 +26,9 @@ The count experiment draws replications a chunk at a time: chunk c draws
 the paths of its R replications and then their query times, an (R, queries)
 matrix, from one stream keyed by (seed, c).  R depends only on the model,
 and the last chunk is drawn in full and then cut, so a replication's path
-and queries do not depend on the number of replications, and aggregation
-is a pure function of the collected records.  Each chunk goes through the
-runners whole, with the fixed schedules ``MAINT_PERIODS``, ``MADRD_CONFIGS``
-and ``DVM_CONFIG``.
+and queries do not depend on the number of replications.  Each chunk goes
+through the runners whole, with the fixed schedules ``MAINT_PERIODS``,
+``MADRD_CONFIGS`` and ``DVM_CONFIG``.
 
 The moment check samples its conditioned quantities by construction, apart
 from the window engine, so it checks the formulas independently of it.
@@ -39,17 +38,22 @@ positions are checked through their expectation over the Gaussian
 velocities given the gaps (the conditional expectation), so those checks
 draw no velocities; only the position given no waypoint, whose expectation
 would be a constant, is sampled.  The unconditional moments and the
-pointwise errors come from whole windows.
-Everything is drawn on the calling thread, from one generator, a
-fixed-size chunk at a time; each chunk's count, mean and sum of squared
-deviations are merged pairwise into the running ones, so memory stays the
-same whatever the sample count, the largest conditioned count and lambda.
+pointwise errors come from whole windows.  All is drawn on the calling
+thread, from one generator.
+
+Every mean and standard error is one fold (``_Moments``): each window
+batch, each count-experiment chunk (per protocol and localization count)
+and each moment-check chunk is reduced to its count, mean and sum of
+squared deviations, merged pairwise into the running ones.  Batches and
+chunks depend only on the model and the sizes, so memory stays the same
+whatever the replication or sample count, the conditioned counts and lambda.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +118,78 @@ class PeriodPoint:
     theory: float
 
 
+def _merge(a, b):
+    """Count, mean and sum of squared deviations of two sample sets joined
+    (Chan, Golub and LeVeque, *Am. Stat.* 37(3), 1983); means and sums may
+    be arrays, one entry per check."""
+    na, ma, qa = a
+    nb, mb, qb = b
+    n = na + nb
+    d = mb - ma
+    return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
+
+
+class _Moments:
+    """Count, mean and sum of squared deviations of a set of checks, fed a
+    chunk of samples, or a chunk's partial result, at a time.
+
+    Each chunk's partial result is merged pairwise, as a binary counter
+    carries: a partial merges with another of its own level, so every mean
+    and sum is built up as a balanced tree of chunks.
+    """
+
+    def __init__(self) -> None:
+        self._levels: list = []
+
+    def add(self, values: np.ndarray) -> None:
+        """Take ``values`` (..., m), m samples of every check; the buffer is
+        overwritten."""
+        mean = values.mean(axis=-1)
+        values -= mean[..., None]
+        self.merge((values.shape[-1], mean, np.square(values, out=values).sum(axis=-1)))
+
+    def merge(self, part) -> None:
+        """Take a partial result: count, mean and sum of squared deviations."""
+        level = 0
+        while level < len(self._levels) and self._levels[level] is not None:
+            part = _merge(self._levels[level], part)
+            self._levels[level] = None
+            level += 1
+        if level == len(self._levels):
+            self._levels.append(None)
+        self._levels[level] = part
+
+    def result(self):
+        """Count, mean and standard error of every check; one sample's sum
+        of squared deviations is 0, and so is its standard error."""
+        parts = [p for p in self._levels if p is not None]
+        n, mean, m2 = parts[0]
+        for part in parts[1:]:
+            n, mean, m2 = _merge(part, (n, mean, m2))
+        return n, mean, np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n)
+
+    def checks(self, names, theories) -> list[MomentCheck]:
+        """One z-check per name, in the order of the flattened leading axes
+        of the chunks."""
+        n, mean, se = self.result()
+        out = []
+        for name, theory, mu, s in zip(names, theories, np.ravel(mean).tolist(), np.ravel(se).tolist()):
+            z = (mu - theory) / s if s > 0 else 0.0
+            out.append(MomentCheck(name=name, mc_mean=mu, std_error=s, theory=theory, z=z, samples=n))
+        return out
+
+
+# the largest --replications and --samples: every experiment runs in fixed
+# memory, so a run this size takes minutes to hours, and a typo such as 1e12
+# would otherwise run for days
+_MAX_SAMPLES = 100_000_000
+
+
+def _check_replications(replications: int) -> None:
+    if not 1 <= replications <= _MAX_SAMPLES:
+        raise ParameterError(f"replications must be >= 1 and at most {_MAX_SAMPLES}, got {replications}")
+
+
 # ---------------------------------------------------------------------------
 # vectorized window engine
 
@@ -133,10 +209,11 @@ _CHUNK_DRAWS = 1 << 15
 
 def _window_batches(n_windows: int, lambda_rate: float, horizon: float):
     """Start and row count of each batch of ``n_windows`` windows over
-    [0, horizon]."""
+    [0, horizon].  The batches are sized on the call, so a window wider than
+    the cap of ``mobility._expected_waypoints`` fails before anything is
+    drawn."""
     rows = block_rows(lambda_rate, horizon, _WINDOW_BATCH, _CHUNK_DRAWS)
-    for done in range(0, n_windows, rows):
-        yield done, min(rows, n_windows - done)
+    return ((done, min(rows, n_windows - done)) for done in range(0, n_windows, rows))
 
 
 def sample_window_mean_errors(
@@ -145,10 +222,10 @@ def sample_window_mean_errors(
     sigma: float,
     T: float,
     n_windows: int,
-) -> np.ndarray:
+):
     """Squared interpolation error of each of ``n_windows`` windows,
-    averaged over the velocities and a uniform query time: shape
-    (n_windows,).
+    averaged over the velocities and a uniform query time: one array per
+    batch of ``_window_batches``, shape (rows,), drawn when it is taken.
 
     Each window is localized exactly at 0 and T and a query at t is
     answered with the straight line between the two fixes.  Only the leg
@@ -172,8 +249,8 @@ def sample_window_mean_errors(
     count experiment, and by a test that holds the timer protocol on whole
     paths to the closed-form average.
     """
-    out = np.empty(n_windows)
-    for done, m in _window_batches(n_windows, lambda_rate, T):
+    scale = 2.0 * (sigma * T) ** 2 / 3.0
+    for _, m in _window_batches(n_windows, lambda_rate, T):
         # drawn in units of T, so a batch holds four (m, legs) matrices
         a, s, _ = _window_durations(rng, lambda_rate * T, 1.0, m)
         r = np.subtract(1.0, s)
@@ -185,9 +262,9 @@ def sample_window_mean_errors(
         np.square(r, out=tmp)
         s += tmp
         s *= np.square(a, out=a)
-        s.sum(axis=1, out=out[done : done + m])
-    out *= 2.0 * (sigma * T) ** 2 / 3.0
-    return out
+        out = s.sum(axis=1)
+        out *= scale
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -387,43 +464,23 @@ def run_dvm_block(block: TrajectoryBlock, configs, query_times, bootstrap_interv
 # error-vs-count experiment
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorTable:
-    """Error records as columns: row i is one query evaluation of one
-    protocol in one replication."""
+class ChunkRecords(NamedTuple):
+    """Error records of one chunk of replications: protocol ``protocols[p]``
+    answered query j of replication ``replications[i]``, at
+    ``query_times[i, j]``, with squared error ``sq_error[i, p, j]``, and
+    localized ``localization_count[i, p]`` times in that replication."""
 
-    protocol: np.ndarray
-    replication_index: np.ndarray
-    query_time: np.ndarray
-    sq_error: np.ndarray
-    abs_error: np.ndarray
+    protocols: tuple[str, ...]
+    replications: np.ndarray
+    query_times: np.ndarray
     localization_count: np.ndarray
-
-    @property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self))
-
-    @classmethod
-    def concat(cls, tables) -> ErrorTable:
-        tables = list(tables)
-        if not tables:
-            return cls(*(np.empty(0, dtype) for dtype in (str, np.int64, float, float, float, np.int64)))
-        return cls(*(np.concatenate(cols) for cols in zip(*(t.columns for t in tables))))
-
-    def __len__(self) -> int:
-        return len(self.sq_error)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ErrorTable):
-            return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns))
+    sq_error: np.ndarray
 
 
-def collect_error_records(
-    model: ModelParams, replications: int, queries: int, protocols=("MAINT", "MADRD")
-) -> ErrorTable:
-    """Run every given protocol over fresh trajectories and record one
-    error sample per query.
+def error_chunks(model: ModelParams, replications: int, queries: int, protocols=("MAINT", "MADRD")):
+    """Run every given protocol over fresh trajectories and yield their
+    error records, one ``ChunkRecords`` per chunk of replications, drawn when
+    it is taken.
 
     Per replication: take its path, draw ``queries`` query times uniformly
     on [0, span], and give every protocol the same path and queries.  Truth
@@ -436,21 +493,20 @@ def collect_error_records(
     each chunk goes through the block-batched runners whole; the chunk size
     keeps a chunk's legs near ``mobility._BLOCK_LEGS`` entries (its rows
     times a high quantile of a row's leg count) unless it holds a single
-    row.  Records
-    come in replication order, then protocol order (MAINT, MADRD, SFR, DVM),
-    then query order, so the number of replications does not change the
-    records of a replication or their place in the table.
+    row.  Chunks come in replication order and protocols in the order
+    MAINT, MADRD, SFR, DVM, so the number of replications does not change
+    the records of a replication or their place in the stream.  The
+    arguments are checked before anything is drawn.
     """
-    if replications < 1:
-        raise ParameterError(f"replications must be >= 1, got {replications}")
+    _check_replications(replications)
     if queries < 1:
         raise ParameterError(f"queries must be >= 1, got {queries}")
     unknown = [p for p in protocols if p not in KNOWN_PROTOCOLS]
     if unknown:
         raise ParameterError(f"unknown protocols: {unknown}; known: {KNOWN_PROTOCOLS}")
-    protos = [p for p in KNOWN_PROTOCOLS if p in protocols]
+    protos = tuple(p for p in KNOWN_PROTOCOLS if p in protocols)
     if not protos:
-        return ErrorTable.concat([])
+        return
     if "MAINT" in protos:
         for p in MAINT_PERIODS:
             n = math.floor(model.span / p * (1.0 + 1e-12))
@@ -459,9 +515,7 @@ def collect_error_records(
                     f"maint period {p} does not divide span {model.span}; "
                     "late queries could never be bracketed"
                 )
-    protocol_column = np.repeat(np.array(protos), queries)
     rows_per_chunk = chunk_rows(model)
-    tables: list[ErrorTable] = []
     for first in range(0, replications, rows_per_chunk):
         paths, rng = replication_chunk(model, first // rows_per_chunk)
         qts = rng.uniform(0.0, model.span, (rows_per_chunk, queries))
@@ -481,50 +535,48 @@ def collect_error_records(
         est = np.stack([e for e, _ in runs], axis=1)  # (rows, protocols, queries, 2)
         ex = est[..., 0] - tx[:, None, :]
         ey = est[..., 1] - ty[:, None, :]
-        sq = (ex * ex + ey * ey).ravel()
         calls = np.stack([c for _, c in runs], axis=1)
-        tables.append(
-            ErrorTable(
-                protocol=np.tile(protocol_column, len(rows)),
-                replication_index=np.repeat(rows, len(protocol_column)),
-                query_time=np.repeat(qts, len(protos), axis=0).ravel(),
-                sq_error=sq,
-                abs_error=np.sqrt(sq),
-                localization_count=np.repeat(calls.ravel(), queries),
-            )
-        )
-    return ErrorTable.concat(tables)
+        yield ChunkRecords(protos, rows, qts, calls, ex * ex + ey * ey)
 
 
-def bin_records(table: ErrorTable) -> dict[str, list[BinnedResult]]:
-    """Group the records of a table by (protocol, localization count) and
-    aggregate.
+def bin_records(chunks) -> dict[str, list[BinnedResult]]:
+    """Group the records of ``chunks`` by (protocol, localization count) and
+    aggregate the squared and the absolute error of every group.
 
-    Pure function of the record multiset: every bin sums its values in
-    sorted order, so permuting the rows changes nothing.  Empty bins
-    simply do not appear.
+    The fold of the count experiment: each chunk is reduced at once, by one
+    grouping of its records, to every bin's count, mean and sum of squared
+    deviations, and these are merged into the bin's running ones in chunk
+    order.  So only one chunk is held at a time, and the result depends on
+    the records and on their split into chunks, which the model fixes.
+    Empty bins simply do not appear.
     """
-    if not len(table):
-        return {}
-    names, codes = np.unique(table.protocol, return_inverse=True)
-    order = np.lexsort((table.sq_error, table.localization_count, codes))
-    codes, counts = codes[order], table.localization_count[order]
-    sq_sorted, ab_all = table.sq_error[order], table.abs_error[order]
-    cuts = np.flatnonzero((codes[1:] != codes[:-1]) | (counts[1:] != counts[:-1])) + 1
-    bounds = np.concatenate([[0], cuts, [len(table)]])
+    bins: dict[tuple[str, int], _Moments] = {}
+    for chunk in chunks:
+        calls, sq = chunk.localization_count, chunk.sq_error.ravel()
+        width = int(calls.max()) + 1
+        keys, pair_bin = np.unique((calls + width * np.arange(calls.shape[1])).ravel(), return_inverse=True)
+        queries = chunk.sq_error.shape[2]
+        record_bin = np.repeat(pair_bin, queries)
+        counts = np.bincount(pair_bin, minlength=len(keys)) * queries
+        values = np.stack([sq, np.sqrt(sq)])
+        mean = np.stack([np.bincount(record_bin, v, len(keys)) for v in values]) / counts
+        values -= mean[:, record_bin]
+        np.square(values, out=values)
+        m2 = np.stack([np.bincount(record_bin, v, len(keys)) for v in values])
+        for key, n, part_mean, part_m2 in zip(keys.tolist(), counts.tolist(), mean.T, m2.T):
+            protocol = chunk.protocols[key // width]
+            bins.setdefault((protocol, key % width), _Moments()).merge((n, part_mean, part_m2))
     out: dict[str, list[BinnedResult]] = {}
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        sq = sq_sorted[lo:hi]
-        ab = np.sort(ab_all[lo:hi])
-        n = hi - lo
-        out.setdefault(str(names[codes[lo]]), []).append(
+    for (protocol, count), stats in sorted(bins.items()):
+        n, (mean_sq, mean_abs), (se_sq, se_abs) = stats.result()
+        out.setdefault(protocol, []).append(
             BinnedResult(
-                key=int(counts[lo]),
-                mean_sq_error=float(sq.mean()),
-                mean_abs_error=float(ab.mean()),
+                key=count,
+                mean_sq_error=float(mean_sq),
+                mean_abs_error=float(mean_abs),
                 sample_count=n,
-                standard_error=float(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-                standard_error_abs=float(ab.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+                standard_error=float(se_sq),
+                standard_error_abs=float(se_abs),
             )
         )
     return out
@@ -533,7 +585,7 @@ def bin_records(table: ErrorTable) -> dict[str, list[BinnedResult]]:
 def run_error_vs_count(model: ModelParams, replications: int, queries: int) -> dict[str, list[BinnedResult]]:
     """Error against localization count for the interpolation protocol and
     the dead-reckoning baseline over identical trajectories."""
-    return bin_records(collect_error_records(model, replications, queries))
+    return bin_records(error_chunks(model, replications, queries))
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +597,7 @@ def run_period_sweep(model: ModelParams, T_values, replications: int, ratio_C: f
     closed-form average; one window per replication, timer-style fixes at 0
     and T.  With ``ratio_C`` set, the waypoint rate is tied to the period
     (lambda = T/C, the constant-ratio sweep); otherwise it is the model's."""
-    if replications < 1:
-        raise ParameterError(f"replications must be >= 1, got {replications}")
+    _check_replications(replications)
     if ratio_C is not None and not (math.isfinite(ratio_C) and ratio_C > 0):
         raise ParameterError(f"ratio_C must be finite and > 0, got {ratio_C}")
     bad_T = [T for T in T_values if not (math.isfinite(T) and T > 0)]
@@ -560,15 +611,16 @@ def run_period_sweep(model: ModelParams, T_values, replications: int, ratio_C: f
         T = float(T)
         lam = model.lambda_rate if ratio_C is None else T / ratio_C
         rng = np.random.default_rng([model.seed, tag, i])
-        values = sample_window_mean_errors(rng, lam, model.sigma, T, replications)
-        n = len(values)
-        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        stats = _Moments()
+        for errors in sample_window_mean_errors(rng, lam, model.sigma, T, replications):
+            stats.add(errors)
+        n, mean, se = stats.result()
         points.append(
             PeriodPoint(
                 T=T,
                 lambda_rate=lam,
-                mean_sq_error=float(values.mean()),
-                std_error=se,
+                mean_sq_error=float(mean),
+                std_error=float(se),
                 samples=n,
                 theory=error_avg(model.sigma, lam, T),
             )
@@ -607,65 +659,9 @@ class MomentReport:
             yield (c.name, c.mc_mean, c.std_error, c.theory, c.z, c.samples)
 
 
-# the moment check's largest --samples: at its fixed memory a run this size
-# takes minutes, and a typo such as 1e12 would otherwise run for days
-_MAX_SAMPLES = 100_000_000
-# and its largest --n-max: the report holds 5 n_max^2 / 2 checks, which the
-# fixed-size chunks do not bound
+# the moment check's largest --n-max: the report holds 5 n_max^2 / 2 checks,
+# which the fixed-size chunks do not bound
 _MAX_N_MAX = 100
-
-
-def _merge(a, b):
-    """Count, mean and sum of squared deviations of two sample sets joined
-    (Chan, Golub and LeVeque, *Am. Stat.* 37(3), 1983); means and sums may
-    be arrays, one entry per check."""
-    na, ma, qa = a
-    nb, mb, qb = b
-    n = na + nb
-    d = mb - ma
-    return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
-
-
-class _Moments:
-    """Count, mean and sum of squared deviations of a set of checks, fed a
-    chunk of samples at a time.
-
-    Each chunk's partial result is merged pairwise, as a binary counter
-    carries: a partial merges with another of its own level, so every mean
-    and sum is built up as a balanced tree of chunks.
-    """
-
-    def __init__(self) -> None:
-        self._levels: list = []
-
-    def add(self, values: np.ndarray) -> None:
-        """Take ``values`` (..., m), m samples of every check; the buffer is
-        overwritten."""
-        mean = values.mean(axis=-1)
-        values -= mean[..., None]
-        part = (values.shape[-1], mean, np.square(values, out=values).sum(axis=-1))
-        level = 0
-        while level < len(self._levels) and self._levels[level] is not None:
-            part = _merge(self._levels[level], part)
-            self._levels[level] = None
-            level += 1
-        if level == len(self._levels):
-            self._levels.append(None)
-        self._levels[level] = part
-
-    def checks(self, names, theories) -> list[MomentCheck]:
-        """One z-check per name, in the order of the flattened leading axes
-        of the chunks."""
-        parts = [p for p in self._levels if p is not None]
-        n, mean, m2 = parts[0]
-        for part in parts[1:]:
-            n, mean, m2 = _merge(part, (n, mean, m2))
-        out = []
-        for name, theory, mu, q in zip(names, theories, np.ravel(mean).tolist(), np.ravel(m2).tolist()):
-            se = math.sqrt(q / (n - 1)) / math.sqrt(n)
-            z = (mu - theory) / se if se > 0 else 0.0
-            out.append(MomentCheck(name=name, mc_mean=mu, std_error=se, theory=theory, z=z, samples=n))
-        return out
 
 
 def _chunks(samples: int, width: int):
@@ -723,6 +719,8 @@ def validate_conditional_moments(
         raise ParameterError(f"samples must be >= 10000 and at most {_MAX_SAMPLES}, got {samples}")
     if not 1 <= n_max <= _MAX_N_MAX:
         raise ParameterError(f"n_max must be >= 1 and at most {_MAX_N_MAX}, got {n_max}")
+    # sized first, so a lambda * T above the cap fails before any draw
+    window_batches = _window_batches(samples, lambda_rate, T)
     rng = np.random.default_rng([seed, _STREAM_MOMENTS])
     report = MomentReport()
     var = sigma * sigma
@@ -781,7 +779,7 @@ def validate_conditional_moments(
     # contribute samples), and the interpolation error over both
     quarter = T / 4.0
     per_coordinate, errors = _Moments(), _Moments()
-    for _, m in _window_batches(samples, lambda_rate, T):
+    for _, m in window_batches:
         block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
         x, y = block.position(np.broadcast_to((quarter, t, T), (m, 3)))
         at_q, at_t, at_T = np.moveaxis(np.stack([x, y]), -1, 0)  # each (coordinate, window)

@@ -211,6 +211,21 @@ class TestSimulate:
         assert run(["simulate", "moments", "--out", str(out)]) == EXIT_VALIDATION
         assert out.exists()
 
+    def test_memory_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        # a run that still needs more memory than is available: one line,
+        # exit 2 and no file
+        import maintsim.montecarlo
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(maintsim.montecarlo, "run_period_sweep", exhausted)
+        out = tmp_path / "f.csv"
+        assert run(["simulate", "fig5", *self.FAST_FIG5, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "needs more memory than is available" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_unknown_experiment_is_usage_error(self):
         assert run(["simulate", "fig9"]) == EXIT_USAGE
 
@@ -346,19 +361,15 @@ def test_oversized_grid_range_exits_two(tmp_path, spec):
     assert not (tmp_path / "g.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "fig5", "--replications", "1000000000"],
-        ["simulate", "fig6", "--replications", "1000000000"],
-    ],
-)
-def test_allocation_failure_exits_two(tmp_path, argv):
-    # both sweeps fail on their first large allocation under the 1 GiB cap
+@pytest.mark.parametrize("experiment", ["fig4", "fig5", "fig6"])
+def test_replication_cap_exits_two(tmp_path, experiment):
+    # every experiment folds its samples in fixed memory, so an oversized
+    # run would not fail on allocation but run for hours: --replications
+    # is capped as --samples is
     out = tmp_path / "big.csv"
-    proc = run_capped_child([*argv, "--out", str(out)])
+    proc = run_capped_child(["simulate", experiment, "--replications", "1000000000", "--out", str(out)])
     assert proc.returncode == EXIT_VALIDATION
-    assert "needs more memory than is available" in proc.stderr
+    assert "at most 100000000" in proc.stderr
     assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
     assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
 

@@ -30,9 +30,9 @@ from maintsim.montecarlo import (
     DVM_CONFIG,
     MADRD_CONFIGS,
     MAINT_PERIODS,
-    ErrorTable,
+    ChunkRecords,
     bin_records,
-    collect_error_records,
+    error_chunks,
     run_dvm_block,
     run_error_vs_count,
     run_madrd_block,
@@ -215,11 +215,17 @@ def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootst
             np.testing.assert_allclose(b_est[i], est, rtol=rtol, atol=0.0, err_msg=f"{name} row {i}")
 
 
-def table_rows(table):
-    """(protocol, replication, query time, squared error, calls) rows of an
-    ``ErrorTable``, as Python values."""
-    columns = (table.protocol, table.replication_index, table.query_time, table.sq_error, table.localization_count)
-    return list(zip(*(col.tolist() for col in columns)))
+def record_rows(chunks):
+    """(protocol, replication, query time, squared error, calls) rows of
+    ``ChunkRecords``, as Python values, in stream order: replication, then
+    protocol, then query."""
+    rows = []
+    for c in chunks:
+        columns = (c.replications, c.query_times, c.localization_count, c.sq_error)
+        for r, qts, calls, sq in zip(*(col.tolist() for col in columns)):
+            for name, n, errors in zip(c.protocols, calls, sq):
+                rows += [(name, r, q, e, n) for q, e in zip(qts, errors)]
+    return rows
 
 
 def scalar_records(model, replications, queries, protocols):
@@ -331,9 +337,8 @@ class TestBlockRunners:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_records_match_scalar_loop(self, seed):
         model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=seed, span=100.0)
-        table = collect_error_records(model, 40, 2, ALL_PROTOCOLS)
         expected = sorted(scalar_records(model, 40, 2, ALL_PROTOCOLS))
-        got = sorted(table_rows(table))
+        got = sorted(record_rows(error_chunks(model, 40, 2, ALL_PROTOCOLS)))
         assert len(got) == len(expected) == 4 * 40 * 2
         for g, e in zip(got, expected):
             assert g[:3] == e[:3] and g[4] == e[4]
@@ -356,10 +361,11 @@ class TestBlockRunners:
     def test_replication_count_does_not_change_earlier_records(self):
         # the last chunk is drawn in full and cut, so a longer run repeats a
         # shorter one's records as its prefix
-        small = collect_error_records(MODEL, 300, 2)
-        big = collect_error_records(MODEL, 1000, 2)
-        assert ErrorTable(*(col[: len(small)] for col in big.columns)) == small
-        assert np.array_equal(np.unique(small.replication_index), np.arange(300))
+        small = list(error_chunks(MODEL, 300, 2))
+        big = list(error_chunks(MODEL, 1000, 2))
+        assert len(small) == 2 and len(big) == 4
+        assert record_rows(big)[: 2 * 300 * 2] == record_rows(small)
+        assert np.array_equal(np.concatenate([c.replications for c in small]), np.arange(300))
 
     def test_blocks_cap_padded_legs(self):
         # about 1000 legs per trajectory: a chunk holds far fewer than 256
@@ -369,8 +375,8 @@ class TestBlockRunners:
         paths, _ = replication_chunk(model, 0)
         assert 1 < rows < 256 and len(paths) == rows
         assert paths.start_times.size <= _BLOCK_LEGS
-        table = collect_error_records(model, rows + 5, 1)
-        assert np.array_equal(np.unique(table.replication_index), np.arange(rows + 5))
+        chunks = error_chunks(model, rows + 5, 1)
+        assert np.array_equal(np.concatenate([c.replications for c in chunks]), np.arange(rows + 5))
 
 
 class TestPeriodSweep:
@@ -404,6 +410,14 @@ class TestPeriodSweep:
         with pytest.raises(ParameterError):
             run_period_sweep(MODEL, (), 100)
 
+    def test_memory_does_not_grow_with_short_windows(self):
+        # 20 full batches against about a hundred: a vector of every
+        # window's value would grow by 8 bytes a window, 2.5 MB here
+        run_period_sweep(MODEL, (20.0,), 10)  # keep one-time imports out of the peak
+        sizes = (20 * _WINDOW_BATCH, 400_000)
+        peaks = [peak for _, peak in traced_memory(*(lambda n=n: run_period_sweep(MODEL, (20.0,), n) for n in sizes))]
+        assert abs(peaks[1] - peaks[0]) <= 1 << 19, peaks
+
 
 class TestAsymptoticSweep:
     def test_lambda_tied_to_period(self):
@@ -419,19 +433,17 @@ class TestErrorVsCount:
     RUN = dict(model=MODEL, replications=1200, queries=1)
 
     def test_record_invariants(self):
-        table = collect_error_records(**self.RUN)
-        assert set(table.protocol.tolist()) == {"MAINT", "MADRD"}
-        head = slice(0, 500)
-        for sq_error, abs_error, count, query_time in zip(
-            table.sq_error[head], table.abs_error[head], table.localization_count[head], table.query_time[head]
-        ):
-            assert sq_error == pytest.approx(abs_error**2, rel=1e-12)
-            assert count >= 1
-            assert 0.0 <= query_time <= MODEL.span
+        chunks = list(error_chunks(**self.RUN))
+        assert all(c.protocols == ("MAINT", "MADRD") for c in chunks)
+        for c in chunks:
+            rows = len(c.replications)
+            assert c.query_times.shape == (rows, 1) and c.localization_count.shape == (rows, 2)
+            assert c.sq_error.shape == (rows, 2, 1) and np.all(c.sq_error >= 0.0)
+            assert np.all(c.localization_count >= 1)
+            assert np.all((0.0 <= c.query_times) & (c.query_times <= MODEL.span))
 
     def test_truth_is_the_trajectory_position(self):
-        table = collect_error_records(**self.RUN)
-        maint = [row for row in table_rows(table) if row[0] == "MAINT"][:40]
+        maint = [row for row in record_rows(error_chunks(**self.RUN)) if row[0] == "MAINT"][:40]
         # recompute the estimate independently and recover the recorded error
         for _, rep, query_time, sq_error, count in maint:
             traj = generate_trajectory(MODEL, rep)
@@ -442,14 +454,43 @@ class TestErrorVsCount:
             assert count == calls
             assert sq_error == pytest.approx(sq, rel=1e-9, abs=1e-15)
 
-    def test_binning_is_order_independent(self):
-        table = collect_error_records(**self.RUN)
-        order = np.random.default_rng(0).permutation(len(table))
-        shuffled = ErrorTable(*(col[order] for col in table.columns))
-        assert bin_records(table) == bin_records(shuffled)
+    def test_fold_matches_two_pass(self):
+        # three chunks of the four protocols at two queries a replication,
+        # then a chunk of one replication and one query whose counts no
+        # other record has: every bin of the fold against a two-pass mean
+        # and standard error over the concatenated records
+        chunks = list(error_chunks(MODEL, 600, 2, ALL_PROTOCOLS))
+        calls = np.array([[10_000, 10_001, 10_002, 10_003]])
+        sq = np.array([[[4.0], [0.25], [9.0], [0.0]]])
+        chunks.append(ChunkRecords(ALL_PROTOCOLS, np.array([600]), np.array([[50.0]]), calls, sq))
+        assert len(chunks) == 4
+        groups = {}
+        for name, _, _, error, count in record_rows(chunks):
+            groups.setdefault((name, count), []).append(error)
+        got = {(name, b.key): b for name, results in bin_records(chunks).items() for b in results}
+        assert got.keys() == groups.keys()
+        for key, errors in groups.items():
+            b, n = got[key], len(errors)
+            sq_errors = np.array(errors)
+            assert b.sample_count == n
+            for x, mean, se in ((sq_errors, b.mean_sq_error, b.standard_error),
+                                (np.sqrt(sq_errors), b.mean_abs_error, b.standard_error_abs)):
+                assert mean == pytest.approx(x.mean(), rel=1e-12, abs=0.0), key
+                want = x.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+                assert se == pytest.approx(want, rel=1e-12, abs=0.0), key
+        assert sum(b.sample_count == 1 for b in got.values()) >= 4
+
+    def test_one_sample_has_zero_standard_error(self):
+        (point,) = run_period_sweep(MODEL, (20.0,), 1)
+        assert point.samples == 1 and point.std_error == 0.0
+        bins = run_error_vs_count(MODEL, 1, 1)
+        assert [len(results) for results in bins.values()] == [1, 1]
+        for (b,) in bins.values():
+            assert b.sample_count == 1 and b.standard_error == 0.0 and b.standard_error_abs == 0.0
 
     def test_deterministic_rerun(self):
-        assert collect_error_records(**self.RUN) == collect_error_records(**self.RUN)
+        assert record_rows(error_chunks(**self.RUN)) == record_rows(error_chunks(**self.RUN))
+        assert run_error_vs_count(**self.RUN) == run_error_vs_count(**self.RUN)
 
     def test_empty_bins_omitted(self):
         bins = run_error_vs_count(**self.RUN)
@@ -476,21 +517,29 @@ class TestErrorVsCount:
             for b in results:
                 assert b.mean_sq_error < 1e-12
 
+    def test_memory_does_not_grow_with_replications(self):
+        # the fold holds one chunk of records and a few merged moments a
+        # bin, so the traced peak is the same at 2 000 and at 20 000
+        # replications; a table of every record grew with them
+        run_error_vs_count(MODEL, 10, 1)  # keep one-time imports out of the peak
+        runs = (lambda n=n: run_error_vs_count(MODEL, n, 1) for n in (2000, 20_000))
+        peaks = [peak for _, peak in traced_memory(*runs)]
+        assert abs(peaks[1] - peaks[0]) <= 1 << 19, peaks
+
     def test_rejects_non_divisor_period(self):
         # 2 s, the first period, does not divide a 33 s span
         model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=77, span=33.0)
         with pytest.raises(ParameterError, match="does not divide span"):
-            collect_error_records(model, 10, 1)
+            run_error_vs_count(model, 10, 1)
 
     def test_all_four_protocols_record(self):
-        table = collect_error_records(MODEL, 40, 1, ALL_PROTOCOLS)
-        assert set(table.protocol.tolist()) == {"MAINT", "MADRD", "SFR", "DVM"}
+        (chunk,) = error_chunks(MODEL, 40, 1, ALL_PROTOCOLS)
+        assert chunk.protocols == ALL_PROTOCOLS
+        assert chunk.localization_count.shape == (40, 4) and chunk.sq_error.shape == (40, 4, 1)
 
     def test_no_protocols_give_an_empty_table(self):
-        table = collect_error_records(MODEL, 100, 1, protocols=())
-        assert len(table) == 0
-        assert len(table.columns) == 6
-        assert bin_records(table) == {}
+        assert list(error_chunks(MODEL, 100, 1, protocols=())) == []
+        assert bin_records([]) == {}
 
 
 def _old_generate_trajectory(params, replication_index):
@@ -525,31 +574,20 @@ def _old_generate_trajectory(params, replication_index):
 def _old_layout_records(model, replications, n_q):
     """MAINT and MADRD records under the version 0.2 stream layout: each
     replication's own trajectory stream and a query stream keyed by
-    (seed, 101, replication), run through today's block runners."""
-    tables = []
+    (seed, 101, replication), run through today's block runners, as
+    ``ChunkRecords`` of 256 replications."""
     for first in range(0, replications, 256):
         rows = np.arange(first, min(replications, first + 256))
         legs = stack_block([_old_generate_trajectory(model, int(r)) for r in rows])
         qts = np.array([np.random.default_rng([model.seed, 101, r]).uniform(0.0, model.span, n_q) for r in rows])
         tx, ty = legs.position(qts)
         periods = np.array(MAINT_PERIODS)[rows % len(MAINT_PERIODS)]
-        runs = {
-            "MAINT": run_maint_timer_block(legs, periods, qts),
-            "MADRD": run_madrd_block(legs, [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in rows], qts),
-        }
-        for name, (est, calls) in runs.items():
-            sq = ((est[..., 0] - tx) ** 2 + (est[..., 1] - ty) ** 2).ravel()
-            tables.append(
-                ErrorTable(
-                    protocol=np.full(sq.size, name),
-                    replication_index=np.repeat(rows, n_q),
-                    query_time=qts.ravel(),
-                    sq_error=sq,
-                    abs_error=np.sqrt(sq),
-                    localization_count=np.repeat(calls, n_q),
-                )
-            )
-    return ErrorTable.concat(tables)
+        runs = [
+            run_maint_timer_block(legs, periods, qts),
+            run_madrd_block(legs, [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in rows], qts),
+        ]
+        sq = np.stack([(est[..., 0] - tx) ** 2 + (est[..., 1] - ty) ** 2 for est, _ in runs], axis=1)
+        yield ChunkRecords(("MAINT", "MADRD"), rows, qts, np.stack([calls for _, calls in runs], axis=1), sq)
 
 
 class TestStreamLayout:
@@ -557,7 +595,7 @@ class TestStreamLayout:
         # a new stream layout changes the samples, not the distribution: every
         # bin with 30 samples on both sides agrees within |z| < 4
         model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=0, span=100.0)
-        new = bin_records(collect_error_records(model, 20000, 1))
+        new = bin_records(error_chunks(model, 20000, 1))
         old = bin_records(_old_layout_records(model, 20000, 1))
         compared = 0
         for proto in ("MAINT", "MADRD"):
@@ -742,10 +780,15 @@ def traced_memory(*calls):
     return out
 
 
+def window_errors(*args):
+    """Every batch of ``sample_window_mean_errors`` as one vector."""
+    return np.concatenate(list(sample_window_mean_errors(*args)))
+
+
 class TestWindowEngine:
     def test_reproducible_given_generator_state(self):
-        a = sample_window_mean_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500)
-        b = sample_window_mean_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500)
+        a = window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500)
+        b = window_errors(np.random.default_rng(9), 0.1, 5.0, 20.0, 500)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("lam,T", [(0.1, 20.0), (4.0, 200.0)])
@@ -769,13 +812,23 @@ class TestWindowEngine:
     def test_errors_follow_the_stream_contract(self):
         # two batches: the second draws after all of the first
         lam, sigma, T = 0.1, 5.0, 20.0
-        got = sample_window_mean_errors(np.random.default_rng(8), lam, sigma, T, _WINDOW_BATCH + 7)
+        got = list(sample_window_mean_errors(np.random.default_rng(8), lam, sigma, T, _WINDOW_BATCH + 7))
         rng = np.random.default_rng(8)
         want = [
             _oracle_window_mean_errors(*_plain_window_durations(rng, lam, T, m)[:2], sigma, T)
             for m in (_WINDOW_BATCH, 7)
         ]
-        np.testing.assert_allclose(got, np.concatenate(want), rtol=1e-9)
+        assert [len(g) for g in got] == [_WINDOW_BATCH, 7]
+        np.testing.assert_allclose(np.concatenate(got), np.concatenate(want), rtol=1e-9)
+        # the sweep folds the same batches: its mean and standard error are
+        # those of the values, to rounding
+        model = ModelParams(lambda_rate=lam, sigma=sigma, seed=8, span=100.0)
+        (point,) = run_period_sweep(model, (T,), _WINDOW_BATCH + 7)
+        rng = np.random.default_rng([8, montecarlo._STREAM_PERIOD, 0])
+        values = window_errors(rng, lam, sigma, T, _WINDOW_BATCH + 7)
+        assert point.samples == len(values)
+        assert point.mean_sq_error == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
+        assert point.std_error == pytest.approx(values.std(ddof=1) / math.sqrt(len(values)), rel=1e-12, abs=0.0)
 
     def test_positions_follow_the_stream_contract(self):
         lam, sigma, horizon, times = 0.5, 2.0, 8.0, (3.0, 8.0)
@@ -804,19 +857,21 @@ class TestWindowEngine:
     @pytest.mark.parametrize("lam,T", [(4.0, 200.0), (8.0, 400.0)])
     def test_memory_does_not_grow_with_windows(self, lam, T):
         # lambda * T = 800 and 3200: a batch's leg-count quantile holds at
-        # most the draw budget of durations, so the traced peak is the same
-        # at 300 and at 20 000 windows, less the 8-byte result per window;
-        # batches of 4096 windows peaked at about 230 MB at lambda * T = 800
-        sample_window_mean_errors(np.random.default_rng(0), lam, 10.0, T, 10)  # keep one-time imports out
-        peaks = [peak - kept for kept, peak in traced_memory(
-            *(lambda n=n: sample_window_mean_errors(np.random.default_rng(1), lam, 10.0, T, n) for n in (300, 20_000))
-        )]
+        # most the draw budget of durations, and the sweep folds each batch
+        # into running moments, so the traced peak is the same at 300 and
+        # at 20 000 windows; batches of 4096 windows peaked at about 230 MB
+        # at lambda * T = 800, and a vector of every window's value grew by
+        # 8 bytes a window
+        model = ModelParams(lambda_rate=lam, sigma=10.0, seed=1, span=100.0)
+        run_period_sweep(model, (T,), 10)  # keep one-time imports out
+        runs = (lambda n=n: run_period_sweep(model, (T,), n) for n in (300, 20_000))
+        peaks = [peak for _, peak in traced_memory(*runs)]
         assert abs(peaks[1] - peaks[0]) <= 1 << 19, peaks
         assert max(peaks) <= 4 << 20, peaks
 
     def test_mean_errors_draw_only_durations(self):
         rng = _Counting(np.random.default_rng(2))
-        sample_window_mean_errors(rng, 0.1, 5.0, 20.0, _WINDOW_BATCH + 7)
+        window_errors(rng, 0.1, 5.0, 20.0, _WINDOW_BATCH + 7)
         assert rng.poisson_sizes == [_WINDOW_BATCH, 7]
         assert len(rng.exponential_sizes) == 2
         assert rng.normals == 0 and rng.uniforms == 0
@@ -825,14 +880,14 @@ class TestWindowEngine:
     def test_waypoint_free_window_has_no_error(self, first):
         # no waypoint: one leg covers [0, T] exactly, whatever its
         # exponential
-        got = sample_window_mean_errors(_FixedLegs(0, [first, math.pi]), 1.0, 5.0, 10.0, 3)
+        got = window_errors(_FixedLegs(0, [first, math.pi]), 1.0, 5.0, 10.0, 3)
         assert np.array_equal(got, np.zeros(3))
 
     @pytest.mark.parametrize("w", [1e-3, 0.3, 5.0, 9.99])
     def test_one_waypoint_window_matches_quadrature(self, w):
         import mpmath  # in the test extra; only this test needs it
         sigma, T = 5.0, 10.0
-        (got,) = sample_window_mean_errors(_FixedLegs(1, [w, T - w]), 1.0, sigma, T, 1)
+        (got,) = window_errors(_FixedLegs(1, [w, T - w]), 1.0, sigma, T, 1)
         with mpmath.workdps(40):
             sigma_m, T_m, w_m = mpmath.mpf(sigma), mpmath.mpf(T), mpmath.mpf(w)
 
@@ -847,7 +902,7 @@ class TestWindowEngine:
     def test_per_leg_form_matches_midpoint_rule(self):
         lam, sigma, T, rows, n = 0.5, 3.0, 10.0, 8, 200_000
         gaps, starts, _ = _window_durations(np.random.default_rng(3), lam, T, rows)
-        got = sample_window_mean_errors(np.random.default_rng(3), lam, sigma, T, rows)
+        got = window_errors(np.random.default_rng(3), lam, sigma, T, rows)
         assert gaps.shape[1] > 3
         t = (np.arange(n) + 0.5) * (T / n)
         d = np.clip(T - starts, 0.0, gaps)
@@ -866,7 +921,7 @@ class TestWindowEngine:
         for T in np.arange(20.0, 201.0, 20.0):
             lam = rate(T)
             sampled = sample_window_errors(np.random.default_rng([1, int(T)]), lam, sigma, T, 2000, 20).mean(axis=1)
-            exact = sample_window_mean_errors(np.random.default_rng([2, int(T)]), lam, sigma, T, 2000)
+            exact = window_errors(np.random.default_rng([2, int(T)]), lam, sigma, T, 2000)
             se = math.hypot(*(v.std(ddof=1) / math.sqrt(v.size) for v in (sampled, exact)))
             assert abs(exact.mean() - sampled.mean()) < 4.0 * se, (T, exact.mean(), sampled.mean(), se)
 
@@ -940,7 +995,7 @@ class TestPoissonWindows:
         # agree, not the draws
         sigma, T = 5.0, 10.0
         lam, n = expected / T, (200_000 if expected < 1.0 else 20_000)
-        got = sample_window_mean_errors(np.random.default_rng([23, int(expected)]), lam, sigma, T, n)
+        got = window_errors(np.random.default_rng([23, int(expected)]), lam, sigma, T, n)
         rng = np.random.default_rng([24, int(expected)])
         want = np.concatenate([
             _oracle_window_mean_errors(*_oracle_window_durations(rng, lam, T, m), sigma, T)
@@ -991,6 +1046,15 @@ class TestMomentValidation:
         assert validate_conditional_moments(samples=10_001, n_max=1).checks[0].samples == 10_001
         with pytest.raises(ParameterError):
             validate_conditional_moments(samples=10_002, n_max=1)
+
+    def test_window_cap_fails_before_any_draw(self, monkeypatch):
+        # lambda * T above the window cap: the window batches are sized
+        # before the conditioned rows are drawn, so nothing is drawn
+        real_rng, made = np.random.default_rng, []
+        monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(_FailingDraws(real_rng(key))) or made[-1])
+        with pytest.raises(ParameterError, match="lambda times the window length"):
+            validate_conditional_moments(lambda_rate=1e300, samples=10_000)
+        assert sum(rng.calls for rng in made) == 0
 
     # the two parameter points of acceptance criterion 4, without their n_max
     POINTS = (
@@ -1283,11 +1347,11 @@ class _FailingDraws:
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ParameterError, match="replications must be >= 1"):
-            collect_error_records(MODEL, 0, 1)
+            run_error_vs_count(MODEL, 0, 1)
         with pytest.raises(ParameterError, match="queries must be >= 1"):
-            collect_error_records(MODEL, 10, 0)
+            run_error_vs_count(MODEL, 10, 0)
         with pytest.raises(ParameterError, match="unknown protocols"):
-            collect_error_records(MODEL, 10, 1, ("MAINT", "BOGUS"))
+            list(error_chunks(MODEL, 10, 1, ("MAINT", "BOGUS")))
         with pytest.raises(ParameterError, match="ratio_C must be finite"):
             run_period_sweep(MODEL, (20.0,), 10, ratio_C=0.0)
         with pytest.raises(ParameterError, match="every T must be finite"):
