@@ -3,6 +3,11 @@
 Two subcommands: ``theory`` evaluates the closed-form error curves onto a
 CSV grid, ``simulate`` runs a named experiment (fig4, fig5, fig6, moments)
 and writes its CSV plus a JSON manifest that pins seed and configuration.
+One table, ``_SETTINGS``, lists the settings that each theory mode and each
+experiment takes: every theory setting is required, every simulate setting
+has a default that a ``--config`` file and then a flag override.  A flag or
+config key that the command does not take, and a required one left unset,
+are usage errors.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 Every experiment runs in fixed memory, so ``--replications`` and
@@ -18,8 +23,8 @@ hands them to the CSV writer as columns.  This module imports only the
 standard library, the version and the exception types: ``theory`` loads
 numpy, ``analytic`` and ``output``, and ``simulate`` loads those and the
 simulation stack (``mobility``, ``montecarlo`` and, through it,
-``protocols``), each after its flags, config file and grids are checked.
-So ``--version``, ``--help`` and every usage error answer without numpy.
+``protocols``), each after its settings and grids are checked.  So
+``--version``, ``--help`` and every usage error answer without numpy.
 """
 
 from __future__ import annotations
@@ -127,11 +132,11 @@ def _build_parser() -> _Parser:
 
     theory = sub.add_parser("theory", help="evaluate closed-form error curves to CSV")
     theory.add_argument("--mode", required=True, choices=("error_t", "error_avg", "asymptote"))
-    theory.add_argument("--sigma", type=float, required=True)
+    theory.add_argument("--sigma", type=float)
     theory.add_argument("--lambda", dest="lambda_rate", type=float, help="waypoint rate (1/s)")
     theory.add_argument("--C", dest="ratio_C", type=float, help="constant T/lambda ratio")
     theory.add_argument("--T", help="period grid start:stop:step, list, or scalar")
-    theory.add_argument("--t", dest="t_grid", help="evaluation-time grid for error_t mode")
+    theory.add_argument("--t", help="evaluation-time grid for error_t mode")
     theory.add_argument("--out", help="output CSV path")
     theory.add_argument("--outdir", help="output directory (default $MAINTSIM_OUTDIR or .)")
 
@@ -141,8 +146,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--seed", type=int)
     sim.add_argument("--sigma", type=float)
     sim.add_argument("--lambda", dest="lambda_rate", type=float)
-    sim.add_argument("--span", type=float)
-    sim.add_argument("--T", help="period grid for fig5/fig6")
+    sim.add_argument("--span", type=float, help="simulated horizon of fig4")
+    sim.add_argument("--T", help="period grid of fig5 and fig6")
     sim.add_argument("--C", dest="ratio_C", type=float)
     sim.add_argument("--replications", type=int, help="replications or windows per period, 1 to 10^8")
     sim.add_argument("--queries", type=int, help="query samples per replication (fig4)")
@@ -154,24 +159,64 @@ def _build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
+# settings
+
+
+# every setting that each theory mode and simulate experiment takes: a
+# simulate setting with its default, a theory setting as _REQUIRED.  A
+# setting's name is its flag's dest and its config key, and a config value
+# is parsed as its default's type.
+_REQUIRED = None
+_SETTINGS = {
+    "error_avg": dict(sigma=_REQUIRED, lambda_rate=_REQUIRED, T=_REQUIRED),
+    "error_t": dict(sigma=_REQUIRED, lambda_rate=_REQUIRED, T=_REQUIRED, t=_REQUIRED),
+    "asymptote": dict(sigma=_REQUIRED, ratio_C=_REQUIRED, T=_REQUIRED),
+    "fig4": dict(sigma=5.0, lambda_rate=0.1, span=100.0, seed=0, replications=10000, queries=1),
+    "fig5": dict(sigma=5.0, lambda_rate=0.1, seed=0, replications=100, T="20:200:20"),
+    "fig6": dict(sigma=10.0, ratio_C=50.0, seed=0, replications=100, T="20:200:20"),
+    "moments": dict(sigma=5.0, lambda_rate=0.1, seed=0, samples=100000, n_max=6),
+}
+_SETTING_NAMES = sorted({key for takes in _SETTINGS.values() for key in takes})
+
+
+def _resolve_settings(name: str, args) -> dict:
+    """The settings of mode or experiment ``name``: its table entry,
+    overridden by the config file and then by flags.  A setting it does not
+    take and a required one left unset are usage errors."""
+    takes = _SETTINGS[name]
+    given = read_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {key: getattr(args, key) for key in _SETTING_NAMES if getattr(args, key, None) is not None}
+    unused = sorted((given.keys() | flags.keys()) - takes.keys())
+    if unused:
+        raise _UsageError(f"{name} does not take {', '.join(unused)}; it takes {', '.join(sorted(takes))}")
+    for key, raw in given.items():
+        kind = type(takes[key])
+        try:
+            given[key] = kind(raw)
+        except ValueError:
+            raise _UsageError(f"config value {raw!r} of {key!r} is not a valid {kind.__name__}") from None
+    settings = {**takes, **given, **flags}
+    missing = [key for key, value in settings.items() if value is _REQUIRED]
+    if missing:
+        raise _UsageError(f"{name} needs {', '.join(missing)}")
+    return settings
+
+
+# ---------------------------------------------------------------------------
 # theory
 
 
 def cmd_theory(args) -> int:
     mode = args.mode
-    if mode == "error_avg" and (args.lambda_rate is None or args.T is None):
-        raise _UsageError("error_avg mode needs --lambda and --T")
-    if mode == "error_t" and (args.lambda_rate is None or args.T is None or args.t_grid is None):
-        raise _UsageError("error_t mode needs --lambda, a scalar --T and --t")
-    if mode == "asymptote" and (args.ratio_C is None or args.T is None):
-        raise _UsageError("asymptote mode needs --C and --T")
+    settings = _resolve_settings(mode, args)
+    sigma, lam, ratio_C = settings["sigma"], settings.get("lambda_rate"), settings.get("ratio_C")
     # the grids are read once here, before numpy loads, so that a usage
     # error never pays for it; parse_grid reads them again below
-    T_spec = _read_grid(args.T)
+    T_spec = _read_grid(settings["T"])
     if mode == "error_t":
         if (T_spec[2] if isinstance(T_spec, tuple) else len(T_spec)) != 1:
             raise _UsageError("error_t mode takes a scalar --T")
-        _read_grid(args.t_grid)
+        _read_grid(settings["t"])
 
     import numpy as np
 
@@ -179,30 +224,27 @@ def cmd_theory(args) -> int:
     from .output import write_csv
 
     out = args.out or os.path.join(_outdir(args), f"theory_{mode}.csv")
-    meta = {"mode": mode, "sigma": args.sigma, "tool": f"maintsim {__version__}"}
+    meta = {"mode": mode, "sigma": sigma, "tool": f"maintsim {__version__}"}
 
     if mode == "error_avg":
-        T_grid = parse_grid(args.T)
-        meta["lambda"] = args.lambda_rate
+        T_grid = parse_grid(settings["T"])
+        meta["lambda"] = lam
         n = len(T_grid)
-        errors = error_avg(args.sigma, args.lambda_rate, T_grid)
-        columns = (T_grid, np.full(n, args.lambda_rate), np.full(n, args.sigma), errors)
+        columns = (T_grid, np.full(n, lam), np.full(n, sigma), error_avg(sigma, lam, T_grid))
         header = ["T", "lambda", "sigma", "error_avg"]
     elif mode == "error_t":
-        T = float(parse_grid(args.T)[0])
-        meta["lambda"] = args.lambda_rate
-        meta["T"] = T
-        t_grid = parse_grid(args.t_grid)
-        columns = (t_grid, error_at(args.sigma, args.lambda_rate, T, t_grid))
+        T = float(parse_grid(settings["T"])[0])
+        meta["lambda"], meta["T"] = lam, T
+        t_grid = parse_grid(settings["t"])
+        columns = (t_grid, error_at(sigma, lam, T, t_grid))
         header = ["t", "error_t"]
     else:  # asymptote
-        limit = error_asymptote(args.sigma, args.ratio_C)
-        meta["C"] = args.ratio_C
-        T_grid = parse_grid(args.T)
+        limit = error_asymptote(sigma, ratio_C)
+        meta["C"] = ratio_C
+        T_grid = parse_grid(settings["T"])
         n = len(T_grid)
-        lam = T_grid / args.ratio_C
-        errors = error_avg(args.sigma, lam, T_grid)
-        columns = (T_grid, lam, np.full(n, args.sigma), errors, np.full(n, limit))
+        lam = T_grid / ratio_C
+        columns = (T_grid, lam, np.full(n, sigma), error_avg(sigma, lam, T_grid), np.full(n, limit))
         header = ["T", "lambda", "sigma", "error_avg", "asymptote"]
 
     count = write_csv(out, header, columns, meta)
@@ -214,60 +256,11 @@ def cmd_theory(args) -> int:
 # simulate
 
 
-_DEFAULTS = {
-    "fig4": dict(sigma=5.0, lambda_rate=0.1, span=100.0, seed=0, replications=10000, queries=1),
-    "fig5": dict(sigma=5.0, lambda_rate=0.1, span=100.0, seed=0, replications=100, T="20:200:20"),
-    "fig6": dict(sigma=10.0, lambda_rate=0.1, span=100.0, seed=0, replications=100, T="20:200:20", ratio_C=50.0),
-    "moments": dict(
-        sigma=5.0, lambda_rate=0.1, span=100.0, seed=0, samples=100000, n_max=6,
-    ),
-}
-
-_CONFIG_TYPES = {
-    "sigma": float,
-    "lambda_rate": float,
-    "span": float,
-    "seed": int,
-    "replications": int,
-    "queries": int,
-    "samples": int,
-    "n_max": int,
-    "ratio_C": float,
-    "T": str,
-}
-
-
-def _resolve_settings(args) -> dict:
-    """The experiment's defaults, overridden by the config file and then by
-    flags; a setting the experiment does not use is a usage error."""
-    settings = dict(_DEFAULTS[args.experiment])
-    given = {}
-    if args.config:
-        for key, raw in read_config_file(args.config).items():
-            if key not in _CONFIG_TYPES:
-                raise _UsageError(f"unknown config key {key!r}")
-            try:
-                given[key] = _CONFIG_TYPES[key](raw)
-            except ValueError:
-                kind = _CONFIG_TYPES[key].__name__
-                raise _UsageError(f"config value {raw!r} of {key!r} is not a valid {kind}") from None
-    for key in _CONFIG_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            given[key] = flag
-    unused = sorted(given.keys() - settings.keys())
-    if unused:
-        takes = ", ".join(sorted(settings))
-        raise _UsageError(f"{args.experiment} does not use {', '.join(unused)}; it takes {takes}")
-    settings.update(given)
-    return settings
-
-
 def cmd_simulate(args) -> int:
-    settings = _resolve_settings(args)
     experiment = args.experiment
-    if experiment in ("fig5", "fig6"):
-        _read_grid(str(settings["T"]))  # a usage error before numpy loads
+    settings = _resolve_settings(experiment, args)
+    if "T" in settings:
+        _read_grid(settings["T"])  # a usage error before numpy loads
     # imported here, not at the top: only simulate uses the simulation
     # stack, and loading it costs every CLI start tens of ms
     from .analytic import error_asymptote
@@ -276,30 +269,32 @@ def cmd_simulate(args) -> int:
     from .output import RunManifest, write_csv, write_manifest
 
     out = args.out or os.path.join(_outdir(args), f"{experiment}.csv")
-    model = ModelParams(
-        lambda_rate=settings["lambda_rate"],
-        sigma=settings["sigma"],
-        seed=settings["seed"],
-        span=settings["span"],
-    )
     meta = dict(sorted(settings.items()))
     meta["experiment"] = experiment
     meta["tool"] = f"maintsim {__version__}"
+    sigma, seed = settings["sigma"], settings["seed"]
     status = EXIT_OK
 
     if experiment in ("fig5", "fig6"):
-        T_values = parse_grid(str(settings["T"])).tolist()
-        points = run_period_sweep(model, T_values, settings["replications"], settings.get("ratio_C"))
+        points = run_period_sweep(
+            sigma,
+            seed,
+            parse_grid(settings["T"]).tolist(),
+            settings["replications"],
+            lambda_rate=settings.get("lambda_rate"),
+            ratio_C=settings.get("ratio_C"),
+        )
         if experiment == "fig5":
             rows = [(p.T, p.mean_sq_error, p.std_error, p.samples, p.theory) for p in points]
             header = ["T", "mean_sq_error", "std_error", "samples", "theory_error_avg"]
         else:
-            limit = error_asymptote(model.sigma, settings["ratio_C"])
+            limit = error_asymptote(sigma, settings["ratio_C"])
             rows = [
                 (p.T, p.lambda_rate, p.mean_sq_error, p.std_error, p.samples, p.theory, limit) for p in points
             ]
             header = ["T", "lambda", "mean_sq_error", "std_error", "samples", "theory_error_avg", "asymptote"]
     elif experiment == "fig4":
+        model = ModelParams(lambda_rate=settings["lambda_rate"], sigma=sigma, seed=seed, span=settings["span"])
         bins = run_error_vs_count(model, settings["replications"], settings["queries"])
         rows = [
             (proto, b.key, b.sample_count, b.mean_sq_error, b.standard_error, b.mean_abs_error, b.standard_error_abs)
@@ -312,11 +307,11 @@ def cmd_simulate(args) -> int:
         ]
     else:  # moments
         report = validate_conditional_moments(
-            sigma=settings["sigma"],
+            sigma=sigma,
             lambda_rate=settings["lambda_rate"],
             n_max=settings["n_max"],
             samples=settings["samples"],
-            seed=settings["seed"],
+            seed=seed,
         )
         rows = list(report.rows())
         header = ["check", "mc_mean", "std_error", "theory", "z", "samples"]
@@ -325,11 +320,7 @@ def cmd_simulate(args) -> int:
 
     count = write_csv(out, header, list(zip(*rows)), meta)
     manifest = RunManifest(
-        experiment=experiment,
-        seed=settings["seed"],
-        config={k: (str(v) if isinstance(v, str) else v) for k, v in settings.items()},
-        outputs=(os.path.basename(out),),
-        tool_version=__version__,
+        experiment=experiment, seed=seed, config=settings, outputs=(os.path.basename(out),), tool_version=__version__
     )
     write_manifest(out + ".manifest.json", manifest)
     print(f"wrote {count} rows -> {out}")

@@ -36,6 +36,7 @@ only, not on how many replications a run asks for.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,12 +59,22 @@ class ModelParams:
     span: float
 
     def __post_init__(self) -> None:
-        for name in ("lambda_rate", "sigma", "span"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ParameterError(f"{name} must be finite and > 0, got {value}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_positive(lambda_rate=self.lambda_rate, sigma=self.sigma, span=self.span)
+        _check_seed(self.seed)
+
+
+def _check_positive(**values: float) -> None:
+    """Raise a ``ParameterError`` naming the first value that is not finite
+    and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_seed(seed) -> None:
+    # numpy's seed sequences take integers only
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
 
 
 # replication chunks: at most this many rows, fewer once a row's leg-count
@@ -81,9 +92,12 @@ _MAX_WINDOW_LEGS = 1e9
 
 def _expected_waypoints(lambda_rate: float, horizon: float) -> float:
     """lambda * horizon, the mean waypoint count of a window, once it is
-    checked against ``_MAX_WINDOW_LEGS``: every window is sized and drawn
-    through here, so a larger one fails before anything is allocated."""
+    checked to be non-negative and at most ``_MAX_WINDOW_LEGS``: every
+    window is sized and drawn through here, so any other fails before
+    anything is allocated."""
     expected = lambda_rate * horizon
+    if expected < 0:
+        raise ParameterError(f"lambda times the window length must be >= 0, got {expected:g}")
     if not expected <= _MAX_WINDOW_LEGS:
         raise ParameterError(f"lambda times the window length must be at most {_MAX_WINDOW_LEGS:g}, got {expected:g}")
     return expected

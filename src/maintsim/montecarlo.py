@@ -71,6 +71,8 @@ from .errors import ParameterError
 from .mobility import (
     ModelParams,
     TrajectoryBlock,
+    _check_positive,
+    _check_seed,
     _window_durations,
     block_rows,
     chunk_rows,
@@ -507,15 +509,14 @@ def error_chunks(model: ModelParams, replications: int, queries: int, protocols=
     protos = tuple(p for p in KNOWN_PROTOCOLS if p in protocols)
     if not protos:
         return
+    rows_per_chunk = chunk_rows(model)  # a window above the cap fails first
     if "MAINT" in protos:
-        for p in MAINT_PERIODS:
-            n = math.floor(model.span / p * (1.0 + 1e-12))
+        for p, n in zip(MAINT_PERIODS, _tick_counts(np.array(MAINT_PERIODS), model.span).tolist()):
             if abs(n * p - model.span) > 1e-9 * model.span:
                 raise ParameterError(
                     f"maint period {p} does not divide span {model.span}; "
                     "late queries could never be bracketed"
                 )
-    rows_per_chunk = chunk_rows(model)
     for first in range(0, replications, rows_per_chunk):
         paths, rng = replication_chunk(model, first // rows_per_chunk)
         qts = rng.uniform(0.0, model.span, (rows_per_chunk, queries))
@@ -592,38 +593,50 @@ def run_error_vs_count(model: ModelParams, replications: int, queries: int) -> d
 # period sweeps
 
 
-def run_period_sweep(model: ModelParams, T_values, replications: int, ratio_C: float | None = None) -> list[PeriodPoint]:
+def run_period_sweep(
+    sigma: float,
+    seed: int,
+    T_values,
+    replications: int,
+    *,
+    lambda_rate: float | None = None,
+    ratio_C: float | None = None,
+) -> list[PeriodPoint]:
     """Simulated mean squared error per localization period, paired with the
     closed-form average; one window per replication, timer-style fixes at 0
-    and T.  With ``ratio_C`` set, the waypoint rate is tied to the period
-    (lambda = T/C, the constant-ratio sweep); otherwise it is the model's."""
+    and T.  Exactly one of ``lambda_rate`` and ``ratio_C`` is given: a fixed
+    waypoint rate, or a rate tied to the period (lambda = T/C, the
+    constant-ratio sweep).  The arguments are checked before anything is
+    drawn."""
+    if (lambda_rate is None) == (ratio_C is None):
+        raise ParameterError("give exactly one of lambda_rate and ratio_C")
+    if ratio_C is None:
+        _check_positive(sigma=sigma, lambda_rate=lambda_rate)
+    else:
+        _check_positive(sigma=sigma, ratio_C=ratio_C)
+    _check_seed(seed)
     _check_replications(replications)
-    if ratio_C is not None and not (math.isfinite(ratio_C) and ratio_C > 0):
-        raise ParameterError(f"ratio_C must be finite and > 0, got {ratio_C}")
     bad_T = [T for T in T_values if not (math.isfinite(T) and T > 0)]
     if bad_T:
         raise ParameterError(f"every T must be finite and > 0, got {bad_T[0]}")
     if not T_values:
         raise ParameterError("T_values must be non-empty for a period sweep")
     tag = _STREAM_PERIOD if ratio_C is None else _STREAM_ASYMPTOTE
+    periods = [(float(T), lambda_rate if ratio_C is None else float(T) / ratio_C) for T in T_values]
+    # every period's window size and closed form are checked before the
+    # first draw
+    for T, lam in periods:
+        _window_batches(replications, lam, T)
+    theories = [error_avg(sigma, lam, T) for T, lam in periods]
     points = []
-    for i, T in enumerate(T_values):
-        T = float(T)
-        lam = model.lambda_rate if ratio_C is None else T / ratio_C
-        rng = np.random.default_rng([model.seed, tag, i])
+    for i, ((T, lam), theory) in enumerate(zip(periods, theories)):
+        rng = np.random.default_rng([seed, tag, i])
         stats = _Moments()
-        for errors in sample_window_mean_errors(rng, lam, model.sigma, T, replications):
+        for errors in sample_window_mean_errors(rng, lam, sigma, T, replications):
             stats.add(errors)
         n, mean, se = stats.result()
         points.append(
-            PeriodPoint(
-                T=T,
-                lambda_rate=lam,
-                mean_sq_error=float(mean),
-                std_error=float(se),
-                samples=n,
-                theory=error_avg(model.sigma, lam, T),
-            )
+            PeriodPoint(T=T, lambda_rate=lam, mean_sq_error=float(mean), std_error=float(se), samples=n, theory=theory)
         )
     return points
 
@@ -713,8 +726,13 @@ def validate_conditional_moments(
 
     Every quantity is drawn and checked a fixed-size chunk at a time and
     merged into running moments, so memory does not grow with ``samples``,
-    ``n_max`` or ``lambda_rate * T``.
+    ``n_max`` or ``lambda_rate * T``.  The arguments are checked before
+    anything is drawn.
     """
+    _check_positive(tau=tau, sigma=sigma, lambda_rate=lambda_rate, t=t, T=T)
+    if not t <= T:
+        raise ParameterError(f"t must lie in (0, T] = (0, {T}], got {t}")
+    _check_seed(seed)
     if not 10_000 <= samples <= _MAX_SAMPLES:
         raise ParameterError(f"samples must be >= 10000 and at most {_MAX_SAMPLES}, got {samples}")
     if not 1 <= n_max <= _MAX_N_MAX:

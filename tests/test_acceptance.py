@@ -45,8 +45,7 @@ def _report(num: int, description: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_period_sweep_matches_theory():
     started = time.perf_counter()
-    model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=SEED, span=100.0)
-    points = run_period_sweep(model, T_GRID, 25000)
+    points = run_period_sweep(5.0, SEED, T_GRID, 25000, lambda_rate=0.1)
     elapsed = time.perf_counter() - started
 
     reference = error_avg(5.0, 0.1, 100.0)
@@ -70,8 +69,7 @@ def test_criterion_1_period_sweep_matches_theory():
 
 def test_criterion_2_constant_ratio_sweep_reaches_asymptote():
     started = time.perf_counter()
-    model = ModelParams(lambda_rate=0.1, sigma=10.0, seed=SEED, span=100.0)
-    points = run_period_sweep(model, T_GRID, 8000, ratio_C=50.0)
+    points = run_period_sweep(10.0, SEED, T_GRID, 8000, ratio_C=50.0)
     elapsed = time.perf_counter() - started
 
     limit = error_asymptote(10.0, 50.0)

@@ -118,6 +118,26 @@ class TestTheory:
         assert run(["theory", "--mode", mode, "--sigma", "5", *flags, "--T", ",", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mode,flags,ignored",
+        [
+            ("error_avg", ["--lambda", "0.1", "--T", "100"], ["--C", "50"]),
+            ("error_avg", ["--lambda", "0.1", "--T", "100"], ["--t", "0:100:50"]),
+            ("error_t", ["--lambda", "0.1", "--T", "100", "--t", "0:100:50"], ["--C", "50"]),
+            ("asymptote", ["--C", "50", "--T", "100"], ["--lambda", "0.1"]),
+            ("asymptote", ["--C", "50", "--T", "100"], ["--t", "0:100:50"]),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_flag_the_mode_ignores_is_usage_error(self, tmp_path, capsys, mode, flags, ignored):
+        out = tmp_path / "x.csv"
+        argv = ["theory", "--mode", mode, "--sigma", "5", *flags, "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        out.unlink()
+        assert run([*argv, *ignored]) == EXIT_USAGE
+        assert "does not take" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validation_error_exit(self, tmp_path):
         out = tmp_path / "x.csv"
         code = run(["theory", "--mode", "error_avg", "--sigma", "-5", "--lambda", "0.1",
@@ -216,7 +236,7 @@ class TestSimulate:
         # exit 2 and no file
         import maintsim.montecarlo
 
-        def exhausted(*args):
+        def exhausted(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(maintsim.montecarlo, "run_period_sweep", exhausted)
@@ -264,6 +284,10 @@ class TestSimulate:
             ["fig5", "--T", ",", "--replications", "5"],
             ["fig5", "--queries", "2"],
             ["fig6", "--queries", "2"],
+            ["fig5", "--span", "50"],
+            ["fig6", "--lambda", "1"],
+            ["fig6", "--span", "50"],
+            ["moments", "--span", "50"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -276,8 +300,12 @@ class TestSimulate:
     def test_config_key_the_experiment_ignores_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "x.csv"
-        for experiment, text in (("fig4", "samples = 10000"), ("fig6", "queries = 2")):
-            cfg.write_text(f"replications = 5\n{text}\n")
+        for experiment, text in (
+            ("fig4", "replications = 5\nsamples = 10000"),
+            ("fig6", "replications = 5\nqueries = 2"),
+            ("moments", "samples = 10000\nspan = 100"),
+        ):
+            cfg.write_text(f"{text}\n")
             assert run(["simulate", experiment, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
             assert not out.exists()
 
@@ -309,6 +337,9 @@ BAD_FLAGS = [
     ["simulate", "fig5", "--lambda", "1e-300", "--T", "20", "--replications", "5"],
     ["simulate", "fig6", "--C", "inf", "--T", "20", "--replications", "5"],
     ["simulate", "moments", "--sigma", "nan", "--samples", "10000"],
+    ["simulate", "fig5", "--seed", "-1"],
+    ["simulate", "moments", "--lambda", "-1", "--samples", "10000"],
+    ["simulate", "fig6", "--sigma", "nan"],
 ]
 
 
@@ -503,6 +534,8 @@ NUMPY_FREE = [
     (["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "1,2", "--t", "0:1:1"], EXIT_USAGE),
     (["theory", "--mode", "error_avg", "--sigma", "5", "--lambda", "0.1", "--T", "1:0:1"], EXIT_USAGE),
     (["simulate", "fig5", "--T", "1:0:1"], EXIT_USAGE),
+    (["simulate", "fig6", "--lambda", "1"], EXIT_USAGE),
+    (["theory", "--mode", "asymptote", "--sigma", "10", "--C", "50", "--T", "20", "--lambda", "1"], EXIT_USAGE),
 ]
 
 

@@ -1,12 +1,11 @@
 """Pinned output digests: the data bytes of one small run of every
-experiment and of theory grids.  The fig4 digests and the default fig6
-digest were recorded at version 0.9.0, which folds every mean and standard
-error from per-batch and per-chunk moments; the other ``simulate`` digests,
-whose sweeps fit one batch and whose moment rows 0.9.0 left as they were,
-at 0.8.0, which draws windows from a Poisson count and exponential
-spacings; the two theory grids longer than one chunk of the CSV writer at
-0.5.0, the other theory grid at 0.4.0.  No version since changed a theory
-byte.
+experiment and of theory grids.  The fig5, fig6 and moments digests were
+recorded at version 0.10.0, which drops the settings these experiments do
+not read (``span``, and fig6's ``lambda_rate``) from their metadata and
+keeps every data row; the fig4 digests at 0.9.0, which folds every mean and
+standard error from per-batch and per-chunk moments; the two theory grids
+longer than one chunk of the CSV writer at 0.5.0, the other theory grid at
+0.4.0.  No version since changed a theory byte.
 
 A digest covers every line of the CSV except ``# tool=``, which only
 names the version.  Outputs are a pure function of the manifest and the
@@ -25,7 +24,7 @@ import pytest
 import maintsim
 from maintsim.cli import EXIT_OK, main
 
-VERSION = "0.9.0"
+VERSION = "0.10.0"
 NUMPY = "2.4.6"
 
 RUNS = {
@@ -39,24 +38,24 @@ RUNS = {
     ),
     "fig5": (
         ["simulate", "fig5", "--replications", "20"],
-        "33c8ebaca3e993f81b5c9926e714fcd7c669f6e402ca4bf5d8aa2ec564c885d0",
+        "a68d5694990041900b7536844aaa8fd6374ba298977810daeeb49909c6566c98",
     ),
     "fig6": (
         ["simulate", "fig6", "--replications", "20"],
-        "415ef07c31e7ffe217393484027b9debf3453b1d681f6a0d3afb908c2ceb14ee",
+        "44c9d4c5ce5abbe609eeb4c3c153ba0188e8dbd88ba9b817439b362aa368ce3e",
     ),
     # 100 windows per period: up to 3 batches at lambda * T = 800
     "fig6_default": (
         ["simulate", "fig6", "--replications", "100"],
-        "38f7a3440af4bcdeb7dff67cfb4b2a0b998cee9d3c1bb65b7662689ced4fcfe5",
+        "8808469a9c37663c03c519b372bdbb48562132cb37a83aa53911e06fb57b478c",
     ),
     "moments_n6": (
         ["simulate", "moments", "--samples", "10000", "--n-max", "6"],
-        "8f639c43bb80149273a05cda2809f637d3e61b84bc5bc09a1fed8dc3cda75b44",
+        "2eadfd348a9519b4fb9062ed03d3b8eca776e59f615d7df3eb0e9c5ce2a4145a",
     ),
     "moments_n9": (
         ["simulate", "moments", "--samples", "10000", "--n-max", "9"],
-        "06ef367b83066b30f1349b136b8d92bd1f8637849a2dc1e04b45fb0b42043947",
+        "7c7efff4c110cac9e5c4d158840748dc644ecf922c6f4c53d1c1d6fcf1e022eb",
     ),
     "theory_error_t": (
         ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:0.5"],

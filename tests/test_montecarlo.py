@@ -381,48 +381,49 @@ class TestBlockRunners:
 
 class TestPeriodSweep:
     def test_deterministic(self):
-        assert run_period_sweep(MODEL, (20.0, 50.0), 300) == run_period_sweep(MODEL, (20.0, 50.0), 300)
+        run = dict(sigma=5.0, seed=77, T_values=(20.0, 50.0), replications=300, lambda_rate=0.1)
+        assert run_period_sweep(**run) == run_period_sweep(**run)
 
     def test_matches_theory_within_band(self):
-        for p in run_period_sweep(MODEL, (20.0, 100.0), 4000):
+        for p in run_period_sweep(5.0, 77, (20.0, 100.0), 4000, lambda_rate=0.1):
             assert abs(p.mean_sq_error - p.theory) < 4.0 * p.std_error
 
     def test_theory_column_is_the_closed_form(self):
-        (point,) = run_period_sweep(MODEL, (35.0,), 100)
-        assert point.theory == error_avg(MODEL.sigma, MODEL.lambda_rate, 35.0)
+        (point,) = run_period_sweep(5.0, 77, (35.0,), 100, lambda_rate=0.1)
+        assert point.theory == error_avg(5.0, 0.1, 35.0)
 
     def test_small_period_shrinks_error(self):
-        small, large = run_period_sweep(MODEL, (1.0, 100.0), 2000)
+        small, large = run_period_sweep(5.0, 77, (1.0, 100.0), 2000, lambda_rate=0.1)
         assert small.theory < 0.01 * large.theory
         assert small.mean_sq_error < 0.01 * large.mean_sq_error
 
     def test_standard_error_scaling(self):
-        (p1,) = run_period_sweep(MODEL, (50.0,), 2000)
-        (p4,) = run_period_sweep(MODEL, (50.0,), 8000)
+        (p1,) = run_period_sweep(5.0, 77, (50.0,), 2000, lambda_rate=0.1)
+        (p4,) = run_period_sweep(5.0, 77, (50.0,), 8000, lambda_rate=0.1)
         ratio = p4.std_error / p1.std_error
         assert 0.4 <= ratio <= 0.6
 
     def test_samples_column(self):
-        (point,) = run_period_sweep(MODEL, (20.0,), 150)
+        (point,) = run_period_sweep(5.0, 77, (20.0,), 150, lambda_rate=0.1)
         assert point.samples == 150
 
     def test_needs_grid(self):
         with pytest.raises(ParameterError):
-            run_period_sweep(MODEL, (), 100)
+            run_period_sweep(5.0, 77, (), 100, lambda_rate=0.1)
 
     def test_memory_does_not_grow_with_short_windows(self):
         # 20 full batches against about a hundred: a vector of every
         # window's value would grow by 8 bytes a window, 2.5 MB here
-        run_period_sweep(MODEL, (20.0,), 10)  # keep one-time imports out of the peak
+        run_period_sweep(5.0, 77, (20.0,), 10, lambda_rate=0.1)  # keep one-time imports out of the peak
         sizes = (20 * _WINDOW_BATCH, 400_000)
-        peaks = [peak for _, peak in traced_memory(*(lambda n=n: run_period_sweep(MODEL, (20.0,), n) for n in sizes))]
+        runs = (lambda n=n: run_period_sweep(5.0, 77, (20.0,), n, lambda_rate=0.1) for n in sizes)
+        peaks = [peak for _, peak in traced_memory(*runs)]
         assert abs(peaks[1] - peaks[0]) <= 1 << 19, peaks
 
 
 class TestAsymptoticSweep:
     def test_lambda_tied_to_period(self):
-        model = ModelParams(lambda_rate=0.1, sigma=10.0, seed=5, span=100.0)
-        points = run_period_sweep(model, (20.0, 200.0), 1500, ratio_C=50.0)
+        points = run_period_sweep(10.0, 5, (20.0, 200.0), 1500, ratio_C=50.0)
         assert [p.lambda_rate for p in points] == [0.4, 4.0]
         for p in points:
             assert p.theory == error_avg(10.0, p.lambda_rate, p.T)
@@ -481,7 +482,7 @@ class TestErrorVsCount:
         assert sum(b.sample_count == 1 for b in got.values()) >= 4
 
     def test_one_sample_has_zero_standard_error(self):
-        (point,) = run_period_sweep(MODEL, (20.0,), 1)
+        (point,) = run_period_sweep(5.0, 77, (20.0,), 1, lambda_rate=0.1)
         assert point.samples == 1 and point.std_error == 0.0
         bins = run_error_vs_count(MODEL, 1, 1)
         assert [len(results) for results in bins.values()] == [1, 1]
@@ -822,8 +823,7 @@ class TestWindowEngine:
         np.testing.assert_allclose(np.concatenate(got), np.concatenate(want), rtol=1e-9)
         # the sweep folds the same batches: its mean and standard error are
         # those of the values, to rounding
-        model = ModelParams(lambda_rate=lam, sigma=sigma, seed=8, span=100.0)
-        (point,) = run_period_sweep(model, (T,), _WINDOW_BATCH + 7)
+        (point,) = run_period_sweep(sigma, 8, (T,), _WINDOW_BATCH + 7, lambda_rate=lam)
         rng = np.random.default_rng([8, montecarlo._STREAM_PERIOD, 0])
         values = window_errors(rng, lam, sigma, T, _WINDOW_BATCH + 7)
         assert point.samples == len(values)
@@ -862,9 +862,8 @@ class TestWindowEngine:
         # at 20 000 windows; batches of 4096 windows peaked at about 230 MB
         # at lambda * T = 800, and a vector of every window's value grew by
         # 8 bytes a window
-        model = ModelParams(lambda_rate=lam, sigma=10.0, seed=1, span=100.0)
-        run_period_sweep(model, (T,), 10)  # keep one-time imports out
-        runs = (lambda n=n: run_period_sweep(model, (T,), n) for n in (300, 20_000))
+        run_period_sweep(10.0, 1, (T,), 10, lambda_rate=lam)  # keep one-time imports out
+        runs = (lambda n=n: run_period_sweep(10.0, 1, (T,), n, lambda_rate=lam) for n in (300, 20_000))
         peaks = [peak for _, peak in traced_memory(*runs)]
         assert abs(peaks[1] - peaks[0]) <= 1 << 19, peaks
         assert max(peaks) <= 4 << 20, peaks
@@ -1054,6 +1053,32 @@ class TestMomentValidation:
         monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(_FailingDraws(real_rng(key))) or made[-1])
         with pytest.raises(ParameterError, match="lambda times the window length"):
             validate_conditional_moments(lambda_rate=1e300, samples=10_000)
+        assert sum(rng.calls for rng in made) == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(sigma=math.nan),
+            dict(lambda_rate=-1.0),
+            dict(lambda_rate=0.0),
+            dict(tau=0.0),
+            dict(t=-1.0),
+            dict(t=50.0),
+            dict(T=-1.0),
+            dict(T=math.inf),
+            dict(seed=-1),
+            dict(seed=1.5),
+        ],
+        ids=repr,
+    )
+    def test_bad_arguments_fail_before_any_draw(self, monkeypatch, bad):
+        # a negative lambda * T ended in math.sqrt's "math domain error", a
+        # bad seed in numpy's own errors, and t > T only after every
+        # conditioned row was drawn
+        real_rng, made = np.random.default_rng, []
+        monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(_FailingDraws(real_rng(key))) or made[-1])
+        with pytest.raises(ParameterError):
+            validate_conditional_moments(samples=10_000, **bad)
         assert sum(rng.calls for rng in made) == 0
 
     # the two parameter points of acceptance criterion 4, without their n_max
@@ -1353,6 +1378,37 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="unknown protocols"):
             list(error_chunks(MODEL, 10, 1, ("MAINT", "BOGUS")))
         with pytest.raises(ParameterError, match="ratio_C must be finite"):
-            run_period_sweep(MODEL, (20.0,), 10, ratio_C=0.0)
+            run_period_sweep(5.0, 77, (20.0,), 10, ratio_C=0.0)
         with pytest.raises(ParameterError, match="every T must be finite"):
-            run_period_sweep(MODEL, (20.0, math.inf), 10)
+            run_period_sweep(5.0, 77, (20.0, math.inf), 10, lambda_rate=0.1)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(sigma=math.nan),
+            dict(seed=-1),
+            dict(seed=1.5),
+            dict(lambda_rate=-1.0),
+            dict(lambda_rate=None),
+            dict(ratio_C=50.0),
+            dict(lambda_rate=None, ratio_C=math.inf),
+            # lambda^2 T^2 underflows in the closed form
+            dict(lambda_rate=1e-300),
+            dict(T_values=(20.0, -1.0)),
+            # the second period's window is above the cap
+            dict(T_values=(20.0, 1e25), lambda_rate=None, ratio_C=50.0),
+        ],
+        ids=repr,
+    )
+    def test_sweep_bad_arguments_fail_before_any_draw(self, monkeypatch, bad):
+        real_rng, made = np.random.default_rng, []
+        monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(_FailingDraws(real_rng(key))) or made[-1])
+        run = dict(sigma=5.0, seed=77, T_values=(20.0, 50.0), replications=10, lambda_rate=0.1)
+        with pytest.raises(ParameterError):
+            run_period_sweep(**{**run, **bad})
+        assert sum(rng.calls for rng in made) == 0
+
+    def test_negative_window_is_refused(self):
+        # math.sqrt of a negative lambda * T raised "math domain error"
+        with pytest.raises(ParameterError, match="must be >= 0"):
+            _leg_count_quantile(-1.0, 10.0)
