@@ -224,7 +224,7 @@ def cond_position_second_moment(tau: float, n: int, k: int, sigma: float) -> flo
     _check_order_stat(tau, n, k)
     if not sigma > 0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
-    return 2.0 * k * sigma**2 * tau**2 / ((n + 1) * (n + 2))
+    return 2.0 * k * _square("sigma", sigma) * tau**2 / ((n + 1) * (n + 2))
 
 
 def position_second_moment_given_count(t: float, i: int, sigma: float) -> float:
@@ -235,7 +235,7 @@ def position_second_moment_given_count(t: float, i: int, sigma: float) -> float:
         raise ParameterError(f"i must be a non-negative integer, got {i}")
     if not sigma > 0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
-    return 2.0 * sigma**2 * t**2 / (i + 2)
+    return 2.0 * _square("sigma", sigma) * t**2 / (i + 2)
 
 
 def position_second_moment(t: float, lambda_rate: float, sigma: float) -> float:
@@ -244,7 +244,12 @@ def position_second_moment(t: float, lambda_rate: float, sigma: float) -> float:
         raise ParameterError(f"t must be >= 0, got {t}")
     if not lambda_rate > 0 or not sigma > 0:
         raise ParameterError("lambda_rate and sigma must be > 0")
-    return 2.0 * sigma**2 / lambda_rate**2 * float(_exp_terms(lambda_rate * t)[1])
+    s2 = _square("sigma", sigma)
+    factor = 2.0 * s2 / _lambda_squared(lambda_rate)
+    gap = float(_exp_terms(lambda_rate * t)[1])
+    if factor < _TINY:  # the gap grows as lambda * t: divide it by lambda twice instead
+        return 2.0 * s2 * (gap / lambda_rate / lambda_rate)
+    return factor * gap
 
 
 def displacement_cross_moment(t: float, T: float, lambda_rate: float, sigma: float) -> float:
@@ -259,8 +264,12 @@ def displacement_cross_moment(t: float, T: float, lambda_rate: float, sigma: flo
         raise ParameterError(f"t must lie in [0, {T}], got {t}")
     if not lambda_rate > 0 or not sigma > 0:
         raise ParameterError("lambda_rate and sigma must be > 0")
+    s2 = _square("sigma", sigma)
+    factor = s2 / _lambda_squared(lambda_rate)
     a, b = _exp_terms(np.array([lambda_rate * t, lambda_rate * (T - t)]))[0].tolist()
-    return sigma**2 / lambda_rate**2 * a * b
+    if factor < _TINY:  # a and b are at most 1: divide sigma^2 by lambda twice instead
+        return s2 / lambda_rate / lambda_rate * a * b
+    return factor * a * b
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +294,18 @@ def _square(name: str, value: float, allow_zero: bool = False) -> float:
         return value**2
     except OverflowError:
         raise ParameterError(f"{name}**2 overflows, got {name} = {value}") from None
+
+
+def _lambda_squared(lambda_rate: float) -> float:
+    """``lambda_rate**2`` for a ``lambda_rate`` > 0, inf where it overflows;
+    a parameter error where it underflows to 0, as in the error kernels."""
+    try:
+        scale = lambda_rate**2
+    except OverflowError:
+        return math.inf
+    if scale == 0.0:
+        raise ParameterError("lambda_rate**2 underflows to 0")
+    return scale
 
 
 def _finite(value: np.ndarray, what: str):

@@ -726,8 +726,8 @@ def validate_conditional_moments(
 
     Every quantity is drawn and checked a fixed-size chunk at a time and
     merged into running moments, so memory does not grow with ``samples``,
-    ``n_max`` or ``lambda_rate * T``.  The arguments are checked before
-    anything is drawn.
+    ``n_max`` or ``lambda_rate * T``.  The arguments are checked, and every
+    closed form is evaluated, before anything is drawn.
     """
     _check_positive(tau=tau, sigma=sigma, lambda_rate=lambda_rate, t=t, T=T)
     if not t <= T:
@@ -739,11 +739,35 @@ def validate_conditional_moments(
         raise ParameterError(f"n_max must be >= 1 and at most {_MAX_N_MAX}, got {n_max}")
     # sized first, so a lambda * T above the cap fails before any draw
     window_batches = _window_batches(samples, lambda_rate, T)
+    quarter = T / 4.0
+    # every closed form next, so a parameter one of them cannot take (a
+    # lambda whose square underflows, a sigma whose square overflows) also
+    # fails before any draw
+    conditioned = []
+    for n in range(1, n_max + 1):
+        names, theories = [], []
+        for k in range(1, n + 1):
+            for order in (1, 2):
+                names.append(f"waypoint_time n={n} k={k} order={order}")
+                theories.append(cond_waypoint_time_moment(tau, n, k, order))
+            for order in (1, 2):
+                names.append(f"interarrival n={n} k={k} order={order}")
+                theories.append(cond_interarrival_moment(tau, n, order))
+            names.append(f"waypoint_position_sq n={n} k={k}")
+            theories.append(cond_position_second_moment(tau, n, k, sigma))
+        conditioned.append((names, theories))
+    given_count = [position_second_moment_given_count(t, i, sigma) for i in range(n_max + 1)]
+    window_theories = [
+        position_second_moment(t, lambda_rate, sigma),
+        displacement_cross_moment(t, T, lambda_rate, sigma),
+    ]
+    error_theories = [error_at(sigma, lambda_rate, T, s) for s in (quarter, t)]
+
     rng = np.random.default_rng([seed, _STREAM_MOMENTS])
     report = MomentReport()
     var = sigma * sigma
 
-    for n in range(1, n_max + 1):
+    for n, (names, theories) in enumerate(conditioned, start=1):
         stats = _Moments()
         for m in _chunks(samples, n + 1):
             gaps = _spacings(rng, tau, n + 1, m)
@@ -763,20 +787,10 @@ def validate_conditional_moments(
             np.square(time, out=q[:, 1])
             position_sq *= var
             stats.add(q)
-        names, theories = [], []
-        for k in range(1, n + 1):
-            for order in (1, 2):
-                names.append(f"waypoint_time n={n} k={k} order={order}")
-                theories.append(cond_waypoint_time_moment(tau, n, k, order))
-            for order in (1, 2):
-                names.append(f"interarrival n={n} k={k} order={order}")
-                theories.append(cond_interarrival_moment(tau, n, order))
-            names.append(f"waypoint_position_sq n={n} k={k}")
-            theories.append(cond_position_second_moment(tau, n, k, sigma))
         report.checks += stats.checks(names, theories)
 
     # position second moment given an exact waypoint count in (0, t)
-    for i in range(0, n_max + 1):
+    for i, theory in enumerate(given_count):
         stats = _Moments()
         for m in _chunks(samples, i + 1):
             if i == 0:
@@ -788,14 +802,11 @@ def validate_conditional_moments(
                 x = np.square(x, out=x).sum(axis=0)
                 x *= var
             stats.add(x)
-        report.checks += stats.checks(
-            [f"position_sq_given_count i={i}"], [position_second_moment_given_count(t, i, sigma)]
-        )
+        report.checks += stats.checks([f"position_sq_given_count i={i}"], [theory])
 
     # whole windows at T/4, t and T: the unconditional second moment and the
     # split-window cross moment per coordinate (x and y are iid, so both
     # contribute samples), and the interpolation error over both
-    quarter = T / 4.0
     per_coordinate, errors = _Moments(), _Moments()
     for _, m in window_batches:
         block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
@@ -805,11 +816,7 @@ def validate_conditional_moments(
         err = np.stack([at_q - quarter / T * at_T, at_t - t / T * at_T])
         errors.add(np.square(err, out=err).sum(axis=1))
     report.checks += per_coordinate.checks(
-        ["position_sq_unconditional", "displacement_cross_moment"],
-        [position_second_moment(t, lambda_rate, sigma), displacement_cross_moment(t, T, lambda_rate, sigma)],
+        ["position_sq_unconditional", "displacement_cross_moment"], window_theories
     )
-    report.checks += errors.checks(
-        [f"error_at t={s:g}" for s in (quarter, t)],
-        [error_at(sigma, lambda_rate, T, s) for s in (quarter, t)],
-    )
+    report.checks += errors.checks([f"error_at t={s:g}" for s in (quarter, t)], error_theories)
     return report

@@ -163,6 +163,18 @@ class TestPositionSecondMoment:
         expected = sigma**2 * t**2 * (1.0 - lam * t / 3.0)
         assert position_second_moment(t, lam, sigma) == pytest.approx(expected, rel=1e-7)
 
+    def test_extreme_lambda(self):
+        # lambda^2 underflows to 0: refused as the error kernels refuse it,
+        # not a division by zero; where 2 sigma^2 / lambda^2 falls below the
+        # normal range the gap, about lambda t, is divided by lambda twice
+        with pytest.raises(ParameterError, match="lambda_rate\\*\\*2 underflows"):
+            position_second_moment(5.0, 1e-300, 5.0)
+        # 2 sigma^2 / lambda^2 = 2e-314 is subnormal; then lambda^2 overflows
+        assert math.isclose(position_second_moment(1.0, 1e153, 1e-4), 2e-161, rel_tol=1e-14)
+        assert math.isclose(position_second_moment(1.0, 1e200, 5.0), 5e-199, rel_tol=1e-14)
+        with pytest.raises(ParameterError, match="sigma\\*\\*2 overflows"):
+            position_second_moment(1.0, 0.1, 1e200)
+
 
 class TestDisplacementCrossMoment:
     def test_endpoints_vanish(self):
@@ -195,6 +207,14 @@ class TestDisplacementCrossMoment:
         mirrored = displacement_cross_moment(T - t, T, lam, sigma)
         # abs tolerance at the bound's scale: T - t rounds to T for t below an ulp
         assert value == pytest.approx(mirrored, rel=1e-9, abs=1e-12 * sigma**2 / lam**2)
+
+    def test_extreme_lambda(self):
+        with pytest.raises(ParameterError, match="lambda_rate\\*\\*2 underflows"):
+            displacement_cross_moment(5.0, 10.0, 1e-300, 5.0)
+        # sigma^2 / lambda^2 = 1e-100, with lambda^2 itself past the range
+        assert math.isclose(displacement_cross_moment(0.5, 1.0, 1e200, 1e150), 1e-100, rel_tol=1e-14)
+        with pytest.raises(ParameterError, match="sigma\\*\\*2 overflows"):
+            displacement_cross_moment(5.0, 10.0, 0.1, 1e200)
 
 
 class TestErrorAt:

@@ -416,6 +416,19 @@ def test_sample_cap_exits_two(tmp_path):
     assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--lambda", "1e-300", "lambda_rate**2 underflows"), ("--sigma", "1e200", "sigma**2 overflows")],
+)
+def test_moment_closed_form_failure_exits_two(tmp_path, capsys, flag, value, message):
+    # evaluated before the first draw: one line, no file and no traceback
+    out = tmp_path / "moments.csv"
+    assert run(["simulate", "moments", flag, value, "--samples", "10000", "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert not out.exists() and not (tmp_path / "moments.csv.manifest.json").exists()
+
+
 def test_n_max_cap_exits_two(tmp_path):
     # the report holds 5 n_max^2 / 2 checks, which the fixed-size chunks do
     # not bound, so --n-max is capped

@@ -4,8 +4,10 @@ recorded at version 0.10.0, which drops the settings these experiments do
 not read (``span``, and fig6's ``lambda_rate``) from their metadata and
 keeps every data row; the fig4 digests at 0.9.0, which folds every mean and
 standard error from per-batch and per-chunk moments; the two theory grids
-longer than one chunk of the CSV writer at 0.5.0, the other theory grid at
-0.4.0.  No version since changed a theory byte.
+longer than one chunk of the CSV writer at 0.5.0, the other short theory
+grid at 0.4.0, and the 100 001-row benchmark grid at 0.10.0, before the
+writer split long tables into parts, one per CPU.  No version since changed
+a theory byte.
 
 A digest covers every line of the CSV except ``# tool=``, which only
 names the version.  Outputs are a pure function of the manifest and the
@@ -69,6 +71,11 @@ RUNS = {
     "theory_error_avg_chunks": (
         ["theory", "--mode", "error_avg", "--sigma", "5", "--lambda", "0.1", "--T", "1:10000:1"],
         "6505605df444da2312efb4499910ece6430edfcb6e1eda3b9647c946c17a328a",
+    ),
+    # the benchmark's grid: 100 001 rows, written in one part per usable CPU
+    "theory_error_t_grid": (
+        ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:0.001"],
+        "680ad90f11924a3a0d40b71c13651c04578f437275fa94b940272e120cb2b898",
     ),
 }
 

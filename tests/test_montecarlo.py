@@ -1056,6 +1056,21 @@ class TestMomentValidation:
         assert sum(rng.calls for rng in made) == 0
 
     @pytest.mark.parametrize(
+        "bad, match",
+        [(dict(lambda_rate=1e-300), "lambda_rate\\*\\*2 underflows"), (dict(sigma=1e200), "sigma\\*\\*2 overflows")],
+        ids=["lambda", "sigma"],
+    )
+    def test_closed_form_failure_comes_before_any_draw(self, monkeypatch, bad, match):
+        # a lambda whose square underflows ended in a ZeroDivisionError from
+        # position_second_moment, and a sigma whose square overflows in an
+        # OverflowError, each only after every row had been drawn
+        real_rng, made = np.random.default_rng, []
+        monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(_FailingDraws(real_rng(key))) or made[-1])
+        with pytest.raises(ParameterError, match=match):
+            validate_conditional_moments(samples=10_000, **bad)
+        assert sum(rng.calls for rng in made) == 0
+
+    @pytest.mark.parametrize(
         "bad",
         [
             dict(sigma=math.nan),

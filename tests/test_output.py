@@ -1,5 +1,9 @@
-"""CSV writer: chunk boundaries, value formatting, column checks and byte
-equality with a plain one-row-at-a-time writer."""
+"""CSV writer: chunk and part boundaries, forked parts that fail, value
+formatting, column checks and byte equality with a plain one-row-at-a-time
+writer."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -41,16 +45,87 @@ HEADER = ["t", "mixed", "name", "count", "flag", "tiny"]
 META = {"sigma": 5.0, "seed": 3, "T": "20,40", "grid": (1.0, 2), "tool": "maintsim test"}
 
 
-@pytest.mark.parametrize(
-    "n", [0, 1, output._CHUNK_ROWS - 1, output._CHUNK_ROWS, output._CHUNK_ROWS + 1, 2 * output._CHUNK_ROWS + 3]
-)
+C = output._CHUNK_ROWS
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every fork the writer makes, as seen from the process that made it."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(output.os, "fork", fork)
+    return made
+
+
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(output.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+# every chunk boundary, and every row count where a table gains a part
+@pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 3, 3 * C - 1, 3 * C, 3 * C + 1])
 @pytest.mark.parametrize("as_arrays", [False, True])
-def test_chunked_writer_matches_reference(tmp_path, n, as_arrays):
+def test_chunked_writer_matches_reference(tmp_path, monkeypatch, forks, n, as_arrays):
+    # on 1, 2 and 3 CPUs: a table of k chunks is written in min(CPUs, k)
+    # parts with the rows split evenly, so these n fall on each side of
+    # every part boundary
     columns = _columns(n, as_arrays)
+    want = _reference_csv(HEADER, zip(*columns), META)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     out = tmp_path / "out.csv"
-    count = write_csv(out, HEADER, columns, META)
-    assert count == n
-    assert out.read_bytes() == _reference_csv(HEADER, zip(*columns), META)
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        forks.clear()
+        assert write_csv(out, HEADER, columns, META) == n
+        assert out.read_bytes() == want, cpus
+        assert len(forks) == max(1, min(cpus, n // C)) - 1
+        assert list(tmp_path.iterdir()) == [out]
+
+
+class _Cell:
+    """Formats as "cell", but raises in the process that made it if
+    ``fails_in_parent``, else in every other process."""
+
+    def __init__(self, fails_in_parent: bool):
+        self.parent = os.getpid()
+        self.fails_in_parent = fails_in_parent
+
+    def __str__(self):
+        if (os.getpid() == self.parent) == self.fails_in_parent:
+            raise RuntimeError("injected")
+        return "cell"
+
+
+def test_failing_child_raises_os_error(tmp_path, monkeypatch, forks):
+    _set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = tmp_path / "out.csv"
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_csv(out, ["x"], ([_Cell(fails_in_parent=False)] * (3 * C),))
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_failing_parent_part_reaps_every_child(tmp_path, monkeypatch, forks):
+    # the children are waited for before the parent's error propagates
+    _set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="injected"):
+        write_csv(out, ["x"], ([_Cell(fails_in_parent=True)] * (3 * C),))
+    assert len(forks) == 2
+    # no child is left running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_no_metadata_and_zero_rows(tmp_path):
