@@ -11,9 +11,11 @@ are usage errors.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 Every experiment runs in fixed memory, so ``--replications`` and
-``--samples`` above 10^8 exit 2 with one line and no file, and so do an
-``--n-max`` above 100, a window with lambda * T above 10^9 and a run that
-still needs more memory than is available.
+``--samples`` above 10^8 exit 2 with one line and no file, and so do a
+``--queries`` above 1000, an ``--n-max`` above 100, a window with
+lambda * T above 10^9 and a run that still needs more memory than is
+available.  So does a simulation whose means or standard errors overflow
+float64 (a sigma too large): no output holds an inf or a nan.
 Outputs default into $MAINTSIM_OUTDIR (falling back to the working
 directory) and depend only on the manifest and tool version: re-running a
 command reproduces its files byte for byte.
@@ -150,7 +152,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--T", help="period grid of fig5 and fig6")
     sim.add_argument("--C", dest="ratio_C", type=float)
     sim.add_argument("--replications", type=int, help="replications or windows per period, 1 to 10^8")
-    sim.add_argument("--queries", type=int, help="query samples per replication (fig4)")
+    sim.add_argument("--queries", type=int, help="query samples per replication (fig4), 1 to 1000")
     sim.add_argument("--samples", type=int, help="moment-validation sample count, 10000 to 10^8")
     sim.add_argument("--n-max", type=int, help="largest conditioned waypoint count, 1 to 100")
     sim.add_argument("--out", help="output CSV path")

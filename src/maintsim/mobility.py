@@ -26,11 +26,11 @@ before anything is drawn.
 Replications of a model are drawn in chunks: replication r is row
 r mod R of chunk r // R, where R = ``chunk_rows(params)``, and chunk c draws
 its R paths with ``windows`` from ``default_rng([seed, c])``
-(``replication_chunk``).  ``generate_trajectory`` returns one such row as a
-one-row block: the path the event-driven state machines of ``protocols``
-localize on, through the same ``position`` as the block runners.  The chunk
-size is part of the stream layout: a path depends on its seed and index
-only, not on how many replications a run asks for.
+(``replication_chunk``).  One such row, cut to a one-row block, is the path
+that the event-driven state machines of ``protocols`` localize on, through
+the same ``position`` as the block runners.  The chunk size is part of the
+stream layout: a path depends on its seed and index only, not on how many
+replications a run asks for.
 """
 
 from __future__ import annotations
@@ -137,24 +137,6 @@ def replication_chunk(params: ModelParams, chunk: int) -> tuple[TrajectoryBlock,
     times) from the generator next."""
     rng = _chunk_stream(params, chunk)
     return TrajectoryBlock.windows(rng, params.lambda_rate, params.sigma, params.span, chunk_rows(params)), rng
-
-
-def generate_trajectory(params: ModelParams, replication_index: int = 0) -> TrajectoryBlock:
-    """Path of one replication, row r mod R of chunk r // R, as a one-row
-    block.
-
-    Deterministic given ``(params.seed, replication_index)``.  It draws the
-    whole chunk and copies the row's legs that start by the span, so the
-    path can be evaluated up to the horizon without edge bias and does not
-    keep the chunk alive.  Its legs are bit for bit those of the chunk row.
-    """
-    if int(replication_index) != replication_index or replication_index < 0:
-        raise ParameterError(f"replication_index must be a non-negative integer, got {replication_index}")
-    chunk, row = divmod(int(replication_index), chunk_rows(params))
-    paths, _ = replication_chunk(params, chunk)
-    n_legs = int(np.count_nonzero(paths.start_times[row] <= params.span))
-    legs = (paths.start_times, paths.start_x, paths.start_y, paths.vel_x, paths.vel_y)
-    return TrajectoryBlock(params.span, *(a[row : row + 1, :n_legs].copy() for a in legs))
 
 
 def _window_durations(rng: np.random.Generator, lambda_rate: float, horizon: float, rows: int):

@@ -17,10 +17,9 @@ the block-batched protocol runners on chunks of replications
 (``mobility.replication_chunk``): the timer schemes localize their tick
 grids as arrays, and the adaptive schemes advance all rows in lock-step.
 The reference runners, which drive the event-driven state machines of
-``protocols`` one replication at a time, and the sampled window estimator
-the sweeps used before 0.5.0 live with the tests: a differential test
-requires the batched runners to reproduce their call counts and estimates,
-and the window engine must agree with the sampled estimator.
+``protocols`` one replication at a time, live with the tests: a
+differential test requires the batched runners to reproduce their call
+counts and estimates.
 
 The count experiment draws replications a chunk at a time: chunk c draws
 the paths of its R replications and then their query times, an (R, queries)
@@ -47,6 +46,10 @@ and each moment-check chunk is reduced to its count, mean and sum of
 squared deviations, merged pairwise into the running ones.  Batches and
 chunks depend only on the model and the sizes, so memory stays the same
 whatever the replication or sample count, the conditioned counts and lambda.
+The fold runs with float overflow ignored, and its result is checked
+once: a mean or standard error that is not finite (a sigma so large that
+squared errors overflow) fails with a ``ParameterError`` before anything
+is written.
 """
 
 from __future__ import annotations
@@ -120,6 +123,13 @@ class PeriodPoint:
     theory: float
 
 
+def _overflow_ignored():
+    """The fold's arithmetic may overflow to inf, and inf - inf makes nan;
+    ``_Moments.result`` reports either once, as a ``ParameterError``, so
+    numpy's warning on each operation is silenced."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _merge(a, b):
     """Count, mean and sum of squared deviations of two sample sets joined
     (Chan, Golub and LeVeque, *Am. Stat.* 37(3), 1983); means and sums may
@@ -127,8 +137,9 @@ def _merge(a, b):
     na, ma, qa = a
     nb, mb, qb = b
     n = na + nb
-    d = mb - ma
-    return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
+    with _overflow_ignored():
+        d = mb - ma
+        return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
 
 
 class _Moments:
@@ -146,9 +157,11 @@ class _Moments:
     def add(self, values: np.ndarray) -> None:
         """Take ``values`` (..., m), m samples of every check; the buffer is
         overwritten."""
-        mean = values.mean(axis=-1)
-        values -= mean[..., None]
-        self.merge((values.shape[-1], mean, np.square(values, out=values).sum(axis=-1)))
+        with _overflow_ignored():
+            mean = values.mean(axis=-1)
+            values -= mean[..., None]
+            part = (values.shape[-1], mean, np.square(values, out=values).sum(axis=-1))
+        self.merge(part)
 
     def merge(self, part) -> None:
         """Take a partial result: count, mean and sum of squared deviations."""
@@ -163,20 +176,25 @@ class _Moments:
 
     def result(self):
         """Count, mean and standard error of every check; one sample's sum
-        of squared deviations is 0, and so is its standard error."""
+        of squared deviations is 0, and so is its standard error.  A mean
+        or standard error that is not finite raises a ``ParameterError``."""
         parts = [p for p in self._levels if p is not None]
         n, mean, m2 = parts[0]
         for part in parts[1:]:
             n, mean, m2 = _merge(part, (n, mean, m2))
-        return n, mean, np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n)
+        se = np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n)
+        if not (np.isfinite(mean).all() and np.isfinite(se).all()):
+            raise ParameterError("a Monte Carlo mean or standard error overflows float64; lower sigma")
+        return n, mean, se
 
     def checks(self, names, theories) -> list[MomentCheck]:
         """One z-check per name, in the order of the flattened leading axes
-        of the chunks."""
+        of the chunks.  A standard error of 0 gives an infinite z, which
+        fails the check: it cannot tell the mean from the theory."""
         n, mean, se = self.result()
         out = []
         for name, theory, mu, s in zip(names, theories, np.ravel(mean).tolist(), np.ravel(se).tolist()):
-            z = (mu - theory) / s if s > 0 else 0.0
+            z = (mu - theory) / s if s > 0 else math.inf
             out.append(MomentCheck(name=name, mc_mean=mu, std_error=s, theory=theory, z=z, samples=n))
         return out
 
@@ -185,6 +203,10 @@ class _Moments:
 # memory, so a run this size takes minutes to hours, and a typo such as 1e12
 # would otherwise run for days
 _MAX_SAMPLES = 100_000_000
+
+# the largest --queries: a chunk's records grow with the queries, and so
+# does the count experiment's peak memory (about 130 MB at 1000)
+_MAX_QUERIES = 1000
 
 
 def _check_replications(replications: int) -> None:
@@ -501,8 +523,8 @@ def error_chunks(model: ModelParams, replications: int, queries: int, protocols=
     arguments are checked before anything is drawn.
     """
     _check_replications(replications)
-    if queries < 1:
-        raise ParameterError(f"queries must be >= 1, got {queries}")
+    if not 1 <= queries <= _MAX_QUERIES:
+        raise ParameterError(f"queries must be >= 1 and at most {_MAX_QUERIES}, got {queries}")
     unknown = [p for p in protocols if p not in KNOWN_PROTOCOLS]
     if unknown:
         raise ParameterError(f"unknown protocols: {unknown}; known: {KNOWN_PROTOCOLS}")
@@ -537,7 +559,9 @@ def error_chunks(model: ModelParams, replications: int, queries: int, protocols=
         ex = est[..., 0] - tx[:, None, :]
         ey = est[..., 1] - ty[:, None, :]
         calls = np.stack([c for _, c in runs], axis=1)
-        yield ChunkRecords(protos, rows, qts, calls, ex * ex + ey * ey)
+        with _overflow_ignored():
+            sq = ex * ex + ey * ey
+        yield ChunkRecords(protos, rows, qts, calls, sq)
 
 
 def bin_records(chunks) -> dict[str, list[BinnedResult]]:
@@ -560,9 +584,10 @@ def bin_records(chunks) -> dict[str, list[BinnedResult]]:
         record_bin = np.repeat(pair_bin, queries)
         counts = np.bincount(pair_bin, minlength=len(keys)) * queries
         values = np.stack([sq, np.sqrt(sq)])
-        mean = np.stack([np.bincount(record_bin, v, len(keys)) for v in values]) / counts
-        values -= mean[:, record_bin]
-        np.square(values, out=values)
+        with _overflow_ignored():
+            mean = np.stack([np.bincount(record_bin, v, len(keys)) for v in values]) / counts
+            values -= mean[:, record_bin]
+            np.square(values, out=values)
         m2 = np.stack([np.bincount(record_bin, v, len(keys)) for v in values])
         for key, n, part_mean, part_m2 in zip(keys.tolist(), counts.tolist(), mean.T, m2.T):
             protocol = chunk.protocols[key // width]

@@ -4,7 +4,7 @@ baselines.
 All four schemes pay one unit of energy per localization call, so each
 state carries a ``calls`` counter and nothing else measures energy.  Each
 state machine serves a single simulated sensor, whose true path is a
-one-row ``mobility.TrajectoryBlock`` (``mobility.generate_trajectory``);
+one-row ``mobility.TrajectoryBlock`` (a row of a replication chunk);
 distinct sensors can run concurrently because no state is shared.
 """
 

@@ -7,40 +7,17 @@ and estimates.  Each runs on one path, a one-row ``TrajectoryBlock`` such
 as ``generate_trajectory`` returns, and returns (estimates (n, 2),
 localization count) for the query times it is given.
 
-``validate_conditional_moments`` is the moment check of 0.4.0 and 0.5.0
-in its row-major form, kept as the distributional oracle of the streamed
-one in ``maintsim.montecarlo``: it sorts uniforms and samples velocities
-where that one draws exponential spacings and takes expectations over
-the velocities, so the two must agree check by check within their joint
-standard error.  It keeps its own z-check, on ``np.std``, and draws its
-windows with ``sample_window_positions``, which the analytic and
-window-engine tests use too.
-
-``sample_window_errors`` is the period sweeps' estimator of 0.4.0, kept as
-the oracle of ``maintsim.montecarlo.sample_window_mean_errors``: it draws
-whole paths and query times and averages sampled squared errors, so the
-two must agree within their joint standard error.  Both draw their windows
-through ``TrajectoryBlock.windows``, so this checks the velocity average,
-not the law of the leg durations; the window tests hold that to the iid
-duration rounds of 0.7.0.
+``generate_trajectory`` cuts one replication's path out of its chunk, as
+the count experiment draws it.  ``sample_window_positions`` evaluates
+windows of ``TrajectoryBlock.windows`` at fixed times, for the tests that
+hold the window positions to the closed forms.
 """
-
-import math
 
 import numpy as np
 
-from maintsim.analytic import (
-    cond_interarrival_moment,
-    cond_position_second_moment,
-    cond_waypoint_time_moment,
-    displacement_cross_moment,
-    error_at,
-    position_second_moment,
-    position_second_moment_given_count,
-)
 from maintsim.errors import ParameterError
-from maintsim.mobility import TrajectoryBlock
-from maintsim.montecarlo import _STREAM_MOMENTS, MomentCheck, MomentReport, _window_batches
+from maintsim.mobility import ModelParams, TrajectoryBlock, chunk_rows, replication_chunk
+from maintsim.montecarlo import _window_batches
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
@@ -57,6 +34,24 @@ from maintsim.protocols import (
     maint_on_timer,
     sfr_schedule,
 )
+
+
+def generate_trajectory(params: ModelParams, replication_index: int = 0) -> TrajectoryBlock:
+    """Path of one replication, row r mod R of chunk r // R, as a one-row
+    block.
+
+    Deterministic given ``(params.seed, replication_index)``.  It draws the
+    whole chunk and copies the row's legs that start by the span, so the
+    path can be evaluated up to the horizon without edge bias and does not
+    keep the chunk alive.  Its legs are bit for bit those of the chunk row.
+    """
+    if int(replication_index) != replication_index or replication_index < 0:
+        raise ParameterError(f"replication_index must be a non-negative integer, got {replication_index}")
+    chunk, row = divmod(int(replication_index), chunk_rows(params))
+    paths, _ = replication_chunk(params, chunk)
+    n_legs = int(np.count_nonzero(paths.start_times[row] <= params.span))
+    legs = (paths.start_times, paths.start_x, paths.start_y, paths.vel_x, paths.vel_y)
+    return TrajectoryBlock(params.span, *(a[row : row + 1, :n_legs].copy() for a in legs))
 
 
 def run_maint_timer(traj: TrajectoryBlock, period: float, query_times):
@@ -165,35 +160,6 @@ def run_dvm(traj: TrajectoryBlock, cfg: DvmConfig, query_times, bootstrap_interv
     return np.column_stack([fx[j], fy[j]]), state.calls
 
 
-def sample_window_errors(
-    rng: np.random.Generator,
-    lambda_rate: float,
-    sigma: float,
-    T: float,
-    n_windows: int,
-    n_queries: int,
-) -> np.ndarray:
-    """Squared interpolation errors, shape (n_windows, n_queries).
-
-    Each window is localized exactly at 0 and T; each query time is uniform
-    on [0, T] and answered with the straight line between the two fixes.
-    Queries within a window share its trajectory, so rows are the
-    independent units for standard errors.
-    """
-    out = np.empty((n_windows, n_queries))
-    for done, m in _window_batches(n_windows, lambda_rate, T):
-        block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
-        x_end, y_end = block.position(np.full(m, T))
-        for qi in range(n_queries):
-            tq = rng.uniform(0.0, T, m)
-            frac = tq / T
-            x, y = block.position(tq)
-            ex = x - x_end * frac
-            ey = y - y_end * frac
-            out[done : done + m, qi] = ex * ex + ey * ey
-    return out
-
-
 def sample_window_positions(
     rng: np.random.Generator,
     lambda_rate: float,
@@ -202,8 +168,9 @@ def sample_window_positions(
     n_windows: int,
     eval_times,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates at fixed times for independent windows; shapes
-    (n_windows, len(eval_times)).  Draws the windows of the moment check."""
+    """Coordinates at fixed times of independent windows, drawn in the
+    batches of ``montecarlo._window_batches``; shapes (n_windows,
+    len(eval_times))."""
     times = [float(t) for t in eval_times]
     xs = np.empty((n_windows, len(times)))
     ys = np.empty((n_windows, len(times)))
@@ -212,120 +179,3 @@ def sample_window_positions(
         for j, t in enumerate(times):
             xs[done : done + m, j], ys[done : done + m, j] = block.position(np.full(m, t))
     return xs, ys
-
-
-def _z_check(name: str, sample: np.ndarray, theory: float) -> MomentCheck:
-    """The z-check of 0.4.0, on ``np.std``: the oracle of ``montecarlo._z_check``."""
-    mean = float(sample.mean())
-    se = float(sample.std(ddof=1) / math.sqrt(sample.size))
-    z = (mean - theory) / se if se > 0 else 0.0
-    return MomentCheck(name=name, mc_mean=mean, std_error=se, theory=theory, z=float(z), samples=sample.size)
-
-
-def validate_conditional_moments(
-    tau: float = 10.0,
-    sigma: float = 5.0,
-    lambda_rate: float = 0.1,
-    t: float = 5.0,
-    T: float = 10.0,
-    n_max: int = 6,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> MomentReport:
-    """Monte Carlo z-scores for every conditional-moment formula.
-
-    Conditioned quantities are sampled by construction (given n waypoints in
-    (0, tau), their times are sorted uniforms), so no rejection is needed.
-    The unconditional second moment, the cross moment and the interpolation
-    errors at T/4 and t come from direct window simulation.  Passing means
-    every |z| < 4.
-    """
-    if samples < 10_000:
-        raise ParameterError(f"samples must be >= 10000, got {samples}")
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
-    rng = np.random.default_rng([seed, _STREAM_MOMENTS])
-    report = MomentReport()
-
-    for n in range(1, n_max + 1):
-        wp = np.sort(rng.uniform(0.0, tau, (samples, n)), axis=1)
-        gaps = np.diff(wp, axis=1, prepend=0.0)
-        vel = sigma * rng.standard_normal((samples, n))
-        pos = np.cumsum(vel * gaps, axis=1)
-        for k in range(1, n + 1):
-            col = k - 1
-            report.checks.append(
-                _z_check(
-                    f"waypoint_time n={n} k={k} order=1",
-                    wp[:, col],
-                    cond_waypoint_time_moment(tau, n, k, 1),
-                )
-            )
-            report.checks.append(
-                _z_check(
-                    f"waypoint_time n={n} k={k} order=2",
-                    wp[:, col] ** 2,
-                    cond_waypoint_time_moment(tau, n, k, 2),
-                )
-            )
-            report.checks.append(
-                _z_check(
-                    f"interarrival n={n} k={k} order=1",
-                    gaps[:, col],
-                    cond_interarrival_moment(tau, n, 1),
-                )
-            )
-            report.checks.append(
-                _z_check(
-                    f"interarrival n={n} k={k} order=2",
-                    gaps[:, col] ** 2,
-                    cond_interarrival_moment(tau, n, 2),
-                )
-            )
-            report.checks.append(
-                _z_check(
-                    f"waypoint_position_sq n={n} k={k}",
-                    pos[:, col] ** 2,
-                    cond_position_second_moment(tau, n, k, sigma),
-                )
-            )
-
-    # position second moment given an exact waypoint count in (0, t)
-    for i in range(0, n_max + 1):
-        if i == 0:
-            x = t * sigma * rng.standard_normal(samples)
-        else:
-            wp = np.sort(rng.uniform(0.0, t, (samples, i)), axis=1)
-            gaps = np.diff(wp, axis=1, prepend=0.0)
-            vel = sigma * rng.standard_normal((samples, i + 1))
-            x = (vel[:, :i] * gaps).sum(axis=1) + (t - wp[:, i - 1]) * vel[:, i]
-        report.checks.append(
-            _z_check(
-                f"position_sq_given_count i={i}",
-                x**2,
-                position_second_moment_given_count(t, i, sigma),
-            )
-        )
-
-    # unconditional position second moment and the split-window cross moment;
-    # x and y coordinates are iid so both contribute samples.  Then the
-    # interpolation error over both coordinates at T/4 and t
-    quarter = T / 4.0
-    xs, ys = sample_window_positions(rng, lambda_rate, sigma, T, samples, (quarter, t, T))
-    at_t = np.concatenate([xs[:, 1], ys[:, 1]])
-    at_T = np.concatenate([xs[:, 2], ys[:, 2]])
-    report.checks.append(
-        _z_check("position_sq_unconditional", at_t**2, position_second_moment(t, lambda_rate, sigma))
-    )
-    report.checks.append(
-        _z_check(
-            "displacement_cross_moment",
-            at_t * (at_T - at_t),
-            displacement_cross_moment(t, T, lambda_rate, sigma),
-        )
-    )
-    for j, s in ((0, quarter), (1, t)):
-        ex = xs[:, j] - s / T * xs[:, 2]
-        ey = ys[:, j] - s / T * ys[:, 2]
-        report.checks.append(_z_check(f"error_at t={s:g}", ex**2 + ey**2, error_at(sigma, lambda_rate, T, s)))
-    return report

@@ -29,10 +29,10 @@ from maintsim.analytic import (
     waypoint_time_density,
 )
 from maintsim.cli import EXIT_OK, main
-from maintsim.mobility import ModelParams, generate_trajectory
+from maintsim.mobility import ModelParams
 from maintsim.montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
 from maintsim.protocols import interpolate, localize
-from reference_runners import run_maint_timer
+from reference_runners import generate_trajectory, run_maint_timer
 from test_mobility import manual_trajectory, point
 
 SEED = 20240811

@@ -429,6 +429,44 @@ def test_moment_closed_form_failure_exits_two(tmp_path, capsys, flag, value, mes
     assert not out.exists() and not (tmp_path / "moments.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize("queries, status", [(1000, EXIT_OK), (1001, EXIT_VALIDATION)])
+def test_query_cap_is_inclusive(tmp_path, capsys, queries, status):
+    # a chunk's records grow with --queries, and so does fig4's peak memory,
+    # so --queries is capped as --replications is
+    out = tmp_path / "q.csv"
+    argv = ["simulate", "fig4", "--replications", "1", "--queries", str(queries), "--out", str(out)]
+    assert run(argv) == status
+    err = capsys.readouterr().err
+    if status == EXIT_OK:
+        assert out.exists() and not err
+    else:
+        assert "queries must be >= 1 and at most 1000" in err and len(err.splitlines()) == 1
+        assert not out.exists() and not (tmp_path / "q.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "fig5", "--sigma", "1e100", "--T", "20,40", "--replications", "20"],
+        ["simulate", "fig4", "--sigma", "1e160", "--replications", "100"],
+        ["simulate", "moments", "--sigma", "1e150", "--samples", "10000"],
+    ],
+    ids=lambda argv: " ".join(argv[1:4]),
+)
+def test_overflowing_estimates_exit_two(tmp_path, capsys, argv):
+    # squared errors overflow: these wrote an inf standard error, inf and
+    # nan bins, and a moment check that passed with inf standard errors and
+    # z = 0, each with exit 0
+    out = tmp_path / "big.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "overflows float64; lower sigma" in err and len(err.splitlines()) == 1
+    assert not out.exists() and not (tmp_path / "big.csv.manifest.json").exists()
+
+
 def test_n_max_cap_exits_two(tmp_path):
     # the report holds 5 n_max^2 / 2 checks, which the fixed-size chunks do
     # not bound, so --n-max is capped

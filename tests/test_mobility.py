@@ -19,9 +19,9 @@ from maintsim.mobility import (
     _leg_count_quantile,
     _window_legs,
     chunk_rows,
-    generate_trajectory,
     replication_chunk,
 )
+from reference_runners import generate_trajectory
 
 PARAMS = ModelParams(lambda_rate=0.1, sigma=5.0, seed=1234, span=100.0)
 N_REPS = 100_000
@@ -29,8 +29,12 @@ N_REPS = 100_000
 
 @pytest.fixture(scope="module")
 def ensemble_stats():
-    """One pass over the first 1e5 replications, drawn a chunk at a time;
-    tests share the collected statistics."""
+    """Tests share the collected statistics of ``ensemble``."""
+    return ensemble()
+
+
+def ensemble():
+    """One pass over the first 1e5 replications, drawn a chunk at a time."""
     stats = {"counts_span": [], "counts_10": [], "x_at_10": [], "first_durations": []}
     for c in range(-(-N_REPS // chunk_rows(PARAMS))):
         block, _ = replication_chunk(PARAMS, c)

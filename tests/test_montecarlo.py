@@ -6,6 +6,7 @@ forms."""
 import math
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -23,7 +24,6 @@ from maintsim.mobility import (
     _window_legs,
     TrajectoryBlock,
     chunk_rows,
-    generate_trajectory,
     replication_chunk,
 )
 from maintsim.montecarlo import (
@@ -46,14 +46,13 @@ from maintsim.montecarlo import (
 from maintsim.protocols import DvmConfig, MadrdConfig, MadrdState, extrapolate_madrd, interpolate, localize
 from reference_runners import (
     _madrd_fix_sequence,
+    generate_trajectory,
     run_dvm,
     run_madrd,
     run_maint_timer,
     run_sfr,
-    sample_window_errors,
     sample_window_positions,
 )
-from reference_runners import validate_conditional_moments as row_major_moments
 from test_mobility import point
 
 MODEL = ModelParams(lambda_rate=0.1, sigma=5.0, seed=77, span=100.0)
@@ -543,80 +542,19 @@ class TestErrorVsCount:
         assert bin_records([]) == {}
 
 
-def _old_generate_trajectory(params, replication_index):
-    """Version 0.2 trajectory streams, verbatim: one generator per
-    replication, keyed by (seed, replication), as a one-row path."""
-    rng = np.random.default_rng([params.seed, replication_index])
-    lam = params.lambda_rate
+def waypoint_process(rng, lam, horizon, rows, sigma=None):
+    """The random-waypoint process over [0, horizon] as its definition
+    reads, the one oracle of its law: from the origin, legs of iid Exp(lam)
+    durations follow each other until the horizon is covered, and every leg
+    that starts by the horizon moves at a velocity of iid Normal(0, sigma)
+    components.  ``clip_and_sum`` gives its positions.
 
-    expected = lam * params.span
-    block = max(16, int(expected + 10.0 * math.sqrt(expected + 1.0) + 8))
-    gaps = rng.standard_exponential(block, method="inv") / lam
-    total = gaps.sum()
-    while total < params.span:
-        more = rng.standard_exponential(block, method="inv") / lam
-        gaps = np.concatenate([gaps, more])
-        total = gaps.sum()
-
-    ends = np.cumsum(gaps)
-    n_legs = int(np.searchsorted(ends, params.span, side="left")) + 1
-    gaps = gaps[:n_legs]
-    ends = ends[:n_legs]
-
-    us = params.sigma * rng.standard_normal(n_legs)
-    vs = params.sigma * rng.standard_normal(n_legs)
-
-    start_times = np.concatenate([[0.0], ends[:-1]])
-    xs = np.concatenate([[0.0], np.cumsum(us[:-1] * gaps[:-1])])
-    ys = np.concatenate([[0.0], np.cumsum(vs[:-1] * gaps[:-1])])
-    return TrajectoryBlock(params.span, *(a[None] for a in (start_times, xs, ys, us, vs)))
-
-
-def _old_layout_records(model, replications, n_q):
-    """MAINT and MADRD records under the version 0.2 stream layout: each
-    replication's own trajectory stream and a query stream keyed by
-    (seed, 101, replication), run through today's block runners, as
-    ``ChunkRecords`` of 256 replications."""
-    for first in range(0, replications, 256):
-        rows = np.arange(first, min(replications, first + 256))
-        legs = stack_block([_old_generate_trajectory(model, int(r)) for r in rows])
-        qts = np.array([np.random.default_rng([model.seed, 101, r]).uniform(0.0, model.span, n_q) for r in rows])
-        tx, ty = legs.position(qts)
-        periods = np.array(MAINT_PERIODS)[rows % len(MAINT_PERIODS)]
-        runs = [
-            run_maint_timer_block(legs, periods, qts),
-            run_madrd_block(legs, [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in rows], qts),
-        ]
-        sq = np.stack([(est[..., 0] - tx) ** 2 + (est[..., 1] - ty) ** 2 for est, _ in runs], axis=1)
-        yield ChunkRecords(("MAINT", "MADRD"), rows, qts, np.stack([calls for _, calls in runs], axis=1), sq)
-
-
-class TestStreamLayout:
-    def test_fig4_bins_agree_with_the_old_layout(self):
-        # a new stream layout changes the samples, not the distribution: every
-        # bin with 30 samples on both sides agrees within |z| < 4
-        model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=0, span=100.0)
-        new = bin_records(error_chunks(model, 20000, 1))
-        old = bin_records(_old_layout_records(model, 20000, 1))
-        compared = 0
-        for proto in ("MAINT", "MADRD"):
-            olds = {b.key: b for b in old[proto]}
-            for b in new[proto]:
-                a = olds.get(b.key)
-                if a is None or min(a.sample_count, b.sample_count) < 30:
-                    continue
-                compared += 1
-                for mean, se in (("mean_sq_error", "standard_error"), ("mean_abs_error", "standard_error_abs")):
-                    z = (getattr(b, mean) - getattr(a, mean)) / math.hypot(getattr(a, se), getattr(b, se))
-                    assert abs(z) < 4.0, (proto, b.key, mean, z)
-        assert compared >= 30
-
-
-def _oracle_window_durations(rng, lam, horizon, rows):
-    """The duration rounds of 0.7.0 written out plainly, an independent
-    reference for the law of the windows: iid exponential legs, the
-    expected count plus three standard deviations per row, until every row
-    covers the horizon (rows already covered get zero-duration legs)."""
+    Each round draws, for every row at once, the expected count plus three
+    standard deviations of legs, until every row covers the horizon (rows
+    already covered take zero-duration legs).  Then, if ``sigma`` is given,
+    the x and the y velocity components of the legs that start by the
+    horizon, row by row; the other legs stand still.  Returns the durations
+    and the starts, (rows, legs), and the x and y velocities if drawn."""
     expected = lam * horizon
     cols = max(2, int(expected + 3.0 * math.sqrt(expected) + 2))
     gaps = rng.standard_exponential((rows, cols)) / lam
@@ -628,20 +566,20 @@ def _oracle_window_durations(rng, lam, horizon, rows):
         gaps = np.hstack([gaps, pad])
         total += pad.sum(axis=1)
     starts = np.hstack([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)[:, :-1]])
-    return gaps, starts
-
-
-def _oracle_window_legs(rng, lam, sigma, horizon, rows):
-    """The window draws of 0.7.0 written out plainly: the duration rounds,
-    then the x and the y velocity components of the legs that start by the
-    horizon, row by row; the other legs stand still."""
-    gaps, starts = _oracle_window_durations(rng, lam, horizon, rows)
+    if sigma is None:
+        return gaps, starts
     live_rows, live_cols = np.nonzero(starts <= horizon)
     u = np.zeros(gaps.shape)
     u[live_rows, live_cols] = sigma * rng.standard_normal(len(live_rows))
     v = np.zeros(gaps.shape)
     v[live_rows, live_cols] = sigma * rng.standard_normal(len(live_rows))
     return gaps, starts, u, v
+
+
+def clip_and_sum(gaps, starts, vel, t):
+    """One coordinate at per-row times ``t``: each leg's velocity times the
+    part of the leg that lies before ``t``."""
+    return (vel * np.clip(np.asarray(t)[:, None] - starts, 0.0, gaps)).sum(axis=1)
 
 
 def _plain_window_durations(rng, lam, horizon, rows):
@@ -680,7 +618,7 @@ def _plain_window_legs(rng, lam, sigma, horizon, rows):
     return gaps, starts, u, v
 
 
-def _oracle_window_mean_errors(gaps, starts, sigma, T):
+def expanded_window_mean_errors(gaps, starts, sigma, T):
     """Each window's squared error averaged over the velocities and a
     uniform query time, summed leg by leg in the expanded form: with d the
     part of a leg inside the window and a = d/T, the leg's chord error
@@ -697,12 +635,6 @@ def _oracle_window_mean_errors(gaps, starts, sigma, T):
         + a**2 * (T - s - d) ** 3 / 3
     )
     return 2.0 * sigma**2 * legs.sum(axis=1) / T
-
-
-def _oracle_coordinate(gaps, starts, vel, t):
-    """One coordinate at per-row times ``t``: each leg's velocity times the
-    part of the leg that lies before ``t``."""
-    return (vel * np.clip(np.asarray(t)[:, None] - starts, 0.0, gaps)).sum(axis=1)
 
 
 def _z(a, b):
@@ -806,7 +738,7 @@ class TestWindowEngine:
             # the largest distance a row can cover sets the rounding scale
             reach = np.abs(vel * gaps).sum(axis=1)
             for j in range(ts.shape[1]):
-                want = _oracle_coordinate(gaps, starts, vel, ts[:, j])
+                want = clip_and_sum(gaps, starts, vel, ts[:, j])
                 assert np.all(np.abs(got[:, j] - want) <= 1e-12 * reach)
         assert np.all(x[:, 0] == 0.0) and np.all(y[:, 0] == 0.0)
 
@@ -816,7 +748,7 @@ class TestWindowEngine:
         got = list(sample_window_mean_errors(np.random.default_rng(8), lam, sigma, T, _WINDOW_BATCH + 7))
         rng = np.random.default_rng(8)
         want = [
-            _oracle_window_mean_errors(*_plain_window_durations(rng, lam, T, m)[:2], sigma, T)
+            expanded_window_mean_errors(*_plain_window_durations(rng, lam, T, m)[:2], sigma, T)
             for m in (_WINDOW_BATCH, 7)
         ]
         assert [len(g) for g in got] == [_WINDOW_BATCH, 7]
@@ -835,8 +767,8 @@ class TestWindowEngine:
         xs, ys = sample_window_positions(np.random.default_rng(4), lam, sigma, horizon, 300, times)
         gaps, starts, u, v = _plain_window_legs(np.random.default_rng(4), lam, sigma, horizon, 300)
         for j, t in enumerate(times):
-            np.testing.assert_allclose(xs[:, j], _oracle_coordinate(gaps, starts, u, np.full(300, t)), rtol=1e-9)
-            np.testing.assert_allclose(ys[:, j], _oracle_coordinate(gaps, starts, v, np.full(300, t)), rtol=1e-9)
+            np.testing.assert_allclose(xs[:, j], clip_and_sum(gaps, starts, u, np.full(300, t)), rtol=1e-9)
+            np.testing.assert_allclose(ys[:, j], clip_and_sum(gaps, starts, v, np.full(300, t)), rtol=1e-9)
 
     @pytest.mark.parametrize("expected", [1.0, 2.3, 20.0, 800.0, 3200.0, 40_000.0])
     def test_batches_stay_within_the_draw_budget(self, expected):
@@ -910,19 +842,7 @@ class TestWindowEngine:
             chord = np.clip(t - starts[:, [j]], 0.0, d[:, [j]]) - t / T * d[:, [j]]
             integral += (chord * chord).sum(axis=1) * (T / n)
         np.testing.assert_allclose(got, 2.0 * sigma**2 * integral / T, rtol=1e-8)
-        np.testing.assert_allclose(got, _oracle_window_mean_errors(gaps, starts, sigma, T), rtol=1e-12)
-
-    @pytest.mark.parametrize("sweep", ["fig5", "fig6"])
-    def test_agrees_with_the_sampled_oracle(self, sweep):
-        # the default grids of both sweeps: fig5 at lambda = 0.1, fig6 at
-        # lambda = T / 50; the oracle draws whole paths and 20 queries a window
-        sigma, rate = (5.0, lambda T: 0.1) if sweep == "fig5" else (10.0, lambda T: T / 50.0)
-        for T in np.arange(20.0, 201.0, 20.0):
-            lam = rate(T)
-            sampled = sample_window_errors(np.random.default_rng([1, int(T)]), lam, sigma, T, 2000, 20).mean(axis=1)
-            exact = window_errors(np.random.default_rng([2, int(T)]), lam, sigma, T, 2000)
-            se = math.hypot(*(v.std(ddof=1) / math.sqrt(v.size) for v in (sampled, exact)))
-            assert abs(exact.mean() - sampled.mean()) < 4.0 * se, (T, exact.mean(), sampled.mean(), se)
+        np.testing.assert_allclose(got, expanded_window_mean_errors(gaps, starts, sigma, T), rtol=1e-12)
 
     @pytest.mark.parametrize("expected", [1e-3, 0.1, 1.0, 10.0, 800.0])
     def test_rows_reach_the_horizon(self, expected):
@@ -997,7 +917,7 @@ class TestPoissonWindows:
         got = window_errors(np.random.default_rng([23, int(expected)]), lam, sigma, T, n)
         rng = np.random.default_rng([24, int(expected)])
         want = np.concatenate([
-            _oracle_window_mean_errors(*_oracle_window_durations(rng, lam, T, m), sigma, T)
+            expanded_window_mean_errors(*waypoint_process(rng, lam, T, m), sigma, T)
             for _, m in montecarlo._window_batches(n, lam, T)
         ])
         assert abs(_z(got, want)) < 4.0
@@ -1010,9 +930,9 @@ class TestPoissonWindows:
         rng = np.random.default_rng([26, int(expected)])
         want = []
         for _, m in montecarlo._window_batches(n, lam, T):
-            gaps, starts, u, v = _oracle_window_legs(rng, lam, sigma, T, m)
+            gaps, starts, u, v = waypoint_process(rng, lam, T, m, sigma)
             at = [np.full(m, t) for t in (T / 2, T)]
-            want.append(np.stack([_oracle_coordinate(gaps, starts, w, t) for w in (u, v) for t in at], axis=1))
+            want.append(np.stack([clip_and_sum(gaps, starts, w, t) for w in (u, v) for t in at], axis=1))
         want = np.concatenate(want)
         got = np.concatenate([xs, ys], axis=1)
         for j in range(4):
@@ -1102,31 +1022,26 @@ class TestMomentValidation:
         dict(tau=4.0, sigma=2.0, lambda_rate=0.5, t=3.0, T=8.0),
     )
 
-    @pytest.mark.parametrize("point", range(len(POINTS)))
-    @pytest.mark.parametrize("samples", [10_000, 10_001])
-    @pytest.mark.parametrize("n_max", [1, 2, 6, 9, 12])
-    @pytest.mark.parametrize("seed", [0, 6])
-    def test_matches_row_major_reference(self, seed, n_max, samples, point):
-        # the sorted-uniform, sampled-velocity check of 0.5.0 is the
-        # distributional oracle of the spacing one: the same checks, theory
-        # values and sample counts, and means within a two-sample |z| < 4
-        kw = dict(self.POINTS[point], n_max=n_max, samples=samples, seed=seed)
-        got = validate_conditional_moments(**kw).checks
-        want = row_major_moments(**kw).checks
-        assert [c.name for c in got] == [c.name for c in want]
-        for g, w in zip(got, want):
-            assert (g.theory, g.samples) == (w.theory, w.samples), g.name
-            z = (g.mc_mean - w.mc_mean) / math.hypot(g.std_error, w.std_error)
-            assert abs(z) < 4.0, (g.name, z)
-
     def test_expectations_given_gaps_cut_the_standard_error(self):
         # the velocities are integrated out, so the spacing check's squared
-        # positions vary less than sampled ones
+        # positions vary less than sampled ones, drawn here at the same size
+        # from sorted uniforms and sampled velocities
         kw = dict(n_max=3, samples=20_000, seed=2)
         got = {c.name: c for c in validate_conditional_moments(**kw).checks}
-        want = {c.name: c for c in row_major_moments(**kw).checks}
-        for name in ["waypoint_position_sq n=3 k=3", *(f"position_sq_given_count i={i}" for i in (1, 2, 3))]:
-            assert got[name].std_error < 0.8 * want[name].std_error, name
+        rng, sigma, m = np.random.default_rng(2), 5.0, kw["samples"]
+
+        def sampled_se(span, points, legs):
+            # the position after the first ``legs`` gaps between 0, the
+            # ``points`` sorted uniforms of (0, span) and span
+            ends = np.sort(rng.uniform(0.0, span, (m, points)), axis=1)
+            gaps = np.diff(ends, axis=1, prepend=0.0, append=span)[:, :legs]
+            x = (sigma * rng.standard_normal(gaps.shape) * gaps).sum(axis=1)
+            return (x * x).std(ddof=1) / math.sqrt(m)
+
+        want = {"waypoint_position_sq n=3 k=3": sampled_se(10.0, 3, 3)}
+        want.update({f"position_sq_given_count i={i}": sampled_se(5.0, i, i + 1) for i in (1, 2, 3)})
+        for name, se in want.items():
+            assert got[name].std_error < 0.8 * se, name
         # given no waypoint the position is still sampled, so the check is not vacuous
         assert got["position_sq_given_count i=0"].std_error > 0.0
 
@@ -1156,6 +1071,29 @@ class TestMomentValidation:
         np.testing.assert_allclose([c.mc_mean for c in checks], flat.mean(axis=1), rtol=1e-13)
         se = flat.std(axis=1, ddof=1) / math.sqrt(n)
         np.testing.assert_allclose([c.std_error for c in checks], se, rtol=1e-12)
+
+    def test_zero_standard_error_fails_the_check(self):
+        # an se of 0 cannot tell a mean from its theory: z is inf and the
+        # check fails, where z = 0 passed it whatever the mean
+        stats = montecarlo._Moments()
+        stats.add(np.full((2, 100), 3.0))
+        checks = stats.checks(["on theory", "off theory"], [3.0, 4.0])
+        assert [(c.mc_mean, c.std_error, c.z) for c in checks] == [(3.0, 0.0, math.inf)] * 2
+        assert not montecarlo.MomentReport(checks).passed
+        assert not montecarlo.MomentReport(checks[:1]).passed
+
+    def test_non_finite_moments_fail_once_without_warnings(self):
+        # squared deviations that overflow make an inf standard error, and
+        # inf - inf a nan mean: the fold raises no RuntimeWarning on the way,
+        # and its result is refused
+        for values in ([1e300, -1e300, 1e300], [math.inf, -math.inf, 1.0]):
+            stats = montecarlo._Moments()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                stats.add(np.array([values]))
+                stats.add(np.array([[1.0, 2.0]]))
+                with pytest.raises(ParameterError, match="overflows float64; lower sigma"):
+                    stats.checks(["x"], [0.0])
 
     @pytest.mark.parametrize("parts", [1, 2, 4, 7])
     def test_spacings_are_the_gaps_of_sorted_uniforms(self, parts):
@@ -1230,18 +1168,17 @@ class TestMomentValidation:
     def test_stream_does_not_depend_on_draw_rows(self, monkeypatch, n_max):
         # many small chunks per n, and one shorter last chunk: the chunk
         # size moves draws between samples and deepens the merge tree, but
-        # every check still agrees with the row-major oracle
-        monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 999)
+        # the checks, their closed forms and sample counts stay, and every
+        # check still agrees with its closed form
         kw = dict(n_max=n_max, samples=10_001, seed=3)
+        want = validate_conditional_moments(**kw).checks
+        monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 999)
         assert len(list(montecarlo._chunks(kw["samples"], n_max + 1))) > 20
-        got = validate_conditional_moments(**kw).checks
-        want = row_major_moments(**kw).checks
-        assert [(c.name, c.theory, c.samples) for c in got] == [(c.name, c.theory, c.samples) for c in want]
-        for g, w in zip(got, want):
-            z = (g.mc_mean - w.mc_mean) / math.hypot(g.std_error, w.std_error)
-            assert abs(z) < 4.0, (g.name, z)
+        report = validate_conditional_moments(**kw)
+        assert [(c.name, c.theory, c.samples) for c in report.checks] == [(c.name, c.theory, c.samples) for c in want]
+        assert report.passed, report.max_abs_z
 
-    def test_at_most_two_draw_items_alive(self, monkeypatch):
+    def test_each_draw_keeps_at_most_one_earlier_draw_alive(self, monkeypatch):
         # before each draw of spacings or of a window batch, at most one
         # earlier draw may still be referenced, so the check holds at most
         # two chunks of draws whatever --samples asks for
@@ -1295,6 +1232,7 @@ class TestMomentValidation:
         # the check allocates one matrix per chunk of the n blocks, on the
         # calling thread: a MemoryError from the first or the second stops
         # the check, reaches the caller and leaves no thread behind
+        # (named after the producer thread of 0.5.0, which 0.6.0 deleted)
         empty = np.empty
         calls = []
 
@@ -1318,7 +1256,8 @@ class TestMomentValidation:
     def test_keyboard_interrupt_stops_the_producer(self, monkeypatch, call):
         # n_max = 3 makes 30 checks of the n blocks, 4 count-conditioned
         # ones, 2 from the windows and 2 errors; an interrupt while any of
-        # them is made stops the check and leaves no thread behind
+        # them is made stops the check and leaves no thread behind (named
+        # after the producer thread of 0.5.0, which 0.6.0 deleted)
         make = montecarlo.MomentCheck
         calls = []
 
@@ -1335,7 +1274,7 @@ class TestMomentValidation:
         assert len(calls) == call
         assert threading.active_count() == before
 
-    def test_concurrent_checks_under_fast_switching(self):
+    def test_concurrent_checks_equal_the_checks_drawn_alone(self):
         # the check keeps no shared state: three checks at once, on three
         # threads with switches forced every microsecond, each equal the
         # report drawn alone
@@ -1390,6 +1329,8 @@ class TestConfigValidation:
             run_error_vs_count(MODEL, 0, 1)
         with pytest.raises(ParameterError, match="queries must be >= 1"):
             run_error_vs_count(MODEL, 10, 0)
+        with pytest.raises(ParameterError, match="at most 1000, got 1001"):
+            run_error_vs_count(MODEL, 10, 1001)
         with pytest.raises(ParameterError, match="unknown protocols"):
             list(error_chunks(MODEL, 10, 1, ("MAINT", "BOGUS")))
         with pytest.raises(ParameterError, match="ratio_C must be finite"):

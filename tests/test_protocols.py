@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maintsim.errors import BracketError, DegeneratePairError, ParameterError, StaleQueryError
-from maintsim.mobility import ModelParams, generate_trajectory
+from maintsim.mobility import ModelParams
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
@@ -28,6 +28,7 @@ from maintsim.protocols import (
     maint_on_timer,
     sfr_schedule,
 )
+from reference_runners import generate_trajectory
 from test_mobility import manual_trajectory, point
 
 PARAMS = ModelParams(lambda_rate=0.1, sigma=5.0, seed=99, span=100.0)
