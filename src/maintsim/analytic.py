@@ -342,7 +342,9 @@ def error_at(sigma: float, lambda_rate, T, t):
         w = np.maximum(t, T - t)
         rise_u, gap_u = _exp_terms(lam * u)
         rise_w, gap_w = _exp_terms(lam * w)
-        bracket = u * u * gap_w + w * w * gap_u - u * w * rise_u * rise_w
+        # the bracket is non-negative, but cancels to a few ulps of its
+        # terms just above t = 0, where rounding can leave it below 0
+        bracket = np.maximum(u * u * gap_w + w * w * gap_u - u * w * rise_u * rise_w, 0.0)
         factor = 4.0 * s2 / scale
         out = factor * bracket
         low = factor < _TINY

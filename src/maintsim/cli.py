@@ -18,7 +18,9 @@ available.  So does a simulation whose means or standard errors overflow
 float64 (a sigma too large): no output holds an inf or a nan.
 Outputs default into $MAINTSIM_OUTDIR (falling back to the working
 directory) and depend only on the manifest and tool version: re-running a
-command reproduces its files byte for byte.
+command reproduces its files byte for byte.  The CSV and then the manifest
+are written to temporary names beside them and renamed into place once
+both are whole, so a run stopped by an error leaves neither.
 
 ``theory`` keeps its grids and the kernel output as float64 arrays and
 hands them to the CSV writer as columns.  This module imports only the
@@ -223,7 +225,7 @@ def cmd_theory(args) -> int:
     import numpy as np
 
     from .analytic import error_asymptote, error_at, error_avg
-    from .output import write_csv
+    from .output import replaced_on_success, write_csv
 
     out = args.out or os.path.join(_outdir(args), f"theory_{mode}.csv")
     meta = {"mode": mode, "sigma": sigma, "tool": f"maintsim {__version__}"}
@@ -249,7 +251,8 @@ def cmd_theory(args) -> int:
         columns = (T_grid, lam, np.full(n, sigma), error_avg(sigma, lam, T_grid), np.full(n, limit))
         header = ["T", "lambda", "sigma", "error_avg", "asymptote"]
 
-    count = write_csv(out, header, columns, meta)
+    with replaced_on_success(out) as (temp,):
+        count = write_csv(temp, header, columns, meta)
     print(f"wrote {count} rows -> {out}")
     return EXIT_OK
 
@@ -268,7 +271,7 @@ def cmd_simulate(args) -> int:
     from .analytic import error_asymptote
     from .mobility import ModelParams
     from .montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
-    from .output import RunManifest, write_csv, write_manifest
+    from .output import RunManifest, replaced_on_success, write_csv, write_manifest
 
     out = args.out or os.path.join(_outdir(args), f"{experiment}.csv")
     meta = dict(sorted(settings.items()))
@@ -320,11 +323,12 @@ def cmd_simulate(args) -> int:
         if not report.passed:
             status = EXIT_VALIDATION
 
-    count = write_csv(out, header, list(zip(*rows)), meta)
     manifest = RunManifest(
         experiment=experiment, seed=seed, config=settings, outputs=(os.path.basename(out),), tool_version=__version__
     )
-    write_manifest(out + ".manifest.json", manifest)
+    with replaced_on_success(out, out + ".manifest.json") as (csv_temp, manifest_temp):
+        count = write_csv(csv_temp, header, list(zip(*rows)), meta)
+        write_manifest(manifest_temp, manifest)
     print(f"wrote {count} rows -> {out}")
     if status == EXIT_VALIDATION:
         print("moment validation FAILED: some |z| >= 4", file=sys.stderr)

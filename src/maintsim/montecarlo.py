@@ -37,8 +37,13 @@ positions are checked through their expectation over the Gaussian
 velocities given the gaps (the conditional expectation), so those checks
 draw no velocities; only the position given no waypoint, whose expectation
 would be a constant, is sampled.  The unconditional moments and the
-pointwise errors come from whole windows.  All is drawn on the calling
-thread, from one generator.
+pointwise errors come from whole windows.  The check is cut into chunks
+of at most a draw budget each: every conditioned count n, every exact
+count i and the windows in turn, each in fixed-size chunks.  Chunk k draws
+from its own stream, keyed by (seed, 104, k), and is reduced to its count,
+mean and sum of squared deviations where it is drawn; ``output.map_ordered``
+runs the chunks on every usable CPU and hands the partial results back in
+chunk order, so the report does not depend on the CPU count.
 
 Every mean and standard error is one fold (``_Moments``): each window
 batch, each count-experiment chunk (per protocol and localization count)
@@ -55,7 +60,10 @@ is written.
 from __future__ import annotations
 
 import math
+import pickle
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -81,12 +89,14 @@ from .mobility import (
     chunk_rows,
     replication_chunk,
 )
+from .output import map_ordered
 from .protocols import DvmConfig, MadrdConfig
 
-# stream tags: the period sweeps draw from (seed, tag, index) and the moment
-# check from (seed, tag).  The count experiment's chunks are (seed, chunk),
-# so they never share a key with a sweep; the moment check's key equals chunk
-# 104's, but no experiment draws from both.
+# stream tags: the period sweeps draw from (seed, tag, period) and the
+# moment check from (seed, tag, chunk).  The count experiment's chunks are
+# (seed, chunk), and numpy's SeedSequence pads a short key with zeros, so its
+# chunks 102 to 104 share the keys of period or chunk 0 of a tag; no
+# experiment draws from both.
 _STREAM_PERIOD = 102
 _STREAM_ASYMPTOTE = 103
 _STREAM_MOMENTS = 104
@@ -142,6 +152,15 @@ def _merge(a, b):
         return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
 
 
+def _chunk_moments(values: np.ndarray):
+    """Count, mean and sum of squared deviations of ``values`` (..., m), m
+    samples of every check; the buffer is overwritten."""
+    with _overflow_ignored():
+        mean = values.mean(axis=-1)
+        values -= mean[..., None]
+        return values.shape[-1], mean, np.square(values, out=values).sum(axis=-1)
+
+
 class _Moments:
     """Count, mean and sum of squared deviations of a set of checks, fed a
     chunk of samples, or a chunk's partial result, at a time.
@@ -157,11 +176,7 @@ class _Moments:
     def add(self, values: np.ndarray) -> None:
         """Take ``values`` (..., m), m samples of every check; the buffer is
         overwritten."""
-        with _overflow_ignored():
-            mean = values.mean(axis=-1)
-            values -= mean[..., None]
-            part = (values.shape[-1], mean, np.square(values, out=values).sum(axis=-1))
-        self.merge(part)
+        self.merge(_chunk_moments(values))
 
     def merge(self, part) -> None:
         """Take a partial result: count, mean and sum of squared deviations."""
@@ -221,7 +236,7 @@ def _check_replications(replications: int) -> None:
 # one draw budget for every batch: a batch of windows holds at most
 # _WINDOW_BATCH rows, fewer once a high quantile of its legs would exceed
 # _CHUNK_DRAWS (``_window_batches``), and a conditioned chunk of the moment
-# check at most _CHUNK_DRAWS exponentials, (n + 1) * rows (``_chunks``); in
+# check at most _CHUNK_DRAWS exponentials, (n + 1) * rows (``_chunk_rows``); in
 # both, a single row wider than the budget is drawn alone.  So a batch's
 # matrices stay within one bound at any --replications, --samples, --n-max
 # and lambda * T.  Both sizes are part of the stream layout (a window batch
@@ -702,11 +717,10 @@ class MomentReport:
 _MAX_N_MAX = 100
 
 
-def _chunks(samples: int, width: int):
-    """Row counts of the chunks of ``samples`` rows of ``width`` draws each."""
-    rows = max(1, _CHUNK_DRAWS // width)
-    for done in range(0, samples, rows):
-        yield min(rows, samples - done)
+def _chunk_rows(width: int) -> int:
+    """Rows in a chunk of rows of ``width`` draws each (the last chunk of a
+    check holds the rest)."""
+    return max(1, _CHUNK_DRAWS // width)
 
 
 def _spacings(rng: np.random.Generator, span: float, parts: int, rows: int) -> np.ndarray:
@@ -722,6 +736,56 @@ def _spacings(rng: np.random.Generator, span: float, parts: int, rows: int) -> n
     np.divide(span, scale, out=scale)
     gaps *= scale
     return gaps
+
+
+def _conditioned_chunk(rng: np.random.Generator, m: int, *, tau: float, sigma: float, n: int):
+    """Partial moments of the 5 n checks given n waypoints in (0, tau), from
+    m samples: per waypoint k, its time and the time squared, the gap
+    before it and the gap squared, and the squared position's expectation
+    given the gaps, sigma^2 times the running sum of squared gaps."""
+    gaps = _spacings(rng, tau, n + 1, m)
+    q = np.empty((n, 5, m))
+    time, gap, gap_sq, position_sq = q[:, 0], q[:, 2], q[:, 3], q[:, 4]
+    gap[...] = gaps[:n]
+    del gaps
+    np.square(gap, out=gap_sq)
+    time[0] = gap[0]
+    position_sq[0] = gap_sq[0]
+    for k in range(1, n):
+        np.add(time[k - 1], gap[k], out=time[k])
+        np.add(position_sq[k - 1], gap_sq[k], out=position_sq[k])
+    np.square(time, out=q[:, 1])
+    position_sq *= sigma * sigma
+    return (_chunk_moments(q),)
+
+
+def _given_count_chunk(rng: np.random.Generator, m: int, *, t: float, sigma: float, i: int):
+    """Partial moments of the squared position at t given i waypoints in
+    (0, t), from m samples: sampled given none, else through its expectation
+    given the i + 1 gaps."""
+    if i == 0:
+        x = rng.standard_normal(m)
+        x *= t * sigma
+        np.square(x, out=x)
+    else:
+        x = _spacings(rng, t, i + 1, m)
+        x = np.square(x, out=x).sum(axis=0)
+        x *= sigma * sigma
+    return (_chunk_moments(x),)
+
+
+def _window_chunk(rng: np.random.Generator, m: int, *, lambda_rate: float, sigma: float, T: float, t: float):
+    """Partial moments of m whole windows at T/4, t and T: the
+    unconditional second moment and the split-window cross moment per
+    coordinate (x and y are iid, so both contribute samples), and the
+    interpolation error at T/4 and at t over both coordinates."""
+    quarter = T / 4.0
+    block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
+    x, y = block.position(np.broadcast_to((quarter, t, T), (m, 3)))
+    at_q, at_t, at_T = np.moveaxis(np.stack([x, y]), -1, 0)  # each (coordinate, window)
+    per_coordinate = np.stack([at_t * at_t, at_t * (at_T - at_t)]).reshape(2, 2 * m)
+    err = np.stack([at_q - quarter / T * at_T, at_t - t / T * at_T])
+    return _chunk_moments(per_coordinate), _chunk_moments(np.square(err, out=err).sum(axis=1))
 
 
 def validate_conditional_moments(
@@ -749,10 +813,12 @@ def validate_conditional_moments(
     at T/4, t and T; the error at s is |X(s) - (s/T) X(T)|^2 over both
     coordinates.  Passing means every |z| < 4.
 
-    Every quantity is drawn and checked a fixed-size chunk at a time and
-    merged into running moments, so memory does not grow with ``samples``,
-    ``n_max`` or ``lambda_rate * T``.  The arguments are checked, and every
-    closed form is evaluated, before anything is drawn.
+    Every quantity is drawn a fixed-size chunk at a time, each chunk from
+    its own stream, on every usable CPU, and reduced to partial moments that
+    are merged in chunk order (see the module docstring).  So the report
+    does not depend on the CPU count, and memory does not grow with
+    ``samples``, ``n_max`` or ``lambda_rate * T``.  The arguments are
+    checked, and every closed form is evaluated, before anything is drawn.
     """
     _check_positive(tau=tau, sigma=sigma, lambda_rate=lambda_rate, t=t, T=T)
     if not t <= T:
@@ -763,12 +829,13 @@ def validate_conditional_moments(
     if not 1 <= n_max <= _MAX_N_MAX:
         raise ParameterError(f"n_max must be >= 1 and at most {_MAX_N_MAX}, got {n_max}")
     # sized first, so a lambda * T above the cap fails before any draw
-    window_batches = _window_batches(samples, lambda_rate, T)
-    quarter = T / 4.0
-    # every closed form next, so a parameter one of them cannot take (a
-    # lambda whose square underflows, a sigma whose square overflows) also
-    # fails before any draw
-    conditioned = []
+    window_rows = block_rows(lambda_rate, T, _WINDOW_BATCH, _CHUNK_DRAWS)
+    # the chunk groups in stream order: each its rows per chunk, its sampler
+    # and the names and closed forms of its checks, one list per fold.
+    # Every closed form is evaluated here, so a parameter one of them cannot
+    # take (a lambda whose square underflows, a sigma whose square
+    # overflows) also fails before any draw
+    groups = []
     for n in range(1, n_max + 1):
         names, theories = [], []
         for k in range(1, n + 1):
@@ -780,68 +847,41 @@ def validate_conditional_moments(
                 theories.append(cond_interarrival_moment(tau, n, order))
             names.append(f"waypoint_position_sq n={n} k={k}")
             theories.append(cond_position_second_moment(tau, n, k, sigma))
-        conditioned.append((names, theories))
-    given_count = [position_second_moment_given_count(t, i, sigma) for i in range(n_max + 1)]
-    window_theories = [
-        position_second_moment(t, lambda_rate, sigma),
-        displacement_cross_moment(t, T, lambda_rate, sigma),
+        groups.append((_chunk_rows(n + 1), partial(_conditioned_chunk, tau=tau, sigma=sigma, n=n), [(names, theories)]))
+    for i in range(n_max + 1):
+        theory = position_second_moment_given_count(t, i, sigma)
+        checks = [([f"position_sq_given_count i={i}"], [theory])]
+        groups.append((_chunk_rows(i + 1), partial(_given_count_chunk, t=t, sigma=sigma, i=i), checks))
+    quarter = T / 4.0
+    checks = [
+        (
+            ["position_sq_unconditional", "displacement_cross_moment"],
+            [position_second_moment(t, lambda_rate, sigma), displacement_cross_moment(t, T, lambda_rate, sigma)],
+        ),
+        ([f"error_at t={s:g}" for s in (quarter, t)], [error_at(sigma, lambda_rate, T, s) for s in (quarter, t)]),
     ]
-    error_theories = [error_at(sigma, lambda_rate, T, s) for s in (quarter, t)]
+    groups.append((window_rows, partial(_window_chunk, lambda_rate=lambda_rate, sigma=sigma, T=T, t=t), checks))
+    firsts = [0]  # the first chunk of each group, and the chunk count last
+    for rows, _, _ in groups:
+        firsts.append(firsts[-1] + -(-samples // rows))
 
-    rng = np.random.default_rng([seed, _STREAM_MOMENTS])
+    stream = np.random.default_rng  # loads numpy.random once, before the pool forks
+
+    def draw(k: int) -> bytes:
+        g = bisect_right(firsts, k) - 1
+        rows, sample, _ = groups[g]
+        m = min(rows, samples - (k - firsts[g]) * rows)
+        return pickle.dumps(sample(stream([seed, _STREAM_MOMENTS, k]), m))
+
+    # the partial results are merged in chunk order, so the merge tree is
+    # the same on any number of CPUs
+    parts = map(pickle.loads, map_ordered(draw, firsts[-1], lambda k: f"drawing chunk {k} of the moment check"))
     report = MomentReport()
-    var = sigma * sigma
-
-    for n, (names, theories) in enumerate(conditioned, start=1):
-        stats = _Moments()
-        for m in _chunks(samples, n + 1):
-            gaps = _spacings(rng, tau, n + 1, m)
-            # per waypoint k: its time and the time squared, the gap before
-            # it and the gap squared, and the running sum of squared gaps,
-            # scaled to sigma^2 at the end
-            q = np.empty((n, 5, m))
-            time, gap, gap_sq, position_sq = q[:, 0], q[:, 2], q[:, 3], q[:, 4]
-            gap[...] = gaps[:n]
-            del gaps
-            np.square(gap, out=gap_sq)
-            time[0] = gap[0]
-            position_sq[0] = gap_sq[0]
-            for k in range(1, n):
-                np.add(time[k - 1], gap[k], out=time[k])
-                np.add(position_sq[k - 1], gap_sq[k], out=position_sq[k])
-            np.square(time, out=q[:, 1])
-            position_sq *= var
-            stats.add(q)
-        report.checks += stats.checks(names, theories)
-
-    # position second moment given an exact waypoint count in (0, t)
-    for i, theory in enumerate(given_count):
-        stats = _Moments()
-        for m in _chunks(samples, i + 1):
-            if i == 0:
-                x = rng.standard_normal(m)
-                x *= t * sigma
-                np.square(x, out=x)
-            else:
-                x = _spacings(rng, t, i + 1, m)
-                x = np.square(x, out=x).sum(axis=0)
-                x *= var
-            stats.add(x)
-        report.checks += stats.checks([f"position_sq_given_count i={i}"], [theory])
-
-    # whole windows at T/4, t and T: the unconditional second moment and the
-    # split-window cross moment per coordinate (x and y are iid, so both
-    # contribute samples), and the interpolation error over both
-    per_coordinate, errors = _Moments(), _Moments()
-    for _, m in window_batches:
-        block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
-        x, y = block.position(np.broadcast_to((quarter, t, T), (m, 3)))
-        at_q, at_t, at_T = np.moveaxis(np.stack([x, y]), -1, 0)  # each (coordinate, window)
-        per_coordinate.add(np.stack([at_t * at_t, at_t * (at_T - at_t)]).reshape(2, 2 * m))
-        err = np.stack([at_q - quarter / T * at_T, at_t - t / T * at_T])
-        errors.add(np.square(err, out=err).sum(axis=1))
-    report.checks += per_coordinate.checks(
-        ["position_sq_unconditional", "displacement_cross_moment"], window_theories
-    )
-    report.checks += errors.checks([f"error_at t={s:g}" for s in (quarter, t)], error_theories)
+    for (_, _, checks), first, stop in zip(groups, firsts, firsts[1:]):
+        folds = [_Moments() for _ in checks]
+        for _ in range(first, stop):
+            for fold, part in zip(folds, next(parts)):
+                fold.merge(part)
+        for fold, (names, theories) in zip(folds, checks):
+            report.checks += fold.checks(names, theories)
     return report

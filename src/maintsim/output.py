@@ -1,4 +1,5 @@
-"""Byte-deterministic CSV and run-manifest writers.
+"""Byte-deterministic CSV and run-manifest writers, and the fork pool that
+long tables and the moment check run on.
 
 Every experiment output starts with a ``# key=value`` metadata block
 capturing the full resolved configuration and seed, so a file plus the tool
@@ -9,16 +10,24 @@ ever written.
 Tables are handed over by columns: one float64 array or list per header
 name.  ``write_csv`` formats them a chunk of rows at a time, each chunk by
 one ``%`` operation on a row template repeated once per row (``%s`` of a
-Python float is its ``repr``), and never builds row tuples of values.
+Python float is its ``repr``), and never builds row tuples of values.  The
+chunks go through ``map_ordered`` and are written in row order.
 
-A table of at least two chunks is written in contiguous parts, one per
-usable CPU (each part at least one chunk long).  The calling process
-formats the first part straight into the file; a forked child formats each
-other part into its own unnamed temporary file, and the caller appends
-those files in order once every child has exited.  Each part formats its
-rows exactly as a single part would, so the bytes do not depend on the CPU
-count.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing, or the
-caller runs other threads, the table is one part.
+``map_ordered(work, count)`` yields the bytes of ``work(k)`` for k = 0 to
+count - 1 in index order, whichever process computed them.  Given more than
+one usable CPU, it forks one worker per CPU but one (at most one per index)
+and the caller works too.  Each worker takes the next index from one pipe
+when it is done with the last, so a worker on a busy CPU takes fewer, and
+appends a (k, length, failed) record and the bytes to its own unnamed
+temporary file, made before the fork; once every child has exited, the
+caller reads the records back in index order.  Indices are handed out in
+rounds of at most ``_ROUND`` (fresh workers each), so the files never hold
+more than one round's results, and memory holds one chunk per worker.  An
+exception raised in a child reaches the caller as itself; one that does not
+survive pickling, and a child that dies without returning its chunk, raise
+an ``OSError`` naming the chunk.  Where ``os.fork`` or
+``os.sched_getaffinity`` is missing, or the caller runs other threads, no
+child is forked and ``work(k)`` is yielded as it is computed.
 """
 
 from __future__ import annotations
@@ -26,20 +35,31 @@ from __future__ import annotations
 import gc
 import json
 import os
-import shutil
+import pickle
+import signal
+import struct
 import tempfile
 import threading
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 # rows formatted and written per write call; bounds the memory a long grid
-# needs, in the caller and in every forked child
+# needs, in the caller and in every forked worker
 _CHUNK_ROWS = 4096
 
 # cells of exactly these types are formatted by ``%s`` as ``_fmt`` would
 _PLAIN = {float, int, str, bool}
+
+# indices handed out per round of the pool; bounds what its temporary files
+# hold, and at 4 bytes each a round fits in one page, the smallest buffer a
+# pipe can have
+_ROUND = 1024
+_INDEX = struct.Struct("<I")
+# a result record: chunk index, payload length, and whether the payload is a
+# failure rather than the chunk's bytes
+_RECORD = struct.Struct("<qq?")
 
 
 def _fmt(value) -> str:
@@ -61,65 +81,156 @@ def _cells(values) -> list:
     return list(map(_fmt, values))
 
 
-def _write_rows(write, columns, start: int, stop: int) -> None:
-    """Rows ``start`` to ``stop`` of ``columns`` through ``write``, a chunk
-    of ``_CHUNK_ROWS`` rows per call."""
+def _format_rows(columns, start: int, stop: int) -> str:
+    """Rows ``start`` to ``stop`` of ``columns``, formatted."""
     width = len(columns)
     row = ",".join(["%s"] * width) + "\n"
-    for lo in range(start, stop, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, stop)
-        cells = [None] * ((hi - lo) * width)
-        for j, col in enumerate(columns):
-            cells[j::width] = _cells(col[lo:hi])
-        write(row * (hi - lo) % tuple(cells))
+    cells = [None] * ((stop - start) * width)
+    for j, col in enumerate(columns):
+        cells[j::width] = _cells(col[start:stop])
+    return row * (stop - start) % tuple(cells)
 
 
-def _part_count(count: int) -> int:
-    """Parts a table of ``count`` rows is written in: one per usable CPU,
-    none shorter than a chunk."""
+# ---------------------------------------------------------------------------
+# fork pool
+
+
+def _usable_cpus() -> int:
+    """CPUs the pool may use: 1 where it cannot fork safely."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1  # fork copies one thread only, so a threaded caller forks none
-    return max(1, min(len(os.sched_getaffinity(0)), count // _CHUNK_ROWS))
+    return len(os.sched_getaffinity(0))
 
 
-def _format_part(tmp, encoding: str, columns, start: int, stop: int) -> None:
-    """In a forked child: rows ``start`` to ``stop`` into ``tmp``, then exit
-    0, or 1 if anything raised.  ``os._exit`` runs no cleanup of the
+def map_ordered(work, count: int, doing=lambda k: f"computing chunk {k}"):
+    """``work(k)``, which returns bytes, for k = 0 to ``count`` - 1, in index
+    order, on every usable CPU (see the module docstring).  ``doing(k)``
+    names chunk k in the ``OSError`` of a worker that does not return it."""
+    cpus = _usable_cpus()
+    for lo in range(0, count, _ROUND):
+        chunks = range(lo, min(lo + _ROUND, count))
+        if min(cpus, len(chunks)) == 1:
+            for k in chunks:
+                yield work(k)
+        else:
+            yield from _pool_round(work, chunks, min(cpus, len(chunks)), doing)
+
+
+def _pool_round(work, chunks: range, workers: int, doing):
+    """``map_ordered`` over ``chunks`` with the caller and ``workers`` - 1
+    forked children."""
+    with ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(workers)]
+        take, give = os.pipe()
+        stack.callback(os.close, take)
+        try:
+            # every index before the first fork: the pipe ends when it is
+            # empty, and no worker can lose an index that another needs
+            os.write(give, b"".join(map(_INDEX.pack, chunks)))
+        finally:
+            os.close(give)
+        children = []
+        try:
+            for out in files[1:]:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    break  # at a process or memory limit: fewer workers
+                if pid == 0:
+                    _serve(work, take, out)
+                children.append(pid)
+            _take_chunks(work, take, files[0], in_child=False)
+        except BaseException:
+            for pid in children:  # their chunks are not needed any more
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            # every child is reaped, also when the caller's share raised
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+        yield from _read_back(files, chunks, codes, doing)
+
+
+def _serve(work, take: int, out) -> None:
+    """In a forked child: take chunks until the pipe is empty, then exit 0,
+    or 1 if anything escaped.  ``os._exit`` runs no cleanup of the
     parent's and flushes none of its buffers."""
     code = 1
     try:
         gc.disable()  # no finalizer of an object the parent still owns runs here
-        with open(tmp.fileno(), "w", encoding=encoding, newline="", closefd=False) as out:
-            _write_rows(out.write, columns, start, stop)
+        _take_chunks(work, take, out, in_child=True)
         code = 0
     finally:
         os._exit(code)
 
 
-def _write_table(fh, columns, count: int) -> None:
-    """Every data row into the text file ``fh``, in ``_part_count`` parts."""
-    parts = _part_count(count)
-    bounds = [count * k // parts for k in range(parts + 1)]
-    with ExitStack() as stack:
-        children = []
+def _take_chunks(work, take: int, out, in_child: bool) -> None:
+    """Compute the chunks whose indices this worker reads from the pipe
+    ``take``, appending a record of each to ``out``.  In a child, a chunk
+    that raises is recorded as a failure and empties the pipe, so that no
+    worker starts another chunk."""
+    while index := os.read(take, _INDEX.size):
+        (k,) = _INDEX.unpack(index)
         try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                tmp = stack.enter_context(tempfile.TemporaryFile())
-                pid = os.fork()
-                if pid == 0:
-                    _format_part(tmp, fh.encoding, columns, start, stop)
-                children.append((pid, tmp))
-            _write_rows(fh.write, columns, 0, bounds[1])
-        finally:
-            # every child is waited for, in order, also when this part raised
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-        for start, stop, code in zip(bounds[1:-1], bounds[2:], codes):
-            if code:
-                raise OSError(f"the process formatting CSV rows {start} to {stop} exited with status {code}")
-        fh.flush()
-        for _, tmp in children:
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh.buffer)
+            data = work(k)
+        except BaseException as exc:
+            if not in_child:
+                raise
+            failure = _pickled_failure(exc)
+            out.write(_RECORD.pack(k, len(failure), True) + failure)
+            while os.read(take, 1 << 16):
+                pass
+            break
+        out.write(_RECORD.pack(k, len(data), False))
+        out.write(data)
+    out.flush()
+
+
+def _pickled_failure(exc: BaseException) -> bytes:
+    """``exc`` pickled, or its repr if it does not survive pickling."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(repr(exc))
+
+
+def _read_record(fh):
+    head = fh.read(_RECORD.size)
+    return _RECORD.unpack(head) if len(head) == _RECORD.size else None
+
+
+def _read_back(files, chunks: range, codes: list, doing):
+    """The results of ``chunks`` from the workers' ``files``, in index order;
+    each file holds its worker's records in the order it took them."""
+    for fh in files:
+        fh.seek(0)
+    heads = [_read_record(fh) for fh in files]
+    for k in chunks:
+        i = next((i for i, head in enumerate(heads) if head is not None and head[0] == k), None)
+        data = files[i].read(heads[i][1]) if i is not None else b""
+        if i is None or len(data) < heads[i][1]:
+            raise OSError(f"the process {doing(k)} {_how_it_ended(codes)}")
+        failed = heads[i][2]
+        heads[i] = _read_record(files[i])
+        if failed:
+            failure = pickle.loads(data)  # written by this process's own worker
+            if isinstance(failure, BaseException):
+                raise failure
+            raise OSError(f"the process {doing(k)} raised {failure}, which could not be sent back")
+        yield data
+
+
+def _how_it_ended(codes: list) -> str:
+    """How the first child that failed ended, from its exit code."""
+    code = next((code for code in codes if code), 0)
+    if code < 0:
+        return f"was killed by signal {-code}"
+    return f"exited with status {code}" if code else "returned no result"
+
+
+# ---------------------------------------------------------------------------
+# outputs
 
 
 def write_csv(path, header: list[str], columns, metadata: dict | None = None) -> int:
@@ -128,8 +239,8 @@ def write_csv(path, header: list[str], columns, metadata: dict | None = None) ->
 
     ``columns`` holds one sequence per header column, a numpy array or a
     list, all of one length.  Rows are formatted a chunk of ``_CHUNK_ROWS``
-    at a time, so a long grid never exists as strings all at once, and a
-    long table in parts on every usable CPU (see the module docstring).
+    at a time, on every usable CPU (``map_ordered``), so a long grid never
+    exists as strings all at once.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for {len(header)} header names")
@@ -142,8 +253,38 @@ def write_csv(path, header: list[str], columns, metadata: dict | None = None) ->
             for key in sorted(metadata):
                 fh.write(f"# {key}={_fmt(metadata[key])}\n")
         fh.write(",".join(header) + "\n")
-        _write_table(fh, columns, count)
+        fh.flush()
+
+        def rows(k: int) -> tuple[int, int]:
+            return k * _CHUNK_ROWS, min(count, (k + 1) * _CHUNK_ROWS)
+
+        for data in map_ordered(
+            lambda k: _format_rows(columns, *rows(k)).encode(fh.encoding),
+            -(-count // _CHUNK_ROWS),
+            lambda k: "formatting CSV rows %d to %d" % rows(k),
+        ):
+            fh.buffer.write(data)
     return count
+
+
+@contextmanager
+def replaced_on_success(*paths):
+    """One temporary name beside each of ``paths`` for the block to write.
+    If the block succeeds, each is renamed onto its path, in order; if it
+    fails, every one is unlinked, so a failed run leaves no file."""
+    tag = f"{os.getpid()}.{os.urandom(4).hex()}"
+    temps = [os.path.join(os.path.dirname(p), f".{os.path.basename(p)}.{tag}.tmp") for p in map(os.fspath, paths)]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            try:
+                os.unlink(temp)
+            except FileNotFoundError:
+                pass
+        raise
 
 
 def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:

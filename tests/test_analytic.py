@@ -256,6 +256,12 @@ class TestErrorAt:
         mirrored = error_at(sigma, lam, T, T - t)
         assert v == pytest.approx(mirrored, rel=1e-9, abs=1e-12 * sigma**2 * T * T)
 
+    def test_nonnegative_just_above_zero(self):
+        # the bracket cancels to a few ulps of its terms here, and came out
+        # at -1e-323 before it was clamped at 0; larger t keep their bits
+        assert error_at(1.0, 0.0625, 24.0, 2.233349536577976e-162) == 0.0
+        assert error_at(1.0, 0.0625, 24.0, 1e-160) == 1.2376e-320
+
     def test_requires_t(self):
         with pytest.raises(TypeError):
             error_at(5.0, 0.1, 100.0)

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -246,6 +247,42 @@ class TestSimulate:
         assert "needs more memory than is available" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_memory_error_in_a_child_exits_two(self, tmp_path, monkeypatch, capsys):
+        # the moment check on two CPUs: the caller sleeps before its first
+        # chunk, so the forked child draws the others and runs out of
+        # memory at its first draw; the caller exits 2 and writes nothing
+        import numpy as np
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real_rng, parent = np.random.default_rng, os.getpid()
+
+        def default_rng(key):
+            if os.getpid() != parent:
+                raise MemoryError
+            time.sleep(0.5)
+            return real_rng(key)
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "moments", "--samples", "10000", "--n-max", "2", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "needs more memory than is available" in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_manifest_leaves_no_csv(self, tmp_path, monkeypatch, capsys):
+        # the CSV is renamed into place only once the manifest is written too
+        import maintsim.output
+
+        def failing(path, manifest):
+            open(path, "w").close()
+            raise OSError("injected")
+
+        monkeypatch.setattr(maintsim.output, "write_manifest", failing)
+        out = tmp_path / "f.csv"
+        assert run(["simulate", "fig5", *self.FAST_FIG5, "--out", str(out)]) == EXIT_IO
+        assert "injected" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_experiment_is_usage_error(self):
         assert run(["simulate", "fig9"]) == EXIT_USAGE
 
@@ -370,6 +407,26 @@ def run_capped_child(argv, cap=1 << 30):
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=limit, capture_output=True, text=True, timeout=60,
     )
+
+
+def test_write_beyond_the_file_size_limit_leaves_nothing(tmp_path):
+    # ulimit -f 1000 (1 024 000 bytes) and a 2.5 MB grid: the write fails
+    # with exit 3, and neither a cut CSV nor a temporary file is left
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1000 * 1024, 1000 * 1024))
+
+    out = tmp_path / "grid.csv"
+    argv = ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:0.001"]
+    src = os.path.dirname(os.path.dirname(maintsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maintsim.cli", *argv, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert proc.stderr.startswith("i/o error:") and len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("spec", ["0:inf:1", "-inf:0:1", "0:1:inf", "nan:1:0.5"])

@@ -4,8 +4,10 @@ block-batched runners, the vectorized window engine, and the closed
 forms."""
 
 import math
+import os
 import sys
 import threading
+import time
 import warnings
 import weakref
 
@@ -1112,11 +1114,15 @@ class TestMomentValidation:
     @pytest.mark.parametrize("width", [1, 2, 7, 13, montecarlo._CHUNK_DRAWS + 1])
     def test_chunks_stay_within_the_draw_budget(self, width):
         # any n_max: a chunk of (n + 1, rows) draws holds at most the budget,
-        # or a single row where one row alone is wider
-        for samples in (10_000, 10_001, 400_000):
-            rows = list(montecarlo._chunks(samples, width))
-            assert sum(rows) == samples and min(rows) >= 1
-            assert max(rows) * width <= max(montecarlo._CHUNK_DRAWS, width)
+        # or a single row where one row alone is wider; the last chunk of a
+        # check holds the rest of its samples
+        rows = montecarlo._chunk_rows(width)
+        assert rows >= 1
+        assert rows * width <= max(montecarlo._CHUNK_DRAWS, width)
+        per_coordinate = {"position_sq_unconditional", "displacement_cross_moment"}  # x and y both count
+        for samples in (10_000, 10_001):
+            report = validate_conditional_moments(samples=samples, n_max=1, seed=0)
+            assert {c.samples for c in report.checks if c.name not in per_coordinate} == {samples}
 
     @pytest.mark.parametrize("n_max", [6, 9])
     def test_memory_does_not_grow_with_samples(self, n_max):
@@ -1173,7 +1179,7 @@ class TestMomentValidation:
         kw = dict(n_max=n_max, samples=10_001, seed=3)
         want = validate_conditional_moments(**kw).checks
         monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 999)
-        assert len(list(montecarlo._chunks(kw["samples"], n_max + 1))) > 20
+        assert -(-kw["samples"] // montecarlo._chunk_rows(n_max + 1)) > 20
         report = validate_conditional_moments(**kw)
         assert [(c.name, c.theory, c.samples) for c in report.checks] == [(c.name, c.theory, c.samples) for c in want]
         assert report.passed, report.max_abs_z
@@ -1181,7 +1187,9 @@ class TestMomentValidation:
     def test_each_draw_keeps_at_most_one_earlier_draw_alive(self, monkeypatch):
         # before each draw of spacings or of a window batch, at most one
         # earlier draw may still be referenced, so the check holds at most
-        # two chunks of draws whatever --samples asks for
+        # two chunks of draws whatever --samples asks for; on one CPU, where
+        # the caller draws every chunk
+        _set_cpus(monkeypatch, 1)
         refs, alive = [], []
 
         def watch(draw):
@@ -1197,48 +1205,74 @@ class TestMomentValidation:
         monkeypatch.setattr(TrajectoryBlock, "windows", classmethod(watch(TrajectoryBlock.windows.__func__)))
         validate_conditional_moments(samples=10_000, n_max=4, seed=1)
         # 1 + 1 + 2 + 2 chunks of the n blocks, as many of the counts, and
-        # 3 window batches
+        # 3 window batches; each chunk's draws are freed once it is reduced
+        # to partial moments, so none is alive at the next draw
         assert len(refs) == 6 + 6 + 3
-        assert max(alive) == 1
+        assert max(alive) == 0
 
     @pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
     @pytest.mark.parametrize("where", ["first", "middle", "window", "last"])
     def test_draw_failure_reaches_the_caller(self, monkeypatch, exc, where):
-        # count the draw calls of one check, then fail the same check at
-        # the first, a middle, the first window and the last call; the check
-        # starts no thread, so none is left behind either
+        # on one CPU, where the caller draws every chunk in order: count the
+        # draw calls of one check over all its chunk streams, then fail the
+        # same check at the first, a middle, the first window and the last
+        # call; the check starts no thread, so none is left behind either
+        _set_cpus(monkeypatch, 1)
         kw = dict(samples=10_000, n_max=2, seed=0)
         real_rng, real_windows = np.random.default_rng, TrajectoryBlock.windows.__func__
-        made = []
+        counter, first_window = [0], []
 
         def windows(cls, rng, *args):
-            if rng.first_window is None:
-                rng.first_window = rng.calls + 1
+            if not first_window:
+                first_window.append(counter[0] + 1)
             return real_windows(cls, rng, *args)
 
         monkeypatch.setattr(TrajectoryBlock, "windows", classmethod(windows))
-        monkeypatch.setattr(np.random, "default_rng", lambda key: made.append(_FailingDraws(real_rng(key))) or made[-1])
+        monkeypatch.setattr(np.random, "default_rng", lambda key: _FailingDraws(real_rng(key), counter=counter))
         validate_conditional_moments(**kw)
-        total, window = made[0].calls, made[0].first_window
+        total, window = counter[0], first_window[0]
         fail_at = {"first": 1, "middle": window // 2, "window": window, "last": total}[where]
-        monkeypatch.setattr(np.random, "default_rng", lambda key: _FailingDraws(real_rng(key), fail_at, exc))
+        counter = [0]
+        monkeypatch.setattr(np.random, "default_rng", lambda key: _FailingDraws(real_rng(key), fail_at, exc, counter))
         before = threading.active_count()
         with pytest.raises(exc, match="injected"):
             validate_conditional_moments(**kw)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("exc", [MemoryError, ParameterError, RuntimeError])
+    def test_draw_failure_in_a_child_reaches_the_caller(self, monkeypatch, exc):
+        # on two CPUs the caller sleeps before its first chunk, so the child
+        # draws the others, and fails at its first draw: the caller raises
+        # the child's exception as itself, and no child is left behind
+        _set_cpus(monkeypatch, 2)
+        real_rng, parent = np.random.default_rng, os.getpid()
+
+        def default_rng(key):
+            if os.getpid() == parent:
+                time.sleep(0.5)
+                return real_rng(key)
+            return _FailingDraws(real_rng(key), 1, exc)
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        with pytest.raises(exc, match="^injected$"):
+            validate_conditional_moments(samples=10_000, n_max=2, seed=0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("call", [1, 2])
     def test_caller_memory_error_stops_the_producer(self, monkeypatch, call):
-        # the check allocates one matrix per chunk of the n blocks, on the
-        # calling thread: a MemoryError from the first or the second stops
-        # the check, reaches the caller and leaves no thread behind
-        # (named after the producer thread of 0.5.0, which 0.6.0 deleted)
+        # the check allocates one matrix per chunk of the n blocks: on one
+        # CPU, where the caller draws every chunk, a MemoryError from the
+        # first or the second stops the check, reaches the caller and
+        # leaves no thread behind (named after the producer thread of
+        # 0.5.0, which 0.6.0 deleted)
+        _set_cpus(monkeypatch, 1)
         empty = np.empty
         calls = []
 
         def failing_empty(*args, **kwargs):
             # the generator's own allocations pass
-            if sys._getframe(1).f_code is not validate_conditional_moments.__code__:
+            if sys._getframe(1).f_code is not montecarlo._conditioned_chunk.__code__:
                 return empty(*args, **kwargs)
             calls.append(args)
             if len(calls) == call:
@@ -1273,11 +1307,23 @@ class TestMomentValidation:
             validate_conditional_moments(samples=10_000, n_max=3, seed=0)
         assert len(calls) == call
         assert threading.active_count() == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_report_does_not_depend_on_the_cpu_count(self, monkeypatch):
+        # every chunk draws from its own stream and the partial moments are
+        # merged in chunk order, so 1, 2 and 3 usable CPUs give equal checks
+        reports = []
+        for cpus in (1, 2, 3):
+            _set_cpus(monkeypatch, cpus)
+            reports.append(validate_conditional_moments(samples=20_000, n_max=4, seed=5).checks)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_concurrent_checks_equal_the_checks_drawn_alone(self):
         # the check keeps no shared state: three checks at once, on three
-        # threads with switches forced every microsecond, each equal the
-        # report drawn alone
+        # threads with switches forced every microsecond (so each draws its
+        # chunks itself), each equal the report drawn alone (on every usable
+        # CPU)
         kw = [dict(samples=10_000, n_max=3, seed=s) for s in range(3)]
         want = [validate_conditional_moments(**k).checks for k in kw]
         got = [None] * 3
@@ -1301,26 +1347,33 @@ class TestMomentValidation:
 
 class _FailingDraws:
     """Passes every draw through to ``rng``, counting the calls, and raises
-    ``exc`` from call number ``fail_at``.  ``first_window`` is set by the
-    caller to the first call made from inside ``TrajectoryBlock.windows``."""
+    ``exc`` from call number ``fail_at``.  Generators given one ``counter``,
+    a one-item list, count their calls together."""
 
-    def __init__(self, rng, fail_at=None, exc=MemoryError):
+    def __init__(self, rng, fail_at=None, exc=MemoryError, counter=None):
         self._rng = rng
         self._fail_at = fail_at
         self._exc = exc
-        self.calls = 0
-        self.first_window = None
+        self._counter = [0] if counter is None else counter
+
+    @property
+    def calls(self) -> int:
+        return self._counter[0]
 
     def __getattr__(self, name):
         draw = getattr(self._rng, name)
 
         def counted(*args, **kwargs):
-            self.calls += 1
-            if self.calls == self._fail_at:
+            self._counter[0] += 1
+            if self._counter[0] == self._fail_at:
                 raise self._exc("injected")
             return draw(*args, **kwargs)
 
         return counted
+
+
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 class TestConfigValidation:

@@ -1,15 +1,18 @@
-"""CSV writer: chunk and part boundaries, forked parts that fail, value
-formatting, column checks and byte equality with a plain one-row-at-a-time
-writer."""
+"""CSV writer and fork pool: chunk boundaries, chunks handed out on demand
+and in rounds, forked workers that fail or die, value formatting, column
+checks and byte equality with a plain one-row-at-a-time writer."""
 
 import os
+import pickle
+import signal
 import tempfile
+import time
 
 import numpy as np
 import pytest
 
 from maintsim import output
-from maintsim.output import _fmt, read_csv, write_csv
+from maintsim.output import _fmt, map_ordered, read_csv, write_csv
 
 
 def _reference_csv(header, rows, metadata=None) -> bytes:
@@ -68,13 +71,13 @@ def _set_cpus(monkeypatch, cpus):
     monkeypatch.setattr(output.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-# every chunk boundary, and every row count where a table gains a part
+# every chunk boundary, and every row count where a table gains a chunk
 @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 3, 3 * C - 1, 3 * C, 3 * C + 1])
 @pytest.mark.parametrize("as_arrays", [False, True])
 def test_chunked_writer_matches_reference(tmp_path, monkeypatch, forks, n, as_arrays):
-    # on 1, 2 and 3 CPUs: a table of k chunks is written in min(CPUs, k)
-    # parts with the rows split evenly, so these n fall on each side of
-    # every part boundary
+    # on 1, 2 and 3 CPUs: a table of k chunks is formatted by min(CPUs, k)
+    # workers, the caller and min(CPUs, k) - 1 forked children, so these n
+    # fall on each side of every chunk boundary and worker count
     columns = _columns(n, as_arrays)
     want = _reference_csv(HEADER, zip(*columns), META)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -84,48 +87,182 @@ def test_chunked_writer_matches_reference(tmp_path, monkeypatch, forks, n, as_ar
         forks.clear()
         assert write_csv(out, HEADER, columns, META) == n
         assert out.read_bytes() == want, cpus
-        assert len(forks) == max(1, min(cpus, n // C)) - 1
+        assert len(forks) == max(1, min(cpus, -(-n // C))) - 1
         assert list(tmp_path.iterdir()) == [out]
 
 
-class _Cell:
-    """Formats as "cell", but raises in the process that made it if
-    ``fails_in_parent``, else in every other process."""
+class _Unpicklable(Exception):
+    """Pickles, but cannot be rebuilt from its pickle."""
 
-    def __init__(self, fails_in_parent: bool):
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+class _Cell:
+    """Formats as "cell", or does ``in_parent`` in the process that made it
+    and ``in_child`` in every other: "raise", "unpicklable" or "die".  The
+    process that made it first sleeps ``parent_sleep`` seconds, once, so
+    that the children take chunks."""
+
+    def __init__(self, in_parent: str = "cell", in_child: str = "cell", parent_sleep: float = 0.0):
         self.parent = os.getpid()
-        self.fails_in_parent = fails_in_parent
+        self.in_parent = in_parent
+        self.in_child = in_child
+        self.parent_sleep = parent_sleep
 
     def __str__(self):
-        if (os.getpid() == self.parent) == self.fails_in_parent:
+        mine = os.getpid() == self.parent
+        if mine:
+            time.sleep(self.parent_sleep)
+            self.parent_sleep = 0.0
+        action = self.in_parent if mine else self.in_child
+        if action == "raise":
             raise RuntimeError("injected")
+        if action == "unpicklable":
+            raise _Unpicklable("injected", "detail")
+        if action == "die":
+            os.kill(os.getpid(), signal.SIGKILL)
         return "cell"
 
 
-def test_failing_child_raises_os_error(tmp_path, monkeypatch, forks):
+def _write_cells(tmp_path, monkeypatch, cell, chunks=3):
     _set_cpus(monkeypatch, 3)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     out = tmp_path / "out.csv"
-    with pytest.raises(OSError, match="exited with status 1"):
-        write_csv(out, ["x"], ([_Cell(fails_in_parent=False)] * (3 * C),))
+    write_csv(out, ["x"], ([cell] * (chunks * C),))
+    return out
+
+
+def test_failing_child_raises_os_error(tmp_path, monkeypatch, forks):
+    # a child killed while it formats a chunk: the caller names the rows
+    # that no process returned, after reaping every child
+    with pytest.raises(OSError, match=f"formatting CSV rows [0-9]+ to [0-9]+ was killed by signal {signal.SIGKILL}"):
+        _write_cells(tmp_path, monkeypatch, _Cell(in_child="die", parent_sleep=0.5))
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert list(tmp_path.iterdir()) == [out]
+    assert list(tmp_path.iterdir()) == [tmp_path / "out.csv"]
+
+
+def test_child_exception_reaches_the_caller_as_itself(tmp_path, monkeypatch, forks):
+    with pytest.raises(RuntimeError, match="^injected$"):
+        _write_cells(tmp_path, monkeypatch, _Cell(in_child="raise", parent_sleep=0.5))
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_exception_that_cannot_be_rebuilt_is_an_os_error(tmp_path, monkeypatch, forks):
+    with pytest.raises(OSError, match=r"formatting CSV rows [0-9]+ to [0-9]+ raised _Unpicklable\('injected'\)"):
+        _write_cells(tmp_path, monkeypatch, _Cell(in_child="unpicklable", parent_sleep=0.5))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_failing_parent_part_reaps_every_child(tmp_path, monkeypatch, forks):
-    # the children are waited for before the parent's error propagates
-    _set_cpus(monkeypatch, 3)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    out = tmp_path / "out.csv"
+    # the children are killed and reaped before the parent's error
+    # propagates
     with pytest.raises(RuntimeError, match="injected"):
-        write_csv(out, ["x"], ([_Cell(fails_in_parent=True)] * (3 * C),))
+        _write_cells(tmp_path, monkeypatch, _Cell(in_parent="raise"))
     assert len(forks) == 2
     # no child is left running or unreaped
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert list(tmp_path.iterdir()) == [out]
+    assert list(tmp_path.iterdir()) == [tmp_path / "out.csv"]
+
+
+def _pid_of_chunk(parent_sleep):
+    """A pool task: the pid that computed chunk k, as bytes; the caller
+    sleeps ``parent_sleep`` seconds on each of its chunks."""
+    parent = os.getpid()
+
+    def work(k):
+        if os.getpid() == parent:
+            time.sleep(parent_sleep)
+        return pickle.dumps((k, os.getpid()))
+
+    return work
+
+
+def test_a_slow_worker_takes_fewer_chunks(monkeypatch, forks):
+    # chunks are handed out on demand: while the caller sleeps on its first
+    # chunk, the child takes every other one (an even split would leave the
+    # caller half of them)
+    _set_cpus(monkeypatch, 2)
+    got = [pickle.loads(data) for data in map_ordered(_pid_of_chunk(1.0), 40)]
+    assert [k for k, _ in got] == list(range(40))
+    assert len(forks) == 1
+    assert sum(pid == os.getpid() for _, pid in got) == 1
+
+
+def test_indices_are_handed_out_in_rounds(monkeypatch, forks):
+    # rounds of 3: three rounds fork one child each, and the last round,
+    # one index, runs in the caller
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(output, "_ROUND", 3)
+    got = [pickle.loads(data) for data in map_ordered(_pid_of_chunk(0.0), 10)]
+    assert [k for k, _ in got] == list(range(10))
+    assert len(forks) == 3
+    assert got[9][1] == os.getpid()
+
+
+def test_a_failed_fork_leaves_the_chunks_to_fewer_workers(monkeypatch):
+    # at a process limit the second fork fails: the caller and the one
+    # child take every chunk
+    _set_cpus(monkeypatch, 3)
+    real_fork, made = os.fork, []
+
+    def fork():
+        if made:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(output.os, "fork", fork)
+    got = [pickle.loads(data) for data in map_ordered(_pid_of_chunk(0.0), 30)]
+    assert [k for k, _ in got] == list(range(30))
+    assert len(made) == 1
+    assert {pid for _, pid in got} <= {os.getpid(), made[0]}
+
+
+def test_keyboard_interrupt_in_the_caller_reaps_every_child(monkeypatch, forks):
+    # the children would sleep for a minute; the caller's interrupt kills
+    # them, and every one is reaped before it propagates
+    _set_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def work(k):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60.0)
+        return b""
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        list(map_ordered(work, 10))
+    assert time.monotonic() - start < 30.0
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_threaded_caller_forks_nothing(monkeypatch, forks):
+    import threading
+
+    _set_cpus(monkeypatch, 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30.0,))
+    other.start()
+    try:
+        got = [pickle.loads(data) for data in map_ordered(_pid_of_chunk(0.0), 5)]
+    finally:
+        stop.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()
+    assert got == [(k, os.getpid()) for k in range(5)]
+    assert forks == []
 
 
 def test_no_metadata_and_zero_rows(tmp_path):
