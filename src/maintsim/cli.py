@@ -26,14 +26,15 @@ both are whole, so a run stopped by an error leaves neither.
 hands them to the CSV writer as columns.  This module imports only the
 standard library, the version and the exception types: ``theory`` loads
 numpy, ``analytic`` and ``output``, and ``simulate`` loads those and the
-simulation stack (``mobility``, ``montecarlo`` and, through it,
-``protocols``), each after its settings and grids are checked.  So
-``--version``, ``--help`` and every usage error answer without numpy.
+simulation stack (``mobility`` and ``montecarlo``), each after its
+settings and grids are checked.  So ``--version``, ``--help`` and every
+usage error answer without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -361,7 +362,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    # spares the exit the interpreter's last collection, a walk of every object
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

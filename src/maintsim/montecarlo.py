@@ -11,23 +11,22 @@ fresh one).  Windows are drawn in batches sized by a draw budget, and a
 batch draws its leg durations only, a Poisson waypoint count per window
 and then normalized exponential spacings of [0, T]: given them, each
 window's error averaged over velocities and a uniform query time is exact
-(``sample_window_mean_errors``).  The count experiment
-evaluates whole paths as ``mobility.TrajectoryBlock`` leg matrices and runs
-the block-batched protocol runners on chunks of replications
-(``mobility.replication_chunk``): the timer schemes localize their tick
-grids as arrays, and the adaptive schemes advance all rows in lock-step.
-The reference runners, which drive the event-driven state machines of
-``protocols`` one replication at a time, live with the tests: a
-differential test requires the batched runners to reproduce their call
-counts and estimates.
+(``sample_window_mean_errors``).
 
-The count experiment draws replications a chunk at a time: chunk c draws
-the paths of its R replications and then their query times, an (R, queries)
-matrix, from one stream keyed by (seed, c).  R depends only on the model,
-and the last chunk is drawn in full and then cut, so a replication's path
-and queries do not depend on the number of replications.  Each chunk goes
-through the runners whole, with the fixed schedules ``MAINT_PERIODS``,
-``MADRD_CONFIGS`` and ``DVM_CONFIG``.
+The count experiment runs the block-batched protocol runners on whole paths
+as ``mobility.TrajectoryBlock`` leg matrices, with the fixed schedules
+``MAINT_PERIODS`` and ``MADRD_BASES``: the timer schemes localize their tick
+grids as arrays, and the adaptive schemes advance all rows in lock-step.
+Chunk c draws the paths of its R replications and then their query times,
+an (R, queries) matrix, from one stream keyed by (seed, c)
+(``mobility.replication_chunk``).  R depends only on the model, and the
+last chunk is drawn in full and then cut, so a replication's path and
+queries do not depend on the number of replications.  Each chunk is
+reduced where it is drawn to the partial moments of its (protocol,
+localization count) bins.  The reference runners, which drive the
+event-driven state machines of ``protocols`` one replication at a time,
+live with the tests: a differential test requires the batched runners to
+reproduce their call counts and estimates.
 
 The moment check samples its conditioned quantities by construction, apart
 from the window engine, so it checks the formulas independently of it.
@@ -41,14 +40,15 @@ pointwise errors come from whole windows.  The check is cut into chunks
 of at most a draw budget each: every conditioned count n, every exact
 count i and the windows in turn, each in fixed-size chunks.  Chunk k draws
 from its own stream, keyed by (seed, 104, k), and is reduced to its count,
-mean and sum of squared deviations where it is drawn; ``output.map_ordered``
-runs the chunks on every usable CPU and hands the partial results back in
-chunk order, so the report does not depend on the CPU count.
+mean and sum of squared deviations where it is drawn.
 
 Every mean and standard error is one fold (``_Moments``): each window
 batch, each count-experiment chunk (per protocol and localization count)
 and each moment-check chunk is reduced to its count, mean and sum of
-squared deviations, merged pairwise into the running ones.  Batches and
+squared deviations, merged pairwise into the running ones.  Both kinds of
+chunk go through ``_fold_chunks``: ``output.map_ordered`` runs them on every
+usable CPU and hands their partial results back in chunk order, the order
+they are merged in, so no result depends on the CPU count.  Batches and
 chunks depend only on the model and the sizes, so memory stays the same
 whatever the replication or sample count, the conditioned counts and lambda.
 The fold runs with float overflow ignored, and its result is checked
@@ -90,7 +90,6 @@ from .mobility import (
     replication_chunk,
 )
 from .output import map_ordered
-from .protocols import DvmConfig, MadrdConfig
 
 # stream tags: the period sweeps draw from (seed, tag, period) and the
 # moment check from (seed, tag, chunk).  The count experiment's chunks are
@@ -101,14 +100,13 @@ _STREAM_PERIOD = 102
 _STREAM_ASYMPTOTE = 103
 _STREAM_MOMENTS = 104
 
-KNOWN_PROTOCOLS = ("MAINT", "MADRD", "SFR", "DVM")
-
-
 # the count experiment's fixed schedules: timer periods (MAINT and SFR) and
-# MADRD base intervals cycle through their grids across replications
+# MADRD base intervals cycle through their grids across replications; the
+# other settings are the defaults of ``protocols.MadrdConfig`` and ``DvmConfig``
 MAINT_PERIODS = (2.0, 4.0, 5.0, 10.0, 20.0, 25.0, 50.0)
-MADRD_CONFIGS = tuple(MadrdConfig(base_interval=b, e_thresh=5.0) for b in (2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 35.0, 50.0))
-DVM_CONFIG = DvmConfig(threshold_distance=5.0)
+MADRD_BASES = (2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 35.0, 50.0)
+MADRD_E_THRESH, MADRD_MIN_INTERVAL, MADRD_MAX_PER_BASE = 5.0, 0.1, 4.0
+DVM_THRESHOLD, DVM_MIN_INTERVAL, DVM_MAX_INTERVAL = 5.0, 0.1, 100.0
 
 
 @dataclass(frozen=True)
@@ -212,6 +210,20 @@ class _Moments:
             z = (mu - theory) / s if s > 0 else math.inf
             out.append(MomentCheck(name=name, mc_mean=mu, std_error=s, theory=theory, z=z, samples=n))
         return out
+
+
+def _fold_chunks(work, count: int) -> dict:
+    """One ``_Moments`` per key, fed the partial results of ``count`` chunks
+    in chunk order.  ``work(k)`` returns chunk k's (key, (count, mean, sum
+    of squared deviations)) pairs; ``output.map_ordered`` runs it on every
+    usable CPU and hands the pickled pairs back in chunk order, so every
+    key's merge tree is the same on any number of CPUs."""
+    np.random.default_rng  # loads numpy.random once, before the pool forks
+    folds: dict = {}
+    for data in map_ordered(lambda k: pickle.dumps(work(k)), count):
+        for key, part in pickle.loads(data):
+            folds.setdefault(key, _Moments()).merge(part)
+    return folds
 
 
 # the largest --replications and --samples: every experiment runs in fixed
@@ -426,20 +438,23 @@ def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
 
 
-def run_madrd_block(block: TrajectoryBlock, configs, query_times):
-    """The dead-reckoning baseline for every row of a block, one
-    ``MadrdConfig`` per row: fixes at 0 and at the base interval, then at
-    intervals that ``protocols.madrd_on_localization`` adapts; each query is
-    extrapolated from the last two fixes at or before it.
+def _per_row(block: TrajectoryBlock, *values):
+    """Each of ``values``, a scalar or one per row, as a new array (rows,)."""
+    return [np.array(np.broadcast_to(v, len(block)), dtype=float) for v in values]
+
+
+def run_madrd_block(block: TrajectoryBlock, base_interval, e_thresh, min_interval, max_interval, query_times):
+    """The dead-reckoning baseline for every row of a block, with the
+    settings of ``protocols.MadrdConfig``, scalars or one per row: fixes at
+    0 and at the base interval, then at intervals that
+    ``protocols.madrd_on_localization`` adapts; each query is extrapolated
+    from the last two fixes at or before it.
 
     Rows advance in lock-step: each round localizes every row whose next
     fix still falls within the span and retires the others.
     """
     q = np.asarray(query_times, dtype=float)
-    interval = np.array([c.base_interval for c in configs], dtype=float)
-    e_thresh = np.array([c.e_thresh for c in configs], dtype=float)
-    lo_clamp = np.array([c.min_interval for c in configs], dtype=float)
-    hi_clamp = np.array([c.clamp_max for c in configs], dtype=float)
+    interval, e_thresh, lo_clamp, hi_clamp = _per_row(block, base_interval, e_thresh, min_interval, max_interval)
     trail = _FixTrail(block, interval)
     rows = trail.booted
     while True:
@@ -470,15 +485,14 @@ def run_madrd_block(block: TrajectoryBlock, configs, query_times):
     return est, calls
 
 
-def run_dvm_block(block: TrajectoryBlock, configs, query_times, bootstrap_interval: float = 1.0):
-    """The velocity-monotonic baseline for every row of a block, one
-    ``DvmConfig`` per row, with the lock-step rounds of ``run_madrd_block``:
-    fixes at 0 and at ``bootstrap_interval``, then at the intervals of
+def run_dvm_block(block: TrajectoryBlock, threshold, min_interval, max_interval, query_times, bootstrap_interval=1.0):
+    """The velocity-monotonic baseline for every row of a block, with the
+    settings of ``protocols.DvmConfig``, scalars or one per row, and the
+    lock-step rounds of ``run_madrd_block``: fixes at 0 and at
+    ``bootstrap_interval``, then at the intervals of
     ``protocols.dvm_next_interval``; each query gets the latest fix."""
     q = np.asarray(query_times, dtype=float)
-    threshold = np.array([c.threshold_distance for c in configs], dtype=float)
-    lo_clamp = np.array([c.min_interval for c in configs], dtype=float)
-    hi_clamp = np.array([c.max_interval for c in configs], dtype=float)
+    threshold, lo_clamp, hi_clamp = _per_row(block, threshold, min_interval, max_interval)
     trail = _FixTrail(block, np.full(len(block), float(bootstrap_interval)))
     rows = trail.booted
     while rows.size:
@@ -516,97 +530,91 @@ class ChunkRecords(NamedTuple):
     sq_error: np.ndarray
 
 
-def error_chunks(model: ModelParams, replications: int, queries: int, protocols=("MAINT", "MADRD")):
-    """Run every given protocol over fresh trajectories and yield their
-    error records, one ``ChunkRecords`` per chunk of replications, drawn when
-    it is taken.
+def chunk_records(model: ModelParams, chunk: int, replications: int, queries: int, protocols=("MAINT", "MADRD")):
+    """Error records of chunk ``chunk`` of a run of ``replications``
+    replications, as one ``ChunkRecords``, for arguments that
+    ``run_error_vs_count`` checks.
 
     Per replication: take its path, draw ``queries`` query times uniformly
-    on [0, span], and give every protocol the same path and queries.  Truth
-    comes from the path; estimates only from protocol-visible fixes.  The
-    schedule parameters (``MAINT_PERIODS`` for the timer schemes,
-    ``MADRD_CONFIGS`` for dead reckoning) cycle through their grids across
-    replications to populate the localization-count axis.
+    on [0, span], and give every protocol (MAINT, MADRD, SFR or DVM, in the
+    order given) the same path and queries.  Truth comes from the path;
+    estimates only from protocol-visible fixes.  The schedules
+    (``MAINT_PERIODS`` for the timer schemes, ``MADRD_BASES`` for dead
+    reckoning) cycle through their grids across replications to populate the
+    localization-count axis.  The chunk goes through the block-batched runners whole; its size
+    keeps its legs near ``mobility._BLOCK_LEGS`` entries (its rows times a
+    high quantile of a row's leg count) unless it holds a single row.
+    """
+    per_chunk = chunk_rows(model)
+    paths, rng = replication_chunk(model, chunk)
+    qts = rng.uniform(0.0, model.span, (per_chunk, queries))
+    rows = np.arange(chunk * per_chunk, min(replications, (chunk + 1) * per_chunk))
+    legs, qts = paths[: len(rows)], qts[: len(rows)]
+    periods = np.array(MAINT_PERIODS)[rows % len(MAINT_PERIODS)]
+    base = np.array(MADRD_BASES)[rows % len(MADRD_BASES)]
+    runners = {
+        "MAINT": lambda: run_maint_timer_block(legs, periods, qts),
+        "MADRD": lambda: run_madrd_block(legs, base, MADRD_E_THRESH, MADRD_MIN_INTERVAL, MADRD_MAX_PER_BASE * base, qts),
+        "SFR": lambda: run_sfr_block(legs, periods, qts),
+        "DVM": lambda: run_dvm_block(legs, DVM_THRESHOLD, DVM_MIN_INTERVAL, DVM_MAX_INTERVAL, qts),
+    }
+    unknown = [p for p in protocols if p not in runners]
+    if unknown:
+        raise ParameterError(f"unknown protocols: {unknown}; known: {list(runners)}")
+    runs = [runners[p]() for p in protocols]
+    tx, ty = legs.position(qts)
+    est = np.stack([e for e, _ in runs], axis=1)  # (rows, protocols, queries, 2)
+    ex = est[..., 0] - tx[:, None, :]
+    ey = est[..., 1] - ty[:, None, :]
+    calls = np.stack([c for _, c in runs], axis=1)
+    with _overflow_ignored():
+        sq = ex * ex + ey * ey
+    return ChunkRecords(tuple(protocols), rows, qts, calls, sq)
 
-    Replications are drawn a chunk at a time (see the module docstring), and
-    each chunk goes through the block-batched runners whole; the chunk size
-    keeps a chunk's legs near ``mobility._BLOCK_LEGS`` entries (its rows
-    times a high quantile of a row's leg count) unless it holds a single
-    row.  Chunks come in replication order and protocols in the order
-    MAINT, MADRD, SFR, DVM, so the number of replications does not change
-    the records of a replication or their place in the stream.  The
-    arguments are checked before anything is drawn.
+
+def _chunk_bins(chunk: ChunkRecords):
+    """The records of ``chunk`` grouped by (protocol, localization count),
+    by one grouping: each group's key, and its count, mean and sum of
+    squared deviations of the squared and of the absolute error."""
+    calls, sq = chunk.localization_count, chunk.sq_error.ravel()
+    width = int(calls.max()) + 1
+    keys, pair_bin = np.unique((calls + width * np.arange(calls.shape[1])).ravel(), return_inverse=True)
+    queries = chunk.sq_error.shape[2]
+    record_bin = np.repeat(pair_bin, queries)
+    counts = np.bincount(pair_bin, minlength=len(keys)) * queries
+    values = np.stack([sq, np.sqrt(sq)])
+    with _overflow_ignored():
+        mean = np.stack([np.bincount(record_bin, v, len(keys)) for v in values]) / counts
+        values -= mean[:, record_bin]
+        np.square(values, out=values)
+    m2 = np.stack([np.bincount(record_bin, v, len(keys)) for v in values])
+    return [
+        ((chunk.protocols[key // width], key % width), (n, part_mean, part_m2))
+        for key, n, part_mean, part_m2 in zip(keys.tolist(), counts.tolist(), mean.T, m2.T)
+    ]
+
+
+def run_error_vs_count(model: ModelParams, replications: int, queries: int) -> dict[str, list[BinnedResult]]:
+    """Error against localization count for the interpolation protocol and
+    the dead-reckoning baseline over identical trajectories.
+
+    Each chunk's records (``chunk_records``) are grouped by (protocol,
+    localization count) where they are drawn, and the bins' partial moments
+    are merged in chunk order (``_fold_chunks``), so a worker holds one
+    chunk at a time.  Empty bins do not appear.  The arguments are checked
+    before anything is drawn.
     """
     _check_replications(replications)
     if not 1 <= queries <= _MAX_QUERIES:
         raise ParameterError(f"queries must be >= 1 and at most {_MAX_QUERIES}, got {queries}")
-    unknown = [p for p in protocols if p not in KNOWN_PROTOCOLS]
-    if unknown:
-        raise ParameterError(f"unknown protocols: {unknown}; known: {KNOWN_PROTOCOLS}")
-    protos = tuple(p for p in KNOWN_PROTOCOLS if p in protocols)
-    if not protos:
-        return
-    rows_per_chunk = chunk_rows(model)  # a window above the cap fails first
-    if "MAINT" in protos:
-        for p, n in zip(MAINT_PERIODS, _tick_counts(np.array(MAINT_PERIODS), model.span).tolist()):
-            if abs(n * p - model.span) > 1e-9 * model.span:
-                raise ParameterError(
-                    f"maint period {p} does not divide span {model.span}; "
-                    "late queries could never be bracketed"
-                )
-    for first in range(0, replications, rows_per_chunk):
-        paths, rng = replication_chunk(model, first // rows_per_chunk)
-        qts = rng.uniform(0.0, model.span, (rows_per_chunk, queries))
-        rows = np.arange(first, min(replications, first + rows_per_chunk))
-        legs, qts = paths[: len(rows)], qts[: len(rows)]
-        periods = np.array(MAINT_PERIODS)[rows % len(MAINT_PERIODS)]
-        runs = []
-        if "MAINT" in protos:
-            runs.append(run_maint_timer_block(legs, periods, qts))
-        if "MADRD" in protos:
-            runs.append(run_madrd_block(legs, [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in rows], qts))
-        if "SFR" in protos:
-            runs.append(run_sfr_block(legs, periods, qts))
-        if "DVM" in protos:
-            runs.append(run_dvm_block(legs, [DVM_CONFIG] * len(rows), qts))
-        tx, ty = legs.position(qts)
-        est = np.stack([e for e, _ in runs], axis=1)  # (rows, protocols, queries, 2)
-        ex = est[..., 0] - tx[:, None, :]
-        ey = est[..., 1] - ty[:, None, :]
-        calls = np.stack([c for _, c in runs], axis=1)
-        with _overflow_ignored():
-            sq = ex * ex + ey * ey
-        yield ChunkRecords(protos, rows, qts, calls, sq)
-
-
-def bin_records(chunks) -> dict[str, list[BinnedResult]]:
-    """Group the records of ``chunks`` by (protocol, localization count) and
-    aggregate the squared and the absolute error of every group.
-
-    The fold of the count experiment: each chunk is reduced at once, by one
-    grouping of its records, to every bin's count, mean and sum of squared
-    deviations, and these are merged into the bin's running ones in chunk
-    order.  So only one chunk is held at a time, and the result depends on
-    the records and on their split into chunks, which the model fixes.
-    Empty bins simply do not appear.
-    """
-    bins: dict[tuple[str, int], _Moments] = {}
-    for chunk in chunks:
-        calls, sq = chunk.localization_count, chunk.sq_error.ravel()
-        width = int(calls.max()) + 1
-        keys, pair_bin = np.unique((calls + width * np.arange(calls.shape[1])).ravel(), return_inverse=True)
-        queries = chunk.sq_error.shape[2]
-        record_bin = np.repeat(pair_bin, queries)
-        counts = np.bincount(pair_bin, minlength=len(keys)) * queries
-        values = np.stack([sq, np.sqrt(sq)])
-        with _overflow_ignored():
-            mean = np.stack([np.bincount(record_bin, v, len(keys)) for v in values]) / counts
-            values -= mean[:, record_bin]
-            np.square(values, out=values)
-        m2 = np.stack([np.bincount(record_bin, v, len(keys)) for v in values])
-        for key, n, part_mean, part_m2 in zip(keys.tolist(), counts.tolist(), mean.T, m2.T):
-            protocol = chunk.protocols[key // width]
-            bins.setdefault((protocol, key % width), _Moments()).merge((n, part_mean, part_m2))
+    per_chunk = chunk_rows(model)  # a window above the cap fails first
+    for p, n in zip(MAINT_PERIODS, _tick_counts(np.array(MAINT_PERIODS), model.span).tolist()):
+        if abs(n * p - model.span) > 1e-9 * model.span:
+            raise ParameterError(
+                f"maint period {p} does not divide span {model.span}; late queries could never be bracketed"
+            )
+    chunks = -(-replications // per_chunk)
+    bins = _fold_chunks(lambda c: _chunk_bins(chunk_records(model, c, replications, queries)), chunks)
     out: dict[str, list[BinnedResult]] = {}
     for (protocol, count), stats in sorted(bins.items()):
         n, (mean_sq, mean_abs), (se_sq, se_abs) = stats.result()
@@ -621,12 +629,6 @@ def bin_records(chunks) -> dict[str, list[BinnedResult]]:
             )
         )
     return out
-
-
-def run_error_vs_count(model: ModelParams, replications: int, queries: int) -> dict[str, list[BinnedResult]]:
-    """Error against localization count for the interpolation protocol and
-    the dead-reckoning baseline over identical trajectories."""
-    return bin_records(error_chunks(model, replications, queries))
 
 
 # ---------------------------------------------------------------------------
@@ -865,23 +867,16 @@ def validate_conditional_moments(
     for rows, _, _ in groups:
         firsts.append(firsts[-1] + -(-samples // rows))
 
-    stream = np.random.default_rng  # loads numpy.random once, before the pool forks
-
-    def draw(k: int) -> bytes:
+    def draw(k: int):
         g = bisect_right(firsts, k) - 1
         rows, sample, _ = groups[g]
         m = min(rows, samples - (k - firsts[g]) * rows)
-        return pickle.dumps(sample(stream([seed, _STREAM_MOMENTS, k]), m))
+        parts = sample(np.random.default_rng([seed, _STREAM_MOMENTS, k]), m)
+        return [((g, j), part) for j, part in enumerate(parts)]
 
-    # the partial results are merged in chunk order, so the merge tree is
-    # the same on any number of CPUs
-    parts = map(pickle.loads, map_ordered(draw, firsts[-1], lambda k: f"drawing chunk {k} of the moment check"))
+    folds = _fold_chunks(draw, firsts[-1])
     report = MomentReport()
-    for (_, _, checks), first, stop in zip(groups, firsts, firsts[1:]):
-        folds = [_Moments() for _ in checks]
-        for _ in range(first, stop):
-            for fold, part in zip(folds, next(parts)):
-                fold.merge(part)
-        for fold, (names, theories) in zip(folds, checks):
-            report.checks += fold.checks(names, theories)
+    for g, (_, _, checks) in enumerate(groups):
+        for j, (names, theories) in enumerate(checks):
+            report.checks += folds[g, j].checks(names, theories)
     return report

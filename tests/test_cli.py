@@ -17,6 +17,7 @@ from maintsim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main, pa
 from maintsim.errors import ParameterError
 from maintsim.montecarlo import MomentCheck, MomentReport
 from maintsim.output import read_csv, read_manifest
+from test_montecarlo import _set_cpus
 
 
 def run(argv):
@@ -211,6 +212,19 @@ class TestSimulate:
         _, header, rows = read_csv(out)
         assert header[0] == "protocol"
         assert {r[0] for r in rows} == {"MAINT", "MADRD"}
+
+    def test_fig4_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # every chunk draws from its own stream and its bins' partial
+        # moments are merged in chunk order, so 1, 2 and 3 usable CPUs write
+        # the same CSV and manifest; 2 000 replications are 8 chunks
+        outputs = []
+        for cpus in (1, 2, 3):
+            _set_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus) / "fig4.csv"
+            out.parent.mkdir()
+            assert run(["simulate", "fig4", "--replications", "2000", "--queries", "2", "--out", str(out)]) == EXIT_OK
+            outputs.append((out.read_bytes(), (out.parent / "fig4.csv.manifest.json").read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_moments_pass_exit_zero(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -630,6 +644,50 @@ def test_theory_and_version_leave_the_simulation_stack_unloaded(tmp_path, argv):
     status, err, loaded = modules_loaded_by(argv, tmp_path, stack)
     assert status == EXIT_OK, err
     assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "fig4", "--replications", "300"],
+        ["simulate", "fig5", "--replications", "20"],
+        ["simulate", "fig6", "--replications", "20"],
+        ["simulate", "moments", "--samples", "10000", "--n-max", "2"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_simulate_leaves_the_protocol_state_machines_unloaded(tmp_path, argv):
+    # the block runners take plain settings, and the state machines of
+    # protocols are the tests' reference: loading them cost every simulate
+    # child about 7 ms
+    status, err, loaded = modules_loaded_by(argv, tmp_path, {"maintsim.protocols"})
+    assert status == EXIT_OK, err
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["simulate", "fig5", "--replications", "20", "--T", "20,40"], EXIT_OK),
+        (["simulate", "fig9"], EXIT_USAGE),
+        (["simulate", "fig4", "--queries", "1001"], EXIT_VALIDATION),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_entry_exits_as_main_returns(tmp_path, capsys, monkeypatch, argv, status):
+    # the console entry point freezes the collector before exiting; its
+    # exit status and output lines are those of main in process
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "run.csv"] if status == EXIT_OK else []
+    assert run([*argv, *out]) == status
+    want = capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(maintsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from maintsim.cli import entry; entry()", *argv, *out],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == status
+    assert (proc.stdout, proc.stderr) == (want.out, want.err)
 
 
 NUMPY_FREE = [

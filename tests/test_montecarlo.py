@@ -29,12 +29,18 @@ from maintsim.mobility import (
     replication_chunk,
 )
 from maintsim.montecarlo import (
-    DVM_CONFIG,
-    MADRD_CONFIGS,
+    DVM_MAX_INTERVAL,
+    DVM_MIN_INTERVAL,
+    DVM_THRESHOLD,
+    MADRD_BASES,
+    MADRD_E_THRESH,
+    MADRD_MAX_PER_BASE,
+    MADRD_MIN_INTERVAL,
     MAINT_PERIODS,
     ChunkRecords,
-    bin_records,
-    error_chunks,
+    _chunk_bins,
+    _fold_chunks,
+    chunk_records,
     run_dvm_block,
     run_error_vs_count,
     run_madrd_block,
@@ -192,6 +198,29 @@ def stack_block(trajs):
     )
 
 
+def madrd_settings(cfgs):
+    """The block runner's per-row MADRD settings of ``cfgs``: base interval,
+    error threshold and interval clamps."""
+    names = ("base_interval", "e_thresh", "min_interval", "clamp_max")
+    return [np.array([getattr(c, name) for c in cfgs]) for name in names]
+
+
+def dvm_settings(cfgs):
+    """The block runner's per-row DVM settings of ``cfgs``: threshold
+    distance and interval clamps."""
+    names = ("threshold_distance", "min_interval", "max_interval")
+    return [np.array([getattr(c, name) for c in cfgs]) for name in names]
+
+
+def count_madrd(r):
+    """The count experiment's MADRD schedule of replication r, as the
+    specification's config with its defaults."""
+    return MadrdConfig(base_interval=MADRD_BASES[r % len(MADRD_BASES)], e_thresh=MADRD_E_THRESH)
+
+
+COUNT_DVM = DvmConfig(threshold_distance=DVM_THRESHOLD)
+
+
 def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootstrap=1.0, rtol=1e-12, block=None):
     """Every block-batched runner against its scalar reference, row by row:
     call counts exactly, estimates to ``rtol`` relative.  The runners take
@@ -200,8 +229,8 @@ def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootst
     batched = {
         "MAINT": run_maint_timer_block(block, periods, qts),
         "SFR": run_sfr_block(block, periods, qts),
-        "MADRD": run_madrd_block(block, madrd_cfgs, qts),
-        "DVM": run_dvm_block(block, dvm_cfgs, qts, bootstrap_interval=bootstrap),
+        "MADRD": run_madrd_block(block, *madrd_settings(madrd_cfgs), qts),
+        "DVM": run_dvm_block(block, *dvm_settings(dvm_cfgs), qts, bootstrap_interval=bootstrap),
     }
     for i, traj in enumerate(trajs):
         scalar = {
@@ -214,6 +243,12 @@ def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootst
             b_est, b_calls = batched[name]
             assert b_calls[i] == calls, (name, i)
             np.testing.assert_allclose(b_est[i], est, rtol=rtol, atol=0.0, err_msg=f"{name} row {i}")
+
+
+def error_chunks(model, replications, queries, protocols=("MAINT", "MADRD")):
+    """Every chunk's records of a run, in chunk order."""
+    chunks = range(-(-replications // chunk_rows(model)))
+    return [chunk_records(model, c, replications, queries, protocols) for c in chunks]
 
 
 def record_rows(chunks):
@@ -243,9 +278,9 @@ def scalar_records(model, replications, queries, protocols):
         period = MAINT_PERIODS[r % len(MAINT_PERIODS)]
         runs = {
             "MAINT": run_maint_timer(traj, period, qts),
-            "MADRD": run_madrd(traj, MADRD_CONFIGS[r % len(MADRD_CONFIGS)], qts),
+            "MADRD": run_madrd(traj, count_madrd(r), qts),
             "SFR": run_sfr(traj, period, qts),
-            "DVM": run_dvm(traj, DVM_CONFIG, qts),
+            "DVM": run_dvm(traj, COUNT_DVM, qts),
         }
         for name in protocols:
             est, calls = runs[name]
@@ -265,7 +300,7 @@ class TestBlockRunners:
         trajs = [generate_trajectory(model, r) for r in range(50)]
         qts = np.random.default_rng([seed, n_queries]).uniform(0.0, 100.0, (50, n_queries))
         periods = np.array([MAINT_PERIODS[r % len(MAINT_PERIODS)] for r in range(50)])
-        madrd = [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in range(50)]
+        madrd = [count_madrd(r) for r in range(50)]
         assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * 50)
 
     def test_queries_at_zero_at_a_tick_and_at_the_span(self):
@@ -298,7 +333,7 @@ class TestBlockRunners:
         qts = np.array([[10.0, 90.0]] * 3)
         madrd = [MadrdConfig(base_interval=b) for b in bases]
         assert_blocks_match_scalar(trajs, qts, np.full(3, 20.0), madrd, [DvmConfig()] * 3)
-        _, calls = run_madrd_block(stack_block(trajs), madrd, qts)
+        _, calls = run_madrd_block(stack_block(trajs), *madrd_settings(madrd), qts)
         assert calls[0] == calls[1] == 1 < calls[2]
 
     @pytest.mark.parametrize("bootstrap", [100.0, 250.0])
@@ -307,7 +342,8 @@ class TestBlockRunners:
         qts = np.array([[0.0, 40.0, 100.0]] * 4)
         madrd = [MadrdConfig(base_interval=10.0)] * 4
         assert_blocks_match_scalar(trajs, qts, np.full(4, 25.0), madrd, [DvmConfig()] * 4, bootstrap=bootstrap)
-        _, calls = run_dvm_block(stack_block(trajs), [DvmConfig()] * 4, qts, bootstrap_interval=bootstrap)
+        dvm = dvm_settings([DvmConfig()] * 4)
+        _, calls = run_dvm_block(stack_block(trajs), *dvm, qts, bootstrap_interval=bootstrap)
         assert (calls == 1).all()
 
     def test_interval_clamps(self):
@@ -327,7 +363,7 @@ class TestBlockRunners:
         trajs = [generate_trajectory(model, r) for r in range(16)]
         qts = np.random.default_rng(4).uniform(0.0, 100.0, (16, 3))
         periods = np.array([MAINT_PERIODS[r % len(MAINT_PERIODS)] for r in range(16)])
-        madrd = [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in range(16)]
+        madrd = [count_madrd(r) for r in range(16)]
         assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * 16)
 
     def test_rejects_query_past_last_tick(self):
@@ -356,7 +392,7 @@ class TestBlockRunners:
         trajs = [generate_trajectory(model, first + r) for r in range(n)]
         qts = rng.uniform(0.0, model.span, (len(paths), 3))[:n]
         periods = np.array([MAINT_PERIODS[r % len(MAINT_PERIODS)] for r in range(n)])
-        madrd = [MADRD_CONFIGS[r % len(MADRD_CONFIGS)] for r in range(n)]
+        madrd = [count_madrd(r) for r in range(n)]
         assert_blocks_match_scalar(trajs, qts, periods, madrd, [DvmConfig()] * n, rtol=0.0, block=paths[:n])
 
     def test_replication_count_does_not_change_earlier_records(self):
@@ -469,18 +505,18 @@ class TestErrorVsCount:
         groups = {}
         for name, _, _, error, count in record_rows(chunks):
             groups.setdefault((name, count), []).append(error)
-        got = {(name, b.key): b for name, results in bin_records(chunks).items() for b in results}
-        assert got.keys() == groups.keys()
+        folds = _fold_chunks(lambda k: _chunk_bins(chunks[k]), len(chunks))
+        assert folds.keys() == groups.keys()
         for key, errors in groups.items():
-            b, n = got[key], len(errors)
+            got_n, got_mean, got_se = folds[key].result()
+            n = len(errors)
             sq_errors = np.array(errors)
-            assert b.sample_count == n
-            for x, mean, se in ((sq_errors, b.mean_sq_error, b.standard_error),
-                                (np.sqrt(sq_errors), b.mean_abs_error, b.standard_error_abs)):
+            assert got_n == n
+            for x, mean, se in zip((sq_errors, np.sqrt(sq_errors)), got_mean, got_se):
                 assert mean == pytest.approx(x.mean(), rel=1e-12, abs=0.0), key
                 want = x.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
                 assert se == pytest.approx(want, rel=1e-12, abs=0.0), key
-        assert sum(b.sample_count == 1 for b in got.values()) >= 4
+        assert sum(len(errors) == 1 for errors in groups.values()) >= 4
 
     def test_one_sample_has_zero_standard_error(self):
         (point,) = run_period_sweep(5.0, 77, (20.0,), 1, lambda_rate=0.1)
@@ -535,13 +571,18 @@ class TestErrorVsCount:
             run_error_vs_count(model, 10, 1)
 
     def test_all_four_protocols_record(self):
-        (chunk,) = error_chunks(MODEL, 40, 1, ALL_PROTOCOLS)
+        chunk = chunk_records(MODEL, 0, 40, 1, ALL_PROTOCOLS)
         assert chunk.protocols == ALL_PROTOCOLS
         assert chunk.localization_count.shape == (40, 4) and chunk.sq_error.shape == (40, 4, 1)
 
-    def test_no_protocols_give_an_empty_table(self):
-        assert list(error_chunks(MODEL, 100, 1, protocols=())) == []
-        assert bin_records([]) == {}
+    def test_schedules_are_the_specification_defaults(self):
+        # the count experiment's MADRD and DVM settings are plain constants,
+        # so that the simulate path never loads protocols; they must be the
+        # configs' own defaults, as the reference runners use them
+        for r, base in enumerate(MADRD_BASES):
+            cfg = count_madrd(r)
+            assert (cfg.min_interval, cfg.clamp_max) == (MADRD_MIN_INTERVAL, MADRD_MAX_PER_BASE * base)
+        assert (COUNT_DVM.min_interval, COUNT_DVM.max_interval) == (DVM_MIN_INTERVAL, DVM_MAX_INTERVAL)
 
 
 def waypoint_process(rng, lam, horizon, rows, sigma=None):
@@ -1385,7 +1426,7 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="at most 1000, got 1001"):
             run_error_vs_count(MODEL, 10, 1001)
         with pytest.raises(ParameterError, match="unknown protocols"):
-            list(error_chunks(MODEL, 10, 1, ("MAINT", "BOGUS")))
+            chunk_records(MODEL, 0, 10, 1, ("MAINT", "BOGUS"))
         with pytest.raises(ParameterError, match="ratio_C must be finite"):
             run_period_sweep(5.0, 77, (20.0,), 10, ratio_C=0.0)
         with pytest.raises(ParameterError, match="every T must be finite"):
