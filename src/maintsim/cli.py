@@ -22,13 +22,16 @@ command reproduces its files byte for byte.  The CSV and then the manifest
 are written to temporary names beside them and renamed into place once
 both are whole, so a run stopped by an error leaves neither.
 
-``theory`` keeps its grids and the kernel output as float64 arrays and
-hands them to the CSV writer as columns.  This module imports only the
-standard library, the version and the exception types: ``theory`` loads
-numpy, ``analytic`` and ``output``, and ``simulate`` loads those and the
-simulation stack (``mobility`` and ``montecarlo``), each after its
-settings and grids are checked.  So ``--version``, ``--help`` and every
-usage error answer without numpy.
+``theory`` never holds a grid whole: it hands the CSV writer columns that
+compute their grid points (start + step * k for point k) and the kernel's
+values a slice at a time, so each chunk of rows is computed where it is
+formatted, on every usable CPU, and memory does not grow with the grid.
+This module imports only the standard library, the version and the
+exception types: ``theory`` loads ``analytic`` and ``output``, which need
+no numpy, and ``simulate`` loads those, numpy and the simulation stack
+(``mobility`` and ``montecarlo``), each after its settings and grids are
+checked.  So ``theory``, ``--version``, ``--help`` and every usage error
+answer without numpy.
 """
 
 from __future__ import annotations
@@ -63,10 +66,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_grid(spec: str) -> tuple[float, float, int] | list[float]:
-    """Grid ``spec`` checked and read without numpy: (start, step, n) for
-    'start:stop:step', whose points are start + step * k for k < n, and the
-    values of 'a,b,c' or a single number."""
+class _Mapped:
+    """``fn`` over the values of ``base``, a sequence, evaluated a slice at
+    a time: it has a length and gives a list for a slice, which is all the
+    CSV writer asks of a column."""
+
+    __slots__ = ("fn", "base")
+
+    def __init__(self, fn, base):
+        self.fn = fn
+        self.base = base
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, rows: slice) -> list:
+        return list(map(self.fn, self.base[rows]))
+
+
+def _read_grid(spec: str):
+    """Grid ``spec`` checked and read: for 'start:stop:step', the points
+    start + step * k for k < n, evaluated only when sliced; the values of
+    'a,b,c' or a single number as a list."""
     try:
         if ":" in spec:
             start_s, stop_s, step_s = spec.split(":")
@@ -84,7 +105,7 @@ def _read_grid(spec: str) -> tuple[float, float, int] | list[float]:
             n = int(points) + 2
             while start + step * (n - 1) > stop + step * 1e-9:
                 n -= 1
-            return start, step, n
+            return _Mapped(lambda k: start + step * k, range(n))
         if "," in spec:
             values = [float(v) for v in spec.split(",") if v]
             if not values:
@@ -97,16 +118,10 @@ def _read_grid(spec: str) -> tuple[float, float, int] | list[float]:
         raise _UsageError(f"bad grid {spec!r}; expected start:stop:step, a,b,c or a number") from None
 
 
-def parse_grid(spec: str):
+def parse_grid(spec: str) -> list[float]:
     """Parse 'start:stop:step' (inclusive), 'a,b,c', or a single number
-    into a float64 array."""
-    grid = _read_grid(spec)
-    import numpy as np
-
-    if isinstance(grid, list):
-        return np.array(grid)
-    start, step, n = grid
-    return start + step * np.arange(n)
+    into a list of floats."""
+    return _read_grid(spec)[:]
 
 
 def read_config_file(path) -> dict:
@@ -215,41 +230,35 @@ def cmd_theory(args) -> int:
     mode = args.mode
     settings = _resolve_settings(mode, args)
     sigma, lam, ratio_C = settings["sigma"], settings.get("lambda_rate"), settings.get("ratio_C")
-    # the grids are read once here, before numpy loads, so that a usage
-    # error never pays for it; parse_grid reads them again below
-    T_spec = _read_grid(settings["T"])
+    grid = _read_grid(settings["T"])
     if mode == "error_t":
-        if (T_spec[2] if isinstance(T_spec, tuple) else len(T_spec)) != 1:
+        if len(grid) != 1:
             raise _UsageError("error_t mode takes a scalar --T")
-        _read_grid(settings["t"])
+        (T,) = grid[:]
+        grid = _read_grid(settings["t"])
 
-    import numpy as np
-
-    from .analytic import error_asymptote, error_at, error_avg
+    from .analytic import error_asymptote, error_at_curve, error_avg
     from .output import replaced_on_success, write_csv
 
     out = args.out or os.path.join(_outdir(args), f"theory_{mode}.csv")
     meta = {"mode": mode, "sigma": sigma, "tool": f"maintsim {__version__}"}
 
+    # every column is a _Mapped over the grid, so each chunk of the CSV
+    # writer computes its own points and errors, on whichever CPU formats it
     if mode == "error_avg":
-        T_grid = parse_grid(settings["T"])
         meta["lambda"] = lam
-        n = len(T_grid)
-        columns = (T_grid, np.full(n, lam), np.full(n, sigma), error_avg(sigma, lam, T_grid))
+        columns = (grid, _Mapped(lambda T: lam, grid), _Mapped(lambda T: sigma, grid),
+                   _Mapped(lambda T: error_avg(sigma, lam, T), grid))
         header = ["T", "lambda", "sigma", "error_avg"]
     elif mode == "error_t":
-        T = float(parse_grid(settings["T"])[0])
         meta["lambda"], meta["T"] = lam, T
-        t_grid = parse_grid(settings["t"])
-        columns = (t_grid, error_at(sigma, lam, T, t_grid))
+        columns = (grid, _Mapped(error_at_curve(sigma, lam, T), grid))
         header = ["t", "error_t"]
     else:  # asymptote
         limit = error_asymptote(sigma, ratio_C)
         meta["C"] = ratio_C
-        T_grid = parse_grid(settings["T"])
-        n = len(T_grid)
-        lam = T_grid / ratio_C
-        columns = (T_grid, lam, np.full(n, sigma), error_avg(sigma, lam, T_grid), np.full(n, limit))
+        columns = (grid, _Mapped(lambda T: T / ratio_C, grid), _Mapped(lambda T: sigma, grid),
+                   _Mapped(lambda T: error_avg(sigma, T / ratio_C, T), grid), _Mapped(lambda T: limit, grid))
         header = ["T", "lambda", "sigma", "error_avg", "asymptote"]
 
     with replaced_on_success(out) as (temp,):
@@ -266,7 +275,7 @@ def cmd_simulate(args) -> int:
     experiment = args.experiment
     settings = _resolve_settings(experiment, args)
     if "T" in settings:
-        _read_grid(settings["T"])  # a usage error before numpy loads
+        T_grid = parse_grid(settings["T"])  # a usage error before numpy loads
     # imported here, not at the top: only simulate uses the simulation
     # stack, and loading it costs every CLI start tens of ms
     from .analytic import error_asymptote
@@ -285,7 +294,7 @@ def cmd_simulate(args) -> int:
         points = run_period_sweep(
             sigma,
             seed,
-            parse_grid(settings["T"]).tolist(),
+            T_grid,
             settings["replications"],
             lambda_rate=settings.get("lambda_rate"),
             ratio_C=settings.get("ratio_C"),

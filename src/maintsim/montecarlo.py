@@ -702,10 +702,6 @@ class MomentReport:
     checks: list[MomentCheck] = field(default_factory=list)
 
     @property
-    def max_abs_z(self) -> float:
-        return max((abs(c.z) for c in self.checks), default=0.0)
-
-    @property
     def passed(self) -> bool:
         return all(abs(c.z) < 4.0 for c in self.checks)
 

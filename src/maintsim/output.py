@@ -7,11 +7,15 @@ version pins down exactly how to regenerate it.  Floats are serialized with
 ``repr`` (shortest round-trip form) and nothing time- or host-dependent is
 ever written.
 
-Tables are handed over by columns: one float64 array or list per header
-name.  ``write_csv`` formats them a chunk of rows at a time, each chunk by
-one ``%`` operation on a row template repeated once per row (``%s`` of a
-Python float is its ``repr``), and never builds row tuples of values.  The
-chunks go through ``map_ordered`` and are written in row order.
+Tables are handed over by columns: one sequence per header name that has
+a length and gives a list or an array for a slice of rows, such as a list,
+a numpy array or the lazy columns of ``theory``, which compute their values
+when sliced.  ``write_csv`` slices and formats them a chunk of rows at a
+time, each chunk by one ``%`` operation on a row template repeated once per
+row (``%s`` of a Python float is its ``repr``), and never builds row tuples
+of values.  The chunks go through ``map_ordered`` and are written in row
+order.  numpy values are told apart by their type's module, so this module
+never imports numpy, and neither does a command that hands it none.
 
 ``map_ordered(work, count)`` yields the bytes of ``work(k)`` for k = 0 to
 count - 1 in index order, whichever process computed them.  Given more than
@@ -33,17 +37,14 @@ child is forked and ``work(k)`` is yielded as it is computed.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import pickle
 import signal
 import struct
 import tempfile
 import threading
+from collections import namedtuple
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass
-
-import numpy as np
 
 # rows formatted and written per write call; bounds the memory a long grid
 # needs, in the caller and in every forked worker
@@ -62,8 +63,14 @@ _INDEX = struct.Struct("<I")
 _RECORD = struct.Struct("<qq?")
 
 
+def _from_numpy(value) -> bool:
+    """Whether ``value`` is a numpy array or scalar, told without importing
+    numpy: a command that loads no numpy hands over none."""
+    return type(value).__module__ == "numpy"
+
+
 def _fmt(value) -> str:
-    if isinstance(value, np.generic):  # np.float64 would repr as "np.float64(...)"
+    if _from_numpy(value):  # np.float64 would repr as "np.float64(...)"
         value = value.item()
     if isinstance(value, float):
         return repr(value)
@@ -74,7 +81,7 @@ def _fmt(value) -> str:
 
 def _cells(values) -> list:
     """A column slice as values that ``%s`` formats as ``_fmt`` does."""
-    if isinstance(values, np.ndarray):
+    if _from_numpy(values):
         values = values.tolist()
     if set(map(type, values)) <= _PLAIN:
         return values
@@ -237,10 +244,11 @@ def write_csv(path, header: list[str], columns, metadata: dict | None = None) ->
     """Write metadata comments, a header row, and data rows; returns the
     number of data rows.
 
-    ``columns`` holds one sequence per header column, a numpy array or a
-    list, all of one length.  Rows are formatted a chunk of ``_CHUNK_ROWS``
-    at a time, on every usable CPU (``map_ordered``), so a long grid never
-    exists as strings all at once.
+    ``columns`` holds one sequence per header column, all of one length,
+    each sliced a chunk of ``_CHUNK_ROWS`` rows at a time inside the work
+    of ``map_ordered``: on every usable CPU, a column whose slices are
+    computed when asked for is computed there too, and a long grid never
+    exists as values or strings all at once.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for {len(header)} header names")
@@ -307,24 +315,23 @@ def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
     return metadata, header, rows
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce an experiment's outputs byte for byte."""
-
-    experiment: str
-    seed: int
-    config: dict
-    outputs: tuple[str, ...]
-    tool_version: str
+# everything needed to reproduce an experiment's outputs byte for byte:
+# experiment and tool_version are strings, seed an int, config a dict and
+# outputs a tuple of file names
+RunManifest = namedtuple("RunManifest", ["experiment", "seed", "config", "outputs", "tool_version"])
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
+    import json
+
     with open(path, "w") as fh:
-        json.dump(asdict(manifest), fh, sort_keys=True, indent=2)
+        json.dump(manifest._asdict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def read_manifest(path) -> RunManifest:
+    import json
+
     with open(path) as fh:
         data = json.load(fh)
     data["outputs"] = tuple(data["outputs"])

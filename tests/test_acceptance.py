@@ -21,18 +21,13 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from maintsim.analytic import (
-    error_asymptote,
-    error_at,
-    error_avg,
-    interarrival_density,
-    waypoint_time_density,
-)
+from maintsim.analytic import error_asymptote, error_at, error_avg
 from maintsim.cli import EXIT_OK, main
 from maintsim.mobility import ModelParams
 from maintsim.montecarlo import run_error_vs_count, run_period_sweep, validate_conditional_moments
 from maintsim.protocols import interpolate, localize
 from reference_runners import generate_trajectory, run_maint_timer
+from waypoint_laws import interarrival_density, waypoint_time_density
 from test_mobility import manual_trajectory, point
 
 SEED = 20240811

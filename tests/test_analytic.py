@@ -8,6 +8,7 @@ error, and series expansions for limits.
 """
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -16,25 +17,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from maintsim import analytic
+from maintsim import output
 from maintsim.analytic import (
-    _libm,
     cond_interarrival_moment,
     cond_position_second_moment,
     cond_waypoint_time_moment,
     displacement_cross_moment,
     error_asymptote,
     error_at,
+    error_at_curve,
     error_avg,
-    interarrival_density,
     position_second_moment,
     position_second_moment_given_count,
+)
+from maintsim.cli import EXIT_OK, EXIT_VALIDATION, main
+from maintsim.errors import ParameterError, UnsupportedMomentError
+from reference_runners import sample_window_positions
+from test_montecarlo import _set_cpus
+from waypoint_laws import (
+    interarrival_density,
     waypoint_count_pmf,
     waypoint_time_density,
     waypoint_time_gap_joint_density,
 )
-from maintsim.errors import ParameterError, UnsupportedMomentError
-from reference_runners import sample_window_positions
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +339,12 @@ class TestErrorAsymptote:
 
 
 # ---------------------------------------------------------------------------
-# array kernels against the scalar reference
+# kernels against the scalar reference
 #
-# The oracle below is the scalar, pure-``math`` evaluation the array kernels
-# replaced, kept verbatim.  Outputs are byte-deterministic, so the kernels
-# must agree with it bit for bit, not to a tolerance.
+# The oracle below is the scalar, pure-``math`` evaluation that the kernels
+# once replaced by array code, kept verbatim.  Outputs are
+# byte-deterministic, so the kernels must agree with it bit for bit, not to
+# a tolerance.
 
 
 def _exp_gap_ref(x):
@@ -391,30 +397,36 @@ def _ulps(x):
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
+def _theory_csv(path, mode, *flags):
+    """The bytes of ``theory --mode mode`` with ``flags``, written to ``path``."""
+    assert main(["theory", "--mode", mode, *flags, "--out", str(path)]) == EXIT_OK
+    return path.read_bytes()
+
+
 class TestArrayKernels:
     # lambda*T from 1e-3 to 800, the range the sweeps and fig6 reach
-    LAMBDA_T = np.geomspace(1e-3, 800.0, 41)
+    LAMBDA_T = np.geomspace(1e-3, 800.0, 41).tolist()
 
     def _t_grid(self, lam, T):
         # both ends, the midpoint, a coarse sweep and the Maclaurin switch at
         # lambda*t = 1e-2 with one ulp either side (t <= T only)
         switch = [v for v in _ulps(1e-2 / lam) if v <= T]
-        return np.array([0.0, T / 2, T, *np.linspace(0.0, T, 37), *switch])
+        return [0.0, T / 2, T, *np.linspace(0.0, T, 37).tolist(), *switch]
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 3.7])
     def test_error_at_matches_scalar_oracle(self, lam):
         for x in self.LAMBDA_T:
-            T = float(x) / lam
+            T = x / lam
             t = self._t_grid(lam, T)
-            got = error_at(4.2, lam, T, t)
-            want = [_error_at_ref(4.2, lam, T, float(v)) for v in t]
+            got = [error_at(4.2, lam, T, v) for v in t]
+            want = [_error_at_ref(4.2, lam, T, v) for v in t]
             assert _bits(got) == _bits(want), (lam, T)
 
     def test_error_at_straddles_the_series_switch(self):
         # lambda = 1: the bracket arguments are u and w themselves
         for u in _ulps(1e-2):
             for T in (2.5e-2, 1.0, 50.0):
-                got = error_at(3.0, 1.0, T, np.array([u, T - u]))
+                got = [error_at(3.0, 1.0, T, u), error_at(3.0, 1.0, T, T - u)]
                 want = [_error_at_ref(3.0, 1.0, T, u), _error_at_ref(3.0, 1.0, T, T - u)]
                 assert _bits(got) == _bits(want), (u, T)
 
@@ -423,90 +435,106 @@ class TestArrayKernels:
         assert type(value) is float
         assert value == _error_at_ref(5.0, 0.1, 100.0, 37.5)
 
-    def test_error_at_broadcasts_T(self):
-        T = np.array([10.0, 20.0, 80.0])
-        got = error_at(2.0, 0.3, T, T / 3)
-        assert _bits(got) == _bits([_error_at_ref(2.0, 0.3, float(v), float(v) / 3) for v in T])
+    def test_error_at_varying_T(self):
+        T = [10.0, 20.0, 80.0]
+        got = [error_at(2.0, 0.3, v, v / 3) for v in T]
+        assert _bits(got) == _bits([_error_at_ref(2.0, 0.3, v, v / 3) for v in T])
 
     def test_error_avg_matches_scalar_oracle(self):
         # dense on both sides of the series switch at lambda*T = 1
         near_one = [v for x in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0) for v in _ulps(x)]
         for lam in (0.05, 1.0, 6.0):
-            T = np.array([*(self.LAMBDA_T / lam), *(np.array(near_one) / lam)])
-            got = error_avg(7.5, lam, T)
-            want = [_error_avg_ref(7.5, lam, float(v)) for v in T]
+            T = [x / lam for x in self.LAMBDA_T + near_one]
+            got = [error_avg(7.5, lam, v) for v in T]
+            want = [_error_avg_ref(7.5, lam, v) for v in T]
             assert _bits(got) == _bits(want), lam
 
     def test_error_avg_series_boundary_bits(self):
         # lambda = 1 puts the bracket argument exactly on and beside x = 1
         for x in _ulps(1.0):
-            assert _bits(error_avg(5.0, 1.0, np.array([x]))) == _bits([_error_avg_ref(5.0, 1.0, x)])
+            assert _bits(error_avg(5.0, 1.0, x)) == _bits(_error_avg_ref(5.0, 1.0, x))
 
     def test_error_avg_per_element_cutoff(self):
-        # elements that stop adding series terms at different k, evaluated
-        # together and one at a time, give the same bits
-        T = np.array([1e-3, 0.3, 0.999, 0.05, 0.7])
-        together = error_avg(5.0, 1.0, T)
-        alone = [error_avg(5.0, 1.0, float(v)) for v in T]
-        assert _bits(together) == _bits(alone) == _bits([_error_avg_ref(5.0, 1.0, float(v)) for v in T])
+        # arguments that stop adding series terms at different k each give
+        # the oracle's bits
+        T = [1e-3, 0.3, 0.999, 0.05, 0.7]
+        assert _bits([error_avg(5.0, 1.0, v) for v in T]) == _bits([_error_avg_ref(5.0, 1.0, v) for v in T])
 
     def test_error_avg_varying_lambda(self):
         # the asymptote sweep ties lambda to T
-        T = np.arange(20.0, 401.0, 20.0)
-        lam = T / 50.0
-        got = error_avg(10.0, lam, T)
-        assert _bits(got) == _bits([_error_avg_ref(10.0, float(a), float(b)) for a, b in zip(lam, T)])
+        T = np.arange(20.0, 401.0, 20.0).tolist()
+        got = [error_avg(10.0, v / 50.0, v) for v in T]
+        assert _bits(got) == _bits([_error_avg_ref(10.0, v / 50.0, v) for v in T])
 
     def test_large_lambda_leaves_the_other_elements_bits(self):
         # lambda**2 overflows above lambda ~ 1e154, where the kernels divide
         # the bracket by lambda instead (values checked against mpmath in
-        # test_cli); elements in range keep the oracle's bits
-        lam = np.array([0.1, 1e155, 1e200, 3.7])
-        avg = error_avg(5.0, lam, 100.0)
-        at = error_at(5.0, lam, 100.0, 30.0)
-        for i in (0, 3):
-            assert _bits(avg[i]) == _bits(_error_avg_ref(5.0, float(lam[i]), 100.0))
-            assert _bits(at[i]) == _bits(_error_at_ref(5.0, float(lam[i]), 100.0, 30.0))
-        for i in (1, 2):
-            assert avg[i] == error_avg(5.0, float(lam[i]), 100.0) > 0.0
-            assert at[i] == error_at(5.0, float(lam[i]), 100.0, 30.0) > 0.0
+        # test_cli); lambdas in range keep the oracle's bits
+        for lam in (0.1, 3.7):
+            assert _bits(error_avg(5.0, lam, 100.0)) == _bits(_error_avg_ref(5.0, lam, 100.0))
+            assert _bits(error_at(5.0, lam, 100.0, 30.0)) == _bits(_error_at_ref(5.0, lam, 100.0, 30.0))
+        for lam in (1e155, 1e200):
+            assert 0.0 < error_avg(5.0, lam, 100.0) < math.inf
+            assert 0.0 < error_at(5.0, lam, 100.0, 30.0) < math.inf
+
+    @given(
+        sigma=st.floats(0.5, 20.0),
+        lam=st.floats(1e-3, 10.0),
+        lam_T=st.floats(1e-3, 800.0),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_kernels_match_the_oracle_over_the_sweep_range(self, sigma, lam, lam_T, data):
+        # the oracle has no clamp: where its bracket cancels below 0 just
+        # above t = 0, the kernel gives 0
+        T = lam_T / lam
+        t = data.draw(st.floats(0.0, T), label="t")
+        want = _error_at_ref(sigma, lam, T, t)
+        assert _bits(error_at(sigma, lam, T, t)) == _bits(want if want > 0.0 else 0.0)
+        assert _bits(error_avg(sigma, lam, T)) == _bits(_error_avg_ref(sigma, lam, T))
 
     @pytest.mark.parametrize("chunk", [7, 4096])
-    def test_chunks_give_the_whole_grid_bits(self, monkeypatch, chunk):
-        # three full chunks and a short one, the asymptote's lambda tied to
-        # T, and a 2-d broadcast, against the grid evaluated as one chunk
+    def test_chunks_give_the_whole_grid_bits(self, tmp_path, monkeypatch, chunk):
+        # every theory mode over three full chunks of the CSV writer and a
+        # short one, on two CPUs, against the grid written as one chunk on one
         n = 3 * chunk + 5
-        t = np.linspace(0.0, 100.0, n)
-        T = np.linspace(0.5, 800.0, n)
-        lam = np.geomspace(1e-3, 10.0, 11)[:, None]
-
-        def kernels():
-            return error_at(5.0, 0.1, 100.0, t), error_avg(10.0, T / 50.0, T), error_avg(5.0, lam, T[: chunk + 3])
-
-        monkeypatch.setattr(analytic, "_CHUNK", 11 * n)
-        want = kernels()
-        monkeypatch.setattr(analytic, "_CHUNK", chunk)
-        got = kernels()
+        runs = [
+            ("error_t", "--sigma", "5", "--lambda", "0.1", "--T", f"{n - 1}", "--t", f"0:{n - 1}:1"),
+            ("error_avg", "--sigma", "5", "--lambda", "0.1", "--T", f"0.5:{n - 0.5}:1"),
+            ("asymptote", "--sigma", "10", "--C", "50", "--T", f"1:{n}:1"),
+        ]
+        _set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(output, "_CHUNK_ROWS", 11 * n)
+        want = [_theory_csv(tmp_path / "whole.csv", *argv) for argv in runs]
+        _set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(output, "_CHUNK_ROWS", chunk)
+        got = [_theory_csv(tmp_path / "chunks.csv", *argv) for argv in runs]
         for g, w in zip(got, want):
-            assert g.shape == w.shape and _bits(g) == _bits(w)
+            assert g == w
+            assert g.count(b"\n") - g.count(b"# ") - 1 == n  # data rows: all but metadata and header
 
-    def test_error_at_memory_stays_chunk_sized(self):
-        # the kernels' temporaries and libm's Python floats cover one chunk
-        # at a time, so the traced peak is the output plus a fixed share;
-        # evaluated whole, the grid took about 90 bytes a point
+    def test_error_at_memory_stays_chunk_sized(self, tmp_path, monkeypatch):
+        # each chunk of the CSV writer computes its own grid points and
+        # errors, so the traced peak of theory error_t at 200 001 rows is
+        # that at 10 001 rows give or take less than one chunk of the
+        # written CSV; with the grid and its errors held whole as float64
+        # arrays, it grew by 16 bytes a row
         import tracemalloc
 
-        t = np.linspace(0.0, 100.0, 200_000)
-        error_at(5.0, 0.1, 100.0, t[:10])  # keep one-time allocations out of the peak
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = error_at(5.0, 0.1, 100.0, t)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert out.shape == t.shape
-        assert peak < 8 * t.size + 2**21, peak / t.size
+        _set_cpus(monkeypatch, 1)  # no forked worker, whose memory is not traced
+        out = tmp_path / "grid.csv"
+        argv = ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--out", str(out)]
+        assert main([*argv, "--t", "0:100:1"]) == EXIT_OK  # one-time allocations
+        peaks = []
+        for step in ("0.01", "0.0005"):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--t", f"0:100:{step}"]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk_bytes = out.stat().st_size * output._CHUNK_ROWS // 200_001
+        assert abs(peaks[1] - peaks[0]) < chunk_bytes, (peaks, chunk_bytes)
 
     def test_moments_keep_their_scalar_values(self):
         assert position_second_moment(10.0, 0.1, 5.0) == 2.0 * 25.0 / 0.1**2 * _exp_gap_ref(1.0)
@@ -514,16 +542,6 @@ class TestArrayKernels:
         a, b = 0.1 * 3.0, 0.1 * (10.0 - 3.0)
         expected = 25.0 / 0.1**2 * _one_minus_exp_ref(a) * _one_minus_exp_ref(b)
         assert displacement_cross_moment(3.0, 10.0, 0.1, 5.0) == expected
-
-    def test_libm_mapping_matches_math(self):
-        rng = np.random.default_rng(5)
-        x = np.concatenate([-rng.exponential(20.0, 5000), -rng.uniform(0.0, 1e-2, 500), [0.0, -0.0, -800.0]])
-        for fn in (math.expm1, math.exp):
-            got = _libm(fn, x)
-            assert got.shape == x.shape
-            assert _bits(got) == _bits([fn(v) for v in x.tolist()])
-        grid = x[:12].reshape(3, 4)
-        assert _bits(_libm(math.expm1, grid)) == _bits([math.expm1(v) for v in grid.ravel().tolist()])
 
 
 class TestErrorArguments:
@@ -541,14 +559,20 @@ class TestErrorArguments:
     def test_rejects_t_outside_window(self, bad):
         with pytest.raises(ParameterError):
             error_at(5.0, 0.1, 100.0, bad)
+        curve = error_at_curve(5.0, 0.1, 100.0)
+        assert curve(50.0) == error_at(5.0, 0.1, 100.0, 50.0)
         with pytest.raises(ParameterError):
-            error_at(5.0, 0.1, 100.0, np.array([0.0, 50.0, bad]))
+            curve(bad)
 
     def test_rejects_bad_element_in_T_grid(self):
+        # a grid is evaluated a point at a time: the good points give
+        # values, the bad one a parameter error
+        assert error_avg(5.0, 0.1, 10.0) > 0.0
         with pytest.raises(ParameterError):
-            error_avg(5.0, 0.1, np.array([10.0, math.inf]))
+            error_avg(5.0, 0.1, math.inf)
+        assert error_avg(5.0, 0.1, 10.0) > 0.0
         with pytest.raises(ParameterError):
-            error_avg(5.0, np.array([0.1, math.nan]), 10.0)
+            error_avg(5.0, math.nan, 10.0)
 
     def test_rejects_underflowing_scale(self):
         with pytest.raises(ParameterError, match="underflows"):
@@ -562,6 +586,39 @@ class TestErrorArguments:
         with pytest.raises(ParameterError, match="not finite"):
             error_at(5.0, 0.1, 1e200, 5e199)
 
+    @given(
+        sigma=st.floats(1e-300, 1e300),
+        lam=st.floats(1e-300, 1e300),
+        T=st.floats(),
+        t=st.floats(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_every_argument_gives_a_finite_value_or_a_parameter_error(self, sigma, lam, T, t):
+        # Python floats raise where numpy gave inf or nan (ZeroDivisionError,
+        # and OverflowError from ** and math.exp): every such case must end
+        # in a parameter error, and in exit 2 from the CLI
+        import tempfile
+
+        cases = [
+            (error_at, (sigma, lam, T, t), ["error_t", "--lambda", repr(lam), f"--T={T!r}", f"--t={t!r}"]),
+            (error_avg, (sigma, lam, T), ["error_avg", "--lambda", repr(lam), f"--T={T!r}"]),
+            (position_second_moment, (t, lam, sigma), None),
+            (displacement_cross_moment, (t, T, lam, sigma), None),
+        ]
+        for kernel, args, cli in cases:
+            try:
+                value = kernel(*args)
+            except ParameterError:
+                if cli is not None:
+                    mode, *flags = cli
+                    with tempfile.TemporaryDirectory() as tmp:
+                        out = os.path.join(tmp, "theory.csv")
+                        argv = ["theory", "--mode", mode, "--sigma", repr(sigma), *flags, "--out", out]
+                        assert main(argv) == EXIT_VALIDATION, argv
+                        assert not os.path.exists(out)
+                continue
+            assert type(value) is float and math.isfinite(value) and value >= 0.0, (kernel.__name__, args, value)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -2.0])
     def test_asymptote_rejects_non_finite(self, bad):
         with pytest.raises(ParameterError):
@@ -573,8 +630,10 @@ class TestErrorArguments:
     def test_no_runtime_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            error_at(5.0, 0.1, 100.0, np.linspace(0.0, 100.0, 101))
-            error_avg(5.0, np.array([1e-3, 1e3]), np.array([1e-3, 1e3]))
+            for t in np.linspace(0.0, 100.0, 101).tolist():
+                error_at(5.0, 0.1, 100.0, t)
+            for v in (1e-3, 1e3):
+                error_avg(5.0, v, v)
             with pytest.raises(ParameterError):
                 error_at(5.0, 0.1, 1e200, 5e199)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maintsim.analytic import position_second_moment, waypoint_count_pmf
+from maintsim.analytic import position_second_moment
 from maintsim.errors import ParameterError
 from maintsim.mobility import (
     _BLOCK_LEGS,
@@ -22,6 +22,7 @@ from maintsim.mobility import (
     replication_chunk,
 )
 from reference_runners import generate_trajectory
+from waypoint_laws import waypoint_count_pmf
 
 PARAMS = ModelParams(lambda_rate=0.1, sigma=5.0, seed=1234, span=100.0)
 N_REPS = 100_000

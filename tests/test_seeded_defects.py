@@ -165,7 +165,7 @@ def _worst_z(results) -> float:
     zs = []
     for result in results:
         if isinstance(result, MomentReport):
-            zs.append(result.max_abs_z)
+            zs.append(test_montecarlo.max_abs_z(result))
         else:
             zs += [abs(p.mean_sq_error - p.theory) / p.std_error for p in result]
     return max(zs)
