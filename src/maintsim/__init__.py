@@ -2,7 +2,7 @@
 error analysis, tracking protocols (MAINT, MADRD, SFR, DVM) and the Monte
 Carlo experiments that compare them."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .errors import (
     BracketError,

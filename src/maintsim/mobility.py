@@ -20,8 +20,9 @@ draw); then the velocities of those legs.  Every caller sizes its blocks
 with ``block_rows``: a cap on the rows and a budget of legs at a high
 quantile of a row's leg count, so that the memory of a block stays bounded
 however large lambda * horizon is (a single row wider than the budget is
-drawn alone).  A lambda * horizon above ``_MAX_WINDOW_LEGS`` is refused
-before anything is drawn.
+drawn alone).  The period sweeps and the moment check draw each such block
+of windows, one chunk, from a generator of its own.  A lambda * horizon
+above ``_MAX_WINDOW_LEGS`` is refused before anything is drawn.
 
 Replications of a model are drawn in chunks: replication r is row
 r mod R of chunk r // R, where R = ``chunk_rows(params)``, and chunk c draws
@@ -125,8 +126,9 @@ def chunk_rows(params: ModelParams) -> int:
 
 
 def _chunk_stream(params: ModelParams, chunk: int) -> np.random.Generator:
-    # two-element keys, so they never collide with the (seed, tag, index)
-    # keys of the period sweeps in ``montecarlo``
+    # two-element keys: numpy pads a key with zeros, so chunks 102 to 104
+    # share the (seed, tag, 0) keys of ``montecarlo``'s chunk groups, which
+    # no experiment draws together with these
     return np.random.default_rng([params.seed, chunk])
 
 

@@ -7,11 +7,10 @@ localization window [0, T] with exact fixes at both ends and the estimate
 is the straight line between them, which is exactly what the timer-driven
 interpolation protocol computes inside every window (waypoint occurrences
 are memoryless, so windows of a long run are identically distributed to a
-fresh one).  Windows are drawn in batches sized by a draw budget, and a
-batch draws its leg durations only, a Poisson waypoint count per window
-and then normalized exponential spacings of [0, T]: given them, each
-window's error averaged over velocities and a uniform query time is exact
-(``sample_window_mean_errors``).
+fresh one).  A chunk of windows draws its leg durations only, a Poisson
+waypoint count per window and then normalized exponential spacings of
+[0, T]: given them, each window's error averaged over velocities and a
+uniform query time is exact (``sample_window_mean_errors``).
 
 The count experiment runs the block-batched protocol runners on whole paths
 as ``mobility.TrajectoryBlock`` leg matrices, with the fixed schedules
@@ -36,25 +35,27 @@ positions are checked through their expectation over the Gaussian
 velocities given the gaps (the conditional expectation), so those checks
 draw no velocities; only the position given no waypoint, whose expectation
 would be a constant, is sampled.  The unconditional moments and the
-pointwise errors come from whole windows.  The check is cut into chunks
-of at most a draw budget each: every conditioned count n, every exact
-count i and the windows in turn, each in fixed-size chunks.  Chunk k draws
-from its own stream, keyed by (seed, 104, k), and is reduced to its count,
-mean and sum of squared deviations where it is drawn.
+pointwise errors come from whole windows.
 
-Every mean and standard error is one fold (``_Moments``): each window
-batch, each count-experiment chunk (per protocol and localization count)
-and each moment-check chunk is reduced to its count, mean and sum of
-squared deviations, merged pairwise into the running ones.  Both kinds of
-chunk go through ``_fold_chunks``: ``output.map_ordered`` runs them on every
-usable CPU and hands their partial results back in chunk order, the order
-they are merged in, so no result depends on the CPU count.  Batches and
-chunks depend only on the model and the sizes, so memory stays the same
-whatever the replication or sample count, the conditioned counts and lambda.
-The fold runs with float overflow ignored, and its result is checked
-once: a mean or standard error that is not finite (a sigma so large that
-squared errors overflow) fails with a ``ParameterError`` before anything
-is written.
+The period sweeps and the moment check are cut into chunk groups
+(``_fold_groups``): one per period of a sweep; one per conditioned count
+n, one per exact count i and one for the windows of the moment check.  A
+group draws its samples in chunks of rows that a draw budget sets, the
+chunks of all groups are numbered in turn, and chunk k draws from its own
+stream, keyed by (seed, tag, k).
+
+Every mean and standard error is one fold (``_Moments``): each chunk of a
+group, and each count-experiment chunk per (protocol, localization count),
+is reduced where it is drawn to its count, mean and sum of squared
+deviations, merged pairwise into the running ones.  ``_fold_chunks`` runs
+every chunk through ``output.map_ordered`` on every usable CPU and merges
+the partial results in chunk order, so no result depends on the CPU count.
+Chunks depend only on the model and the sizes, so memory stays the same
+whatever the replication or sample count, the conditioned counts and
+lambda.  The fold runs with float overflow ignored, and its result is
+checked once: a mean or standard error that is not finite (a sigma so
+large that squared errors overflow) fails with a ``ParameterError`` before
+anything is written.
 """
 
 from __future__ import annotations
@@ -91,11 +92,11 @@ from .mobility import (
 )
 from .output import map_ordered
 
-# stream tags: the period sweeps draw from (seed, tag, period) and the
-# moment check from (seed, tag, chunk).  The count experiment's chunks are
+# stream tags: the period sweeps and the moment check draw chunk k of their
+# groups from (seed, tag, k).  The count experiment's chunks are
 # (seed, chunk), and numpy's SeedSequence pads a short key with zeros, so its
-# chunks 102 to 104 share the keys of period or chunk 0 of a tag; no
-# experiment draws from both.
+# chunks 102 to 104 share the keys of chunk 0 of a tag; no experiment draws
+# from both.
 _STREAM_PERIOD = 102
 _STREAM_ASYMPTOTE = 103
 _STREAM_MOMENTS = 104
@@ -161,7 +162,7 @@ def _chunk_moments(values: np.ndarray):
 
 class _Moments:
     """Count, mean and sum of squared deviations of a set of checks, fed a
-    chunk of samples, or a chunk's partial result, at a time.
+    chunk's partial result at a time.
 
     Each chunk's partial result is merged pairwise, as a binary counter
     carries: a partial merges with another of its own level, so every mean
@@ -170,11 +171,6 @@ class _Moments:
 
     def __init__(self) -> None:
         self._levels: list = []
-
-    def add(self, values: np.ndarray) -> None:
-        """Take ``values`` (..., m), m samples of every check; the buffer is
-        overwritten."""
-        self.merge(_chunk_moments(values))
 
     def merge(self, part) -> None:
         """Take a partial result: count, mean and sum of squared deviations."""
@@ -226,6 +222,33 @@ def _fold_chunks(work, count: int) -> dict:
     return folds
 
 
+def _fold_groups(seed: int, tag: int, samples: int, groups) -> list[MomentCheck]:
+    """The z-checks of ``groups``, (rows per chunk, sampler, [(names,
+    closed forms), ...]) each, all ``samples`` samples a group.  Chunk k,
+    counted over all groups, draws m rows (``rows`` or the group's rest) as
+    ``sampler(default_rng([seed, tag, k]), m)``: one array (..., m) per
+    (names, closed forms) pair, its flattened leading axes following the
+    names."""
+    firsts = [0]  # the first chunk of each group, and the chunk count last
+    for rows, _, _ in groups:
+        firsts.append(firsts[-1] + -(-samples // rows))
+
+    def draw(k: int):
+        g = bisect_right(firsts, k) - 1
+        rows, sample, _ = groups[g]
+        m = min(rows, samples - (k - firsts[g]) * rows)
+        values = sample(np.random.default_rng([seed, tag, k]), m)
+        return [((g, j), _chunk_moments(v)) for j, v in enumerate(values)]
+
+    folds = _fold_chunks(draw, firsts[-1])
+    return [
+        check
+        for g, (_, _, checks) in enumerate(groups)
+        for j, (names, theories) in enumerate(checks)
+        for check in folds[g, j].checks(names, theories)
+    ]
+
+
 # the largest --replications and --samples: every experiment runs in fixed
 # memory, so a run this size takes minutes to hours, and a typo such as 1e12
 # would otherwise run for days
@@ -245,38 +268,24 @@ def _check_replications(replications: int) -> None:
 # vectorized window engine
 
 
-# one draw budget for every batch: a batch of windows holds at most
+# one draw budget for every chunk: a chunk of windows holds at most
 # _WINDOW_BATCH rows, fewer once a high quantile of its legs would exceed
-# _CHUNK_DRAWS (``_window_batches``), and a conditioned chunk of the moment
-# check at most _CHUNK_DRAWS exponentials, (n + 1) * rows (``_chunk_rows``); in
-# both, a single row wider than the budget is drawn alone.  So a batch's
-# matrices stay within one bound at any --replications, --samples, --n-max
-# and lambda * T.  Both sizes are part of the stream layout (a window batch
-# draws all its waypoint counts, then all its leg durations, before
-# anything else), so changing either constant changes the output.
+# _CHUNK_DRAWS (``mobility.block_rows``), and a conditioned chunk of the
+# moment check at most _CHUNK_DRAWS exponentials, (n + 1) * rows
+# (``_chunk_rows``); in both, a single row wider than the budget is drawn
+# alone.  So a chunk's matrices stay within one bound at any
+# --replications, --samples, --n-max and lambda * T.  Both sizes are part
+# of the stream layout (a chunk of windows draws all its waypoint counts,
+# then all its leg durations, and the chunks are numbered by them), so
+# changing either constant changes the output.
 _WINDOW_BATCH = 4096
 _CHUNK_DRAWS = 1 << 15
 
 
-def _window_batches(n_windows: int, lambda_rate: float, horizon: float):
-    """Start and row count of each batch of ``n_windows`` windows over
-    [0, horizon].  The batches are sized on the call, so a window wider than
-    the cap of ``mobility._expected_waypoints`` fails before anything is
-    drawn."""
-    rows = block_rows(lambda_rate, horizon, _WINDOW_BATCH, _CHUNK_DRAWS)
-    return ((done, min(rows, n_windows - done)) for done in range(0, n_windows, rows))
-
-
-def sample_window_mean_errors(
-    rng: np.random.Generator,
-    lambda_rate: float,
-    sigma: float,
-    T: float,
-    n_windows: int,
-):
-    """Squared interpolation error of each of ``n_windows`` windows,
-    averaged over the velocities and a uniform query time: one array per
-    batch of ``_window_batches``, shape (rows,), drawn when it is taken.
+def sample_window_mean_errors(rng: np.random.Generator, m: int, *, lambda_rate: float, sigma: float, T: float):
+    """Squared interpolation error of each of ``m`` windows, averaged over
+    the velocities and a uniform query time, shape (m,): one chunk of a
+    period sweep, drawn from ``rng``.
 
     Each window is localized exactly at 0 and T and a query at t is
     answered with the straight line between the two fixes.  Only the leg
@@ -300,22 +309,20 @@ def sample_window_mean_errors(
     count experiment, and by a test that holds the timer protocol on whole
     paths to the closed-form average.
     """
-    scale = 2.0 * (sigma * T) ** 2 / 3.0
-    for _, m in _window_batches(n_windows, lambda_rate, T):
-        # drawn in units of T, so a batch holds four (m, legs) matrices
-        a, s, _ = _window_durations(rng, lambda_rate * T, 1.0, m)
-        r = np.subtract(1.0, s)
-        r -= a
-        # s^2 - s r + r^2 = s (s - r) + r^2, which is at least
-        # 3/4 max(s, r)^2, so this form loses at most a few ulps
-        tmp = np.subtract(s, r)
-        s *= tmp
-        np.square(r, out=tmp)
-        s += tmp
-        s *= np.square(a, out=a)
-        out = s.sum(axis=1)
-        out *= scale
-        yield out
+    # drawn in units of T, so a chunk holds four (m, legs) matrices
+    a, s, _ = _window_durations(rng, lambda_rate * T, 1.0, m)
+    r = np.subtract(1.0, s)
+    r -= a
+    # s^2 - s r + r^2 = s (s - r) + r^2, which is at least
+    # 3/4 max(s, r)^2, so this form loses at most a few ulps
+    tmp = np.subtract(s, r)
+    s *= tmp
+    np.square(r, out=tmp)
+    s += tmp
+    s *= np.square(a, out=a)
+    out = s.sum(axis=1)
+    out *= 2.0 * (sigma * T) ** 2 / 3.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +655,9 @@ def run_period_sweep(
     closed-form average; one window per replication, timer-style fixes at 0
     and T.  Exactly one of ``lambda_rate`` and ``ratio_C`` is given: a fixed
     waypoint rate, or a rate tied to the period (lambda = T/C, the
-    constant-ratio sweep).  The arguments are checked before anything is
-    drawn."""
+    constant-ratio sweep).  Each period is one chunk group (see the module
+    docstring).  The arguments are checked, and every closed form is
+    evaluated, before anything is drawn."""
     if (lambda_rate is None) == (ratio_C is None):
         raise ParameterError("give exactly one of lambda_rate and ratio_C")
     if ratio_C is None:
@@ -665,22 +673,18 @@ def run_period_sweep(
         raise ParameterError("T_values must be non-empty for a period sweep")
     tag = _STREAM_PERIOD if ratio_C is None else _STREAM_ASYMPTOTE
     periods = [(float(T), lambda_rate if ratio_C is None else float(T) / ratio_C) for T in T_values]
-    # every period's window size and closed form are checked before the
-    # first draw
-    for T, lam in periods:
-        _window_batches(replications, lam, T)
-    theories = [error_avg(sigma, lam, T) for T, lam in periods]
-    points = []
-    for i, ((T, lam), theory) in enumerate(zip(periods, theories)):
-        rng = np.random.default_rng([seed, tag, i])
-        stats = _Moments()
-        for errors in sample_window_mean_errors(rng, lam, sigma, T, replications):
-            stats.add(errors)
-        n, mean, se = stats.result()
-        points.append(
-            PeriodPoint(T=T, lambda_rate=lam, mean_sq_error=float(mean), std_error=float(se), samples=n, theory=theory)
+    groups = [
+        (
+            block_rows(lam, T, _WINDOW_BATCH, _CHUNK_DRAWS),
+            lambda rng, m, lam=lam, T=T: (sample_window_mean_errors(rng, m, lambda_rate=lam, sigma=sigma, T=T),),
+            [([f"error_avg T={T:g}"], [error_avg(sigma, lam, T)])],
         )
-    return points
+        for T, lam in periods
+    ]
+    return [
+        PeriodPoint(T, lam, mean_sq_error=c.mc_mean, std_error=c.std_error, samples=c.samples, theory=c.theory)
+        for (T, lam), c in zip(periods, _fold_groups(seed, tag, replications, groups))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +741,10 @@ def _spacings(rng: np.random.Generator, span: float, parts: int, rows: int) -> n
 
 
 def _conditioned_chunk(rng: np.random.Generator, m: int, *, tau: float, sigma: float, n: int):
-    """Partial moments of the 5 n checks given n waypoints in (0, tau), from
-    m samples: per waypoint k, its time and the time squared, the gap
-    before it and the gap squared, and the squared position's expectation
-    given the gaps, sigma^2 times the running sum of squared gaps."""
+    """The 5 n checks given n waypoints in (0, tau), m samples each: per
+    waypoint k, its time and the time squared, the gap before it and the gap
+    squared, and the squared position's expectation given the gaps, sigma^2
+    times the running sum of squared gaps."""
     gaps = _spacings(rng, tau, n + 1, m)
     q = np.empty((n, 5, m))
     time, gap, gap_sq, position_sq = q[:, 0], q[:, 2], q[:, 3], q[:, 4]
@@ -754,13 +758,13 @@ def _conditioned_chunk(rng: np.random.Generator, m: int, *, tau: float, sigma: f
         np.add(position_sq[k - 1], gap_sq[k], out=position_sq[k])
     np.square(time, out=q[:, 1])
     position_sq *= sigma * sigma
-    return (_chunk_moments(q),)
+    return (q,)
 
 
 def _given_count_chunk(rng: np.random.Generator, m: int, *, t: float, sigma: float, i: int):
-    """Partial moments of the squared position at t given i waypoints in
-    (0, t), from m samples: sampled given none, else through its expectation
-    given the i + 1 gaps."""
+    """The squared position at t given i waypoints in (0, t), m samples:
+    sampled given none, else through its expectation given the i + 1
+    gaps."""
     if i == 0:
         x = rng.standard_normal(m)
         x *= t * sigma
@@ -769,21 +773,21 @@ def _given_count_chunk(rng: np.random.Generator, m: int, *, t: float, sigma: flo
         x = _spacings(rng, t, i + 1, m)
         x = np.square(x, out=x).sum(axis=0)
         x *= sigma * sigma
-    return (_chunk_moments(x),)
+    return (x,)
 
 
 def _window_chunk(rng: np.random.Generator, m: int, *, lambda_rate: float, sigma: float, T: float, t: float):
-    """Partial moments of m whole windows at T/4, t and T: the
-    unconditional second moment and the split-window cross moment per
-    coordinate (x and y are iid, so both contribute samples), and the
-    interpolation error at T/4 and at t over both coordinates."""
+    """m whole windows at T/4, t and T: the unconditional second moment and
+    the split-window cross moment per coordinate (x and y are iid, so both
+    contribute samples), and the interpolation error at T/4 and at t over
+    both coordinates."""
     quarter = T / 4.0
     block = TrajectoryBlock.windows(rng, lambda_rate, sigma, T, m)
     x, y = block.position(np.broadcast_to((quarter, t, T), (m, 3)))
     at_q, at_t, at_T = np.moveaxis(np.stack([x, y]), -1, 0)  # each (coordinate, window)
     per_coordinate = np.stack([at_t * at_t, at_t * (at_T - at_t)]).reshape(2, 2 * m)
     err = np.stack([at_q - quarter / T * at_T, at_t - t / T * at_T])
-    return _chunk_moments(per_coordinate), _chunk_moments(np.square(err, out=err).sum(axis=1))
+    return per_coordinate, np.square(err, out=err).sum(axis=1)
 
 
 def validate_conditional_moments(
@@ -828,9 +832,7 @@ def validate_conditional_moments(
         raise ParameterError(f"n_max must be >= 1 and at most {_MAX_N_MAX}, got {n_max}")
     # sized first, so a lambda * T above the cap fails before any draw
     window_rows = block_rows(lambda_rate, T, _WINDOW_BATCH, _CHUNK_DRAWS)
-    # the chunk groups in stream order: each its rows per chunk, its sampler
-    # and the names and closed forms of its checks, one list per fold.
-    # Every closed form is evaluated here, so a parameter one of them cannot
+    # every closed form is evaluated here, so a parameter one of them cannot
     # take (a lambda whose square underflows, a sigma whose square
     # overflows) also fails before any draw
     groups = []
@@ -859,20 +861,4 @@ def validate_conditional_moments(
         ([f"error_at t={s:g}" for s in (quarter, t)], [error_at(sigma, lambda_rate, T, s) for s in (quarter, t)]),
     ]
     groups.append((window_rows, partial(_window_chunk, lambda_rate=lambda_rate, sigma=sigma, T=T, t=t), checks))
-    firsts = [0]  # the first chunk of each group, and the chunk count last
-    for rows, _, _ in groups:
-        firsts.append(firsts[-1] + -(-samples // rows))
-
-    def draw(k: int):
-        g = bisect_right(firsts, k) - 1
-        rows, sample, _ = groups[g]
-        m = min(rows, samples - (k - firsts[g]) * rows)
-        parts = sample(np.random.default_rng([seed, _STREAM_MOMENTS, k]), m)
-        return [((g, j), part) for j, part in enumerate(parts)]
-
-    folds = _fold_chunks(draw, firsts[-1])
-    report = MomentReport()
-    for g, (_, _, checks) in enumerate(groups):
-        for j, (names, theories) in enumerate(checks):
-            report.checks += folds[g, j].checks(names, theories)
-    return report
+    return MomentReport(_fold_groups(seed, _STREAM_MOMENTS, samples, groups))

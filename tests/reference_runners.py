@@ -10,14 +10,16 @@ localization count) for the query times it is given.
 ``generate_trajectory`` cuts one replication's path out of its chunk, as
 the count experiment draws it.  ``sample_window_positions`` evaluates
 windows of ``TrajectoryBlock.windows`` at fixed times, for the tests that
-hold the window positions to the closed forms.
+hold the window positions to the closed forms; it cuts them into the
+chunks of ``window_chunk_sizes``, as the period sweeps and the moment check
+do, but draws every chunk from the one generator it is given.
 """
 
 import numpy as np
 
 from maintsim.errors import ParameterError
-from maintsim.mobility import ModelParams, TrajectoryBlock, chunk_rows, replication_chunk
-from maintsim.montecarlo import _window_batches
+from maintsim.mobility import ModelParams, TrajectoryBlock, block_rows, chunk_rows, replication_chunk
+from maintsim.montecarlo import _CHUNK_DRAWS, _WINDOW_BATCH
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
@@ -160,6 +162,14 @@ def run_dvm(traj: TrajectoryBlock, cfg: DvmConfig, query_times, bootstrap_interv
     return np.column_stack([fx[j], fy[j]]), state.calls
 
 
+def window_chunk_sizes(n_windows: int, lambda_rate: float, horizon: float) -> list[int]:
+    """Rows of each chunk of ``n_windows`` windows over [0, horizon]: full
+    chunks of ``block_rows`` with the engine's cap and draw budget, then the
+    rest."""
+    rows = block_rows(lambda_rate, horizon, _WINDOW_BATCH, _CHUNK_DRAWS)
+    return [min(rows, n_windows - done) for done in range(0, n_windows, rows)]
+
+
 def sample_window_positions(
     rng: np.random.Generator,
     lambda_rate: float,
@@ -168,14 +178,16 @@ def sample_window_positions(
     n_windows: int,
     eval_times,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates at fixed times of independent windows, drawn in the
-    batches of ``montecarlo._window_batches``; shapes (n_windows,
+    """Coordinates at fixed times of independent windows, drawn from ``rng``
+    a chunk of ``window_chunk_sizes`` after another; shapes (n_windows,
     len(eval_times))."""
     times = [float(t) for t in eval_times]
     xs = np.empty((n_windows, len(times)))
     ys = np.empty((n_windows, len(times)))
-    for done, m in _window_batches(n_windows, lambda_rate, horizon):
+    done = 0
+    for m in window_chunk_sizes(n_windows, lambda_rate, horizon):
         block = TrajectoryBlock.windows(rng, lambda_rate, sigma, horizon, m)
         for j, t in enumerate(times):
             xs[done : done + m, j], ys[done : done + m, j] = block.position(np.full(m, t))
+        done += m
     return xs, ys

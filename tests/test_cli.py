@@ -225,6 +225,21 @@ class TestSimulate:
             outputs.append((out.read_bytes(), (out.parent / "fig4.csv.manifest.json").read_bytes()))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize("exp,replications", [("fig5", "2000"), ("fig6", "300")])
+    def test_sweep_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, exp, replications):
+        # each period is a chunk group: every chunk draws from its own
+        # stream and the partial moments are merged in chunk order, so 1, 2
+        # and 3 usable CPUs write the same CSV and manifest; from T = 80 on
+        # a period spans 2 to 3 chunks of fig5 and 2 to 9 of fig6 here
+        outputs = []
+        for cpus in (1, 2, 3):
+            _set_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus) / f"{exp}.csv"
+            out.parent.mkdir()
+            assert run(["simulate", exp, "--replications", replications, "--out", str(out)]) == EXIT_OK
+            outputs.append((out.read_bytes(), (out.parent / f"{exp}.csv.manifest.json").read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_moments_pass_exit_zero(self, tmp_path):
         out = tmp_path / "m.csv"
         code = run(["simulate", "moments", "--samples", "20000", "--n-max", "3",

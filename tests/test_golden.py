@@ -1,14 +1,16 @@
 """Pinned output digests: the data bytes of one small run of every
-experiment and of theory grids.  The moments digests were recorded at
-version 0.11.0, which draws each chunk of the moment check from its own
-stream; the fig5 and fig6 digests at 0.10.0, which drops the settings
-these experiments do not read (``span``, and fig6's ``lambda_rate``) from
-their metadata and keeps every data row; the fig4 digests at 0.9.0, which
-folds every mean and standard error from per-batch and per-chunk moments; the two theory grids
-longer than one chunk of the CSV writer at 0.5.0, the other short theory
-grid at 0.4.0, and the 100 001-row benchmark grid at 0.10.0, before the
-writer split long tables into parts, one per CPU.  No version since changed
-a theory byte.
+experiment and of theory grids.  The digests of fig5 and fig6 runs whose
+periods span more than one chunk (``fig5_chunks``, ``fig6_default``) were
+recorded at version 0.12.0, which draws every chunk of a period from its
+own stream; the moments digests at 0.11.0, which draws each chunk of the
+moment check from its own stream; the other fig5 and fig6 digests at
+0.10.0, which drops the settings these experiments do not read (``span``,
+and fig6's ``lambda_rate``) from their metadata and keeps every data row;
+the fig4 digests at 0.9.0, which folds every mean and standard error
+from per-batch and per-chunk moments; the two theory grids longer than one
+chunk of the CSV writer at 0.5.0, the other short theory grid at 0.4.0,
+and the 100 001-row benchmark grid at 0.10.0, before the writer split long
+tables into parts, one per CPU.  No version since changed a theory byte.
 
 A digest covers every line of the CSV except ``# tool=``, which only
 names the version.  Outputs are a pure function of the manifest and the
@@ -27,7 +29,7 @@ import pytest
 import maintsim
 from maintsim.cli import EXIT_OK, main
 
-VERSION = "0.11.0"
+VERSION = "0.12.0"
 NUMPY = "2.4.6"
 
 RUNS = {
@@ -47,10 +49,16 @@ RUNS = {
         ["simulate", "fig6", "--replications", "20"],
         "44c9d4c5ce5abbe609eeb4c3c153ba0188e8dbd88ba9b817439b362aa368ce3e",
     ),
-    # 100 windows per period: up to 3 batches at lambda * T = 800
+    # 2 000 windows per period: from T = 80 on a period spans 2 or 3
+    # chunks of its own streams
+    "fig5_chunks": (
+        ["simulate", "fig5", "--replications", "2000"],
+        "5d1b8eca0aab2c3e0869aff6f27d62ae79a82c11a35a413b5a5a187fb7a99080",
+    ),
+    # 100 windows per period: up to 3 chunks at lambda * T = 800
     "fig6_default": (
         ["simulate", "fig6", "--replications", "100"],
-        "8808469a9c37663c03c519b372bdbb48562132cb37a83aa53911e06fb57b478c",
+        "6e9543c6f24cc319cdf66302637fd448c98bcf4d6d388755c205baa872559fe7",
     ),
     "moments_n6": (
         ["simulate", "moments", "--samples", "10000", "--n-max", "6"],

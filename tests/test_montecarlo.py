@@ -60,6 +60,7 @@ from reference_runners import (
     run_maint_timer,
     run_sfr,
     sample_window_positions,
+    window_chunk_sizes,
 )
 from test_mobility import point
 
@@ -448,9 +449,11 @@ class TestPeriodSweep:
         with pytest.raises(ParameterError):
             run_period_sweep(5.0, 77, (), 100, lambda_rate=0.1)
 
-    def test_memory_does_not_grow_with_short_windows(self):
-        # 20 full batches against about a hundred: a vector of every
-        # window's value would grow by 8 bytes a window, 2.5 MB here
+    def test_memory_does_not_grow_with_short_windows(self, monkeypatch):
+        # 20 full chunks against about a hundred: a vector of every
+        # window's value would grow by 8 bytes a window, 2.5 MB here.  On
+        # one CPU: tracemalloc does not see a forked worker's memory
+        _set_cpus(monkeypatch, 1)
         run_period_sweep(5.0, 77, (20.0,), 10, lambda_rate=0.1)  # keep one-time imports out of the peak
         sizes = (20 * _WINDOW_BATCH, 400_000)
         runs = (lambda n=n: run_period_sweep(5.0, 77, (20.0,), n, lambda_rate=0.1) for n in sizes)
@@ -756,9 +759,12 @@ def traced_memory(*calls):
     return out
 
 
-def window_errors(*args):
-    """Every batch of ``sample_window_mean_errors`` as one vector."""
-    return np.concatenate(list(sample_window_mean_errors(*args)))
+def window_errors(rng, lam, sigma, T, n):
+    """``n`` windows of ``sample_window_mean_errors`` as one vector, drawn
+    from ``rng`` a chunk of ``window_chunk_sizes`` after another."""
+    return np.concatenate([
+        sample_window_mean_errors(rng, m, lambda_rate=lam, sigma=sigma, T=T) for m in window_chunk_sizes(n, lam, T)
+    ])
 
 
 class TestWindowEngine:
@@ -786,21 +792,26 @@ class TestWindowEngine:
         assert np.all(x[:, 0] == 0.0) and np.all(y[:, 0] == 0.0)
 
     def test_errors_follow_the_stream_contract(self):
-        # two batches: the second draws after all of the first
+        # two chunks of one period: chunk k draws from (seed, tag, k), the
+        # second from k = 1 and not after the first
         lam, sigma, T = 0.1, 5.0, 20.0
-        got = list(sample_window_mean_errors(np.random.default_rng(8), lam, sigma, T, _WINDOW_BATCH + 7))
-        rng = np.random.default_rng(8)
-        want = [
-            expanded_window_mean_errors(*_plain_window_durations(rng, lam, T, m)[:2], sigma, T)
-            for m in (_WINDOW_BATCH, 7)
+        keys = [[8, montecarlo._STREAM_PERIOD, k] for k in (0, 1)]
+        sizes = window_chunk_sizes(_WINDOW_BATCH + 7, lam, T)
+        assert sizes == [_WINDOW_BATCH, 7]
+        got = [
+            sample_window_mean_errors(np.random.default_rng(key), m, lambda_rate=lam, sigma=sigma, T=T)
+            for key, m in zip(keys, sizes)
         ]
-        assert [len(g) for g in got] == [_WINDOW_BATCH, 7]
+        want = [
+            expanded_window_mean_errors(*_plain_window_durations(np.random.default_rng(key), lam, T, m)[:2], sigma, T)
+            for key, m in zip(keys, sizes)
+        ]
+        assert [g.shape for g in got] == [(_WINDOW_BATCH,), (7,)]
         np.testing.assert_allclose(np.concatenate(got), np.concatenate(want), rtol=1e-9)
-        # the sweep folds the same batches: its mean and standard error are
+        # the sweep folds the same chunks: its mean and standard error are
         # those of the values, to rounding
         (point,) = run_period_sweep(sigma, 8, (T,), _WINDOW_BATCH + 7, lambda_rate=lam)
-        rng = np.random.default_rng([8, montecarlo._STREAM_PERIOD, 0])
-        values = window_errors(rng, lam, sigma, T, _WINDOW_BATCH + 7)
+        values = np.concatenate(got)
         assert point.samples == len(values)
         assert point.mean_sq_error == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
         assert point.std_error == pytest.approx(values.std(ddof=1) / math.sqrt(len(values)), rel=1e-12, abs=0.0)
@@ -814,29 +825,38 @@ class TestWindowEngine:
             np.testing.assert_allclose(ys[:, j], clip_and_sum(gaps, starts, v, np.full(300, t)), rtol=1e-9)
 
     @pytest.mark.parametrize("expected", [1.0, 2.3, 20.0, 800.0, 3200.0, 40_000.0])
-    def test_batches_stay_within_the_draw_budget(self, expected):
-        # a batch's leg-count quantile holds at most the budget of
+    def test_batches_stay_within_the_draw_budget(self, monkeypatch, expected):
+        # a chunk's leg-count quantile holds at most the budget of
         # durations, or a single row where one row alone is wider; windows
-        # short enough for 8 legs a row still come 4096 at a time
+        # short enough for 8 legs a row still come 4096 at a time.  The
+        # sweep's chunks are recorded, not drawn, on one CPU, where the
+        # caller takes every chunk in order
         lam = 4.0
         cols = _leg_count_quantile(lam, expected / lam)
         full = min(_WINDOW_BATCH, max(1, montecarlo._CHUNK_DRAWS // cols))
         assert full == _WINDOW_BATCH or cols > 8
         assert full * cols <= max(montecarlo._CHUNK_DRAWS, cols)
+        _set_cpus(monkeypatch, 1)
+        sizes = []
+        monkeypatch.setattr(montecarlo, "sample_window_mean_errors", lambda rng, m, **kw: sizes.append(m) or np.zeros(m))
         for n in (1, 300, _WINDOW_BATCH + 1, 20_000):
-            batches = list(montecarlo._window_batches(n, lam, expected / lam))
-            assert [done for done, _ in batches] == list(range(0, n, full))
-            assert [m for _, m in batches[:-1]] == [full] * (len(batches) - 1)
-            assert batches[-1][0] + batches[-1][1] == n
+            sizes.clear()
+            (point,) = run_period_sweep(5.0, 0, (expected / lam,), n, lambda_rate=lam)
+            chunks = -(-n // full)
+            assert sizes == [full] * (chunks - 1) + [n - (chunks - 1) * full]
+            assert sizes == window_chunk_sizes(n, lam, expected / lam)
+            assert point.samples == n
 
     @pytest.mark.parametrize("lam,T", [(4.0, 200.0), (8.0, 400.0)])
-    def test_memory_does_not_grow_with_windows(self, lam, T):
-        # lambda * T = 800 and 3200: a batch's leg-count quantile holds at
-        # most the draw budget of durations, and the sweep folds each batch
+    def test_memory_does_not_grow_with_windows(self, monkeypatch, lam, T):
+        # lambda * T = 800 and 3200: a chunk's leg-count quantile holds at
+        # most the draw budget of durations, and the sweep folds each chunk
         # into running moments, so the traced peak is the same at 300 and
         # at 20 000 windows; batches of 4096 windows peaked at about 230 MB
         # at lambda * T = 800, and a vector of every window's value grew by
-        # 8 bytes a window
+        # 8 bytes a window.  On one CPU, where the caller draws every
+        # chunk: tracemalloc does not see a forked worker's memory
+        _set_cpus(monkeypatch, 1)
         run_period_sweep(10.0, 1, (T,), 10, lambda_rate=lam)  # keep one-time imports out
         runs = (lambda n=n: run_period_sweep(10.0, 1, (T,), n, lambda_rate=lam) for n in (300, 20_000))
         peaks = [peak for _, peak in traced_memory(*runs)]
@@ -844,10 +864,11 @@ class TestWindowEngine:
         assert max(peaks) <= 4 << 20, peaks
 
     def test_mean_errors_draw_only_durations(self):
+        # one chunk: all its waypoint counts, then all its durations
         rng = _Counting(np.random.default_rng(2))
-        window_errors(rng, 0.1, 5.0, 20.0, _WINDOW_BATCH + 7)
-        assert rng.poisson_sizes == [_WINDOW_BATCH, 7]
-        assert len(rng.exponential_sizes) == 2
+        sample_window_mean_errors(rng, _WINDOW_BATCH, lambda_rate=0.1, sigma=5.0, T=20.0)
+        assert rng.poisson_sizes == [_WINDOW_BATCH]
+        assert len(rng.exponential_sizes) == 1
         assert rng.normals == 0 and rng.uniforms == 0
 
     @pytest.mark.parametrize("first", [10.0, 20.0])
@@ -961,7 +982,7 @@ class TestPoissonWindows:
         rng = np.random.default_rng([24, int(expected)])
         want = np.concatenate([
             expanded_window_mean_errors(*waypoint_process(rng, lam, T, m), sigma, T)
-            for _, m in montecarlo._window_batches(n, lam, T)
+            for m in window_chunk_sizes(n, lam, T)
         ])
         assert abs(_z(got, want)) < 4.0
 
@@ -972,7 +993,7 @@ class TestPoissonWindows:
         xs, ys = sample_window_positions(np.random.default_rng([25, int(expected)]), lam, sigma, T, n, (T / 2, T))
         rng = np.random.default_rng([26, int(expected)])
         want = []
-        for _, m in montecarlo._window_batches(n, lam, T):
+        for m in window_chunk_sizes(n, lam, T):
             gaps, starts, u, v = waypoint_process(rng, lam, T, m, sigma)
             at = [np.full(m, t) for t in (T / 2, T)]
             want.append(np.stack([clip_and_sum(gaps, starts, w, t) for w in (u, v) for t in at], axis=1))
@@ -1106,7 +1127,7 @@ class TestMomentValidation:
         stats = montecarlo._Moments()
         cuts = np.cumsum((0, *sizes))
         for a, b in zip(cuts[:-1], cuts[1:]):
-            stats.add(data[..., a:b].copy())
+            stats.merge(montecarlo._chunk_moments(data[..., a:b].copy()))
         checks = stats.checks([str(j) for j in range(6)], [0.0] * 6)
         flat = data.reshape(6, -1)
         n = flat.shape[1]
@@ -1119,7 +1140,7 @@ class TestMomentValidation:
         # an se of 0 cannot tell a mean from its theory: z is inf and the
         # check fails, where z = 0 passed it whatever the mean
         stats = montecarlo._Moments()
-        stats.add(np.full((2, 100), 3.0))
+        stats.merge(montecarlo._chunk_moments(np.full((2, 100), 3.0)))
         checks = stats.checks(["on theory", "off theory"], [3.0, 4.0])
         assert [(c.mc_mean, c.std_error, c.z) for c in checks] == [(3.0, 0.0, math.inf)] * 2
         assert not montecarlo.MomentReport(checks).passed
@@ -1133,8 +1154,8 @@ class TestMomentValidation:
             stats = montecarlo._Moments()
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                stats.add(np.array([values]))
-                stats.add(np.array([[1.0, 2.0]]))
+                stats.merge(montecarlo._chunk_moments(np.array([values])))
+                stats.merge(montecarlo._chunk_moments(np.array([[1.0, 2.0]])))
                 with pytest.raises(ParameterError, match="overflows float64; lower sigma"):
                     stats.checks(["x"], [0.0])
 

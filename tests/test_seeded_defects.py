@@ -64,8 +64,10 @@ class Defect:
 # velocities; its last leg given no velocity; one tick fewer in each timer
 # grid of the count experiment; MAINT's chord weight q - lo scaled by 1.01;
 # one spacing short in the moment check's conditioned draws; s (s + r) for
-# s (s - r) in the per-leg form of the sweeps' window error; and every
-# chunk of the count experiment drawn from chunk 0's stream
+# s (s - r) in the per-leg form of the sweeps' window error; every chunk
+# of the count experiment drawn from chunk 0's stream; and every chunk of a
+# chunk group (a sweep's period, a moment check's quantity) drawn from the
+# stream of the group's first chunk
 DEFECTS = (
     Defect(
         "lambda-x1.05",
@@ -123,6 +125,13 @@ DEFECTS = (
         "rng = _chunk_stream(params, chunk)",
         "rng = _chunk_stream(params, 0)",
         fig4_paths_follow_the_waypoint_count_law,
+    ),
+    Defect(
+        "every-chunk-of-a-group-from-its-first",
+        "montecarlo", "_fold_groups",
+        "values = sample(np.random.default_rng([seed, tag, k]), m)",
+        "values = sample(np.random.default_rng([seed, tag, firsts[g]]), m)",
+        test_acceptance.test_criterion_2_constant_ratio_sweep_reaches_asymptote,
     ),
 )
 
