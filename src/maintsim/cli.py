@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O error.
 Every experiment runs in fixed memory, so ``--replications`` and
 ``--samples`` above 10^8 exit 2 with one line and no file, and so do a
 ``--queries`` above 1000, an ``--n-max`` above 100, a window with
-lambda * T above 10^9 and a run that still needs more memory than is
-available.  So does a simulation whose means or standard errors overflow
+lambda * T above about 1.9 * 10^7 (one window row in 1 GiB) and a run that
+still needs more memory than is available.  So does a simulation whose means or standard errors overflow
 float64 (a sigma too large): no output holds an inf or a nan.
 Outputs default into $MAINTSIM_OUTDIR (falling back to the working
 directory) and depend only on the manifest and tool version: re-running a

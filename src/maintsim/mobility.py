@@ -20,18 +20,14 @@ draw); then the velocities of those legs.  Every caller sizes its blocks
 with ``block_rows``: a cap on the rows and a budget of legs at a high
 quantile of a row's leg count, so that the memory of a block stays bounded
 however large lambda * horizon is (a single row wider than the budget is
-drawn alone).  The period sweeps and the moment check draw each such block
-of windows, one chunk, from a generator of its own.  A lambda * horizon
-above ``_MAX_WINDOW_LEGS`` is refused before anything is drawn.
+drawn alone).  A lambda * horizon above ``_MAX_WINDOW_LEGS``, the most that
+keeps one row within a stated memory budget, is refused before anything
+is drawn.
 
-Replications of a model are drawn in chunks: replication r is row
-r mod R of chunk r // R, where R = ``chunk_rows(params)``, and chunk c draws
-its R paths with ``windows`` from ``default_rng([seed, c])``
-(``replication_chunk``).  One such row, cut to a one-row block, is the path
-that the event-driven state machines of ``protocols`` localize on, through
-the same ``position`` as the block runners.  The chunk size is part of the
-stream layout: a path depends on its seed and index only, not on how many
-replications a run asks for.
+One such row, cut to a one-row block, is the path that the event-driven
+state machines of ``protocols`` localize on, through the same ``position``
+as the block runners.  How the experiments cut their draws into chunks,
+and which stream each chunk draws from, is ``montecarlo``'s.
 """
 
 from __future__ import annotations
@@ -78,17 +74,18 @@ def _check_seed(seed) -> None:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
 
 
-# replication chunks: at most this many rows, fewer once a row's leg-count
-# quantile times the rows would exceed _BLOCK_LEGS (``block_rows``), so
-# that a large lambda * span cannot make a chunk hundreds of times larger
-# than one path.  Both are part of the stream layout.
-_CHUNK_ROWS = 256
-_BLOCK_LEGS = 1 << 16
-
-# the largest lambda * horizon a window may expect: 10^9 legs a row is
-# beyond any memory this runs in, and far below numpy's limits on a Poisson
-# mean and on an array's size
-_MAX_WINDOW_LEGS = 1e9
+# the largest lambda * horizon a window may expect, so that one row fits in
+# a budget of _ROW_BUDGET bytes.  At its peak a row takes about _ROW_BYTES
+# bytes a leg (traced with tracemalloc: 56 for a row whose positions are
+# evaluated at a few times, as in the moment check and in fig4 at one
+# query; 33 for a row of the period sweeps), so the cap is about 1.9e7,
+# far below numpy's limits on a Poisson mean and on an array's size.  A
+# lambda * horizon of 1e9 would need some 56 GB and be killed by the OS.
+# fig4 evaluates its rows at every query time, about 2 bytes a leg more per
+# query, which this cap does not bound
+_ROW_BUDGET = 1 << 30
+_ROW_BYTES = 56
+_MAX_WINDOW_LEGS = _ROW_BUDGET // _ROW_BYTES
 
 
 def _expected_waypoints(lambda_rate: float, horizon: float) -> float:
@@ -118,27 +115,6 @@ def block_rows(lambda_rate: float, horizon: float, most: int, budget: int) -> in
     exceed ``budget``; one row at the least, however wide.  A batch is as
     wide as its longest row, which can pass the quantile by a few legs."""
     return min(most, max(1, budget // _leg_count_quantile(lambda_rate, horizon)))
-
-
-def chunk_rows(params: ModelParams) -> int:
-    """R, the number of replications per chunk of the model's streams."""
-    return block_rows(params.lambda_rate, params.span, _CHUNK_ROWS, _BLOCK_LEGS)
-
-
-def _chunk_stream(params: ModelParams, chunk: int) -> np.random.Generator:
-    # two-element keys: numpy pads a key with zeros, so chunks 102 to 104
-    # share the (seed, tag, 0) keys of ``montecarlo``'s chunk groups, which
-    # no experiment draws together with these
-    return np.random.default_rng([params.seed, chunk])
-
-
-def replication_chunk(params: ModelParams, chunk: int) -> tuple[TrajectoryBlock, np.random.Generator]:
-    """Paths of replications chunk * R to chunk * R + R - 1 over
-    [0, params.span], and the chunk's generator after those draws.  The
-    caller draws whatever else the chunk needs (the count experiment's query
-    times) from the generator next."""
-    rng = _chunk_stream(params, chunk)
-    return TrajectoryBlock.windows(rng, params.lambda_rate, params.sigma, params.span, chunk_rows(params)), rng
 
 
 def _window_durations(rng: np.random.Generator, lambda_rate: float, horizon: float, rows: int):

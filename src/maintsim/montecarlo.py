@@ -16,16 +16,15 @@ The count experiment runs the block-batched protocol runners on whole paths
 as ``mobility.TrajectoryBlock`` leg matrices, with the fixed schedules
 ``MAINT_PERIODS`` and ``MADRD_BASES``: the timer schemes localize their tick
 grids as arrays, and the adaptive schemes advance all rows in lock-step.
-Chunk c draws the paths of its R replications and then their query times,
-an (R, queries) matrix, from one stream keyed by (seed, c)
-(``mobility.replication_chunk``).  R depends only on the model, and the
-last chunk is drawn in full and then cut, so a replication's path and
-queries do not depend on the number of replications.  Each chunk is
-reduced where it is drawn to the partial moments of its (protocol,
-localization count) bins.  The reference runners, which drive the
-event-driven state machines of ``protocols`` one replication at a time,
-live with the tests: a differential test requires the batched runners to
-reproduce their call counts and estimates.
+Replication r is row r mod R of chunk r // R, where R = ``_count_rows``
+depends only on the model; chunk c draws the paths of its R replications
+and then their query times, an (R, queries) matrix, from one stream keyed
+by (seed, c) (``_count_stream``).  The last chunk is drawn in full and then
+cut, so a replication's path and queries do not depend on the number of
+replications.  The reference runners, which drive the event-driven state
+machines of ``protocols`` one replication at a time, live with the tests:
+a differential test requires the batched runners to reproduce their call
+counts and estimates.
 
 The moment check samples its conditioned quantities by construction, apart
 from the window engine, so it checks the formulas independently of it.
@@ -37,22 +36,20 @@ draw no velocities; only the position given no waypoint, whose expectation
 would be a constant, is sampled.  The unconditional moments and the
 pointwise errors come from whole windows.
 
-The period sweeps and the moment check are cut into chunk groups
-(``_fold_groups``): one per period of a sweep; one per conditioned count
-n, one per exact count i and one for the windows of the moment check.  A
-group draws its samples in chunks of rows that a draw budget sets, the
-chunks of all groups are numbered in turn, and chunk k draws from its own
-stream, keyed by (seed, tag, k).
-
-Every mean and standard error is one fold (``_Moments``): each chunk of a
-group, and each count-experiment chunk per (protocol, localization count),
-is reduced where it is drawn to its count, mean and sum of squared
-deviations, merged pairwise into the running ones.  ``_fold_chunks`` runs
-every chunk through ``output.map_ordered`` on every usable CPU and merges
-the partial results in chunk order, so no result depends on the CPU count.
-Chunks depend only on the model and the sizes, so memory stays the same
-whatever the replication or sample count, the conditioned counts and
-lambda.  The fold runs with float overflow ignored, and its result is
+Every experiment is one fold of keyed chunks (``_fold``).  It is cut into
+groups of the same number of samples each: the count experiment is one
+group; a sweep has one per period; the moment check one per conditioned
+count n, one per exact count i and one for its windows.  A group draws its
+samples in chunks of rows that a draw budget sets, the chunks of all
+groups are numbered in turn, and chunk k draws from its own stream.  Each
+chunk is reduced where it is drawn to the count, mean and sum of squared
+deviations of each of its keys (a (protocol, localization count) bin, a
+check), and ``output.map_ordered`` runs the chunks
+on every usable CPU and hands these back in chunk order, to be merged
+pairwise into the running ones (``_Moments``), so no result depends on the
+CPU count.  Chunks depend only on the model and the sizes, so memory stays
+the same whatever the replication or sample count, the conditioned counts
+and lambda.  The fold runs with float overflow ignored, and its result is
 checked once: a mean or standard error that is not finite (a sigma so
 large that squared errors overflow) fails with a ``ParameterError`` before
 anything is written.
@@ -61,7 +58,6 @@ anything is written.
 from __future__ import annotations
 
 import math
-import pickle
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
@@ -87,16 +83,14 @@ from .mobility import (
     _check_seed,
     _window_durations,
     block_rows,
-    chunk_rows,
-    replication_chunk,
 )
 from .output import map_ordered
 
 # stream tags: the period sweeps and the moment check draw chunk k of their
-# groups from (seed, tag, k).  The count experiment's chunks are
-# (seed, chunk), and numpy's SeedSequence pads a short key with zeros, so its
-# chunks 102 to 104 share the keys of chunk 0 of a tag; no experiment draws
-# from both.
+# groups from (seed, tag, k).  The count experiment's chunks are (seed, c)
+# (``_count_stream``), and numpy's SeedSequence pads a short key with zeros,
+# so its chunks 102 to 104 share the keys of chunk 0 of a tag; no experiment
+# draws from both.
 _STREAM_PERIOD = 102
 _STREAM_ASYMPTOTE = 103
 _STREAM_MOMENTS = 104
@@ -208,44 +202,54 @@ class _Moments:
         return out
 
 
-def _fold_chunks(work, count: int) -> dict:
-    """One ``_Moments`` per key, fed the partial results of ``count`` chunks
-    in chunk order.  ``work(k)`` returns chunk k's (key, (count, mean, sum
-    of squared deviations)) pairs; ``output.map_ordered`` runs it on every
-    usable CPU and hands the pickled pairs back in chunk order, so every
-    key's merge tree is the same on any number of CPUs."""
+def _fold(stream, samples: int, groups) -> list[dict]:
+    """One ``_Moments`` per key of each of ``groups``, (rows per chunk,
+    work) pairs, fed in chunk order.  A group's ``samples`` samples are cut
+    into chunks of ``rows`` (the last holds the rest), the chunks of all
+    groups are numbered in turn, and chunk k of a group is ``work(stream(k),
+    first, m)``: its m samples from the group's sample ``first`` on, as
+    (key, (count, mean, sum of squared deviations)) pairs.
+    ``output.map_ordered`` runs the chunks on every usable CPU and hands
+    their pairs back in chunk order, so every key's merge tree is the same
+    on any number of CPUs."""
+    firsts = [0]  # the first chunk of each group, and the chunk count last
+    for rows, _ in groups:
+        firsts.append(firsts[-1] + -(-samples // rows))
+
+    def chunk(k: int):
+        g = bisect_right(firsts, k) - 1
+        rows, work = groups[g]
+        first = (k - firsts[g]) * rows
+        return g, work(stream(k), first, min(rows, samples - first))
+
     np.random.default_rng  # loads numpy.random once, before the pool forks
-    folds: dict = {}
-    for data in map_ordered(lambda k: pickle.dumps(work(k)), count):
-        for key, part in pickle.loads(data):
-            folds.setdefault(key, _Moments()).merge(part)
+    folds = [{} for _ in groups]
+    for g, parts in map_ordered(chunk, firsts[-1]):
+        for key, part in parts:
+            folds[g].setdefault(key, _Moments()).merge(part)
     return folds
 
 
 def _fold_groups(seed: int, tag: int, samples: int, groups) -> list[MomentCheck]:
     """The z-checks of ``groups``, (rows per chunk, sampler, [(names,
-    closed forms), ...]) each, all ``samples`` samples a group.  Chunk k,
-    counted over all groups, draws m rows (``rows`` or the group's rest) as
-    ``sampler(default_rng([seed, tag, k]), m)``: one array (..., m) per
-    (names, closed forms) pair, its flattened leading axes following the
-    names."""
-    firsts = [0]  # the first chunk of each group, and the chunk count last
-    for rows, _, _ in groups:
-        firsts.append(firsts[-1] + -(-samples // rows))
+    closed forms), ...]) each, all ``samples`` samples a group: a ``_fold``
+    in which chunk k draws from ``default_rng([seed, tag, k])``, and a
+    chunk of m rows is ``sampler(rng, m)``, one array (..., m) per (names,
+    closed forms) pair, its flattened leading axes following the names."""
 
-    def draw(k: int):
-        g = bisect_right(firsts, k) - 1
-        rows, sample, _ = groups[g]
-        m = min(rows, samples - (k - firsts[g]) * rows)
-        values = sample(np.random.default_rng([seed, tag, k]), m)
-        return [((g, j), _chunk_moments(v)) for j, v in enumerate(values)]
+    def work(sample, rng, first: int, m: int):
+        return list(enumerate(map(_chunk_moments, sample(rng, m))))
 
-    folds = _fold_chunks(draw, firsts[-1])
+    folds = _fold(
+        lambda k: np.random.default_rng([seed, tag, k]),
+        samples,
+        [(rows, partial(work, sample)) for rows, sample, _ in groups],
+    )
     return [
         check
-        for g, (_, _, checks) in enumerate(groups)
+        for fold, (_, _, checks) in zip(folds, groups)
         for j, (names, theories) in enumerate(checks)
-        for check in folds[g, j].checks(names, theories)
+        for check in fold[j].checks(names, theories)
     ]
 
 
@@ -255,7 +259,8 @@ def _fold_groups(seed: int, tag: int, samples: int, groups) -> list[MomentCheck]
 _MAX_SAMPLES = 100_000_000
 
 # the largest --queries: a chunk's records grow with the queries, and so
-# does the count experiment's peak memory (about 130 MB at 1000)
+# does the count experiment's peak memory (a peak RSS of about 82 MB per
+# process at 1000 and the default model)
 _MAX_QUERIES = 1000
 
 
@@ -280,6 +285,23 @@ def _check_replications(replications: int) -> None:
 # changing either constant changes the output.
 _WINDOW_BATCH = 4096
 _CHUNK_DRAWS = 1 << 15
+
+# the count experiment's chunks follow the same rule with their own cap and
+# budget: at most _COUNT_ROWS replications, fewer once a high quantile of
+# their legs would exceed _COUNT_LEGS; part of its stream layout too
+_COUNT_ROWS = 256
+_COUNT_LEGS = 1 << 16
+
+
+def _count_rows(model: ModelParams) -> int:
+    """R, the replications per chunk of the count experiment."""
+    return block_rows(model.lambda_rate, model.span, _COUNT_ROWS, _COUNT_LEGS)
+
+
+def _count_stream(seed: int, c: int) -> np.random.Generator:
+    """Chunk c's stream: the paths of its R replications, then their query
+    times."""
+    return np.random.default_rng([seed, c])
 
 
 def sample_window_mean_errors(rng: np.random.Generator, m: int, *, lambda_rate: float, sigma: float, T: float):
@@ -537,26 +559,29 @@ class ChunkRecords(NamedTuple):
     sq_error: np.ndarray
 
 
-def chunk_records(model: ModelParams, chunk: int, replications: int, queries: int, protocols=("MAINT", "MADRD")):
-    """Error records of chunk ``chunk`` of a run of ``replications``
-    replications, as one ``ChunkRecords``, for arguments that
-    ``run_error_vs_count`` checks.
+def chunk_records(
+    model: ModelParams, rng: np.random.Generator, first: int, m: int, queries: int, protocols=("MAINT", "MADRD")
+):
+    """Error records of replications ``first`` to ``first + m - 1``, as
+    one ``ChunkRecords``, for arguments that ``run_error_vs_count`` checks.
 
-    Per replication: take its path, draw ``queries`` query times uniformly
-    on [0, span], and give every protocol (MAINT, MADRD, SFR or DVM, in the
-    order given) the same path and queries.  Truth comes from the path;
+    Draws a chunk's R paths and then their query times, ``queries`` per
+    replication uniformly on [0, span], from its stream ``rng``, and keeps
+    the first m of each.  Per replication, every protocol (MAINT, MADRD,
+    SFR or DVM, in the order given) gets the same path and queries.  Truth comes from the path;
     estimates only from protocol-visible fixes.  The schedules
     (``MAINT_PERIODS`` for the timer schemes, ``MADRD_BASES`` for dead
-    reckoning) cycle through their grids across replications to populate the
-    localization-count axis.  The chunk goes through the block-batched runners whole; its size
-    keeps its legs near ``mobility._BLOCK_LEGS`` entries (its rows times a
-    high quantile of a row's leg count) unless it holds a single row.
+    reckoning) cycle through their grids across replications to populate
+    the localization-count axis.  The chunk goes through the block-batched
+    runners whole; its size keeps its legs near ``_COUNT_LEGS`` entries
+    (its rows times a high quantile of a row's leg count) unless it holds a
+    single row.
     """
-    per_chunk = chunk_rows(model)
-    paths, rng = replication_chunk(model, chunk)
+    per_chunk = _count_rows(model)
+    paths = TrajectoryBlock.windows(rng, model.lambda_rate, model.sigma, model.span, per_chunk)
     qts = rng.uniform(0.0, model.span, (per_chunk, queries))
-    rows = np.arange(chunk * per_chunk, min(replications, (chunk + 1) * per_chunk))
-    legs, qts = paths[: len(rows)], qts[: len(rows)]
+    rows = np.arange(first, first + m)
+    legs, qts = paths[:m], qts[:m]
     periods = np.array(MAINT_PERIODS)[rows % len(MAINT_PERIODS)]
     base = np.array(MADRD_BASES)[rows % len(MADRD_BASES)]
     runners = {
@@ -605,23 +630,23 @@ def run_error_vs_count(model: ModelParams, replications: int, queries: int) -> d
     """Error against localization count for the interpolation protocol and
     the dead-reckoning baseline over identical trajectories.
 
-    Each chunk's records (``chunk_records``) are grouped by (protocol,
-    localization count) where they are drawn, and the bins' partial moments
-    are merged in chunk order (``_fold_chunks``), so a worker holds one
-    chunk at a time.  Empty bins do not appear.  The arguments are checked
-    before anything is drawn.
+    The replications are one ``_fold`` group.  Each chunk's records
+    (``chunk_records``) are grouped by (protocol, localization count) where
+    they are drawn, and the bins' partial moments are merged in chunk
+    order, so a worker holds one chunk at a time.  Empty bins do not
+    appear.  The arguments are checked before anything is drawn.
     """
     _check_replications(replications)
     if not 1 <= queries <= _MAX_QUERIES:
         raise ParameterError(f"queries must be >= 1 and at most {_MAX_QUERIES}, got {queries}")
-    per_chunk = chunk_rows(model)  # a window above the cap fails first
+    per_chunk = _count_rows(model)  # a window above the cap fails first
     for p, n in zip(MAINT_PERIODS, _tick_counts(np.array(MAINT_PERIODS), model.span).tolist()):
         if abs(n * p - model.span) > 1e-9 * model.span:
             raise ParameterError(
                 f"maint period {p} does not divide span {model.span}; late queries could never be bracketed"
             )
-    chunks = -(-replications // per_chunk)
-    bins = _fold_chunks(lambda c: _chunk_bins(chunk_records(model, c, replications, queries)), chunks)
+    groups = [(per_chunk, lambda rng, first, m: _chunk_bins(chunk_records(model, rng, first, m, queries)))]
+    (bins,) = _fold(partial(_count_stream, model.seed), replications, groups)
     out: dict[str, list[BinnedResult]] = {}
     for (protocol, count), stats in sorted(bins.items()):
         n, (mean_sq, mean_abs), (se_sq, se_abs) = stats.result()

@@ -1,5 +1,5 @@
 """Byte-deterministic CSV and run-manifest writers, and the fork pool that
-long tables and the moment check run on.
+long tables and every Monte Carlo experiment run on.
 
 Every experiment output starts with a ``# key=value`` metadata block
 capturing the full resolved configuration and seed, so a file plus the tool
@@ -7,31 +7,32 @@ version pins down exactly how to regenerate it.  Floats are serialized with
 ``repr`` (shortest round-trip form) and nothing time- or host-dependent is
 ever written.
 
-Tables are handed over by columns: one sequence per header name that has
-a length and gives a list or an array for a slice of rows, such as a list,
-a numpy array or the lazy columns of ``theory``, which compute their values
-when sliced.  ``write_csv`` slices and formats them a chunk of rows at a
-time, each chunk by one ``%`` operation on a row template repeated once per
-row (``%s`` of a Python float is its ``repr``), and never builds row tuples
-of values.  The chunks go through ``map_ordered`` and are written in row
-order.  numpy values are told apart by their type's module, so this module
-never imports numpy, and neither does a command that hands it none.
+Tables are handed over by columns of Python values (float, int, str,
+bool): one sequence per header name that has a length and gives a list
+for a slice of rows, such as a list or the lazy columns of ``theory``,
+which compute their values when sliced.  ``write_csv`` slices and formats
+them a chunk of rows at a time, each chunk by one ``%`` operation on a row
+template repeated once per row (``%s`` of a Python float is its ``repr``),
+and never builds row tuples of values.  The chunks go through
+``map_ordered`` and are written in row order.  This module never imports
+numpy.
 
-``map_ordered(work, count)`` yields the bytes of ``work(k)`` for k = 0 to
-count - 1 in index order, whichever process computed them.  Given more than
-one usable CPU, it forks one worker per CPU but one (at most one per index)
-and the caller works too.  Each worker takes the next index from one pipe
-when it is done with the last, so a worker on a busy CPU takes fewer, and
-appends a (k, length, failed) record and the bytes to its own unnamed
-temporary file, made before the fork; once every child has exited, the
-caller reads the records back in index order.  Indices are handed out in
-rounds of at most ``_ROUND`` (fresh workers each), so the files never hold
-more than one round's results, and memory holds one chunk per worker.  An
-exception raised in a child reaches the caller as itself; one that does not
-survive pickling, and a child that dies without returning its chunk, raise
-an ``OSError`` naming the chunk.  Where ``os.fork`` or
-``os.sched_getaffinity`` is missing, or the caller runs other threads, no
-child is forked and ``work(k)`` is yielded as it is computed.
+``map_ordered(work, count)`` yields ``work(k)``, any picklable value, for
+k = 0 to count - 1 in index order, whichever process computed it.  Given
+more than one usable CPU, it forks one worker per CPU but one (at most one
+per index) and the caller works too.  Each worker takes the next index
+from one pipe when it is done with the last, so a worker on a busy CPU
+takes fewer, and appends one pickled (k, failed, value) record per chunk
+to its own unnamed temporary file, made before the fork; once every child
+has exited, the caller reads the records back in index order.  Indices are
+handed out in rounds of at most ``_ROUND`` (fresh workers each), so the
+files never hold more than one round's results, and memory holds one chunk
+per worker.  An exception raised in a child reaches the caller as itself;
+one that does not survive pickling, and a child that dies without
+returning its chunk, raise an ``OSError`` naming the chunk.  Given one
+usable CPU or one index, and where ``os.fork`` or ``os.sched_getaffinity``
+is missing or the caller runs other threads, no child is forked and
+``work(k)`` is yielded as it is computed, never pickled.
 """
 
 from __future__ import annotations
@@ -58,31 +59,14 @@ _PLAIN = {float, int, str, bool}
 # pipe can have
 _ROUND = 1024
 _INDEX = struct.Struct("<I")
-# a result record: chunk index, payload length, and whether the payload is a
-# failure rather than the chunk's bytes
-_RECORD = struct.Struct("<qq?")
-
-
-def _from_numpy(value) -> bool:
-    """Whether ``value`` is a numpy array or scalar, told without importing
-    numpy: a command that loads no numpy hands over none."""
-    return type(value).__module__ == "numpy"
 
 
 def _fmt(value) -> str:
-    if _from_numpy(value):  # np.float64 would repr as "np.float64(...)"
-        value = value.item()
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return ",".join(map(_fmt, value))
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _cells(values) -> list:
     """A column slice as values that ``%s`` formats as ``_fmt`` does."""
-    if _from_numpy(values):
-        values = values.tolist()
     if set(map(type, values)) <= _PLAIN:
         return values
     return list(map(_fmt, values))
@@ -110,9 +94,9 @@ def _usable_cpus() -> int:
 
 
 def map_ordered(work, count: int, doing=lambda k: f"computing chunk {k}"):
-    """``work(k)``, which returns bytes, for k = 0 to ``count`` - 1, in index
-    order, on every usable CPU (see the module docstring).  ``doing(k)``
-    names chunk k in the ``OSError`` of a worker that does not return it."""
+    """``work(k)`` for k = 0 to ``count`` - 1, in index order, on every
+    usable CPU (see the module docstring).  ``doing(k)`` names chunk k in
+    the ``OSError`` of a worker that does not return it."""
     cpus = _usable_cpus()
     for lo in range(0, count, _ROUND):
         chunks = range(lo, min(lo + _ROUND, count))
@@ -172,39 +156,41 @@ def _serve(work, take: int, out) -> None:
 
 def _take_chunks(work, take: int, out, in_child: bool) -> None:
     """Compute the chunks whose indices this worker reads from the pipe
-    ``take``, appending a record of each to ``out``.  In a child, a chunk
-    that raises is recorded as a failure and empties the pipe, so that no
+    ``take``, appending one pickled (k, failed, value) record of each to
+    ``out``.  In a child, a chunk that raises, or whose value does not
+    pickle, is recorded as a failure and empties the pipe, so that no
     worker starts another chunk."""
     while index := os.read(take, _INDEX.size):
         (k,) = _INDEX.unpack(index)
         try:
-            data = work(k)
+            record = pickle.dumps((k, False, work(k)))
         except BaseException as exc:
             if not in_child:
                 raise
-            failure = _pickled_failure(exc)
-            out.write(_RECORD.pack(k, len(failure), True) + failure)
+            out.write(pickle.dumps((k, True, _sendable(exc))))
             while os.read(take, 1 << 16):
                 pass
             break
-        out.write(_RECORD.pack(k, len(data), False))
-        out.write(data)
+        out.write(record)
     out.flush()
 
 
-def _pickled_failure(exc: BaseException) -> bytes:
-    """``exc`` pickled, or its repr if it does not survive pickling."""
+def _sendable(exc: BaseException):
+    """``exc``, or its repr if it does not survive pickling."""
     try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-        return data
+        pickle.loads(pickle.dumps(exc))
+        return exc
     except Exception:
-        return pickle.dumps(repr(exc))
+        return repr(exc)
 
 
 def _read_record(fh):
-    head = fh.read(_RECORD.size)
-    return _RECORD.unpack(head) if len(head) == _RECORD.size else None
+    """The next (k, failed, value) record of ``fh``, or None at its end or
+    at a record cut short by a worker that died writing it."""
+    try:
+        return pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError):
+        return None
 
 
 def _read_back(files, chunks: range, codes: list, doing):
@@ -215,17 +201,15 @@ def _read_back(files, chunks: range, codes: list, doing):
     heads = [_read_record(fh) for fh in files]
     for k in chunks:
         i = next((i for i, head in enumerate(heads) if head is not None and head[0] == k), None)
-        data = files[i].read(heads[i][1]) if i is not None else b""
-        if i is None or len(data) < heads[i][1]:
+        if i is None:
             raise OSError(f"the process {doing(k)} {_how_it_ended(codes)}")
-        failed = heads[i][2]
+        _, failed, value = heads[i]
         heads[i] = _read_record(files[i])
         if failed:
-            failure = pickle.loads(data)  # written by this process's own worker
-            if isinstance(failure, BaseException):
-                raise failure
-            raise OSError(f"the process {doing(k)} raised {failure}, which could not be sent back")
-        yield data
+            if isinstance(value, BaseException):
+                raise value
+            raise OSError(f"the process {doing(k)} raised {value}, which could not be sent back")
+        yield value
 
 
 def _how_it_ended(codes: list) -> str:
@@ -261,17 +245,16 @@ def write_csv(path, header: list[str], columns, metadata: dict | None = None) ->
             for key in sorted(metadata):
                 fh.write(f"# {key}={_fmt(metadata[key])}\n")
         fh.write(",".join(header) + "\n")
-        fh.flush()
 
         def rows(k: int) -> tuple[int, int]:
             return k * _CHUNK_ROWS, min(count, (k + 1) * _CHUNK_ROWS)
 
-        for data in map_ordered(
-            lambda k: _format_rows(columns, *rows(k)).encode(fh.encoding),
+        for text in map_ordered(
+            lambda k: _format_rows(columns, *rows(k)),
             -(-count // _CHUNK_ROWS),
             lambda k: "formatting CSV rows %d to %d" % rows(k),
         ):
-            fh.buffer.write(data)
+            fh.write(text)
     return count
 
 

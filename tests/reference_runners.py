@@ -7,8 +7,9 @@ and estimates.  Each runs on one path, a one-row ``TrajectoryBlock`` such
 as ``generate_trajectory`` returns, and returns (estimates (n, 2),
 localization count) for the query times it is given.
 
-``generate_trajectory`` cuts one replication's path out of its chunk, as
-the count experiment draws it.  ``sample_window_positions`` evaluates
+``count_chunk`` draws one chunk of the count experiment's paths as the
+experiment does, and ``generate_trajectory`` cuts one replication's path
+out of its chunk.  ``sample_window_positions`` evaluates
 windows of ``TrajectoryBlock.windows`` at fixed times, for the tests that
 hold the window positions to the closed forms; it cuts them into the
 chunks of ``window_chunk_sizes``, as the period sweeps and the moment check
@@ -18,8 +19,8 @@ do, but draws every chunk from the one generator it is given.
 import numpy as np
 
 from maintsim.errors import ParameterError
-from maintsim.mobility import ModelParams, TrajectoryBlock, block_rows, chunk_rows, replication_chunk
-from maintsim.montecarlo import _CHUNK_DRAWS, _WINDOW_BATCH
+from maintsim.mobility import ModelParams, TrajectoryBlock, block_rows
+from maintsim.montecarlo import _CHUNK_DRAWS, _WINDOW_BATCH, _count_rows, _count_stream
 from maintsim.protocols import (
     DvmConfig,
     DvmState,
@@ -38,6 +39,14 @@ from maintsim.protocols import (
 )
 
 
+def count_chunk(params: ModelParams, chunk: int) -> tuple[TrajectoryBlock, np.random.Generator]:
+    """The paths of replications chunk * R to chunk * R + R - 1 of the count
+    experiment, R = ``_count_rows(params)``, and the chunk's stream after
+    them, from which the chunk draws its query times next."""
+    rng = _count_stream(params.seed, chunk)
+    return TrajectoryBlock.windows(rng, params.lambda_rate, params.sigma, params.span, _count_rows(params)), rng
+
+
 def generate_trajectory(params: ModelParams, replication_index: int = 0) -> TrajectoryBlock:
     """Path of one replication, row r mod R of chunk r // R, as a one-row
     block.
@@ -49,8 +58,8 @@ def generate_trajectory(params: ModelParams, replication_index: int = 0) -> Traj
     """
     if int(replication_index) != replication_index or replication_index < 0:
         raise ParameterError(f"replication_index must be a non-negative integer, got {replication_index}")
-    chunk, row = divmod(int(replication_index), chunk_rows(params))
-    paths, _ = replication_chunk(params, chunk)
+    chunk, row = divmod(int(replication_index), _count_rows(params))
+    paths, _ = count_chunk(params, chunk)
     n_legs = int(np.count_nonzero(paths.start_times[row] <= params.span))
     legs = (paths.start_times, paths.start_x, paths.start_y, paths.vel_x, paths.vel_y)
     return TrajectoryBlock(params.span, *(a[row : row + 1, :n_legs].copy() for a in legs))

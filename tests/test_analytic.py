@@ -33,7 +33,6 @@ from maintsim.analytic import (
 from maintsim.cli import EXIT_OK, EXIT_VALIDATION, main
 from maintsim.errors import ParameterError, UnsupportedMomentError
 from reference_runners import sample_window_positions
-from test_montecarlo import _set_cpus
 from waypoint_laws import (
     interarrival_density,
     waypoint_count_pmf,
@@ -494,7 +493,7 @@ class TestArrayKernels:
         assert _bits(error_avg(sigma, lam, T)) == _bits(_error_avg_ref(sigma, lam, T))
 
     @pytest.mark.parametrize("chunk", [7, 4096])
-    def test_chunks_give_the_whole_grid_bits(self, tmp_path, monkeypatch, chunk):
+    def test_chunks_give_the_whole_grid_bits(self, tmp_path, monkeypatch, set_cpus, chunk):
         # every theory mode over three full chunks of the CSV writer and a
         # short one, on two CPUs, against the grid written as one chunk on one
         n = 3 * chunk + 5
@@ -503,17 +502,17 @@ class TestArrayKernels:
             ("error_avg", "--sigma", "5", "--lambda", "0.1", "--T", f"0.5:{n - 0.5}:1"),
             ("asymptote", "--sigma", "10", "--C", "50", "--T", f"1:{n}:1"),
         ]
-        _set_cpus(monkeypatch, 1)
+        set_cpus(1)
         monkeypatch.setattr(output, "_CHUNK_ROWS", 11 * n)
         want = [_theory_csv(tmp_path / "whole.csv", *argv) for argv in runs]
-        _set_cpus(monkeypatch, 2)
+        set_cpus(2)
         monkeypatch.setattr(output, "_CHUNK_ROWS", chunk)
         got = [_theory_csv(tmp_path / "chunks.csv", *argv) for argv in runs]
         for g, w in zip(got, want):
             assert g == w
             assert g.count(b"\n") - g.count(b"# ") - 1 == n  # data rows: all but metadata and header
 
-    def test_error_at_memory_stays_chunk_sized(self, tmp_path, monkeypatch):
+    def test_error_at_memory_stays_chunk_sized(self, tmp_path, set_cpus):
         # each chunk of the CSV writer computes its own grid points and
         # errors, so the traced peak of theory error_t at 200 001 rows is
         # that at 10 001 rows give or take less than one chunk of the
@@ -521,7 +520,7 @@ class TestArrayKernels:
         # arrays, it grew by 16 bytes a row
         import tracemalloc
 
-        _set_cpus(monkeypatch, 1)  # no forked worker, whose memory is not traced
+        set_cpus(1)  # no forked worker, whose memory is not traced
         out = tmp_path / "grid.csv"
         argv = ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--out", str(out)]
         assert main([*argv, "--t", "0:100:1"]) == EXIT_OK  # one-time allocations

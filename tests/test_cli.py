@@ -14,9 +14,9 @@ import pytest
 import maintsim
 from maintsim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main, parse_grid
 from maintsim.errors import ParameterError
+from maintsim.mobility import _MAX_WINDOW_LEGS
 from maintsim.montecarlo import MomentCheck, MomentReport
 from maintsim.output import read_csv, read_manifest
-from test_montecarlo import _set_cpus
 
 
 def run(argv):
@@ -212,13 +212,13 @@ class TestSimulate:
         assert header[0] == "protocol"
         assert {r[0] for r in rows} == {"MAINT", "MADRD"}
 
-    def test_fig4_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+    def test_fig4_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, set_cpus):
         # every chunk draws from its own stream and its bins' partial
         # moments are merged in chunk order, so 1, 2 and 3 usable CPUs write
         # the same CSV and manifest; 2 000 replications are 8 chunks
         outputs = []
         for cpus in (1, 2, 3):
-            _set_cpus(monkeypatch, cpus)
+            set_cpus(cpus)
             out = tmp_path / str(cpus) / "fig4.csv"
             out.parent.mkdir()
             assert run(["simulate", "fig4", "--replications", "2000", "--queries", "2", "--out", str(out)]) == EXIT_OK
@@ -226,19 +226,47 @@ class TestSimulate:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("exp,replications", [("fig5", "2000"), ("fig6", "300")])
-    def test_sweep_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, exp, replications):
+    def test_sweep_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, set_cpus, exp, replications):
         # each period is a chunk group: every chunk draws from its own
         # stream and the partial moments are merged in chunk order, so 1, 2
         # and 3 usable CPUs write the same CSV and manifest; from T = 80 on
         # a period spans 2 to 3 chunks of fig5 and 2 to 9 of fig6 here
         outputs = []
         for cpus in (1, 2, 3):
-            _set_cpus(monkeypatch, cpus)
+            set_cpus(cpus)
             out = tmp_path / str(cpus) / f"{exp}.csv"
             out.parent.mkdir()
             assert run(["simulate", exp, "--replications", replications, "--out", str(out)]) == EXIT_OK
             outputs.append((out.read_bytes(), (out.parent / f"{exp}.csv.manifest.json").read_bytes()))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_every_value_handed_to_the_csv_writer_is_plain(self, tmp_path, monkeypatch):
+        # the writer formats exactly float, int, str and bool; np.float64 is
+        # a float subclass whose repr is not the float's, so every command
+        # converts its results before it hands them over
+        from maintsim import output
+
+        real, seen = output.write_csv, []
+
+        def checked(path, header, columns, metadata=None):
+            seen.append([*(v for col in columns for v in col[:]), *metadata.values()])
+            return real(path, header, columns, metadata)
+
+        monkeypatch.setattr(output, "write_csv", checked)
+        commands = [
+            ["simulate", "fig4", "--replications", "300", "--queries", "2"],
+            ["simulate", "fig5", "--replications", "300"],
+            ["simulate", "fig6", "--replications", "300"],
+            ["simulate", "moments", "--samples", "10000", "--n-max", "2"],
+            ["theory", "--mode", "error_avg", "--sigma", "5", "--lambda", "0.1", "--T", "10:200:10"],
+            ["theory", "--mode", "error_t", "--sigma", "5", "--lambda", "0.1", "--T", "100", "--t", "0:100:5"],
+            ["theory", "--mode", "asymptote", "--sigma", "10", "--C", "50", "--T", "20:200:20"],
+        ]
+        for k, argv in enumerate(commands):
+            assert run([*argv, "--out", str(tmp_path / f"{k}.csv")]) == EXIT_OK
+        assert len(seen) == len(commands)
+        for argv, values in zip(commands, seen):
+            assert {type(v) for v in values} <= {float, int, str, bool}, argv
 
     def test_moments_pass_exit_zero(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -580,9 +608,24 @@ def test_window_leg_cap_exits_two(tmp_path, argv):
     out = tmp_path / "huge.csv"
     proc = run_capped_child([*argv, "--out", str(out)])
     assert proc.returncode == EXIT_VALIDATION
-    assert "lambda times the window length must be at most 1e+09" in proc.stderr
+    assert f"lambda times the window length must be at most {_MAX_WINDOW_LEGS:g}" in proc.stderr
     assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
     assert not out.exists() and not (tmp_path / "huge.csv.manifest.json").exists()
+
+
+def test_window_cap_holds_in_memory(tmp_path):
+    # lambda * T = 1e9 was accepted and then needed some 56 GB a row: under
+    # a 1 GiB address-space cap it ended in "memory error", and uncapped the
+    # OS killed it.  The cap is derived from the bytes a row needs, so the
+    # run is refused before any draw; it only ever runs capped here
+    out = tmp_path / "wide.csv"
+    proc = run_capped_child(["simulate", "fig5", "--lambda", "1e8", "--T", "10", "--replications", "20",
+                             "--out", str(out)])
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr == (
+        f"invalid parameters: lambda times the window length must be at most {_MAX_WINDOW_LEGS:g}, got 1e+09\n"
+    )
+    assert not out.exists() and not (tmp_path / "wide.csv.manifest.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -11,17 +11,9 @@ from hypothesis import strategies as st
 
 from maintsim.analytic import position_second_moment
 from maintsim.errors import ParameterError
-from maintsim.mobility import (
-    _BLOCK_LEGS,
-    _CHUNK_ROWS,
-    ModelParams,
-    TrajectoryBlock,
-    _leg_count_quantile,
-    _window_legs,
-    chunk_rows,
-    replication_chunk,
-)
-from reference_runners import generate_trajectory
+from maintsim.mobility import ModelParams, TrajectoryBlock, _leg_count_quantile, _window_legs
+from maintsim.montecarlo import _COUNT_LEGS, _COUNT_ROWS, _count_rows, chunk_records
+from reference_runners import count_chunk, generate_trajectory
 from waypoint_laws import waypoint_count_pmf
 
 PARAMS = ModelParams(lambda_rate=0.1, sigma=5.0, seed=1234, span=100.0)
@@ -37,8 +29,8 @@ def ensemble_stats():
 def ensemble():
     """One pass over the first 1e5 replications, drawn a chunk at a time."""
     stats = {"counts_span": [], "counts_10": [], "x_at_10": [], "first_durations": []}
-    for c in range(-(-N_REPS // chunk_rows(PARAMS))):
-        block, _ = replication_chunk(PARAMS, c)
+    for c in range(-(-N_REPS // _count_rows(PARAMS))):
+        block, _ = count_chunk(PARAMS, c)
         waypoints = block.start_times[:, 1:]  # leg starts after the first
         stats["counts_span"].append((waypoints <= PARAMS.span).sum(axis=1))
         stats["counts_10"].append((waypoints <= 10.0).sum(axis=1))
@@ -69,7 +61,7 @@ def point(path, t):
 def drawn_durations(params, r):
     """Leg durations of replication r as its chunk draws them (the chunk's
     stream is keyed by (seed, chunk)), for the legs of its trajectory."""
-    rows = chunk_rows(params)
+    rows = _count_rows(params)
     rng = np.random.default_rng([params.seed, r // rows])
     gaps, starts, _, _ = _window_legs(rng, params.lambda_rate, params.sigma, params.span, rows)
     row = r % rows
@@ -160,8 +152,8 @@ class TestGeneration:
 class TestChunkStreams:
     @pytest.mark.parametrize("r", [0, 1, 255, 256, 300, 1000])
     def test_trajectory_is_its_chunk_row(self, r):
-        rows = chunk_rows(PARAMS)
-        block, _ = replication_chunk(PARAMS, r // rows)
+        rows = _count_rows(PARAMS)
+        block, _ = count_chunk(PARAMS, r // rows)
         traj = generate_trajectory(PARAMS, r)
         n = traj.start_times.shape[1]
         row = r % rows
@@ -175,24 +167,27 @@ class TestChunkStreams:
         assert np.all(block.start_times[row, n:] > PARAMS.span)
 
     def test_chunk_stream_is_keyed_by_seed_and_chunk(self):
-        rows = chunk_rows(PARAMS)
+        # chunk 2 of the count experiment draws its paths and then its query
+        # times from (seed, 2)
+        rows = _count_rows(PARAMS)
         rng = np.random.default_rng([PARAMS.seed, 2])
         block = TrajectoryBlock.windows(rng, PARAMS.lambda_rate, PARAMS.sigma, PARAMS.span, rows)
-        again, chunk_rng = replication_chunk(PARAMS, 2)
+        again, _ = count_chunk(PARAMS, 2)
         assert np.array_equal(block.start_x, again.start_x)
-        # the chunk's generator continues where the paths left off
-        assert chunk_rng.uniform() == rng.uniform()
+        records = chunk_records(PARAMS, np.random.default_rng([PARAMS.seed, 2]), 2 * rows, rows, 3)
+        assert np.array_equal(records.query_times, rng.uniform(0.0, PARAMS.span, (rows, 3)))
 
-    @pytest.mark.parametrize("lam,span", [(0.1, 100.0), (2.0, 100.0), (10.0, 100.0), (1e4, 1e3), (1e6, 1e3)])
+    @pytest.mark.parametrize("lam,span", [(0.1, 100.0), (2.0, 100.0), (10.0, 100.0), (1e4, 1e3), (1.9e4, 1e3)])
     def test_chunk_rows_cap_the_chunk_legs(self, lam, span):
-        # arithmetic only: the largest of these would draw 1e9 legs per row
+        # arithmetic only: the largest of these would draw 1.9e7 legs per
+        # row, just below the cap
         params = ModelParams(lambda_rate=lam, sigma=5.0, seed=0, span=span)
-        rows, cols = chunk_rows(params), _leg_count_quantile(lam, span)
-        assert 1 <= rows <= _CHUNK_ROWS
-        assert rows * cols <= _BLOCK_LEGS or rows == 1
-        assert rows == _CHUNK_ROWS or (rows + 1) * cols > _BLOCK_LEGS
+        rows, cols = _count_rows(params), _leg_count_quantile(lam, span)
+        assert 1 <= rows <= _COUNT_ROWS
+        assert rows * cols <= _COUNT_LEGS or rows == 1
+        assert rows == _COUNT_ROWS or (rows + 1) * cols > _COUNT_LEGS
         if lam * span >= 1000:
-            assert rows < _CHUNK_ROWS
+            assert rows < _COUNT_ROWS
 
 
 class TestPositionAt:

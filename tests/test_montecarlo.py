@@ -18,15 +18,12 @@ from maintsim import montecarlo
 from maintsim.analytic import error_at, error_avg
 from maintsim.errors import ParameterError
 from maintsim.mobility import (
-    _BLOCK_LEGS,
     ModelParams,
     _leg_count_quantile,
     _leg_starts,
     _window_durations,
     _window_legs,
     TrajectoryBlock,
-    chunk_rows,
-    replication_chunk,
 )
 from maintsim.montecarlo import (
     DVM_MAX_INTERVAL,
@@ -38,8 +35,11 @@ from maintsim.montecarlo import (
     MADRD_MIN_INTERVAL,
     MAINT_PERIODS,
     ChunkRecords,
+    _COUNT_LEGS,
     _chunk_bins,
-    _fold_chunks,
+    _count_rows,
+    _count_stream,
+    _fold,
     chunk_records,
     run_dvm_block,
     run_error_vs_count,
@@ -54,6 +54,7 @@ from maintsim.montecarlo import (
 from maintsim.protocols import DvmConfig, MadrdConfig, MadrdState, extrapolate_madrd, interpolate, localize
 from reference_runners import (
     _madrd_fix_sequence,
+    count_chunk,
     generate_trajectory,
     run_dvm,
     run_madrd,
@@ -248,8 +249,11 @@ def assert_blocks_match_scalar(trajs, qts, periods, madrd_cfgs, dvm_cfgs, bootst
 
 def error_chunks(model, replications, queries, protocols=("MAINT", "MADRD")):
     """Every chunk's records of a run, in chunk order."""
-    chunks = range(-(-replications // chunk_rows(model)))
-    return [chunk_records(model, c, replications, queries, protocols) for c in chunks]
+    rows = _count_rows(model)
+    return [
+        chunk_records(model, _count_stream(model.seed, c), first, min(rows, replications - first), queries, protocols)
+        for c, first in enumerate(range(0, replications, rows))
+    ]
 
 
 def record_rows(chunks):
@@ -269,11 +273,11 @@ def scalar_records(model, replications, queries, protocols):
     """The per-replication loop over the scalar runners: (protocol,
     replication, query time, squared error, calls) rows."""
     rows = []
-    per_chunk = chunk_rows(model)
+    per_chunk = _count_rows(model)
     for r in range(replications):
         traj = generate_trajectory(model, r)
         # the chunk's query times are drawn after its paths, one row each
-        _, qrng = replication_chunk(model, r // per_chunk)
+        _, qrng = count_chunk(model, r // per_chunk)
         qts = qrng.uniform(0.0, model.span, (per_chunk, queries))[r % per_chunk]
         (tx,), (ty,) = traj.position(qts[None])
         period = MAINT_PERIODS[r % len(MAINT_PERIODS)]
@@ -388,8 +392,8 @@ class TestBlockRunners:
         # the count experiment feeds them, against the scalar runners on
         # generate_trajectory
         model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=3, span=100.0)
-        paths, rng = replication_chunk(model, 1)
-        first = chunk_rows(model)
+        paths, rng = count_chunk(model, 1)
+        first = _count_rows(model)
         trajs = [generate_trajectory(model, first + r) for r in range(n)]
         qts = rng.uniform(0.0, model.span, (len(paths), 3))[:n]
         periods = np.array([MAINT_PERIODS[r % len(MAINT_PERIODS)] for r in range(n)])
@@ -409,10 +413,10 @@ class TestBlockRunners:
         # about 1000 legs per trajectory: a chunk holds far fewer than 256
         # rows, and every evaluated block stays under the leg cap
         model = ModelParams(lambda_rate=10.0, sigma=5.0, seed=1, span=100.0)
-        rows = chunk_rows(model)
-        paths, _ = replication_chunk(model, 0)
+        rows = _count_rows(model)
+        paths, _ = count_chunk(model, 0)
         assert 1 < rows < 256 and len(paths) == rows
-        assert paths.start_times.size <= _BLOCK_LEGS
+        assert paths.start_times.size <= _COUNT_LEGS
         chunks = error_chunks(model, rows + 5, 1)
         assert np.array_equal(np.concatenate([c.replications for c in chunks]), np.arange(rows + 5))
 
@@ -449,11 +453,11 @@ class TestPeriodSweep:
         with pytest.raises(ParameterError):
             run_period_sweep(5.0, 77, (), 100, lambda_rate=0.1)
 
-    def test_memory_does_not_grow_with_short_windows(self, monkeypatch):
+    def test_memory_does_not_grow_with_short_windows(self, set_cpus):
         # 20 full chunks against about a hundred: a vector of every
         # window's value would grow by 8 bytes a window, 2.5 MB here.  On
         # one CPU: tracemalloc does not see a forked worker's memory
-        _set_cpus(monkeypatch, 1)
+        set_cpus(1)
         run_period_sweep(5.0, 77, (20.0,), 10, lambda_rate=0.1)  # keep one-time imports out of the peak
         sizes = (20 * _WINDOW_BATCH, 400_000)
         runs = (lambda n=n: run_period_sweep(5.0, 77, (20.0,), n, lambda_rate=0.1) for n in sizes)
@@ -508,7 +512,9 @@ class TestErrorVsCount:
         groups = {}
         for name, _, _, error, count in record_rows(chunks):
             groups.setdefault((name, count), []).append(error)
-        folds = _fold_chunks(lambda k: _chunk_bins(chunks[k]), len(chunks))
+        # one group of one-replication chunks whose stream is the chunk
+        # index, so that chunk k's records are chunks[k]
+        (folds,) = _fold(lambda k: k, len(chunks), [(1, lambda k, first, m: _chunk_bins(chunks[k]))])
         assert folds.keys() == groups.keys()
         for key, errors in groups.items():
             got_n, got_mean, got_se = folds[key].result()
@@ -574,7 +580,7 @@ class TestErrorVsCount:
             run_error_vs_count(model, 10, 1)
 
     def test_all_four_protocols_record(self):
-        chunk = chunk_records(MODEL, 0, 40, 1, ALL_PROTOCOLS)
+        chunk = chunk_records(MODEL, _count_stream(MODEL.seed, 0), 0, 40, 1, ALL_PROTOCOLS)
         assert chunk.protocols == ALL_PROTOCOLS
         assert chunk.localization_count.shape == (40, 4) and chunk.sq_error.shape == (40, 4, 1)
 
@@ -825,7 +831,7 @@ class TestWindowEngine:
             np.testing.assert_allclose(ys[:, j], clip_and_sum(gaps, starts, v, np.full(300, t)), rtol=1e-9)
 
     @pytest.mark.parametrize("expected", [1.0, 2.3, 20.0, 800.0, 3200.0, 40_000.0])
-    def test_batches_stay_within_the_draw_budget(self, monkeypatch, expected):
+    def test_batches_stay_within_the_draw_budget(self, monkeypatch, set_cpus, expected):
         # a chunk's leg-count quantile holds at most the budget of
         # durations, or a single row where one row alone is wider; windows
         # short enough for 8 legs a row still come 4096 at a time.  The
@@ -836,7 +842,7 @@ class TestWindowEngine:
         full = min(_WINDOW_BATCH, max(1, montecarlo._CHUNK_DRAWS // cols))
         assert full == _WINDOW_BATCH or cols > 8
         assert full * cols <= max(montecarlo._CHUNK_DRAWS, cols)
-        _set_cpus(monkeypatch, 1)
+        set_cpus(1)
         sizes = []
         monkeypatch.setattr(montecarlo, "sample_window_mean_errors", lambda rng, m, **kw: sizes.append(m) or np.zeros(m))
         for n in (1, 300, _WINDOW_BATCH + 1, 20_000):
@@ -848,7 +854,7 @@ class TestWindowEngine:
             assert point.samples == n
 
     @pytest.mark.parametrize("lam,T", [(4.0, 200.0), (8.0, 400.0)])
-    def test_memory_does_not_grow_with_windows(self, monkeypatch, lam, T):
+    def test_memory_does_not_grow_with_windows(self, set_cpus, lam, T):
         # lambda * T = 800 and 3200: a chunk's leg-count quantile holds at
         # most the draw budget of durations, and the sweep folds each chunk
         # into running moments, so the traced peak is the same at 300 and
@@ -856,7 +862,7 @@ class TestWindowEngine:
         # at lambda * T = 800, and a vector of every window's value grew by
         # 8 bytes a window.  On one CPU, where the caller draws every
         # chunk: tracemalloc does not see a forked worker's memory
-        _set_cpus(monkeypatch, 1)
+        set_cpus(1)
         run_period_sweep(10.0, 1, (T,), 10, lambda_rate=lam)  # keep one-time imports out
         runs = (lambda n=n: run_period_sweep(10.0, 1, (T,), n, lambda_rate=lam) for n in (300, 20_000))
         peaks = [peak for _, peak in traced_memory(*runs)]
@@ -1246,12 +1252,12 @@ class TestMomentValidation:
         assert [(c.name, c.theory, c.samples) for c in report.checks] == [(c.name, c.theory, c.samples) for c in want]
         assert report.passed, max_abs_z(report)
 
-    def test_each_draw_keeps_at_most_one_earlier_draw_alive(self, monkeypatch):
+    def test_each_draw_keeps_at_most_one_earlier_draw_alive(self, monkeypatch, set_cpus):
         # before each draw of spacings or of a window batch, at most one
         # earlier draw may still be referenced, so the check holds at most
         # two chunks of draws whatever --samples asks for; on one CPU, where
         # the caller draws every chunk
-        _set_cpus(monkeypatch, 1)
+        set_cpus(1)
         refs, alive = [], []
 
         def watch(draw):
@@ -1274,12 +1280,12 @@ class TestMomentValidation:
 
     @pytest.mark.parametrize("exc", [MemoryError, RuntimeError])
     @pytest.mark.parametrize("where", ["first", "middle", "window", "last"])
-    def test_draw_failure_reaches_the_caller(self, monkeypatch, exc, where):
+    def test_draw_failure_reaches_the_caller(self, monkeypatch, set_cpus, exc, where):
         # on one CPU, where the caller draws every chunk in order: count the
         # draw calls of one check over all its chunk streams, then fail the
         # same check at the first, a middle, the first window and the last
         # call; the check starts no thread, so none is left behind either
-        _set_cpus(monkeypatch, 1)
+        set_cpus(1)
         kw = dict(samples=10_000, n_max=2, seed=0)
         real_rng, real_windows = np.random.default_rng, TrajectoryBlock.windows.__func__
         counter, first_window = [0], []
@@ -1302,11 +1308,11 @@ class TestMomentValidation:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("exc", [MemoryError, ParameterError, RuntimeError])
-    def test_draw_failure_in_a_child_reaches_the_caller(self, monkeypatch, exc):
+    def test_draw_failure_in_a_child_reaches_the_caller(self, monkeypatch, set_cpus, exc):
         # on two CPUs the caller sleeps before its first chunk, so the child
         # draws the others, and fails at its first draw: the caller raises
         # the child's exception as itself, and no child is left behind
-        _set_cpus(monkeypatch, 2)
+        set_cpus(2)
         real_rng, parent = np.random.default_rng, os.getpid()
 
         def default_rng(key):
@@ -1322,13 +1328,13 @@ class TestMomentValidation:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("call", [1, 2])
-    def test_caller_memory_error_stops_the_producer(self, monkeypatch, call):
+    def test_caller_memory_error_stops_the_producer(self, monkeypatch, set_cpus, call):
         # the check allocates one matrix per chunk of the n blocks: on one
         # CPU, where the caller draws every chunk, a MemoryError from the
         # first or the second stops the check, reaches the caller and
         # leaves no thread behind (named after the producer thread of
         # 0.5.0, which 0.6.0 deleted)
-        _set_cpus(monkeypatch, 1)
+        set_cpus(1)
         empty = np.empty
         calls = []
 
@@ -1372,12 +1378,12 @@ class TestMomentValidation:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_report_does_not_depend_on_the_cpu_count(self, monkeypatch):
+    def test_report_does_not_depend_on_the_cpu_count(self, set_cpus):
         # every chunk draws from its own stream and the partial moments are
         # merged in chunk order, so 1, 2 and 3 usable CPUs give equal checks
         reports = []
         for cpus in (1, 2, 3):
-            _set_cpus(monkeypatch, cpus)
+            set_cpus(cpus)
             reports.append(validate_conditional_moments(samples=20_000, n_max=4, seed=5).checks)
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
@@ -1439,10 +1445,6 @@ def max_abs_z(report) -> float:
     return max((abs(c.z) for c in report.checks), default=0.0)
 
 
-def _set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ParameterError, match="replications must be >= 1"):
@@ -1452,7 +1454,7 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="at most 1000, got 1001"):
             run_error_vs_count(MODEL, 10, 1001)
         with pytest.raises(ParameterError, match="unknown protocols"):
-            chunk_records(MODEL, 0, 10, 1, ("MAINT", "BOGUS"))
+            chunk_records(MODEL, _count_stream(MODEL.seed, 0), 0, 10, 1, ("MAINT", "BOGUS"))
         with pytest.raises(ParameterError, match="ratio_C must be finite"):
             run_period_sweep(5.0, 77, (20.0,), 10, ratio_C=0.0)
         with pytest.raises(ParameterError, match="every T must be finite"):

@@ -1,6 +1,7 @@
 """CSV writer and fork pool: chunk boundaries, chunks handed out on demand
-and in rounds, forked workers that fail or die, value formatting, column
-checks and byte equality with a plain one-row-at-a-time writer."""
+and in rounds, values of any picklable type sent back, forked workers that
+fail or die, value formatting, column checks and byte equality with a
+plain one-row-at-a-time writer."""
 
 import os
 import pickle
@@ -8,7 +9,6 @@ import signal
 import tempfile
 import time
 
-import numpy as np
 import pytest
 
 from maintsim import output
@@ -19,13 +19,7 @@ def _reference_csv(header, rows, metadata=None) -> bytes:
     """One row per write, one formatted value at a time."""
 
     def fmt(value):
-        if isinstance(value, np.generic):
-            value = value.item()
-        if isinstance(value, float):
-            return repr(value)
-        if isinstance(value, (list, tuple)):
-            return ",".join(fmt(v) for v in value)
-        return str(value)
+        return repr(value) if isinstance(value, float) else str(value)
 
     lines = [f"# {key}={fmt(metadata[key])}\n" for key in sorted(metadata or {})]
     lines.append(",".join(header) + "\n")
@@ -33,19 +27,32 @@ def _reference_csv(header, rows, metadata=None) -> bytes:
     return "".join(lines).encode()
 
 
-def _columns(n, as_arrays):
+class _Lazy:
+    """``fn`` of the row index, computed when sliced, as ``theory``'s
+    columns are."""
+
+    def __init__(self, fn, n):
+        self.fn, self.n = fn, n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, rows):
+        return list(map(self.fn, range(self.n)[rows]))
+
+
+def _columns(n, lazy):
     # a float grid, a mixed float/int column, strings, ints, booleans and
-    # tiny floats; the grid, the ints and the booleans as numpy arrays or
-    # as lists
-    k = np.arange(n)
-    numeric = [0.1 * k, k * 7, k % 2 == 0]
-    grid, ints, flags = numeric if as_arrays else [col.tolist() for col in numeric]
+    # tiny floats; the grid, the ints and the booleans as lists or as lazy
+    # columns
+    numeric = [lambda j: 0.1 * j, lambda j: j * 7, lambda j: j % 2 == 0]
+    grid, ints, flags = (_Lazy(fn, n) if lazy else list(map(fn, range(n))) for fn in numeric)
     mixed = [j if j % 3 else 1.5 * j for j in range(n)]
     return [grid, mixed, [f"p{j % 4}" for j in range(n)], ints, flags, [1e-300 * j for j in range(n)]]
 
 
 HEADER = ["t", "mixed", "name", "count", "flag", "tiny"]
-META = {"sigma": 5.0, "seed": 3, "T": "20,40", "grid": (1.0, 2), "tool": "maintsim test"}
+META = {"sigma": 5.0, "seed": 3, "T": "20,40", "flag": True, "tool": "maintsim test"}
 
 
 C = output._CHUNK_ROWS
@@ -67,23 +74,19 @@ def forks(monkeypatch):
     return made
 
 
-def _set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(output.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 # every chunk boundary, and every row count where a table gains a chunk
 @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C - 1, 2 * C, 2 * C + 3, 3 * C - 1, 3 * C, 3 * C + 1])
-@pytest.mark.parametrize("as_arrays", [False, True])
-def test_chunked_writer_matches_reference(tmp_path, monkeypatch, forks, n, as_arrays):
+@pytest.mark.parametrize("lazy", [False, True])
+def test_chunked_writer_matches_reference(tmp_path, monkeypatch, set_cpus, forks, n, lazy):
     # on 1, 2 and 3 CPUs: a table of k chunks is formatted by min(CPUs, k)
     # workers, the caller and min(CPUs, k) - 1 forked children, so these n
     # fall on each side of every chunk boundary and worker count
-    columns = _columns(n, as_arrays)
-    want = _reference_csv(HEADER, zip(*columns), META)
+    columns = _columns(n, lazy)
+    want = _reference_csv(HEADER, zip(*(col[:] for col in columns)), META)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     out = tmp_path / "out.csv"
     for cpus in (1, 2, 3):
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         forks.clear()
         assert write_csv(out, HEADER, columns, META) == n
         assert out.read_bytes() == want, cpus
@@ -125,45 +128,56 @@ class _Cell:
         return "cell"
 
 
-def _write_cells(tmp_path, monkeypatch, cell, chunks=3):
-    _set_cpus(monkeypatch, 3)
+def _write_cells(tmp_path, monkeypatch, set_cpus, cell, chunks=3):
+    set_cpus(3)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     out = tmp_path / "out.csv"
     write_csv(out, ["x"], ([cell] * (chunks * C),))
     return out
 
 
-def test_failing_child_raises_os_error(tmp_path, monkeypatch, forks):
+def test_failing_child_raises_os_error(tmp_path, monkeypatch, set_cpus, forks):
     # a child killed while it formats a chunk: the caller names the rows
     # that no process returned, after reaping every child
     with pytest.raises(OSError, match=f"formatting CSV rows [0-9]+ to [0-9]+ was killed by signal {signal.SIGKILL}"):
-        _write_cells(tmp_path, monkeypatch, _Cell(in_child="die", parent_sleep=0.5))
+        _write_cells(tmp_path, monkeypatch, set_cpus, _Cell(in_child="die", parent_sleep=0.5))
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert list(tmp_path.iterdir()) == [tmp_path / "out.csv"]
 
 
-def test_child_exception_reaches_the_caller_as_itself(tmp_path, monkeypatch, forks):
+def test_a_record_cut_short_is_a_chunk_not_returned():
+    # a worker killed while it writes a record leaves a cut pickle: the
+    # records before it come back, and its chunk is named as not returned
+    with tempfile.TemporaryFile() as fh:
+        fh.write(pickle.dumps((0, False, "whole")) + pickle.dumps((1, False, "x" * 100_000))[:-10])
+        got = output._read_back([fh], range(2), [-signal.SIGKILL], lambda k: f"computing chunk {k}")
+        assert next(got) == "whole"
+        with pytest.raises(OSError, match=f"computing chunk 1 was killed by signal {signal.SIGKILL}"):
+            next(got)
+
+
+def test_child_exception_reaches_the_caller_as_itself(tmp_path, monkeypatch, set_cpus, forks):
     with pytest.raises(RuntimeError, match="^injected$"):
-        _write_cells(tmp_path, monkeypatch, _Cell(in_child="raise", parent_sleep=0.5))
+        _write_cells(tmp_path, monkeypatch, set_cpus, _Cell(in_child="raise", parent_sleep=0.5))
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_child_exception_that_cannot_be_rebuilt_is_an_os_error(tmp_path, monkeypatch, forks):
+def test_child_exception_that_cannot_be_rebuilt_is_an_os_error(tmp_path, monkeypatch, set_cpus, forks):
     with pytest.raises(OSError, match=r"formatting CSV rows [0-9]+ to [0-9]+ raised _Unpicklable\('injected'\)"):
-        _write_cells(tmp_path, monkeypatch, _Cell(in_child="unpicklable", parent_sleep=0.5))
+        _write_cells(tmp_path, monkeypatch, set_cpus, _Cell(in_child="unpicklable", parent_sleep=0.5))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_failing_parent_part_reaps_every_child(tmp_path, monkeypatch, forks):
+def test_failing_parent_part_reaps_every_child(tmp_path, monkeypatch, set_cpus, forks):
     # the children are killed and reaped before the parent's error
     # propagates
     with pytest.raises(RuntimeError, match="injected"):
-        _write_cells(tmp_path, monkeypatch, _Cell(in_parent="raise"))
+        _write_cells(tmp_path, monkeypatch, set_cpus, _Cell(in_parent="raise"))
     assert len(forks) == 2
     # no child is left running or unreaped
     with pytest.raises(ChildProcessError):
@@ -172,44 +186,84 @@ def test_failing_parent_part_reaps_every_child(tmp_path, monkeypatch, forks):
 
 
 def _pid_of_chunk(parent_sleep):
-    """A pool task: the pid that computed chunk k, as bytes; the caller
+    """A pool task: chunk k and the pid that computed it; the caller
     sleeps ``parent_sleep`` seconds on each of its chunks."""
     parent = os.getpid()
 
     def work(k):
         if os.getpid() == parent:
             time.sleep(parent_sleep)
-        return pickle.dumps((k, os.getpid()))
+        return k, os.getpid()
 
     return work
 
 
-def test_a_slow_worker_takes_fewer_chunks(monkeypatch, forks):
+def test_one_cpu_yields_each_value_as_computed_and_never_pickles(monkeypatch, set_cpus, forks):
+    set_cpus(1)
+    values = [object() for _ in range(3)]
+
+    def unpicklable(*args, **kwargs):
+        raise AssertionError("pickled on one CPU")
+
+    monkeypatch.setattr(output.pickle, "dumps", unpicklable)
+    assert all(got is value for got, value in zip(map_ordered(values.__getitem__, 3), values, strict=True))
+    assert forks == []
+
+
+def test_values_of_any_picklable_type_come_back_equal(set_cpus, forks):
+    # a child's values travel as pickles, the caller's own as well
+    set_cpus(3)
+    work = _pid_of_chunk(0.0)
+    got = list(map_ordered(lambda k: {"k": work(k), "text": "x" * k, "raw": bytes(k), "none": None}, 200))
+    assert [value["k"][0] for value in got] == list(range(200))
+    assert all(value["text"] == "x" * k and value["raw"] == bytes(k) and value["none"] is None for k, value in enumerate(got))
+    assert len(forks) == 2
+
+
+def test_a_value_that_does_not_pickle_in_a_child_raises_its_pickling_error(set_cpus, forks):
+    # the caller sleeps on its first chunk, so the child takes the second
+    set_cpus(2)
+    parent = os.getpid()
+
+    def work(k):
+        if os.getpid() == parent:
+            time.sleep(0.5)
+            return k
+        return lambda: k
+
+    with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+        list(map_ordered(work, 20))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_slow_worker_takes_fewer_chunks(set_cpus, forks):
     # chunks are handed out on demand: while the caller sleeps on its first
     # chunk, the child takes every other one (an even split would leave the
     # caller half of them)
-    _set_cpus(monkeypatch, 2)
-    got = [pickle.loads(data) for data in map_ordered(_pid_of_chunk(1.0), 40)]
+    set_cpus(2)
+    got = list(map_ordered(_pid_of_chunk(1.0), 40))
     assert [k for k, _ in got] == list(range(40))
     assert len(forks) == 1
     assert sum(pid == os.getpid() for _, pid in got) == 1
 
 
-def test_indices_are_handed_out_in_rounds(monkeypatch, forks):
+def test_indices_are_handed_out_in_rounds(monkeypatch, set_cpus, forks):
     # rounds of 3: three rounds fork one child each, and the last round,
     # one index, runs in the caller
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     monkeypatch.setattr(output, "_ROUND", 3)
-    got = [pickle.loads(data) for data in map_ordered(_pid_of_chunk(0.0), 10)]
+    got = list(map_ordered(_pid_of_chunk(0.0), 10))
     assert [k for k, _ in got] == list(range(10))
     assert len(forks) == 3
     assert got[9][1] == os.getpid()
 
 
-def test_a_failed_fork_leaves_the_chunks_to_fewer_workers(monkeypatch):
+def test_a_failed_fork_leaves_the_chunks_to_fewer_workers(monkeypatch, set_cpus):
     # at a process limit the second fork fails: the caller and the one
     # child take every chunk
-    _set_cpus(monkeypatch, 3)
+    set_cpus(3)
     real_fork, made = os.fork, []
 
     def fork():
@@ -221,16 +275,16 @@ def test_a_failed_fork_leaves_the_chunks_to_fewer_workers(monkeypatch):
         return pid
 
     monkeypatch.setattr(output.os, "fork", fork)
-    got = [pickle.loads(data) for data in map_ordered(_pid_of_chunk(0.0), 30)]
+    got = list(map_ordered(_pid_of_chunk(0.0), 30))
     assert [k for k, _ in got] == list(range(30))
     assert len(made) == 1
     assert {pid for _, pid in got} <= {os.getpid(), made[0]}
 
 
-def test_keyboard_interrupt_in_the_caller_reaps_every_child(monkeypatch, forks):
+def test_keyboard_interrupt_in_the_caller_reaps_every_child(set_cpus, forks):
     # the children would sleep for a minute; the caller's interrupt kills
     # them, and every one is reaped before it propagates
-    _set_cpus(monkeypatch, 3)
+    set_cpus(3)
     parent = os.getpid()
 
     def work(k):
@@ -248,15 +302,15 @@ def test_keyboard_interrupt_in_the_caller_reaps_every_child(monkeypatch, forks):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_threaded_caller_forks_nothing(monkeypatch, forks):
+def test_a_threaded_caller_forks_nothing(set_cpus, forks):
     import threading
 
-    _set_cpus(monkeypatch, 2)
+    set_cpus(2)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(30.0,))
     other.start()
     try:
-        got = [pickle.loads(data) for data in map_ordered(_pid_of_chunk(0.0), 5)]
+        got = list(map_ordered(_pid_of_chunk(0.0), 5))
     finally:
         stop.set()
         other.join(timeout=30.0)
@@ -267,26 +321,26 @@ def test_a_threaded_caller_forks_nothing(monkeypatch, forks):
 
 def test_no_metadata_and_zero_rows(tmp_path):
     out = tmp_path / "empty.csv"
-    assert write_csv(out, ["a", "b"], (np.array([]), [])) == 0
+    assert write_csv(out, ["a", "b"], ([], [])) == 0
     assert out.read_bytes() == b"a,b\n"
 
 
 def test_float64_columns_round_trip(tmp_path):
-    # the theory command hands over its grid and the kernel output as arrays
-    t = np.array([0.0, 0.25, 100.0 / 3])
-    values = np.array([0.0, 1.0 / 3, 2e-17])
+    # every float is written as its repr, so it reads back bit for bit
+    t = [0.0, 0.25, 100.0 / 3]
+    values = [0.0, 1.0 / 3, 2e-17]
     out = tmp_path / "cols.csv"
     assert write_csv(out, ["t", "error_t"], (t, values)) == 3
-    assert out.read_bytes() == _reference_csv(["t", "error_t"], zip(t.tolist(), values.tolist()))
+    assert out.read_bytes() == _reference_csv(["t", "error_t"], zip(t, values))
     _, header, rows = read_csv(out)
     assert header == ["t", "error_t"]
-    assert [[float(v) for v in r] for r in rows] == np.column_stack([t, values]).tolist()
+    assert [[float(v) for v in r] for r in rows] == [list(pair) for pair in zip(t, values)]
 
 
 def test_rejects_columns_of_unequal_length(tmp_path):
     bad = tmp_path / "bad.csv"
     with pytest.raises(ValueError):
-        write_csv(bad, ["a", "b"], (np.array([1.0, 3.0]), [2.0]))
+        write_csv(bad, ["a", "b"], ([1.0, 3.0], [2.0]))
     assert not bad.exists()
 
 
@@ -300,23 +354,9 @@ def test_rejects_column_count_other_than_header(tmp_path):
 
 
 class TestFmt:
-    def test_numpy_scalars_format_as_python_values(self):
-        assert _fmt(np.float64(1.5)) == "1.5"
-        assert _fmt(np.float64(0.1)) == repr(0.1)
-        assert _fmt(np.int64(7)) == "7"
-        assert _fmt(np.bool_(True)) == "True"
-        assert _fmt(np.str_("MAINT")) == "MAINT"
-        assert _fmt((np.float64(2.0), np.int32(3))) == "2.0,3"
-
     def test_python_values(self):
         assert _fmt(0.1) == "0.1"
         assert _fmt(1e-300) == "1e-300"
         assert _fmt(True) == "True"
         assert _fmt(42) == "42"
         assert _fmt("x") == "x"
-        assert _fmt([1.0, 2]) == "1.0,2"
-
-    def test_numpy_column_in_csv(self, tmp_path):
-        out = tmp_path / "np.csv"
-        write_csv(out, ["x", "n"], (np.array([0.5, 1.5]), np.array([3, 4])), {"sigma": np.float64(5.0)})
-        assert out.read_text() == "# sigma=5.0\nx,n\n0.5,3\n1.5,4\n"

@@ -65,9 +65,10 @@ class Defect:
 # grid of the count experiment; MAINT's chord weight q - lo scaled by 1.01;
 # one spacing short in the moment check's conditioned draws; s (s + r) for
 # s (s - r) in the per-leg form of the sweeps' window error; every chunk
-# of the count experiment drawn from chunk 0's stream; and every chunk of a
-# chunk group (a sweep's period, a moment check's quantity) drawn from the
-# stream of the group's first chunk
+# of the count experiment drawn from chunk 0's stream; every chunk of a
+# group of the fold (a sweep's period, a moment check's quantity) drawn
+# from the stream of the group's first chunk; and each group's last,
+# partial chunk left out of the fold
 DEFECTS = (
     Defect(
         "lambda-x1.05",
@@ -121,17 +122,24 @@ DEFECTS = (
     ),
     Defect(
         "every-chunk-from-chunk-0",
-        "mobility", "replication_chunk",
-        "rng = _chunk_stream(params, chunk)",
-        "rng = _chunk_stream(params, 0)",
+        "montecarlo", "_count_stream",
+        "return np.random.default_rng([seed, c])",
+        "return np.random.default_rng([seed, 0])",
         fig4_paths_follow_the_waypoint_count_law,
     ),
     Defect(
         "every-chunk-of-a-group-from-its-first",
-        "montecarlo", "_fold_groups",
-        "values = sample(np.random.default_rng([seed, tag, k]), m)",
-        "values = sample(np.random.default_rng([seed, tag, firsts[g]]), m)",
+        "montecarlo", "_fold",
+        "return g, work(stream(k), first, min(rows, samples - first))",
+        "return g, work(stream(firsts[g]), first, min(rows, samples - first))",
         test_acceptance.test_criterion_2_constant_ratio_sweep_reaches_asymptote,
+    ),
+    Defect(
+        "last-partial-chunk-dropped",
+        "montecarlo", "_fold",
+        "firsts.append(firsts[-1] + -(-samples // rows))",
+        "firsts.append(firsts[-1] + samples // rows)",
+        test_acceptance.test_criterion_4_moment_formulas_validated_by_monte_carlo,
     ),
 )
 
