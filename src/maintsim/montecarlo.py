@@ -44,10 +44,12 @@ samples in chunks of rows that a draw budget sets, the chunks of all
 groups are numbered in turn, and chunk k draws from its own stream.  Each
 chunk is reduced where it is drawn to the count, mean and sum of squared
 deviations of each of its keys (a (protocol, localization count) bin, a
-check), and ``output.map_ordered`` runs the chunks
-on every usable CPU and hands these back in chunk order, to be merged
-pairwise into the running ones (``_Moments``), so no result depends on the
-CPU count.  Chunks depend only on the model and the sizes, so memory stays
+check), and ``output.map_ordered`` runs the chunks on every usable CPU and
+hands these back in chunk order, to be merged pairwise into the running
+ones (``_Moments``), so no result depends on the CPU count.  Every
+experiment returns the same rows, one ``Estimate`` per key: its sample
+count, mean and standard error, and the closed form and z-score where one
+exists.  Chunks depend only on the model and the sizes, so memory stays
 the same whatever the replication or sample count, the conditioned counts
 and lambda.  The fold runs with float overflow ignored, and its result is
 checked once: a mean or standard error that is not finite (a sigma so
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -104,26 +105,17 @@ MADRD_E_THRESH, MADRD_MIN_INTERVAL, MADRD_MAX_PER_BASE = 5.0, 0.1, 4.0
 DVM_THRESHOLD, DVM_MIN_INTERVAL, DVM_MAX_INTERVAL = 5.0, 0.1, 100.0
 
 
-@dataclass(frozen=True)
-class BinnedResult:
-    """Per-localization-count aggregate of error records."""
+class Estimate(NamedTuple):
+    """The Monte Carlo mean of quantity ``key`` over ``samples`` samples and
+    its standard error; where a closed form exists, its value ``theory`` and
+    z = (mean - theory) / std_error, else None for both."""
 
-    key: int
-    mean_sq_error: float
-    mean_abs_error: float
-    sample_count: int
-    standard_error: float
-    standard_error_abs: float
-
-
-@dataclass(frozen=True)
-class PeriodPoint:
-    T: float
-    lambda_rate: float
-    mean_sq_error: float
-    std_error: float
+    key: object
     samples: int
-    theory: float
+    mean: float
+    std_error: float
+    theory: float | None
+    z: float | None
 
 
 def _overflow_ignored():
@@ -190,15 +182,16 @@ class _Moments:
             raise ParameterError("a Monte Carlo mean or standard error overflows float64; lower sigma")
         return n, mean, se
 
-    def checks(self, names, theories) -> list[MomentCheck]:
-        """One z-check per name, in the order of the flattened leading axes
-        of the chunks.  A standard error of 0 gives an infinite z, which
-        fails the check: it cannot tell the mean from the theory."""
+    def checks(self, keys, theories) -> list[Estimate]:
+        """One ``Estimate`` per key, in the order of the flattened leading
+        axes of the chunks, against its closed form in ``theories`` (None
+        where there is none).  A standard error of 0 gives an infinite z,
+        which fails the check: it cannot tell the mean from the theory."""
         n, mean, se = self.result()
         out = []
-        for name, theory, mu, s in zip(names, theories, np.ravel(mean).tolist(), np.ravel(se).tolist()):
-            z = (mu - theory) / s if s > 0 else math.inf
-            out.append(MomentCheck(name=name, mc_mean=mu, std_error=s, theory=theory, z=z, samples=n))
+        for key, theory, mu, s in zip(keys, theories, np.ravel(mean).tolist(), np.ravel(se).tolist()):
+            z = None if theory is None else (mu - theory) / s if s > 0 else math.inf
+            out.append(Estimate(key, n, mu, s, theory, z))
         return out
 
 
@@ -230,12 +223,12 @@ def _fold(stream, samples: int, groups) -> list[dict]:
     return folds
 
 
-def _fold_groups(seed: int, tag: int, samples: int, groups) -> list[MomentCheck]:
-    """The z-checks of ``groups``, (rows per chunk, sampler, [(names,
+def _fold_groups(seed: int, tag: int, samples: int, groups) -> list[Estimate]:
+    """The estimates of ``groups``, (rows per chunk, sampler, [(keys,
     closed forms), ...]) each, all ``samples`` samples a group: a ``_fold``
     in which chunk k draws from ``default_rng([seed, tag, k])``, and a
-    chunk of m rows is ``sampler(rng, m)``, one array (..., m) per (names,
-    closed forms) pair, its flattened leading axes following the names."""
+    chunk of m rows is ``sampler(rng, m)``, one array (..., m) per (keys,
+    closed forms) pair, its flattened leading axes following the keys."""
 
     def work(sample, rng, first: int, m: int):
         return list(enumerate(map(_chunk_moments, sample(rng, m))))
@@ -246,10 +239,10 @@ def _fold_groups(seed: int, tag: int, samples: int, groups) -> list[MomentCheck]
         [(rows, partial(work, sample)) for rows, sample, _ in groups],
     )
     return [
-        check
+        row
         for fold, (_, _, checks) in zip(folds, groups)
-        for j, (names, theories) in enumerate(checks)
-        for check in fold[j].checks(names, theories)
+        for j, (keys, theories) in enumerate(checks)
+        for row in fold[j].checks(keys, theories)
     ]
 
 
@@ -626,9 +619,12 @@ def _chunk_bins(chunk: ChunkRecords):
     ]
 
 
-def run_error_vs_count(model: ModelParams, replications: int, queries: int) -> dict[str, list[BinnedResult]]:
+def run_error_vs_count(model: ModelParams, replications: int, queries: int) -> list[Estimate]:
     """Error against localization count for the interpolation protocol and
-    the dead-reckoning baseline over identical trajectories.
+    the dead-reckoning baseline over identical trajectories: two rows per
+    (protocol, localization count) bin, keyed (protocol, count, "sq") and
+    (protocol, count, "abs"), the squared and the absolute error, in bin
+    order.  No closed form exists, so their theory and z are None.
 
     The replications are one ``_fold`` group.  Each chunk's records
     (``chunk_records``) are grouped by (protocol, localization count) where
@@ -647,20 +643,11 @@ def run_error_vs_count(model: ModelParams, replications: int, queries: int) -> d
             )
     groups = [(per_chunk, lambda rng, first, m: _chunk_bins(chunk_records(model, rng, first, m, queries)))]
     (bins,) = _fold(partial(_count_stream, model.seed), replications, groups)
-    out: dict[str, list[BinnedResult]] = {}
-    for (protocol, count), stats in sorted(bins.items()):
-        n, (mean_sq, mean_abs), (se_sq, se_abs) = stats.result()
-        out.setdefault(protocol, []).append(
-            BinnedResult(
-                key=count,
-                mean_sq_error=float(mean_sq),
-                mean_abs_error=float(mean_abs),
-                sample_count=n,
-                standard_error=float(se_sq),
-                standard_error_abs=float(se_abs),
-            )
-        )
-    return out
+    return [
+        row
+        for (protocol, count), stats in sorted(bins.items())
+        for row in stats.checks([(protocol, count, "sq"), (protocol, count, "abs")], (None, None))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -675,14 +662,14 @@ def run_period_sweep(
     *,
     lambda_rate: float | None = None,
     ratio_C: float | None = None,
-) -> list[PeriodPoint]:
+) -> list[Estimate]:
     """Simulated mean squared error per localization period, paired with the
-    closed-form average; one window per replication, timer-style fixes at 0
-    and T.  Exactly one of ``lambda_rate`` and ``ratio_C`` is given: a fixed
-    waypoint rate, or a rate tied to the period (lambda = T/C, the
-    constant-ratio sweep).  Each period is one chunk group (see the module
-    docstring).  The arguments are checked, and every closed form is
-    evaluated, before anything is drawn."""
+    closed-form average: one row per period, keyed (T, lambda); one window
+    per replication, timer-style fixes at 0 and T.  Exactly one of
+    ``lambda_rate`` and ``ratio_C`` is given: a fixed waypoint rate, or a
+    rate tied to the period (lambda = T/C, the constant-ratio sweep).  Each
+    period is one chunk group (see the module docstring).  The arguments are
+    checked, and every closed form is evaluated, before anything is drawn."""
     if (lambda_rate is None) == (ratio_C is None):
         raise ParameterError("give exactly one of lambda_rate and ratio_C")
     if ratio_C is None:
@@ -702,44 +689,18 @@ def run_period_sweep(
         (
             block_rows(lam, T, _WINDOW_BATCH, _CHUNK_DRAWS),
             lambda rng, m, lam=lam, T=T: (sample_window_mean_errors(rng, m, lambda_rate=lam, sigma=sigma, T=T),),
-            [([f"error_avg T={T:g}"], [error_avg(sigma, lam, T)])],
+            [([(T, lam)], [error_avg(sigma, lam, T)])],
         )
         for T, lam in periods
     ]
-    return [
-        PeriodPoint(T, lam, mean_sq_error=c.mc_mean, std_error=c.std_error, samples=c.samples, theory=c.theory)
-        for (T, lam), c in zip(periods, _fold_groups(seed, tag, replications, groups))
-    ]
+    return _fold_groups(seed, tag, replications, groups)
 
 
 # ---------------------------------------------------------------------------
 # conditional-moment validation
 
 
-@dataclass(frozen=True)
-class MomentCheck:
-    name: str
-    mc_mean: float
-    std_error: float
-    theory: float
-    z: float
-    samples: int
-
-
-@dataclass
-class MomentReport:
-    checks: list[MomentCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(abs(c.z) < 4.0 for c in self.checks)
-
-    def rows(self):
-        for c in self.checks:
-            yield (c.name, c.mc_mean, c.std_error, c.theory, c.z, c.samples)
-
-
-# the moment check's largest --n-max: the report holds 5 n_max^2 / 2 checks,
+# the moment check's largest --n-max: it returns 5 n_max^2 / 2 rows,
 # which the fixed-size chunks do not bound
 _MAX_N_MAX = 100
 
@@ -824,9 +785,10 @@ def validate_conditional_moments(
     n_max: int = 6,
     samples: int = 100_000,
     seed: int = 0,
-) -> MomentReport:
+) -> list[Estimate]:
     """Monte Carlo z-scores for every conditional-moment formula, and for
-    the expected interpolation error at T/4 and at t.
+    the expected interpolation error at T/4 and at t: one row per check,
+    keyed by its name.
 
     Given n waypoints in (0, tau), their gaps are drawn as normalized
     exponential spacings (``_spacings``) and the waypoint times are their
@@ -838,14 +800,14 @@ def validate_conditional_moments(
     a constant.  The unconditional second moment, the cross moment and the
     errors come from whole windows of ``TrajectoryBlock.windows``, evaluated
     at T/4, t and T; the error at s is |X(s) - (s/T) X(T)|^2 over both
-    coordinates.  Passing means every |z| < 4.
+    coordinates.  The CLI's gate passes when every |z| < 4.
 
     Every quantity is drawn a fixed-size chunk at a time, each chunk from
     its own stream, on every usable CPU, and reduced to partial moments that
-    are merged in chunk order (see the module docstring).  So the report
-    does not depend on the CPU count, and memory does not grow with
-    ``samples``, ``n_max`` or ``lambda_rate * T``.  The arguments are
-    checked, and every closed form is evaluated, before anything is drawn.
+    are merged in chunk order (see the module docstring).  So the rows do
+    not depend on the CPU count, and memory does not grow with ``samples``,
+    ``n_max`` or ``lambda_rate * T``.  The arguments are checked, and every
+    closed form is evaluated, before anything is drawn.
     """
     _check_positive(tau=tau, sigma=sigma, lambda_rate=lambda_rate, t=t, T=T)
     if not t <= T:
@@ -886,4 +848,4 @@ def validate_conditional_moments(
         ([f"error_at t={s:g}" for s in (quarter, t)], [error_at(sigma, lambda_rate, T, s) for s in (quarter, t)]),
     ]
     groups.append((window_rows, partial(_window_chunk, lambda_rate=lambda_rate, sigma=sigma, T=T, t=t), checks))
-    return MomentReport(_fold_groups(seed, _STREAM_MOMENTS, samples, groups))
+    return _fold_groups(seed, _STREAM_MOMENTS, samples, groups)

@@ -29,6 +29,7 @@ from maintsim.protocols import interpolate, localize
 from reference_runners import generate_trajectory, run_maint_timer
 from waypoint_laws import interarrival_density, waypoint_time_density
 from test_mobility import manual_trajectory, point
+from test_montecarlo import shared_bins
 
 SEED = 20240811
 T_GRID = tuple(float(t) for t in range(20, 201, 20))
@@ -48,15 +49,16 @@ def test_criterion_1_period_sweep_matches_theory():
     if not math.isclose(reference, 10133.26674676968, rel_tol=1e-9):
         violations.append(f"reference point drifted: {reference}")
     for p in points:
+        T, _ = p.key
         if p.samples < 2000:
-            violations.append(f"T={p.T}: only {p.samples} samples")
-        rel = abs(p.mean_sq_error - p.theory) / p.theory
+            violations.append(f"T={T}: only {p.samples} samples")
+        rel = abs(p.mean - p.theory) / p.theory
         if rel > 0.05:
-            violations.append(f"T={p.T}: simulated {p.mean_sq_error:.1f} vs theory {p.theory:.1f} ({rel:.2%})")
+            violations.append(f"T={T}: simulated {p.mean:.1f} vs theory {p.theory:.1f} ({rel:.2%})")
     if elapsed >= 60.0:
         violations.append(f"runtime {elapsed:.1f}s >= 60s")
 
-    worst = max(abs(p.mean_sq_error - p.theory) / p.theory for p in points)
+    worst = max(abs(p.mean - p.theory) / p.theory for p in points)
     _report(1, "simulated error within 5% of closed form for T=20..200", not violations,
             f"worst deviation {worst:.2%}, {points[0].samples} samples/T, {elapsed:.1f}s")
     assert not violations, violations
@@ -70,15 +72,15 @@ def test_criterion_2_constant_ratio_sweep_reaches_asymptote():
     limit = error_asymptote(10.0, 50.0)
     violations = []
     for p in points:
-        z = (p.mean_sq_error - p.theory) / p.std_error
-        if abs(z) > 3.0:
-            violations.append(f"T={p.T}: |z|={abs(z):.2f} > 3")
-        if p.T >= 200.0 and abs(p.theory - limit) / limit > 0.01:
-            violations.append(f"T={p.T}: theory {p.theory:.1f} further than 1% from {limit:.1f}")
+        T, _ = p.key
+        if abs(p.z) > 3.0:
+            violations.append(f"T={T}: |z|={abs(p.z):.2f} > 3")
+        if T >= 200.0 and abs(p.theory - limit) / limit > 0.01:
+            violations.append(f"T={T}: theory {p.theory:.1f} further than 1% from {limit:.1f}")
     if elapsed >= 60.0:
         violations.append(f"runtime {elapsed:.1f}s >= 60s")
 
-    worst_z = max(abs((p.mean_sq_error - p.theory) / p.std_error) for p in points)
+    worst_z = max(abs(p.z) for p in points)
     tail_gap = abs(points[-1].theory - limit) / limit
     _report(2, "constant-ratio sweep tracks theory and its limit", not violations,
             f"worst |z| {worst_z:.2f}, gap at T=200 {tail_gap:.2%}, {elapsed:.1f}s")
@@ -89,28 +91,19 @@ def test_criterion_3_interpolation_dominates_dead_reckoning():
     started = time.perf_counter()
     model = ModelParams(lambda_rate=0.1, sigma=5.0, seed=SEED, span=100.0)
     replications = 20000
-    bins = run_error_vs_count(model, replications, 1)
+    rows, shared = shared_bins(run_error_vs_count(model, replications, 1))
     elapsed = time.perf_counter() - started
 
-    maint = {b.key: b for b in bins["MAINT"]}
-    madrd = {b.key: b for b in bins["MADRD"]}
-    shared = sorted(
-        k for k in maint if k in madrd and maint[k].sample_count >= 30 and madrd[k].sample_count >= 30
-    )
     violations = []
     if replications < 10000:
         violations.append("fewer than 10000 replications")
     if not shared:
         violations.append("no shared localization-count bin with 30 samples on both sides")
     for k in shared:
-        if maint[k].mean_sq_error > madrd[k].mean_sq_error:
-            violations.append(
-                f"count={k}: MAINT sq {maint[k].mean_sq_error:.1f} > MADRD {madrd[k].mean_sq_error:.1f}"
-            )
-        if maint[k].mean_abs_error > madrd[k].mean_abs_error:
-            violations.append(
-                f"count={k}: MAINT abs {maint[k].mean_abs_error:.2f} > MADRD {madrd[k].mean_abs_error:.2f}"
-            )
+        for error, digits in (("sq", 1), ("abs", 2)):
+            maint, madrd = rows["MAINT", k, error].mean, rows["MADRD", k, error].mean
+            if maint > madrd:
+                violations.append(f"count={k}: MAINT {error} {maint:.{digits}f} > MADRD {madrd:.{digits}f}")
     if elapsed >= 300.0:
         violations.append(f"runtime {elapsed:.1f}s >= 300s")
 
@@ -127,14 +120,13 @@ def test_criterion_4_moment_formulas_validated_by_monte_carlo():
     )
     checks = []
     for point in grid:
-        report = validate_conditional_moments(samples=100_000, seed=SEED, **point)
-        checks.extend(report.checks)
+        checks.extend(validate_conditional_moments(samples=100_000, seed=SEED, **point))
     violations = []
     if any(c.samples < 100_000 for c in checks):
         violations.append("check below 1e5 samples")
     for c in checks:
         if abs(c.z) >= 4.0:
-            violations.append(f"{c.name}: |z|={abs(c.z):.2f} (mc {c.mc_mean:.4g} vs {c.theory:.4g})")
+            violations.append(f"{c.key}: |z|={abs(c.z):.2f} (mc {c.mean:.4g} vs {c.theory:.4g})")
 
     worst_density_gap = 0.0
     tau = 10.0

@@ -15,8 +15,9 @@ import maintsim
 from maintsim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main, parse_grid
 from maintsim.errors import ParameterError
 from maintsim.mobility import _MAX_WINDOW_LEGS
-from maintsim.montecarlo import MomentCheck, MomentReport
+from maintsim.montecarlo import Estimate
 from maintsim.output import read_csv, read_manifest
+from test_montecarlo import zero_standard_error_rows
 
 
 def run(argv):
@@ -280,13 +281,23 @@ class TestSimulate:
     def test_moments_failure_exit_two(self, tmp_path, monkeypatch):
         import maintsim.montecarlo
 
-        broken = MomentReport(
-            checks=[MomentCheck(name="x", mc_mean=1.0, std_error=0.1, theory=0.0, z=10.0, samples=10000)]
-        )
+        broken = [Estimate(key="x", samples=10000, mean=1.0, std_error=0.1, theory=0.0, z=10.0)]
         monkeypatch.setattr(maintsim.montecarlo, "validate_conditional_moments", lambda **kw: broken)
         out = tmp_path / "m.csv"
         assert run(["simulate", "moments", "--out", str(out)]) == EXIT_VALIDATION
         assert out.exists()
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(1)], ids=["both", "on-theory"])
+    def test_moments_zero_standard_error_exit_two(self, tmp_path, monkeypatch, rows):
+        # an se of 0 gives z = inf, also for a mean equal to its theory:
+        # the gate cannot tell them apart, so it fails
+        import maintsim.montecarlo
+
+        checks = zero_standard_error_rows()[rows]
+        monkeypatch.setattr(maintsim.montecarlo, "validate_conditional_moments", lambda **kw: checks)
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "moments", "--out", str(out)]) == EXIT_VALIDATION
+        assert [r[4] for r in read_csv(out)[2]] == ["inf"] * len(checks)
 
     def test_memory_error_exits_two(self, tmp_path, monkeypatch, capsys):
         # a run that still needs more memory than is available: one line,

@@ -428,7 +428,7 @@ class TestPeriodSweep:
 
     def test_matches_theory_within_band(self):
         for p in run_period_sweep(5.0, 77, (20.0, 100.0), 4000, lambda_rate=0.1):
-            assert abs(p.mean_sq_error - p.theory) < 4.0 * p.std_error
+            assert abs(p.mean - p.theory) < 4.0 * p.std_error
 
     def test_theory_column_is_the_closed_form(self):
         (point,) = run_period_sweep(5.0, 77, (35.0,), 100, lambda_rate=0.1)
@@ -437,7 +437,7 @@ class TestPeriodSweep:
     def test_small_period_shrinks_error(self):
         small, large = run_period_sweep(5.0, 77, (1.0, 100.0), 2000, lambda_rate=0.1)
         assert small.theory < 0.01 * large.theory
-        assert small.mean_sq_error < 0.01 * large.mean_sq_error
+        assert small.mean < 0.01 * large.mean
 
     def test_standard_error_scaling(self):
         (p1,) = run_period_sweep(5.0, 77, (50.0,), 2000, lambda_rate=0.1)
@@ -468,10 +468,12 @@ class TestPeriodSweep:
 class TestAsymptoticSweep:
     def test_lambda_tied_to_period(self):
         points = run_period_sweep(10.0, 5, (20.0, 200.0), 1500, ratio_C=50.0)
-        assert [p.lambda_rate for p in points] == [0.4, 4.0]
+        assert [p.key for p in points] == [(20.0, 0.4), (200.0, 4.0)]
         for p in points:
-            assert p.theory == error_avg(10.0, p.lambda_rate, p.T)
-            assert abs(p.mean_sq_error - p.theory) < 4.0 * p.std_error
+            T, lam = p.key
+            assert p.theory == error_avg(10.0, lam, T)
+            assert abs(p.mean - p.theory) < 4.0 * p.std_error
+            assert p.z == (p.mean - p.theory) / p.std_error
 
 
 class TestErrorVsCount:
@@ -530,39 +532,45 @@ class TestErrorVsCount:
     def test_one_sample_has_zero_standard_error(self):
         (point,) = run_period_sweep(5.0, 77, (20.0,), 1, lambda_rate=0.1)
         assert point.samples == 1 and point.std_error == 0.0
-        bins = run_error_vs_count(MODEL, 1, 1)
-        assert [len(results) for results in bins.values()] == [1, 1]
-        for (b,) in bins.values():
-            assert b.sample_count == 1 and b.standard_error == 0.0 and b.standard_error_abs == 0.0
+        rows = run_error_vs_count(MODEL, 1, 1)
+        assert [e.key[::2] for e in rows] == [("MADRD", "sq"), ("MADRD", "abs"), ("MAINT", "sq"), ("MAINT", "abs")]
+        for e in rows:
+            assert e.samples == 1 and e.std_error == 0.0
 
     def test_deterministic_rerun(self):
         assert record_rows(error_chunks(**self.RUN)) == record_rows(error_chunks(**self.RUN))
         assert run_error_vs_count(**self.RUN) == run_error_vs_count(**self.RUN)
 
     def test_empty_bins_omitted(self):
-        bins = run_error_vs_count(**self.RUN)
-        for results in bins.values():
-            assert all(b.sample_count >= 1 for b in results)
+        rows = run_error_vs_count(**self.RUN)
+        assert all(e.samples >= 1 for e in rows)
+
+    def test_rows_pair_up_by_bin_without_a_closed_form(self):
+        # each (protocol, count) bin in order, its squared error, then its
+        # absolute error over the same samples; no closed form, so no z
+        rows = run_error_vs_count(**self.RUN)
+        squared, absolute = rows[::2], rows[1::2]
+        assert [e.key[:2] for e in squared] == [e.key[:2] for e in absolute] == sorted({e.key[:2] for e in rows})
+        assert {e.key[2] for e in squared} == {"sq"} and {e.key[2] for e in absolute} == {"abs"}
+        assert [e.samples for e in squared] == [e.samples for e in absolute]
+        assert all(e.theory is None and e.z is None for e in rows)
 
     def test_maint_bins_are_the_period_grid(self):
-        bins = run_error_vs_count(**self.RUN)
+        rows = run_error_vs_count(**self.RUN)
         expected = {math.floor(MODEL.span / p) + 1 for p in MAINT_PERIODS}
-        assert {b.key for b in bins["MAINT"]} == expected
+        assert {count for protocol, count, _ in (e.key for e in rows) if protocol == "MAINT"} == expected
 
     def test_dominance_on_shared_bins(self):
-        bins = run_error_vs_count(**self.RUN)
-        maint = {b.key: b for b in bins["MAINT"]}
-        madrd = {b.key: b for b in bins["MADRD"]}
-        shared = [k for k in maint if k in madrd and maint[k].sample_count >= 30 and madrd[k].sample_count >= 30]
+        rows, shared = shared_bins(run_error_vs_count(**self.RUN))
         assert shared, "no shared well-populated bins"
         for k in shared:
-            assert maint[k].mean_sq_error <= madrd[k].mean_sq_error
+            assert rows["MAINT", k, "sq"].mean <= rows["MADRD", k, "sq"].mean
 
     def test_near_stationary_sensor_has_negligible_error(self):
         model = ModelParams(lambda_rate=0.1, sigma=1e-8, seed=4, span=100.0)
-        for results in run_error_vs_count(model, 60, 1).values():
-            for b in results:
-                assert b.mean_sq_error < 1e-12
+        for e in run_error_vs_count(model, 60, 1):
+            if e.key[2] == "sq":
+                assert e.mean < 1e-12
 
     def test_memory_does_not_grow_with_replications(self):
         # the fold holds one chunk of records and a few merged moments a
@@ -819,7 +827,7 @@ class TestWindowEngine:
         (point,) = run_period_sweep(sigma, 8, (T,), _WINDOW_BATCH + 7, lambda_rate=lam)
         values = np.concatenate(got)
         assert point.samples == len(values)
-        assert point.mean_sq_error == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
+        assert point.mean == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
         assert point.std_error == pytest.approx(values.std(ddof=1) / math.sqrt(len(values)), rel=1e-12, abs=0.0)
 
     def test_positions_follow_the_stream_contract(self):
@@ -1011,18 +1019,11 @@ class TestPoissonWindows:
 
 class TestMomentValidation:
     def test_passes_on_default_grid(self):
-        report = validate_conditional_moments(samples=20_000, n_max=4, seed=6)
-        assert report.passed
-        assert 0.0 < max_abs_z(report) < 4.0
+        rows = validate_conditional_moments(samples=20_000, n_max=4, seed=6)
+        assert 0.0 < max_abs_z(rows) < 4.0
         # 5 checks per (n, k) pair + count-conditioned + two unconditional
         # + two errors
-        assert len(report.checks) == 5 * (4 * 5 // 2) + 5 + 2 + 2
-
-    def test_rows_align_with_checks(self):
-        report = validate_conditional_moments(samples=10_000, n_max=2, seed=6)
-        rows = list(report.rows())
-        assert len(rows) == len(report.checks)
-        assert all(len(r) == 6 for r in rows)
+        assert len(rows) == 5 * (4 * 5 // 2) + 5 + 2 + 2
 
     def test_rejects_small_samples(self):
         with pytest.raises(ParameterError, match="samples must be >= 10000"):
@@ -1032,7 +1033,7 @@ class TestMomentValidation:
         with pytest.raises(ParameterError, match="at most 100000000"):
             validate_conditional_moments(samples=montecarlo._MAX_SAMPLES + 1)
         monkeypatch.setattr(montecarlo, "_MAX_SAMPLES", 10_001)
-        assert validate_conditional_moments(samples=10_001, n_max=1).checks[0].samples == 10_001
+        assert validate_conditional_moments(samples=10_001, n_max=1)[0].samples == 10_001
         with pytest.raises(ParameterError):
             validate_conditional_moments(samples=10_002, n_max=1)
 
@@ -1097,7 +1098,7 @@ class TestMomentValidation:
         # positions vary less than sampled ones, drawn here at the same size
         # from sorted uniforms and sampled velocities
         kw = dict(n_max=3, samples=20_000, seed=2)
-        got = {c.name: c for c in validate_conditional_moments(**kw).checks}
+        got = {c.key: c for c in validate_conditional_moments(**kw)}
         rng, sigma, m = np.random.default_rng(2), 5.0, kw["samples"]
 
         def sampled_se(span, points, legs):
@@ -1118,10 +1119,9 @@ class TestMomentValidation:
     @pytest.mark.parametrize("point", range(len(POINTS)))
     def test_error_rows_are_z_tested_against_the_closed_form(self, point):
         kw = self.POINTS[point]
-        report = validate_conditional_moments(samples=10_000, n_max=1, seed=3, **kw)
-        rows = report.checks[-2:]
+        rows = validate_conditional_moments(samples=10_000, n_max=1, seed=3, **kw)[-2:]
         times = (kw["T"] / 4.0, kw["t"])
-        assert [c.name for c in rows] == [f"error_at t={s:g}" for s in times]
+        assert [c.key for c in rows] == [f"error_at t={s:g}" for s in times]
         for s, c in zip(times, rows):
             assert c.theory == error_at(kw["sigma"], kw["lambda_rate"], kw["T"], s)
             assert c.samples == 10_000 and abs(c.z) < 4.0
@@ -1138,19 +1138,17 @@ class TestMomentValidation:
         flat = data.reshape(6, -1)
         n = flat.shape[1]
         assert [c.samples for c in checks] == [n] * 6
-        np.testing.assert_allclose([c.mc_mean for c in checks], flat.mean(axis=1), rtol=1e-13)
+        np.testing.assert_allclose([c.mean for c in checks], flat.mean(axis=1), rtol=1e-13)
         se = flat.std(axis=1, ddof=1) / math.sqrt(n)
         np.testing.assert_allclose([c.std_error for c in checks], se, rtol=1e-12)
 
     def test_zero_standard_error_fails_the_check(self):
-        # an se of 0 cannot tell a mean from its theory: z is inf and the
-        # check fails, where z = 0 passed it whatever the mean
-        stats = montecarlo._Moments()
-        stats.merge(montecarlo._chunk_moments(np.full((2, 100), 3.0)))
-        checks = stats.checks(["on theory", "off theory"], [3.0, 4.0])
-        assert [(c.mc_mean, c.std_error, c.z) for c in checks] == [(3.0, 0.0, math.inf)] * 2
-        assert not montecarlo.MomentReport(checks).passed
-        assert not montecarlo.MomentReport(checks[:1]).passed
+        # an se of 0 cannot tell a mean from its theory: z is inf, which
+        # the CLI's gate fails (test_cli), where z = 0 passed it whatever
+        # the mean
+        checks = zero_standard_error_rows()
+        assert [(c.mean, c.std_error, c.z) for c in checks] == [(3.0, 0.0, math.inf)] * 2
+        assert not max_abs_z(checks) < 4.0 and not max_abs_z(checks[:1]) < 4.0
 
     def test_non_finite_moments_fail_once_without_warnings(self):
         # squared deviations that overflow make an inf standard error, and
@@ -1189,8 +1187,8 @@ class TestMomentValidation:
         assert rows * width <= max(montecarlo._CHUNK_DRAWS, width)
         per_coordinate = {"position_sq_unconditional", "displacement_cross_moment"}  # x and y both count
         for samples in (10_000, 10_001):
-            report = validate_conditional_moments(samples=samples, n_max=1, seed=0)
-            assert {c.samples for c in report.checks if c.name not in per_coordinate} == {samples}
+            rows = validate_conditional_moments(samples=samples, n_max=1, seed=0)
+            assert {c.samples for c in rows if c.key not in per_coordinate} == {samples}
 
     @pytest.mark.parametrize("n_max", [6, 9])
     def test_memory_does_not_grow_with_samples(self, n_max):
@@ -1221,8 +1219,8 @@ class TestMomentValidation:
 
     def test_memory_does_not_grow_with_n_max(self):
         # the chunks of every n hold at most the same number of draws, so
-        # the traced peak, less the report the check returns (which holds
-        # O(n_max^2) checks), is the same at n_max 6 and 20
+        # the traced peak, less the rows the check returns (O(n_max^2) of
+        # them), is the same at n_max 6 and 20
         validate_conditional_moments(samples=10_000, n_max=6)  # keep one-time imports out of the peak
         working = [peak - kept for kept, peak in traced_memory(
             *(lambda n=n: validate_conditional_moments(samples=10_000, n_max=n) for n in (6, 20))
@@ -1245,12 +1243,12 @@ class TestMomentValidation:
         # the checks, their closed forms and sample counts stay, and every
         # check still agrees with its closed form
         kw = dict(n_max=n_max, samples=10_001, seed=3)
-        want = validate_conditional_moments(**kw).checks
+        want = validate_conditional_moments(**kw)
         monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 999)
         assert -(-kw["samples"] // montecarlo._chunk_rows(n_max + 1)) > 20
-        report = validate_conditional_moments(**kw)
-        assert [(c.name, c.theory, c.samples) for c in report.checks] == [(c.name, c.theory, c.samples) for c in want]
-        assert report.passed, max_abs_z(report)
+        rows = validate_conditional_moments(**kw)
+        assert [(c.key, c.theory, c.samples) for c in rows] == [(c.key, c.theory, c.samples) for c in want]
+        assert max_abs_z(rows) < 4.0
 
     def test_each_draw_keeps_at_most_one_earlier_draw_alive(self, monkeypatch, set_cpus):
         # before each draw of spacings or of a window batch, at most one
@@ -1356,20 +1354,20 @@ class TestMomentValidation:
 
     @pytest.mark.parametrize("call", [1, 12, 32, 36])
     def test_keyboard_interrupt_stops_the_producer(self, monkeypatch, call):
-        # n_max = 3 makes 30 checks of the n blocks, 4 count-conditioned
+        # n_max = 3 makes 30 rows of the n blocks, 4 count-conditioned
         # ones, 2 from the windows and 2 errors; an interrupt while any of
-        # them is made stops the check and leaves no thread behind (named
-        # after the producer thread of 0.5.0, which 0.6.0 deleted)
-        make = montecarlo.MomentCheck
+        # them is built stops the check and leaves no thread and no child
+        # (named after the producer thread of 0.5.0, which 0.6.0 deleted)
+        make = montecarlo.Estimate
         calls = []
 
-        def interrupted(**kwargs):
-            calls.append(kwargs["name"])
+        def interrupted(key, *fields):
+            calls.append(key)
             if len(calls) == call:
                 raise KeyboardInterrupt
-            return make(**kwargs)
+            return make(key, *fields)
 
-        monkeypatch.setattr(montecarlo, "MomentCheck", interrupted)
+        monkeypatch.setattr(montecarlo, "Estimate", interrupted)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             validate_conditional_moments(samples=10_000, n_max=3, seed=0)
@@ -1384,20 +1382,20 @@ class TestMomentValidation:
         reports = []
         for cpus in (1, 2, 3):
             set_cpus(cpus)
-            reports.append(validate_conditional_moments(samples=20_000, n_max=4, seed=5).checks)
+            reports.append(validate_conditional_moments(samples=20_000, n_max=4, seed=5))
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_concurrent_checks_equal_the_checks_drawn_alone(self):
         # the check keeps no shared state: three checks at once, on three
         # threads with switches forced every microsecond (so each draws its
-        # chunks itself), each equal the report drawn alone (on every usable
+        # chunks itself), each equal the rows drawn alone (on every usable
         # CPU)
         kw = [dict(samples=10_000, n_max=3, seed=s) for s in range(3)]
-        want = [validate_conditional_moments(**k).checks for k in kw]
+        want = [validate_conditional_moments(**k) for k in kw]
         got = [None] * 3
 
         def run(i):
-            got[i] = validate_conditional_moments(**kw[i]).checks
+            got[i] = validate_conditional_moments(**kw[i])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1440,9 +1438,25 @@ class _FailingDraws:
         return counted
 
 
-def max_abs_z(report) -> float:
-    """The largest |z| of a moment report's checks."""
-    return max((abs(c.z) for c in report.checks), default=0.0)
+def max_abs_z(rows) -> float:
+    """The largest |z| of ``rows``, estimates against a closed form."""
+    return max((abs(e.z) for e in rows), default=0.0)
+
+
+def zero_standard_error_rows():
+    """Two rows of a mean of 3 with a standard error of 0: one against a
+    closed form of 3, one against 4."""
+    stats = montecarlo._Moments()
+    stats.merge(montecarlo._chunk_moments(np.full((2, 100), 3.0)))
+    return stats.checks(["on theory", "off theory"], [3.0, 4.0])
+
+
+def shared_bins(rows, least: int = 30):
+    """The count experiment's ``rows`` by key, and the localization counts
+    whose MAINT and MADRD bins both hold at least ``least`` samples."""
+    by_key = {e.key: e for e in rows}
+    counts = {(protocol, count) for protocol, count, _ in by_key if by_key[protocol, count, "sq"].samples >= least}
+    return by_key, sorted(count for protocol, count in counts if protocol == "MAINT" and ("MADRD", count) in counts)
 
 
 class TestConfigValidation:

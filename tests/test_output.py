@@ -105,19 +105,25 @@ class _Cell:
     """Formats as "cell", or does ``in_parent`` in the process that made it
     and ``in_child`` in every other: "raise", "unpicklable" or "die".  The
     process that made it first sleeps ``parent_sleep`` seconds, once, so
-    that the children take chunks."""
+    that the children take chunks; each child first sleeps ``child_sleep``
+    seconds, once, so that the caller takes one."""
 
-    def __init__(self, in_parent: str = "cell", in_child: str = "cell", parent_sleep: float = 0.0):
+    def __init__(self, in_parent: str = "cell", in_child: str = "cell", parent_sleep: float = 0.0,
+                 child_sleep: float = 0.0):
         self.parent = os.getpid()
         self.in_parent = in_parent
         self.in_child = in_child
         self.parent_sleep = parent_sleep
+        self.child_sleep = child_sleep
 
     def __str__(self):
         mine = os.getpid() == self.parent
         if mine:
             time.sleep(self.parent_sleep)
             self.parent_sleep = 0.0
+        else:
+            time.sleep(self.child_sleep)
+            self.child_sleep = 0.0
         action = self.in_parent if mine else self.in_child
         if action == "raise":
             raise RuntimeError("injected")
@@ -175,9 +181,9 @@ def test_child_exception_that_cannot_be_rebuilt_is_an_os_error(tmp_path, monkeyp
 
 def test_failing_parent_part_reaps_every_child(tmp_path, monkeypatch, set_cpus, forks):
     # the children are killed and reaped before the parent's error
-    # propagates
+    # propagates; they sleep first, so that the caller takes a chunk
     with pytest.raises(RuntimeError, match="injected"):
-        _write_cells(tmp_path, monkeypatch, set_cpus, _Cell(in_parent="raise"))
+        _write_cells(tmp_path, monkeypatch, set_cpus, _Cell(in_parent="raise", child_sleep=0.5))
     assert len(forks) == 2
     # no child is left running or unreaped
     with pytest.raises(ChildProcessError):

@@ -31,7 +31,6 @@ import test_acceptance
 import test_mobility
 import test_montecarlo
 from maintsim.errors import ParameterError
-from maintsim.montecarlo import MomentReport
 
 
 def block_runners_match_the_reference_runners():
@@ -176,18 +175,6 @@ def _recorded(monkeypatch, module, name: str, results: list) -> None:
     monkeypatch.setattr(module, name, recording)
 
 
-def _worst_z(results) -> float:
-    """The largest |z| of the moment reports and sweep points in
-    ``results``."""
-    zs = []
-    for result in results:
-        if isinstance(result, MomentReport):
-            zs.append(test_montecarlo.max_abs_z(result))
-        else:
-            zs += [abs(p.mean_sq_error - p.theory) / p.std_error for p in result]
-    return max(zs)
-
-
 @pytest.mark.parametrize("defect", DEFECTS, ids=lambda defect: defect.name)
 def test_check_fails_on_the_defect(defect, monkeypatch):
     results = []
@@ -196,7 +183,7 @@ def test_check_fails_on_the_defect(defect, monkeypatch):
     inject(defect, monkeypatch)
     with pytest.raises(defect.error):
         defect.check()
-    seen = f", worst |z| {_worst_z(results):.3g}" if results else ""
+    seen = f", worst |z| {test_montecarlo.max_abs_z(e for rows in results for e in rows):.3g}" if results else ""
     print(f"\n{defect.name}: {defect.check.__name__} fails{seen}")
 
 
